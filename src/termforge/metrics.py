@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Segment = Sequence[str]
 
@@ -63,6 +63,22 @@ def bleu_stats(hypothesis: Segment, reference: Segment) -> tuple[list, list, int
     return correct, total, len(hypothesis), len(reference)
 
 
+def sum_bleu_stats(
+    stats: Iterable[tuple[Sequence[int], Sequence[int], int, int]],
+) -> tuple[list[int], list[int], int, int]:
+    """Corpus statistics: the element-wise sum of :func:`bleu_stats` tuples."""
+    correct = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
+    hyp_len = ref_len = 0
+    for c, t, hl, rl in stats:
+        for n in range(BLEU_ORDER):
+            correct[n] += c[n]
+            total[n] += t[n]
+        hyp_len += hl
+        ref_len += rl
+    return correct, total, hyp_len, ref_len
+
+
 def bleu_from_stats(
     correct: Sequence[int], total: Sequence[int], hyp_len: int, ref_len: int
 ) -> float:
@@ -85,17 +101,11 @@ def bleu_from_stats(
 def bleu(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> float:
     """Corpus-level BLEU-4 with brevity penalty, in [0, 100]."""
     _check_lengths(hypotheses, references)
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        c, t, hl, rl = bleu_stats(hyp, ref)
-        for n in range(BLEU_ORDER):
-            correct[n] += c[n]
-            total[n] += t[n]
-        hyp_len += hl
-        ref_len += rl
-    return bleu_from_stats(correct, total, hyp_len, ref_len)
+    return bleu_from_stats(
+        *sum_bleu_stats(
+            bleu_stats(hyp, ref) for hyp, ref in zip(hypotheses, references)
+        )
+    )
 
 
 def _char_ngrams(text: str, n: int) -> Counter:

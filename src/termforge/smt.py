@@ -13,6 +13,16 @@ Annotated spans alter the option set before search starts:
 With an unbounded stack the search is exact dynamic programming over
 (coverage, LM context, last phrase end), which is what the equivalence
 tests against a brute-force decoder rely on.
+
+The search loop does scalar work only.  A hypothesis holds its score,
+coverage bitmask, LM context, last phrase end, back-pointer, option and the
+LM log-probability of its step; each option's coverage mask and weighted
+phrase and word-penalty score are computed once per decode, so an extension
+adds that part, the weighted LM term and the distortion cost.  The LM terms
+come from memos that live for one search: (context, phrase) -> (log-prob,
+new context) and context -> end-of-sentence log-prob; only misses query the
+model.  The 7-dim feature vector of a returned result is rebuilt from its
+back-trace, adding each step's terms in search order.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .align import PROB_FLOOR, PhraseTable
 from .corpus import Normalization, ParallelCorpus, Tokens, tokenize
 from .errors import MarkupError
 from .lm import EOS, BOS, NgramLanguageModel
-from .metrics import bleu_from_stats, bleu_stats
+from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
 
 FEATURE_NAMES = (
     "phrase_fwd",
@@ -290,44 +300,20 @@ def build_options(
     return options
 
 
-@dataclass
+@dataclass(slots=True)
 class _Hypothesis:
+    """One search state.  ``lm_delta`` is the language-model log-probability
+    of the step that made it: its phrase, or, on a completed hypothesis
+    (``option is None``), the end-of-sentence event.  Feature vectors are
+    rebuilt from the back-trace only for returned results."""
+
     score: float
-    features: np.ndarray
     coverage: int
     lm_ctx: tuple[str, ...]
     last_end: int
     backptr: "_Hypothesis | None"
     option: _Option | None
-
-
-def _extend(
-    hyp: _Hypothesis,
-    option: _Option,
-    lm: NgramLanguageModel,
-    weights: np.ndarray,
-    lm_order: int,
-) -> _Hypothesis:
-    delta = np.zeros(len(FEATURE_NAMES))
-    delta[0:4] = option.log_feats
-    ctx = list(hyp.lm_ctx)
-    lm_delta = 0.0
-    for tok in option.target:
-        lm_delta += lm.cond_logprob(tok, ctx)
-        ctx.append(tok)
-    delta[4] = lm_delta
-    delta[5] = -float(len(option.target))
-    delta[6] = -abs(option.start - hyp.last_end)
-    features = hyp.features + delta
-    return _Hypothesis(
-        score=hyp.score + float(weights @ delta),
-        features=features,
-        coverage=hyp.coverage | _mask(option),
-        lm_ctx=tuple(ctx[-(lm_order - 1):]) if lm_order > 1 else (),
-        last_end=option.end,
-        backptr=hyp,
-        option=option,
-    )
+    lm_delta: float
 
 
 def _mask(option: _Option) -> int:
@@ -343,35 +329,39 @@ def _search(
 ) -> dict[Tokens, _Hypothesis]:
     """Coverage-stack beam search; returns completed hypotheses by target."""
     annotated.validate()
-    w = weights.values
-    tokens = annotated.tokens
-    n = len(tokens)
-    options = build_options(annotated, table)
-    options_by_start: list[list[_Option]] = [[] for _ in range(max(n, 1))]
-    for opt in options:
-        options_by_start[opt.start].append(opt)
-
-    init = _Hypothesis(
-        score=0.0,
-        features=np.zeros(len(FEATURE_NAMES)),
-        coverage=0,
-        lm_ctx=(BOS,),
-        last_end=0,
-        backptr=None,
-        option=None,
-    )
-    full = (1 << n) - 1
-    finals: dict[Tokens, _Hypothesis] = {}
-
-    if n == 0:
-        eos = lm.cond_logprob(EOS, [BOS])
-        delta = np.zeros(len(FEATURE_NAMES))
-        delta[4] = eos
-        finals[()] = _Hypothesis(
-            float(w @ delta), delta, 0, (), 0, None, None
+    w = weights.values.tolist()
+    w_lm, w_wp, w_dist = w[4], w[5], w[6]
+    n = len(annotated.tokens)
+    # per start: (option, coverage mask, weighted phrase and word-penalty part)
+    options_by_start: list[list[tuple[_Option, int, float]]] = [[] for _ in range(n)]
+    for opt in build_options(annotated, table):
+        lf = opt.log_feats
+        static = (
+            w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
+            - w_wp * len(opt.target)
         )
-        return finals
+        options_by_start[opt.start].append((opt, _mask(opt), static))
 
+    keep = lm.order - 1
+    # LM memos for this decode: (context, phrase) -> (log-prob, new context)
+    # and context -> end-of-sentence log-prob
+    phrase_lm: dict[tuple[tuple[str, ...], Tokens], tuple[float, tuple[str, ...]]] = {}
+    eos_lm: dict[tuple[str, ...], float] = {}
+
+    def eos_logprob(ctx: tuple[str, ...]) -> float:
+        eos = eos_lm.get(ctx)
+        if eos is None:
+            eos = eos_lm[ctx] = lm.cond_logprob(EOS, ctx)
+        return eos
+
+    init = _Hypothesis(0.0, 0, (BOS,), 0, None, None, 0.0)
+    if n == 0:
+        eos = eos_logprob(init.lm_ctx)
+        return {(): _Hypothesis(w_lm * eos, 0, init.lm_ctx, 0, init, None, eos)}
+
+    full = (1 << n) - 1
+    limit = beam.distortion_limit
+    finals: dict[Tokens, _Hypothesis] = {}
     stacks: list[dict] = [{} for _ in range(n + 1)]
     stacks[0][(0, (BOS,), 0)] = init
 
@@ -380,66 +370,93 @@ def _search(
             stacks[k].items(), key=lambda kv: (-kv[1].score, kv[0])
         )[: beam.stack_size]
         for _, hyp in ranked:
-            for start in range(n):
-                if hyp.coverage >> start & 1:
+            coverage, ctx = hyp.coverage, hyp.lm_ctx
+            last, score = hyp.last_end, hyp.score
+            prefix = None
+            for start in range(max(0, last - limit), min(n, last + limit + 1)):
+                if coverage >> start & 1:
                     continue
-                if abs(start - hyp.last_end) > beam.distortion_limit:
-                    continue
-                for opt in options_by_start[start]:
-                    if hyp.coverage & _mask(opt):
+                dist_cost = w_dist * abs(start - last)
+                for opt, mask, static in options_by_start[start]:
+                    if coverage & mask:
                         continue
-                    new = _extend(hyp, opt, lm, w, lm.order)
-                    covered = k + (opt.end - opt.start)
-                    if new.coverage == full:
-                        eos_delta = np.zeros(len(FEATURE_NAMES))
-                        eos_delta[4] = lm.cond_logprob(EOS, new.lm_ctx)
-                        done = _Hypothesis(
-                            new.score + float(w @ eos_delta),
-                            new.features + eos_delta,
-                            new.coverage,
-                            new.lm_ctx,
-                            new.last_end,
-                            new.backptr,
-                            new.option,
+                    target = opt.target
+                    lm_entry = phrase_lm.get((ctx, target))
+                    if lm_entry is None:
+                        history = list(ctx)
+                        lm_delta = 0.0
+                        for tok in target:
+                            lm_delta += lm.cond_logprob(tok, history)
+                            history.append(tok)
+                        lm_entry = phrase_lm[(ctx, target)] = (
+                            lm_delta, tuple(history[-keep:]) if keep else ()
                         )
-                        target = _target_tokens(done)
-                        old = finals.get(target)
-                        if old is None or done.score > old.score:
-                            finals[target] = done
+                    lm_delta, new_ctx = lm_entry
+                    new_score = score + (static + w_lm * lm_delta - dist_cost)
+                    new_coverage = coverage | mask
+                    if new_coverage == full:
+                        eos = eos_logprob(new_ctx)
+                        done_score = new_score + w_lm * eos
+                        if prefix is None:
+                            prefix = _target_tokens(hyp)
+                        output = prefix + target
+                        old = finals.get(output)
+                        if old is None or done_score > old.score:
+                            last_step = _Hypothesis(
+                                new_score, full, new_ctx, opt.end, hyp, opt,
+                                lm_delta,
+                            )
+                            finals[output] = _Hypothesis(
+                                done_score, full, new_ctx, opt.end, last_step,
+                                None, eos,
+                            )
                     else:
-                        key = (new.coverage, new.lm_ctx, new.last_end)
-                        old = stacks[covered].get(key)
-                        if old is None or new.score > old.score:
-                            stacks[covered][key] = new
+                        stack = stacks[k + opt.end - opt.start]
+                        key = (new_coverage, new_ctx, opt.end)
+                        old = stack.get(key)
+                        if old is None or new_score > old.score:
+                            stack[key] = _Hypothesis(
+                                new_score, new_coverage, new_ctx, opt.end, hyp,
+                                opt, lm_delta,
+                            )
     return finals
 
 
 def _target_tokens(hyp: _Hypothesis) -> Tokens:
     parts: list[Tokens] = []
     node = hyp
-    while node is not None and node.option is not None:
-        parts.append(node.option.target)
+    while node is not None:
+        if node.option is not None:
+            parts.append(node.option.target)
         node = node.backptr
     return tuple(tok for phrase in reversed(parts) for tok in phrase)
 
 
 def _to_result(hyp: _Hypothesis) -> DecodeResult:
-    trace: list[TracedPhrase] = []
+    """Rebuild the 7-dim feature vector by adding each step's terms from the
+    first step to the end-of-sentence event, slot by slot."""
+    path: list[_Hypothesis] = []
     node = hyp
-    while node is not None and node.option is not None:
-        trace.append(
-            TracedPhrase(
-                (node.option.start, node.option.end),
-                node.option.target,
-                node.option.log_feats,
-            )
-        )
+    while node is not None:
+        path.append(node)
         node = node.backptr
-    trace.reverse()
+    features = [0.0] * len(FEATURE_NAMES)
+    trace: list[TracedPhrase] = []
+    tokens: list[str] = []
+    for node in reversed(path):
+        opt = node.option
+        if opt is not None:
+            for i, value in enumerate(opt.log_feats):
+                features[i] += value
+            features[5] -= len(opt.target)
+            features[6] -= abs(opt.start - node.backptr.last_end)
+            trace.append(TracedPhrase((opt.start, opt.end), opt.target, opt.log_feats))
+            tokens.extend(opt.target)
+        features[4] += node.lm_delta
     return DecodeResult(
-        tokens=_target_tokens(hyp),
+        tokens=tuple(tokens),
         score=hyp.score,
-        features=hyp.features,
+        features=np.array(features),
         trace=trace,
     )
 
@@ -556,26 +573,27 @@ def _line_search_dim(pools, stats, weights, dim):
             events.append((x, s_idx, idx))
     events.sort()
 
-    def corpus_stats():
-        correct, total, hyp_len, ref_len = [0] * 4, [0] * 4, 0, 0
-        for s_idx, h_idx in enumerate(active):
-            c, t, hl, rl = stats[s_idx][h_idx]
-            for i in range(4):
-                correct[i] += c[i]
-                total[i] += t[i]
-            hyp_len += hl
-            ref_len += rl
-        return correct, total, hyp_len, ref_len
-
-    current_bleu = bleu_from_stats(*corpus_stats())
+    # corpus statistics of the active hypotheses, updated at each event by
+    # swapping one sentence's integer counts (exact, so no re-summing)
+    correct, total, hyp_len, ref_len = sum_bleu_stats(
+        stats[s_idx][h_idx] for s_idx, h_idx in enumerate(active)
+    )
+    current_bleu = bleu_from_stats(correct, total, hyp_len, ref_len)
     if not events:
         return float(weights[dim]), current_bleu
     edge = 2.0  # pseudo-width for the unbounded end intervals
     best = (current_bleu, edge, min(events[0][0] - edge / 2, float(weights[dim])))
     for i, (x, s_idx, h_idx) in enumerate(events):
+        c_out, t_out, hl_out, rl_out = stats[s_idx][active[s_idx]]
+        c_in, t_in, hl_in, rl_in = stats[s_idx][h_idx]
+        for n in range(BLEU_ORDER):
+            correct[n] += c_in[n] - c_out[n]
+            total[n] += t_in[n] - t_out[n]
+        hyp_len += hl_in - hl_out
+        ref_len += rl_in - rl_out
         active[s_idx] = h_idx
         right = events[i + 1][0] if i + 1 < len(events) else x + edge
-        score = bleu_from_stats(*corpus_stats())
+        score = bleu_from_stats(correct, total, hyp_len, ref_len)
         cand = (score, right - x, (x + right) / 2.0)
         if (cand[0], cand[1]) > (best[0] + 1e-12, best[1]):
             best = cand
@@ -585,17 +603,12 @@ def _line_search_dim(pools, stats, weights, dim):
 
 
 def _pool_bleu(pools, stats, weights):
-    correct, total, hyp_len, ref_len = [0] * 4, [0] * 4, 0, 0
+    chosen = []
     for s_idx, feats in enumerate(pools):
         scores = [float(np.dot(weights, f)) for f in feats]
         h_idx = max(range(len(scores)), key=lambda i: (scores[i], -i))
-        c, t, hl, rl = stats[s_idx][h_idx]
-        for i in range(4):
-            correct[i] += c[i]
-            total[i] += t[i]
-        hyp_len += hl
-        ref_len += rl
-    return bleu_from_stats(correct, total, hyp_len, ref_len)
+        chosen.append(stats[s_idx][h_idx])
+    return bleu_from_stats(*sum_bleu_stats(chosen))
 
 
 def _optimize_on_pool(pools, stats, start, max_passes=8):
@@ -622,15 +635,9 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
 def _corpus_bleu_decoding(dev, table, lm, weights, beam):
     hyps = [decode(src, table, lm, weights, beam).tokens for src, _ in dev.pairs]
     refs = [ref for _, ref in dev.pairs]
-    correct, total, hyp_len, ref_len = [0] * 4, [0] * 4, 0, 0
-    for hyp, ref in zip(hyps, refs):
-        c, t, hl, rl = bleu_stats(hyp, ref)
-        for i in range(4):
-            correct[i] += c[i]
-            total[i] += t[i]
-        hyp_len += hl
-        ref_len += rl
-    return bleu_from_stats(correct, total, hyp_len, ref_len)
+    return bleu_from_stats(
+        *sum_bleu_stats(bleu_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
+    )
 
 
 def mert_tune(

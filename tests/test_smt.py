@@ -22,6 +22,8 @@ from termforge.smt import (
     LogLinearWeights,
     Span,
     SpanCandidate,
+    _line_search_dim,
+    _pool_bleu,
     decode,
     decode_nbest,
     format_markup,
@@ -347,6 +349,58 @@ class TestExhaustiveEquivalence:
                 assert result.score >= prev - 1e-12
                 prev = result.score
 
+    @pytest.mark.parametrize("limit, expected", [
+        (1, ("A", "B", "C", "D", "E")),  # a swap needs a backward jump of 2
+        (2, ("B", "A", "C", "D", "E")),
+    ])
+    def test_reordering_inside_distortion_window(self, limit, expected):
+        tokens = ("a", "b", "c", "d", "e")
+        table = PhraseTable(
+            {(s,): [PhraseOption((s.upper(),), (0.9, 0.9, 0.9, 0.9))] for s in tokens},
+            max_phrase_len=1,
+        )
+        lm = train_lm([("B", "A", "C", "D", "E")] * 3, order=3)
+        weights = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.1]))
+        oracle_score, oracle_tokens = brute_force_decode(
+            tokens, table, lm, weights, limit
+        )
+        result = decode(
+            tokens, table, lm, weights,
+            BeamConfig(stack_size=100000, distortion_limit=limit),
+        )
+        assert oracle_tokens == expected
+        assert result.tokens == expected
+        assert result.score == pytest.approx(oracle_score, abs=1e-9)
+
+
+class TestRebuiltFeatures:
+    """Result features are rebuilt from the back-trace after the search."""
+
+    WEIGHTS = LogLinearWeights(np.array([0.7, 0.2, 0.4, 0.1, 1.3, -0.2, 0.6]))
+
+    @pytest.mark.parametrize("spans", [
+        [],
+        [Span(2, 3, [SpanCandidate(("orbita",), 0.7)], INCLUSIVE)],
+    ])
+    def test_features_agree_with_trace_lm_and_score(self, spans):
+        lm = toy_lm()
+        annotated = AnnotatedInput(("disorders", "of", "orbit"), spans)
+        results = decode_nbest(annotated, toy_table(), lm, self.WEIGHTS, WIDE, n=50)
+        assert len(results) > 10
+        for r in results:
+            for k in range(4):
+                assert r.features[k] == sum(t.log_features[k] for t in r.trace)
+            assert r.features[5] == -len(r.tokens)
+            last_end, distortion = 0, 0
+            for t in r.trace:
+                distortion -= abs(t.source_span[0] - last_end)
+                last_end = t.source_span[1]
+            assert r.features[6] == distortion
+            assert r.features[4] == pytest.approx(lm.score(r.tokens), abs=1e-9)
+            assert r.score == pytest.approx(
+                float(self.WEIGHTS.values @ r.features), abs=1e-9
+            )
+
 
 class TestInjectionGuarantees:
     def test_randomized_span_semantics(self):
@@ -394,6 +448,45 @@ class TestNbest:
             tokens, table, lm, LogLinearWeights.default(), WIDE, n=1
         )[0]
         assert top.tokens == full.tokens
+
+
+def random_pool(rng, sentences=6, hyps=5):
+    """MERT pools of random feature vectors with consistent BLEU statistics."""
+    pools, stats = [], []
+    for _ in range(sentences):
+        ref_len = rng.randint(3, 9)
+        pools.append([
+            np.array([rng.gauss(0.0, 1.0) for _ in FEATURE_NAMES])
+            for _ in range(hyps)
+        ])
+        sentence_stats = []
+        for _ in range(hyps):
+            hyp_len = rng.randint(1, 10)
+            total = [max(0, hyp_len - n) for n in range(4)]
+            correct = [rng.randint(0, t) for t in total]
+            sentence_stats.append((correct, total, hyp_len, ref_len))
+        stats.append(sentence_stats)
+    return pools, stats
+
+
+class TestLineSearch:
+    def test_best_point_matches_pool_bleu_and_grid(self):
+        rng = random.Random(12)
+        for trial in range(5):
+            pools, stats = random_pool(rng)
+            weights = np.array([rng.uniform(-1.0, 1.0) for _ in FEATURE_NAMES])
+            for dim in range(len(FEATURE_NAMES)):
+                x, score = _line_search_dim(pools, stats, weights, dim)
+                probe = weights.copy()
+                probe[dim] = x
+                assert score == pytest.approx(
+                    _pool_bleu(pools, stats, probe), abs=1e-12
+                )
+                for value in np.linspace(-6.0, 6.0, 241):
+                    probe[dim] = value
+                    assert _pool_bleu(pools, stats, probe) <= score + 1e-9, (
+                        trial, dim, value,
+                    )
 
 
 def sign_corruption_task(seed=0):
