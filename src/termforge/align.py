@@ -7,7 +7,6 @@ source token (index 0) absorbs target words with no lexical counterpart.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -357,14 +356,3 @@ def load_phrase_table(path, max_phrase_len: int = 7) -> PhraseTable:
                 raise ModelFormatError(f"line {lineno}: expected 4 features")
             entries[src].append(PhraseOption(tgt, feats))
     return PhraseTable(dict(entries), max_phrase_len=max_phrase_len)
-
-
-def corpus_log_likelihood(table: TranslationTable, corpus: ParallelCorpus) -> float:
-    """Model 1 data log-likelihood under the given table (test oracle hook)."""
-    total = 0.0
-    for pair in corpus.pairs:
-        src, tgt = table.encode(pair)
-        for tj in tgt:
-            inner = sum(table.table[si, tj] for si in src) / len(src)
-            total += math.log(inner) if inner > 0 else float("-inf")
-    return total

@@ -109,9 +109,3 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         key, value = parse_assignment(item)
         values[key] = value
     return PipelineConfig(values, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def save_config(config: PipelineConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for key in sorted(config.values):
-            f.write(f"{key} = {config.values[key]}\n")

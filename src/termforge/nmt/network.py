@@ -7,6 +7,11 @@ position.  The residual sum is skipped only where dimensions differ (encoder
 layer 1 when embed != hidden, and decoder layer 1, whose input is the
 embedding concatenated with the previous attentional vector - input feeding).
 
+The LSTM cell fuses its gate nonlinearities: one sigmoid pass over all 4n
+pre-activation columns, from which the input, forget and output gates are
+slices, and a tanh over the candidate slice.  The sigmoid is
+``1/(1+exp(-z))`` element by element either way, so fusing changes no value.
+
 Everything is plain float64 numpy; the per-step matrix products are
 BLAS-bound, which profiling showed beats both numba loop kernels and jitted
 np.dot at these sizes.
@@ -28,10 +33,11 @@ def lstm_cell_forward(x, h_prev, c_prev, W, U, b):
     """One LSTM step for a batch; returns (cell_output, new_memory, cache)."""
     n = h_prev.shape[1]
     z = x @ W + h_prev @ U + b
-    i = _sigmoid(z[:, :n])
-    f = _sigmoid(z[:, n:2 * n])
+    gates = _sigmoid(z)  # one pass over all 4n columns; g's are unused
+    i = gates[:, :n]
+    f = gates[:, n:2 * n]
     g = np.tanh(z[:, 2 * n:3 * n])
-    o = _sigmoid(z[:, 3 * n:])
+    o = gates[:, 3 * n:]
     c = f * c_prev + i * g
     hout = o * np.tanh(c)
     return hout, c, (x, h_prev, c_prev, i, f, g, o, c)

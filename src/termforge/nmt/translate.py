@@ -26,12 +26,13 @@ class AttentionTrace:
 
 @dataclass
 class _Beam:
+    """One hypothesis: its tokens and score, and the row of its decoder
+    state in the arrays of the step that produced it."""
+
     tokens: list[int]
     logprob: float
-    h_layers: list[np.ndarray]
-    c_layers: list[np.ndarray]
-    hbar: np.ndarray
     attn_rows: list[np.ndarray]
+    row: int = 0
     finished: bool = False
 
     def norm_score(self) -> float:
@@ -53,6 +54,15 @@ def translate(
     still carry continuation markers.  Predicted unknowns surface as the
     unk symbol for downstream replacement.  ``min_len`` blocks the
     end-of-sentence token until that many tokens have been emitted.
+
+    Each target position is one batched step: the K unfinished hypotheses
+    gather their layer states, attentional vectors and last tokens into
+    (K, n) arrays by row, take one ``decoder_step`` against the encoder
+    states repeated K times, and score all expansions with one (K, V)
+    output product and a row-wise log-softmax.  Each row's ``beam_width``
+    best tokens become candidates, ordered by (-score, token id) in beam
+    order with finished hypotheses carried over unchanged, so the search
+    is the same as stepping every hypothesis on its own.
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -64,55 +74,56 @@ def translate(
     if max_len is None:
         max_len = 2 * len(tokens) + 5
 
+    params = model.params
     src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
     enc_top, enc_finals, _ = encode(model, src_ids)
-    init = _Beam(
-        tokens=[BOS_ID],
-        logprob=0.0,
-        h_layers=[h.copy() for h, _ in enc_finals],
-        c_layers=[c.copy() for _, c in enc_finals],
-        hbar=np.zeros((1, model.config.hidden)),
-        attn_rows=[],
-    )
-    beams = [init]
+    enc_by_k = {1: enc_top}
+    h_layers = [h for h, _ in enc_finals]
+    c_layers = [c for _, c in enc_finals]
+    hbar = np.zeros((1, model.config.hidden))
+    beams = [_Beam(tokens=[BOS_ID], logprob=0.0, attn_rows=[])]
     for _ in range(max_len):
-        if all(b.finished for b in beams):
+        live = [b for b in beams if not b.finished]
+        if not live:
             break
-        candidates: list[tuple[float, int, _Beam]] = []
+        k = len(live)
+        rows = [b.row for b in live]
+        if k not in enc_by_k:
+            enc_by_k[k] = np.repeat(enc_top, k, axis=1)
+        emb = params["dec_E"][[b.tokens[-1] for b in live]]
+        x_in = np.concatenate([emb, hbar[rows]], axis=1)
+        h_layers = [h[rows] for h in h_layers]
+        c_layers = [c[rows] for c in c_layers]
+        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, enc_by_k[k])
+        logits = hbar @ params["out_W"] + params["out_b"]
+        logits -= logits.max(axis=1, keepdims=True)
+        logprobs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        for r, beam in enumerate(live):
+            if len(beam.tokens) - 1 < min_len:
+                logprobs[r, EOS_ID] = -np.inf
+        order = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_width]
+        top = np.take_along_axis(logprobs, order, axis=1)
+        # (score, token id, parent, row); finished hypotheses carry token -1
+        candidates: list[tuple[float, int, _Beam, int]] = []
+        r = 0
         for beam in beams:
             if beam.finished:
-                candidates.append((beam.logprob, -1, beam))
+                candidates.append((beam.logprob, -1, beam, -1))
                 continue
-            emb = model.params["dec_E"][np.array([beam.tokens[-1]])]
-            x_in = np.concatenate([emb, beam.hbar], axis=1)
-            h_layers = [h.copy() for h in beam.h_layers]
-            c_layers = [c.copy() for c in beam.c_layers]
-            hbar, attn = decoder_step(model, x_in, h_layers, c_layers, enc_top)
-            logits = (hbar @ model.params["out_W"] + model.params["out_b"])[0]
-            logits -= logits.max()
-            logprobs = logits - np.log(np.exp(logits).sum())
-            if len(beam.tokens) - 1 < min_len:
-                logprobs[EOS_ID] = -np.inf
-            order = np.argsort(-logprobs, kind="stable")[:beam_width]
-            for tok_id in order:
-                tok_id = int(tok_id)
-                candidates.append(
-                    (
-                        beam.logprob + float(logprobs[tok_id]),
-                        tok_id,
-                        _Beam(
-                            tokens=beam.tokens + [tok_id],
-                            logprob=beam.logprob + float(logprobs[tok_id]),
-                            h_layers=h_layers,
-                            c_layers=c_layers,
-                            hbar=hbar,
-                            attn_rows=beam.attn_rows + [attn[0].copy()],
-                            finished=tok_id == EOS_ID,
-                        ),
-                    )
-                )
+            for tok_id, lp in zip(order[r].tolist(), top[r].tolist()):
+                candidates.append((beam.logprob + lp, tok_id, beam, r))
+            r += 1
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = [c[2] for c in candidates[:beam_width]]
+        beams = [
+            parent if tok_id < 0 else _Beam(
+                tokens=parent.tokens + [tok_id],
+                logprob=score,
+                attn_rows=parent.attn_rows + [attn[row]],
+                row=row,
+                finished=tok_id == EOS_ID,
+            )
+            for score, tok_id, parent, row in candidates[:beam_width]
+        ]
     best = max(beams, key=lambda b: (b.norm_score(), tuple(b.tokens)))
     out_ids = best.tokens[1:]
     attn_rows = best.attn_rows

@@ -22,20 +22,6 @@ from .fixtures import write_fixture_files
 log = logging.getLogger("termforge.pipeline")
 
 
-def atomic_write(path, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_via(path, writer) -> None:
     """Run ``writer(tmp_path)`` and rename the result into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -49,6 +35,24 @@ def _atomic_via(path, writer) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path, content: str) -> None:
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(content)
+
+    _atomic_via(path, write)
+
+
+def _choice(cfg: PipelineConfig, key: str, default: str, choices) -> str:
+    """The value of ``key``, which must be one of ``choices``."""
+    value = cfg.get(key, default)
+    if value not in choices:
+        raise ConfigError(
+            f"{key} must be one of {', '.join(choices)}, got {value!r}"
+        )
+    return value
 
 
 def _normalization(cfg: PipelineConfig) -> corpus.Normalization:
@@ -222,11 +226,11 @@ def _nmt_config(cfg: PipelineConfig) -> nmt.TrainConfig:
 
 def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
     """Train the neural model, learning subword merges first when asked."""
+    segmentation = _choice(cfg, "nmt.segmentation", "word", ("word", "bpe"))
     model_dir = cfg.path("model.nmt.dir", "nmt-model")
     _guard_model_dir(model_dir, force)
     train_corpus = _load_split(cfg, "train")
     config = _nmt_config(cfg)
-    segmentation = cfg.get("nmt.segmentation", "word")
     src_bpe = tgt_bpe = None
     if segmentation == "bpe":
         merges = cfg.get_int("bpe.num_merges", 1000)
@@ -299,11 +303,14 @@ def run_adapt(cfg: PipelineConfig) -> None:
 def run_inject(cfg: PipelineConfig) -> None:
     """Rank the external lexicon and annotate the evaluation source with
     constraint spans; also writes the ranked lexicon for the NMT path."""
+    ranking = _choice(
+        cfg, "inject.ranking", inject.UNIFORM, (inject.UNIFORM, inject.COSINE)
+    )
+    mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
     lexicon = corpus.load_lexicon(
         cfg.input_path("lexicon.path"), _normalization(cfg)
     )
-    ranking = cfg.get("inject.ranking", "uniform")
-    if ranking == "cosine":
+    if ranking == inject.COSINE:
         dev = _load_split(cfg, "dev")
         domain = inject.domain_vector(
             [tok for s, t in dev.pairs for tok in (*s, *t)]
@@ -313,9 +320,6 @@ def run_inject(cfg: PipelineConfig) -> None:
         ranked = inject.rank_candidates(
             inject.VocabVector(), lexicon, inject.UNIFORM
         )
-    mode = cfg.get("inject.mode", smt.EXCLUSIVE)
-    if mode not in smt.MODES:
-        raise ConfigError(f"inject.mode must be one of {smt.MODES}")
     eval_corpus = _load_split(cfg, "eval")
     lines = [
         smt.format_markup(inject.annotate(src, ranked, mode))
@@ -329,9 +333,21 @@ def run_inject(cfg: PipelineConfig) -> None:
     log.info("inject: annotated %d lines (%s, %s)", len(lines), mode, ranking)
 
 
+def _strip_dangling(subwords: tuple[str, ...], marker: str) -> tuple[str, ...]:
+    """Drop the continuation marker from a hypothesis' final piece, as
+    subword-nmt's ``s/@@ ?$//`` does; a piece that was only the marker goes."""
+    if not subwords or not subwords[-1].endswith(marker):
+        return subwords
+    last = subwords[-1][: -len(marker)]
+    return subwords[:-1] + ((last,) if last else ())
+
+
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system."""
-    system = cfg.get("translate.system", "smt")
+    system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
+    beam_width = cfg.get_int("translate.beam", 5)
+    if beam_width < 1:
+        raise ConfigError(f"translate.beam must be >= 1, got {beam_width}")
     input_path = cfg.input_path("translate.input")
     norm = _normalization(cfg)
     with open(input_path, encoding="utf-8") as f:
@@ -349,10 +365,9 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
             return smt.decode(annotated, ptable, model, weights, beam).tokens
 
         outputs = _parallel_map(translate_line, lines, threads)
-    elif system == "nmt":
+    else:
         model_name = cfg.get("translate.model", "model.tfnmt")
         model = nmt.load_model(os.path.join(cfg.path("model.nmt.dir"), model_name))
-        beam_width = cfg.get_int("translate.beam", 5)
         lexicon = None
         lex_path = cfg.get("translate.replace_unk_lexicon")
         if lex_path is not None:
@@ -365,12 +380,13 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
                 source_space = tokens
                 out = nmt.replace_unk(out, trace, source_space, lexicon)
             else:
-                out = bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
+                out = bpe.decode_bpe(
+                    _strip_dangling(out, model.tgt_bpe.marker),
+                    marker=model.tgt_bpe.marker,
+                )
             return out
 
         outputs = _parallel_map(translate_line, lines, threads)
-    else:
-        raise ConfigError(f"translate.system must be smt or nmt, got {system!r}")
 
     text = "\n".join(" ".join(tokens) for tokens in outputs) + "\n"
     atomic_write(cfg.path("translate.output", "hypotheses.txt"), text)
@@ -379,8 +395,9 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
 
 
 def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
-    """Score a hypothesis file against references; appends to the results
-    TSV consumed by the report subcommand."""
+    """Score a hypothesis file against references and record the scores in
+    the results TSV consumed by the report subcommand, replacing the rows of
+    an earlier run for the same (system, evalset) in place."""
     norm = _normalization(cfg)
     with open(cfg.input_path("evaluate.hypotheses"), encoding="utf-8") as f:
         hyps = [corpus.tokenize(line, norm) for line in f.read().splitlines()]
@@ -389,13 +406,21 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
     score = metrics.score_all(hyps, refs)
     system = cfg.get("evaluate.system", "system")
     evalset = cfg.get("evaluate.evalset", "eval")
-    row = metrics.format_report_tsv({system: {evalset: score}})
+    rows = metrics.format_report_tsv({system: {evalset: score}}).splitlines()
     results_path = cfg.path("evaluate.results", "results.tsv")
-    existing = ""
+    existing = []
     if os.path.exists(results_path):
         with open(results_path, encoding="utf-8") as f:
-            existing = f.read()
-    atomic_write(results_path, existing + row)
+            existing = f.read().splitlines()
+    key = f"{system}\t{evalset}\t"
+    lines = []
+    for line in existing:
+        if not line.startswith(key):
+            lines.append(line)
+        elif rows:  # the first old row of this pair takes the new rows
+            lines.extend(rows)
+            rows = []
+    atomic_write(results_path, "\n".join(lines + rows) + "\n")
     log.info(
         "evaluate: %s on %s -> BLEU %.2f chrF3 %.2f METEOR %.2f",
         system, evalset, score.bleu, score.chrf3, score.meteor,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from termforge.cli import main
@@ -219,3 +220,102 @@ class TestCliPipeline:
         assert len(lines) == len(
             (tmp_path / "data/icdtoy-eval.src").read_text().splitlines()
         )
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command, setting, key",
+        [
+            ("translate", "translate.beam=0", "translate.beam"),
+            ("train-nmt", "nmt.segmentation=char", "nmt.segmentation"),
+            ("inject", "inject.ranking=tfidf", "inject.ranking"),
+        ],
+    )
+    def test_bad_value_names_key_before_work(
+        self, tmp_path, monkeypatch, capsys, command, setting, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        sets = ["--set", "translate.system=nmt", "--set", setting]
+        assert run([command, "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err
+        # rejected before any input was read or any output written
+        assert not (tmp_path / "run").exists()
+
+
+class TestEvaluate:
+    def test_rerun_replaces_rows_in_place(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        (tmp_path / "ref.txt").write_text("a b c d\ne f g h\n", encoding="utf-8")
+        (tmp_path / "good.txt").write_text("a b c d\ne f g h\n", encoding="utf-8")
+        (tmp_path / "bad.txt").write_text("a b x d\ne y g h\n", encoding="utf-8")
+
+        def evaluate(system, hyps):
+            return run([
+                "evaluate", "--config", cfg,
+                "--set", "evaluate.references=ref.txt",
+                "--set", f"evaluate.hypotheses={hyps}",
+                "--set", f"evaluate.system={system}",
+            ])
+
+        results = tmp_path / "run" / "results.tsv"
+        assert evaluate("smt", "bad.txt") == 0
+        first = results.read_text()
+        assert evaluate("smt", "bad.txt") == 0
+        assert results.read_text() == first
+        assert evaluate("nmt", "good.txt") == 0
+        assert evaluate("smt", "good.txt") == 0
+        rows = [line.split("\t") for line in results.read_text().splitlines()]
+        assert [(s, m) for s, _, m, _ in rows] == [
+            (s, m) for s in ("smt", "nmt") for m in ("bleu", "meteor", "chrf3")
+        ]
+        # the smt rows now hold the scores of the good hypotheses
+        assert [v for *_, v in rows[:3]] == [v for *_, v in rows[3:]]
+        assert float(rows[0][3]) == 100.0
+
+
+class TestTranslateBpe:
+    @pytest.mark.parametrize(
+        "pieces, expected",
+        [
+            (("low", "he@@", "art@@"), "low heart"),
+            (("low", "@@"), "low"),
+            (("he@@", "art", "low"), "heart low"),
+        ],
+    )
+    def test_dangling_final_piece_is_joined(
+        self, tmp_path, monkeypatch, pieces, expected
+    ):
+        from termforge import nmt, pipeline
+        from termforge.bpe import learn_bpe
+        from termforge.config import PipelineConfig
+        from termforge.corpus import ParallelCorpus
+
+        pairs = [(("heart", "low"), ("heart", "lower"))] * 4
+        codes = learn_bpe({"heart": 5, "low": 5, "lower": 3}, 4)
+        model = nmt.train(
+            ParallelCorpus(pairs),
+            nmt.TrainConfig(layers=1, hidden=4, batch_size=2, epochs=0, seed=0),
+            segmentation="bpe", src_bpe=codes, tgt_bpe=codes,
+        )
+        nmt.save_model(model, tmp_path / "model.tfnmt")
+        (tmp_path / "in.txt").write_text("heart low\n", encoding="utf-8")
+
+        def fake_translate(model, tokens, beam_width=5):
+            return pieces, nmt.AttentionTrace(np.zeros((len(pieces), 2))), 0.0
+
+        monkeypatch.setattr(nmt, "translate", fake_translate)
+        cfg = PipelineConfig(
+            {
+                "translate.system": "nmt",
+                "model.nmt.dir": ".",
+                "translate.input": "in.txt",
+                "translate.output": "out.txt",
+            },
+            base_dir=str(tmp_path),
+        )
+        assert pipeline.run_translate(cfg) == [tuple(expected.split())]
+        assert (tmp_path / "out.txt").read_text() == expected + "\n"

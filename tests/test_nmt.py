@@ -284,6 +284,63 @@ class TestFineTune:
         assert dataset_loss(model, dev) == pytest.approx(before)
 
 
+def reference_beam(model, tokens, beam_width=5, max_len=None, min_len=1):
+    """Beam search that steps every hypothesis as its own B=1 decoder call,
+    each holding copies of its layer states: the oracle for the batched
+    search in ``translate``."""
+    from termforge.nmt.model import BOS_ID, EOS_ID
+    from termforge.nmt.network import decoder_step
+
+    tokens = tuple(tokens)
+    if max_len is None:
+        max_len = 2 * len(tokens) + 5
+    src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
+    enc_top, enc_finals, _ = encode(model, src_ids)
+
+    def norm(beam):
+        return beam["logprob"] / max(len(beam["tokens"]) - 1, 1)
+
+    beams = [dict(
+        tokens=[BOS_ID], logprob=0.0,
+        h=[h.copy() for h, _ in enc_finals], c=[c.copy() for _, c in enc_finals],
+        hbar=np.zeros((1, model.config.hidden)), attn=[], finished=False,
+    )]
+    for _ in range(max_len):
+        if all(b["finished"] for b in beams):
+            break
+        candidates = []
+        for beam in beams:
+            if beam["finished"]:
+                candidates.append((beam["logprob"], -1, beam))
+                continue
+            emb = model.params["dec_E"][np.array([beam["tokens"][-1]])]
+            x_in = np.concatenate([emb, beam["hbar"]], axis=1)
+            h = [x.copy() for x in beam["h"]]
+            c = [x.copy() for x in beam["c"]]
+            hbar, attn = decoder_step(model, x_in, h, c, enc_top)
+            logits = (hbar @ model.params["out_W"] + model.params["out_b"])[0]
+            logits -= logits.max()
+            logprobs = logits - np.log(np.exp(logits).sum())
+            if len(beam["tokens"]) - 1 < min_len:
+                logprobs[EOS_ID] = -np.inf
+            for tok_id in np.argsort(-logprobs, kind="stable")[:beam_width]:
+                tok_id = int(tok_id)
+                score = beam["logprob"] + float(logprobs[tok_id])
+                candidates.append((score, tok_id, dict(
+                    tokens=beam["tokens"] + [tok_id], logprob=score,
+                    h=h, c=c, hbar=hbar, attn=beam["attn"] + [attn[0].copy()],
+                    finished=tok_id == EOS_ID,
+                )))
+        candidates.sort(key=lambda cand: (-cand[0], cand[1]))
+        beams = [cand[2] for cand in candidates[:beam_width]]
+    best = max(beams, key=lambda b: (norm(b), tuple(b["tokens"])))
+    out_ids, rows = best["tokens"][1:], best["attn"]
+    if out_ids and out_ids[-1] == EOS_ID:
+        out_ids, rows = out_ids[:-1], rows[:-1]
+    weights = np.vstack(rows) if rows else np.zeros((0, len(tokens)))
+    return model.tgt_vocab.decode(out_ids), AttentionTrace(weights), norm(best)
+
+
 class TestTranslate:
     def trained(self):
         corpus = copy_corpus(n_pairs=20, seed=2)
@@ -333,6 +390,23 @@ class TestTranslate:
             s1 = translate(model, src, beam_width=1)[2]
             s5 = translate(model, src, beam_width=5)[2]
             assert s5 >= s1 - 1e-9
+
+    def test_batched_beam_matches_reference(self):
+        model, corpus = self.trained()
+        for beam_width in (1, 3, 5):
+            for min_len in (1, 3):
+                for src, _ in corpus.pairs[:8]:
+                    case = (beam_width, min_len, src)
+                    out, trace, score = translate(
+                        model, src, beam_width=beam_width, min_len=min_len
+                    )
+                    ref_out, ref_trace, ref_score = reference_beam(
+                        model, src, beam_width=beam_width, min_len=min_len
+                    )
+                    assert out == ref_out, case
+                    assert abs(score - ref_score) <= 1e-9, case
+                    assert trace.weights.shape == ref_trace.weights.shape, case
+                    assert np.allclose(trace.weights, ref_trace.weights), case
 
     def test_empty_input(self):
         model, _ = self.trained()
