@@ -1,74 +1,54 @@
-"""Numeric hot kernels with a numba fast path and a pure-numpy fallback.
+"""The IBM Model 1 E-step as flat array operations.
 
-The alignment E-step dominates EM training time, so it is compiled with
-``numba.njit`` when available.  Set ``TERMFORGE_NUMBA=0`` to force the
-vectorized numpy path (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``).  Both paths produce identical counts.
+One E-step visits every (source, target) cell of the corpus: each target
+position against every source position of its pair, null included.  The
+cells are laid out target-major, source-minor, pair by pair, and the step
+is one gather from the table, one ``np.bincount`` over target positions
+for the denominators and one ``np.bincount`` over ``s * V_t + t`` for the
+expected counts.  ``np.bincount`` adds its weights in input order, so both
+sums are taken in the order of the plain loop over pairs, target positions
+and source positions, and the counts equal that loop's bit for bit (the
+loop is the reference in ``tests/test_kernels.py``).  The whole corpus is
+one call on purpose: splitting it into chunks would change that order.
 """
-
-import os
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("TERMFORGE_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USE_NUMBA = False
-
-
-def _ibm1_estep_loops(src_flat, src_off, tgt_flat, tgt_off, table, counts):
-    """Accumulate expected counts for one EM iteration; returns log-likelihood.
-
-    Sentences arrive flattened (``*_flat``) with offset arrays (``*_off``),
-    the layout numba handles without object-mode fallbacks.  ``counts`` is a
-    zeroed (S, T) array mutated in place; source index 0 is the null token,
-    already present in every source sentence.
-    """
-    n_pairs = src_off.shape[0] - 1
-    loglik = 0.0
-    for p in range(n_pairs):
-        s0, s1 = src_off[p], src_off[p + 1]
-        t0, t1 = tgt_off[p], tgt_off[p + 1]
-        slen = s1 - s0
-        for j in range(t0, t1):
-            tj = tgt_flat[j]
-            denom = 0.0
-            for i in range(s0, s1):
-                denom += table[src_flat[i], tj]
-            loglik += np.log(denom / slen)
-            for i in range(s0, s1):
-                si = src_flat[i]
-                counts[si, tj] += table[si, tj] / denom
-    return loglik
-
-
-if USE_NUMBA:
-    _ibm1_estep_fast = njit(cache=True)(_ibm1_estep_loops)
-
-
-def _ibm1_estep_numpy(src_flat, src_off, tgt_flat, tgt_off, table, counts):
-    """Vectorized fallback for :func:`_ibm1_estep_loops` (same contract)."""
-    n_pairs = src_off.shape[0] - 1
-    loglik = 0.0
-    for p in range(n_pairs):
-        src = src_flat[src_off[p]:src_off[p + 1]]
-        tgt = tgt_flat[tgt_off[p]:tgt_off[p + 1]]
-        grid = np.ix_(src, tgt)
-        sub = table[grid]
-        denom = sub.sum(axis=0)
-        loglik += float(np.log(denom / src.shape[0]).sum())
-        np.add.at(counts, grid, sub / denom)
-    return loglik
+# The benchmark's environment record reads this; there is no compiled path.
+USE_NUMBA = False
 
 
 def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts):
-    """Run one IBM Model 1 E-step on the active path."""
-    if USE_NUMBA:
-        return _ibm1_estep_fast(src_flat, src_off, tgt_flat, tgt_off, table, counts)
-    return _ibm1_estep_numpy(src_flat, src_off, tgt_flat, tgt_off, table, counts)
+    """Accumulate one EM iteration's expected counts; returns log-likelihood.
+
+    Sentences arrive flattened (``*_flat``) with offset arrays (``*_off``).
+    ``counts`` is a zeroed array of the table's shape, added to in place;
+    source index 0 is the null token, already present in every source
+    sentence.
+    """
+    src_len = np.diff(src_off)
+    tgt_len = np.diff(tgt_off)
+    # per target position: its pair's source length and first source token
+    reps = np.repeat(src_len, tgt_len)
+    first_src = np.repeat(src_off[:-1], tgt_len)
+    block_start = np.cumsum(reps) - reps
+    # per cell: the source token it pairs with, then its flat table index
+    cells = np.arange(int(reps.sum()))
+    cells -= np.repeat(block_start - first_src, reps)
+    cells = src_flat[cells]
+    cells *= table.shape[1]
+    cells += np.repeat(tgt_flat, reps)
+    pos = np.repeat(np.arange(reps.size), reps)
+
+    vals = table.reshape(-1)[cells]
+    denom = np.bincount(pos, weights=vals, minlength=reps.size)
+    loglik = float(np.log(denom / reps).sum())
+    vals /= denom[pos]
+    del pos  # freed before the count bincount allocates its output
+    counts += np.bincount(cells, weights=vals, minlength=table.size).reshape(
+        counts.shape
+    )
+    return loglik
 
 
 def flatten_encoded(sentences):

@@ -1,12 +1,19 @@
 """IBM Model 1 word alignment and phrase table extraction.
 
-EM runs over integer-encoded sentence pairs on a dense table; the E-step is
-the package's hottest loop and lives in :mod:`termforge._kernels`.  A null
-source token (index 0) absorbs target words with no lexical counterpart.
+EM runs over integer-encoded sentence pairs on a dense table; the E-step
+is one flat array pass over the corpus in :mod:`termforge._kernels`.  A
+null source token (index 0) absorbs target words with no lexical
+counterpart.  Viterbi links come from one table gather per sentence pair
+and an argmax per direction.  Grow-diag symmetrization keeps the covered
+source and target words in sets; phrase extraction grows each source span
+one word at a time over per-word link bounds, and a phrase's lexical
+weights are products of per-word factors taken once per sentence pair.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -96,7 +103,7 @@ def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
         row_sums = counts.sum(axis=1, keepdims=True)
         np.divide(counts, row_sums, out=table, where=row_sums > 0)
 
-    inverse = np.array(counts)
+    inverse = counts  # the last expected counts, column-normalized in place
     col_sums = inverse.sum(axis=0, keepdims=True)
     np.divide(inverse, col_sums, out=inverse, where=col_sums > 0)
 
@@ -110,66 +117,69 @@ def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
 
 
 def _directional_links(table: TranslationTable, pair) -> tuple[set, set]:
-    """Argmax links in both directions from the single trained table."""
+    """Argmax links in both directions from the single trained table.
+
+    One gather takes t(t|s) for every position pair.  The first maximum
+    wins in each direction; a target position links only when its best
+    source beats the null token (ties go to null), and a source position
+    only when its best target has p > 0.  Unknown source words read the
+    null row; unknown target words take no link.
+    """
     src, tgt = pair
     src_ids = [table._src_index.get(w, 0) for w in src]
-    tgt_ids = [table._tgt_index.get(w) for w in tgt]
-
-    forward: set[tuple[int, int]] = set()
-    for j, tj in enumerate(tgt_ids):
-        if tj is None:
-            continue
-        best_i, best_p = None, table.table[0, tj]  # null link wins ties
-        for i, si in enumerate(src_ids):
-            p = table.table[si, tj]
-            if p > best_p:
-                best_i, best_p = i, p
-        if best_i is not None:
-            forward.add((best_i, j))
-
-    reverse: set[tuple[int, int]] = set()
-    for i, si in enumerate(src_ids):
-        best_j, best_p = None, 0.0
-        for j, tj in enumerate(tgt_ids):
-            if tj is None:
-                continue
-            p = table.table[si, tj]
-            if p > best_p:
-                best_j, best_p = j, p
-        if best_j is not None:
-            reverse.add((i, best_j))
+    cols = [j for j, w in enumerate(tgt) if w in table._tgt_index]
+    if not src_ids or not cols:
+        return set(), set()
+    tgt_ids = [table._tgt_index[tgt[j]] for j in cols]
+    probs = table.table[np.ix_(src_ids, tgt_ids)]
+    best_src = probs.argmax(axis=0).tolist()
+    beats_null = probs.max(axis=0) > table.table[0, tgt_ids]
+    forward = {(best_src[k], cols[k]) for k in np.flatnonzero(beats_null).tolist()}
+    best_tgt = probs.argmax(axis=1).tolist()
+    positive = probs.max(axis=1) > 0.0
+    reverse = {(i, cols[best_tgt[i]]) for i in np.flatnonzero(positive).tolist()}
     return forward, reverse
 
 
-def _grow_diag(forward, reverse, src_len, tgt_len):
-    """Koehn-style grow-diag-final symmetrization."""
+_NEIGHBORS = ((-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
+
+def _grow_diag(forward, reverse):
+    """Koehn-style grow-diag-final symmetrization.
+
+    Each pass visits the links in row-major order, links added ahead of
+    the visit included, and adopts a neighbouring union link when its
+    source or target word is still uncovered.  The links still to visit
+    in a pass wait in a heap, in that order.
+    """
     links = set(forward & reverse)
-    union = forward | reverse
-    neighbors = [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    pending = (forward | reverse) - links
+    src_used = {i for i, _ in links}
+    tgt_used = {j for _, j in links}
     grew = True
-    while grew:
+    while grew and pending:
         grew = False
-        for i in range(src_len):
-            for j in range(tgt_len):
-                if (i, j) not in links:
+        queue = sorted(links)
+        while queue:
+            here = heapq.heappop(queue)
+            for di, dj in _NEIGHBORS:
+                cand = (here[0] + di, here[1] + dj)
+                if cand not in pending:
                     continue
-                for di, dj in neighbors:
-                    ni, nj = i + di, j + dj
-                    if not (0 <= ni < src_len and 0 <= nj < tgt_len):
-                        continue
-                    if (ni, nj) not in union or (ni, nj) in links:
-                        continue
-                    src_free = all(link[0] != ni for link in links)
-                    tgt_free = all(link[1] != nj for link in links)
-                    if src_free or tgt_free:
-                        links.add((ni, nj))
-                        grew = True
+                if cand[0] not in src_used or cand[1] not in tgt_used:
+                    links.add(cand)
+                    pending.discard(cand)
+                    src_used.add(cand[0])
+                    tgt_used.add(cand[1])
+                    grew = True
+                    if cand > here:
+                        heapq.heappush(queue, cand)
     # final step: adopt remaining union links touching an uncovered word
-    for cand in sorted(union - links):
-        src_free = all(link[0] != cand[0] for link in links)
-        tgt_free = all(link[1] != cand[1] for link in links)
-        if src_free or tgt_free:
+    for cand in sorted(pending):
+        if cand[0] not in src_used or cand[1] not in tgt_used:
             links.add(cand)
+            src_used.add(cand[0])
+            tgt_used.add(cand[1])
     return links
 
 
@@ -190,7 +200,7 @@ def viterbi_align(
     if symmetrization == "union":
         return forward | reverse
     if symmetrization == "grow-diag":
-        return _grow_diag(forward, reverse, len(pair[0]), len(pair[1]))
+        return _grow_diag(forward, reverse)
     raise ValueError(f"unknown symmetrization {symmetrization!r}")
 
 
@@ -213,63 +223,69 @@ class PhraseTable:
 
 
 def _consistent_phrases(src_len, tgt_len, links, max_len):
-    """All alignment-consistent (src_span, tgt_span) boxes up to max_len."""
-    aligned_tgt = {j for _, j in links}
+    """All alignment-consistent (src_span, tgt_span) boxes up to max_len.
+
+    For each start ``i1`` the source span grows one word at a time; the
+    target box spans the min/max linked target of its source words, and
+    it is consistent when every target word inside links only to sources
+    inside the span.  Unaligned target words at the box edges extend it.
+    """
+    src_lo, src_hi = [tgt_len] * src_len, [-1] * src_len
+    tgt_lo, tgt_hi = [src_len] * tgt_len, [-1] * tgt_len
+    for i, j in links:
+        src_lo[i], src_hi[i] = min(src_lo[i], j), max(src_hi[i], j)
+        tgt_lo[j], tgt_hi[j] = min(tgt_lo[j], i), max(tgt_hi[j], i)
     out = []
     for i1 in range(src_len):
+        j_min, j_max = tgt_len, 0  # target box [j_min, j_max)
         for i2 in range(i1 + 1, min(i1 + max_len, src_len) + 1):
-            span_links = [(i, j) for i, j in links if i1 <= i < i2]
-            if not span_links:
-                continue
-            j_min = min(j for _, j in span_links)
-            j_max = max(j for _, j in span_links) + 1
-            # consistency: no link from inside the target box leaves the box
-            if any(
-                j_min <= j < j_max and not (i1 <= i < i2) for i, j in links
-            ):
-                continue
+            if src_hi[i2 - 1] >= 0:
+                j_min = min(j_min, src_lo[i2 - 1])
+                j_max = max(j_max, src_hi[i2 - 1] + 1)
+            if j_max == 0:
+                continue  # no links yet
             if j_max - j_min > max_len:
+                break  # the box only widens as the span grows
+            if min(tgt_lo[j_min:j_max]) < i1 or max(tgt_hi[j_min:j_max]) >= i2:
                 continue
             # extend over unaligned target boundary words
             lo = j_min
-            while True:
+            while j_max - lo <= max_len:
                 hi = j_max
-                while True:
-                    if hi - lo <= max_len:
-                        out.append(((i1, i2), (lo, hi)))
+                while hi - lo <= max_len:
+                    out.append(((i1, i2), (lo, hi)))
                     hi += 1
-                    if hi > tgt_len or (hi - 1) in aligned_tgt:
+                    if hi > tgt_len or tgt_hi[hi - 1] >= 0:
                         break
                 lo -= 1
-                if lo < 0 or lo in aligned_tgt:
+                if lo < 0 or tgt_hi[lo] >= 0:
                     break
     return out
 
 
-def _lexical_weight(src_phrase, tgt_phrase, span_links, table, inverse=False):
-    """Koehn lexical weighting over the phrase-internal alignment.
+def _word_factors(src, tgt, links, table):
+    """Per-word factors of Koehn lexical weighting for one sentence pair.
 
-    Unaligned target words draw on t(t|null); the inverse direction has no
-    null target (Model 1 places null on the source side only), so unaligned
-    source words contribute a neutral factor there.
+    A consistent phrase box holds every link of its words, so a word's
+    factor is the same in each box of the sentence, and a box's lexical
+    weights are the products of its words' factors.  A target word's
+    forward factor is the mean t(t|s) over its links, or t(t|null) when it
+    has none.  A source word's reverse factor is the mean inverse
+    probability over its links, or 1.0: the inverse direction has no null
+    target (Model 1 places null on the source side only).  Each mean sums
+    in the iteration order of ``links``.
     """
-    if inverse:
-        weight = 1.0
-        for i, s in enumerate(src_phrase):
-            aligned = [j for (ii, j) in span_links if ii == i]
-            if aligned:
-                total = sum(table.inv_prob(s, tgt_phrase[j]) for j in aligned)
-                weight *= total / len(aligned)
-        return weight
-    weight = 1.0
-    for j, t in enumerate(tgt_phrase):
-        aligned = [i for (i, jj) in span_links if jj == j]
-        if aligned:
-            total = sum(table.prob(t, src_phrase[i]) for i in aligned)
-            weight *= total / len(aligned)
-        else:
-            weight *= table.prob(t, NULL_TOKEN)
-    return weight
+    by_tgt = [[] for _ in tgt]
+    by_src = [[] for _ in src]
+    for i, j in links:
+        by_tgt[j].append(table.prob(tgt[j], src[i]))
+        by_src[i].append(table.inv_prob(src[i], tgt[j]))
+    fwd = [
+        sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
+        for ps, t in zip(by_tgt, tgt)
+    ]
+    rev = [sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
+    return fwd, rev
 
 
 def extract_phrases(
@@ -282,7 +298,8 @@ def extract_phrases(
 
     Forward/backward phrase probabilities come from relative frequencies of
     extracted instances; lexical weights use the word table when given,
-    otherwise 1.0.  All features are floored at ``PROB_FLOOR``.
+    otherwise 1.0, and keep the maximum over a pair's instances.  All
+    features are floored at ``PROB_FLOOR``.
     """
     if len(alignments) != len(corpus.pairs):
         raise ValueError("alignments must cover the corpus pair-for-pair")
@@ -293,9 +310,10 @@ def extract_phrases(
     lex_rev: dict[tuple[Tokens, Tokens], float] = {}
 
     for (src, tgt), links in zip(corpus.pairs, alignments):
-        for (i1, i2), (j1, j2) in _consistent_phrases(
-            len(src), len(tgt), links, max_phrase_len
-        ):
+        boxes = _consistent_phrases(len(src), len(tgt), links, max_phrase_len)
+        if table is not None:
+            fwd_factors, rev_factors = _word_factors(src, tgt, links, table)
+        for (i1, i2), (j1, j2) in boxes:
             s_phrase = tuple(src[i1:i2])
             t_phrase = tuple(tgt[j1:j2])
             key = (s_phrase, t_phrase)
@@ -303,13 +321,8 @@ def extract_phrases(
             src_counts[s_phrase] += 1
             tgt_counts[t_phrase] += 1
             if table is not None:
-                internal = [
-                    (i - i1, j - j1)
-                    for i, j in links
-                    if i1 <= i < i2 and j1 <= j < j2
-                ]
-                fwd = _lexical_weight(s_phrase, t_phrase, internal, table)
-                rev = _lexical_weight(s_phrase, t_phrase, internal, table, inverse=True)
+                fwd = math.prod(fwd_factors[j1:j2])
+                rev = math.prod(rev_factors[i1:i2])
                 lex_fwd[key] = max(lex_fwd.get(key, 0.0), fwd)
                 lex_rev[key] = max(lex_rev.get(key, 0.0), rev)
 

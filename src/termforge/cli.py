@@ -25,6 +25,30 @@ SUBCOMMANDS = {
 }
 
 
+def _score_line(score) -> str:
+    return (
+        f"BLEU {score.bleu:.2f}  chrF3 {score.chrf3:.2f}  "
+        f"METEOR {score.meteor:.2f}  ({score.segment_count} segments)\n"
+    )
+
+
+# subcommand -> run(cfg, force); return values are not used
+RUN = {
+    "prepare": lambda cfg, force: pipeline.run_prepare(cfg, force=force),
+    "stats": lambda cfg, force: sys.stdout.write(pipeline.run_stats(cfg)),
+    "train-smt": lambda cfg, force: pipeline.run_train_smt(cfg, force=force),
+    "train-nmt": lambda cfg, force: pipeline.run_train_nmt(cfg, force=force),
+    "tune": lambda cfg, force: pipeline.run_tune(cfg),
+    "adapt": lambda cfg, force: pipeline.run_adapt(cfg),
+    "inject": lambda cfg, force: pipeline.run_inject(cfg),
+    "translate": lambda cfg, force: pipeline.run_translate(cfg),
+    "evaluate": lambda cfg, force: sys.stdout.write(
+        _score_line(pipeline.run_evaluate(cfg))
+    ),
+    "report": lambda cfg, force: sys.stdout.write(pipeline.run_report(cfg)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="termforge",
@@ -70,30 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         overrides.append(f"seed={args.seed}")
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "prepare":
-            pipeline.run_prepare(cfg, force=args.force)
-        elif args.command == "stats":
-            sys.stdout.write(pipeline.run_stats(cfg))
-        elif args.command == "train-smt":
-            pipeline.run_train_smt(cfg, force=args.force)
-        elif args.command == "train-nmt":
-            pipeline.run_train_nmt(cfg, force=args.force)
-        elif args.command == "tune":
-            pipeline.run_tune(cfg)
-        elif args.command == "adapt":
-            pipeline.run_adapt(cfg)
-        elif args.command == "inject":
-            pipeline.run_inject(cfg)
-        elif args.command == "translate":
-            pipeline.run_translate(cfg)
-        elif args.command == "evaluate":
-            score = pipeline.run_evaluate(cfg)
-            sys.stdout.write(
-                f"BLEU {score.bleu:.2f}  chrF3 {score.chrf3:.2f}  "
-                f"METEOR {score.meteor:.2f}  ({score.segment_count} segments)\n"
-            )
-        elif args.command == "report":
-            sys.stdout.write(pipeline.run_report(cfg))
+        RUN[args.command](cfg, args.force)
     except FileNotFoundError as exc:
         sys.stderr.write(f"termforge {args.command}: missing input: {exc}\n")
         return 1

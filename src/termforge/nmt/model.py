@@ -45,14 +45,21 @@ class TrainConfig:
         return self.hidden if self.embed is None else self.embed
 
     def validate(self) -> None:
-        if self.layers < 1 or self.hidden < 1 or self.embed_size < 1:
-            raise ValueError("layers, hidden, and embed must be >= 1")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if min(self.source_vocab_cap, self.target_vocab_cap) < len(RESERVED):
-            raise ValueError("vocabulary caps must cover the reserved symbols")
+        """Raise ValueError for the first field out of range; the message
+        starts with the field's name."""
+        reserved = len(RESERVED)
+        for name, ok, rule in (
+            ("layers", self.layers >= 1, ">= 1"),
+            ("hidden", self.hidden >= 1, ">= 1"),
+            ("embed", self.embed_size >= 1, ">= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("source_vocab_cap", self.source_vocab_cap >= reserved, f">= {reserved}"),
+            ("target_vocab_cap", self.target_vocab_cap >= reserved, f">= {reserved}"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

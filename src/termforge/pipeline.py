@@ -55,6 +55,14 @@ def _choice(cfg: PipelineConfig, key: str, default: str, choices) -> str:
     return value
 
 
+def _at_least(cfg: PipelineConfig, key: str, default: int, minimum: int) -> int:
+    """The integer value of ``key``, which must be ``>= minimum``."""
+    value = cfg.get_int(key, default)
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
+    return value
+
+
 def _normalization(cfg: PipelineConfig) -> corpus.Normalization:
     return corpus.Normalization(
         lowercase=cfg.get_bool("normalize.lowercase", True),
@@ -130,24 +138,22 @@ def run_stats(cfg: PipelineConfig) -> str:
 
 def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     """Word alignment, phrase extraction, language model, default weights."""
+    iterations = _at_least(cfg, "smt.em_iterations", 8, 1)
+    max_phrase_len = _at_least(cfg, "smt.max_phrase_len", 7, 1)
+    order = _at_least(cfg, "smt.lm_order", 5, 1)
     model_dir = cfg.path("model.smt.dir", "smt-model")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
-    table = align.ibm1_em(train, cfg.get_int("smt.em_iterations", 8))
+    table = align.ibm1_em(train, iterations)
     sym = cfg.get("smt.symmetrization", "grow-diag")
     threads = cfg.threads
     alignments = _parallel_map(
         lambda pair: align.viterbi_align(table, pair, sym), train.pairs, threads
     )
     ptable = align.extract_phrases(
-        train,
-        alignments,
-        max_phrase_len=cfg.get_int("smt.max_phrase_len", 7),
-        table=table,
+        train, alignments, max_phrase_len=max_phrase_len, table=table
     )
-    model = lm.train_lm(
-        train.target_sentences, order=cfg.get_int("smt.lm_order", 5)
-    )
+    model = lm.train_lm(train.target_sentences, order=order)
     _atomic_via(
         os.path.join(model_dir, "phrase-table.txt"),
         lambda tmp: align.save_phrase_table(ptable, tmp),
@@ -166,7 +172,7 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
     model_dir = cfg.path("model.smt.dir", "smt-model")
     ptable = align.load_phrase_table(
         os.path.join(model_dir, "phrase-table.txt"),
-        max_phrase_len=cfg.get_int("smt.max_phrase_len", 7),
+        max_phrase_len=_at_least(cfg, "smt.max_phrase_len", 7, 1),
     )
     model = lm.load_arpa(os.path.join(model_dir, "lm.arpa"))
     weights_path = os.path.join(model_dir, weights_name)
@@ -178,13 +184,14 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
 
 def _beam(cfg: PipelineConfig) -> smt.BeamConfig:
     return smt.BeamConfig(
-        stack_size=cfg.get_int("smt.stack_size", 100),
-        distortion_limit=cfg.get_int("smt.distortion_limit", 6),
+        stack_size=_at_least(cfg, "smt.stack_size", 100, 1),
+        distortion_limit=_at_least(cfg, "smt.distortion_limit", 6, 0),
     )
 
 
 def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     """MERT on the configured development set; overwrites the weights file."""
+    beam = _beam(cfg)
     model_dir, ptable, model, weights = _smt_artifacts(cfg)
     dev = _load_split(cfg, "dev")
     tuned = smt.mert_tune(
@@ -196,7 +203,7 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
         iterations=cfg.get_int("smt.mert.iterations", 4),
         nbest=cfg.get_int("smt.mert.nbest", 100),
         seed=cfg.seed,
-        beam=_beam(cfg),
+        beam=beam,
     )
     _atomic_via(
         os.path.join(model_dir, weights_out),
@@ -205,12 +212,18 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     log.info("tune: wrote %s", weights_out)
 
 
-def _nmt_config(cfg: PipelineConfig) -> nmt.TrainConfig:
-    embed = cfg.get("nmt.embed")
-    return nmt.TrainConfig(
+# TrainConfig fields that fine-tuning reads from nmt.adapt.* keys
+_ADAPT_FIELDS = ("epochs", "batch_size", "dropout", "learning_rate", "decay_factor")
+
+
+def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
+    """The NMT training settings, or with ``adapt`` the fine-tuning ones
+    (``nmt.adapt.*`` over ``nmt.*``).  A value out of range raises a
+    ConfigError naming its key."""
+    config = nmt.TrainConfig(
         layers=cfg.get_int("nmt.layers", 2),
         hidden=cfg.get_int("nmt.hidden", 64),
-        embed=None if embed is None else int(embed),
+        embed=cfg.get_int("nmt.embed", None),
         batch_size=cfg.get_int("nmt.batch_size", 16),
         dropout=cfg.get_float("nmt.dropout", 0.3),
         epochs=cfg.get_int("nmt.epochs", 13),
@@ -222,15 +235,31 @@ def _nmt_config(cfg: PipelineConfig) -> nmt.TrainConfig:
         target_vocab_cap=cfg.get_int("nmt.target_vocab_cap", 50000),
         positional=cfg.get_bool("nmt.positional", False),
     )
+    if adapt:
+        config = dataclasses.replace(
+            config,
+            epochs=cfg.get_int("nmt.adapt.epochs", 35),
+            batch_size=cfg.get_int("nmt.adapt.batch_size", 2),
+            dropout=cfg.get_float("nmt.adapt.dropout", 0.0),
+            learning_rate=cfg.get_float("nmt.adapt.learning_rate", 1.0),
+            decay_factor=cfg.get_float("nmt.adapt.decay_factor", 1.0),
+        )
+    try:
+        config.validate()
+    except ValueError as exc:
+        field = str(exc).split()[0]  # validate names the field first
+        prefix = "nmt.adapt." if adapt and field in _ADAPT_FIELDS else "nmt."
+        raise ConfigError(f"{prefix}{exc}") from None
+    return config
 
 
 def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
     """Train the neural model, learning subword merges first when asked."""
     segmentation = _choice(cfg, "nmt.segmentation", "word", ("word", "bpe"))
+    config = _nmt_config(cfg)
     model_dir = cfg.path("model.nmt.dir", "nmt-model")
     _guard_model_dir(model_dir, force)
     train_corpus = _load_split(cfg, "train")
-    config = _nmt_config(cfg)
     src_bpe = tgt_bpe = None
     if segmentation == "bpe":
         merges = cfg.get_int("bpe.num_merges", 1000)
@@ -269,32 +298,27 @@ def run_adapt(cfg: PipelineConfig) -> None:
     """Domain adaptation for both systems from the configured dev terms:
     re-run MERT for the SMT weights and fine-tune the neural weights."""
     did = False
+    nmt_path = None
+    if cfg.get("model.nmt.dir") is not None:
+        candidate = os.path.join(cfg.path("model.nmt.dir"), "model.tfnmt")
+        if os.path.exists(candidate):
+            nmt_path = candidate
+    ft_config = _nmt_config(cfg, adapt=True) if nmt_path is not None else None
     smt_dir = cfg.get("model.smt.dir")
     if smt_dir is not None and os.path.exists(
         os.path.join(cfg.path("model.smt.dir"), "phrase-table.txt")
     ):
         run_tune(cfg, weights_out="weights-adapted.txt")
         did = True
-    nmt_dir = cfg.get("model.nmt.dir")
-    if nmt_dir is not None:
-        model_path = os.path.join(cfg.path("model.nmt.dir"), "model.tfnmt")
-        if os.path.exists(model_path):
-            model = nmt.load_model(model_path)
-            dev = _load_split(cfg, "dev")
-            ft_config = dataclasses.replace(
-                _nmt_config(cfg),
-                epochs=cfg.get_int("nmt.adapt.epochs", 35),
-                batch_size=cfg.get_int("nmt.adapt.batch_size", 2),
-                dropout=cfg.get_float("nmt.adapt.dropout", 0.0),
-                learning_rate=cfg.get_float("nmt.adapt.learning_rate", 1.0),
-                decay_factor=cfg.get_float("nmt.adapt.decay_factor", 1.0),
-            )
-            adapted = nmt.fine_tune(model, dev, ft_config)
-            _atomic_via(
-                os.path.join(cfg.path("model.nmt.dir"), "model-adapted.tfnmt"),
-                lambda tmp: nmt.save_model(adapted, tmp),
-            )
-            did = True
+    if nmt_path is not None:
+        model = nmt.load_model(nmt_path)
+        dev = _load_split(cfg, "dev")
+        adapted = nmt.fine_tune(model, dev, ft_config)
+        _atomic_via(
+            os.path.join(cfg.path("model.nmt.dir"), "model-adapted.tfnmt"),
+            lambda tmp: nmt.save_model(adapted, tmp),
+        )
+        did = True
     if not did:
         raise ConfigError("adapt: no trained SMT or NMT model found to adapt")
     log.info("adapt: done")
@@ -345,9 +369,8 @@ def _strip_dangling(subwords: tuple[str, ...], marker: str) -> tuple[str, ...]:
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system."""
     system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
-    beam_width = cfg.get_int("translate.beam", 5)
-    if beam_width < 1:
-        raise ConfigError(f"translate.beam must be >= 1, got {beam_width}")
+    beam_width = _at_least(cfg, "translate.beam", 5, 1)
+    beam = _beam(cfg) if system == "smt" else None
     input_path = cfg.input_path("translate.input")
     norm = _normalization(cfg)
     with open(input_path, encoding="utf-8") as f:
@@ -358,7 +381,6 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     if system == "smt":
         weights_name = cfg.get("translate.weights", "weights.txt")
         _, ptable, model, weights = _smt_artifacts(cfg, weights_name)
-        beam = _beam(cfg)
 
         def translate_line(line):
             annotated = smt.parse_markup(line, mode=mode, normalization=norm)

@@ -9,9 +9,13 @@ import pytest
 
 from termforge.align import (
     NULL_TOKEN,
+    PROB_FLOOR,
     PhraseOption,
     PhraseTable,
     TranslationTable,
+    _consistent_phrases,
+    _directional_links,
+    _grow_diag,
     extract_phrases,
     ibm1_em,
     load_phrase_table,
@@ -284,3 +288,216 @@ class TestPhraseTableIO:
         save_phrase_table(ptable, path)
         line = path.read_text(encoding="utf-8").strip()
         assert line == "a ||| x ||| 0.5 1.0 0.25 1.0"
+
+
+# Reference implementations: plain scans over the links and the table.
+# The array-backed versions in termforge.align must match them exactly,
+# down to the iteration order of the link sets, because lexical weights
+# sum in link order and are written with repr.
+
+
+def reference_directional_links(table, pair):
+    src, tgt = pair
+    src_ids = [table._src_index.get(w, 0) for w in src]
+    tgt_ids = [table._tgt_index.get(w) for w in tgt]
+    forward = set()
+    for j, tj in enumerate(tgt_ids):
+        if tj is None:
+            continue
+        best_i, best_p = None, table.table[0, tj]  # null link wins ties
+        for i, si in enumerate(src_ids):
+            p = table.table[si, tj]
+            if p > best_p:
+                best_i, best_p = i, p
+        if best_i is not None:
+            forward.add((best_i, j))
+    reverse = set()
+    for i, si in enumerate(src_ids):
+        best_j, best_p = None, 0.0
+        for j, tj in enumerate(tgt_ids):
+            if tj is None:
+                continue
+            p = table.table[si, tj]
+            if p > best_p:
+                best_j, best_p = j, p
+        if best_j is not None:
+            reverse.add((i, best_j))
+    return forward, reverse
+
+
+def reference_grow_diag(forward, reverse, src_len, tgt_len):
+    links = set(forward & reverse)
+    union = forward | reverse
+    neighbors = [(-1, 0), (0, -1), (1, 0), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1)]
+    grew = True
+    while grew:
+        grew = False
+        for i in range(src_len):
+            for j in range(tgt_len):
+                if (i, j) not in links:
+                    continue
+                for di, dj in neighbors:
+                    ni, nj = i + di, j + dj
+                    if not (0 <= ni < src_len and 0 <= nj < tgt_len):
+                        continue
+                    if (ni, nj) not in union or (ni, nj) in links:
+                        continue
+                    src_free = all(link[0] != ni for link in links)
+                    tgt_free = all(link[1] != nj for link in links)
+                    if src_free or tgt_free:
+                        links.add((ni, nj))
+                        grew = True
+    for cand in sorted(union - links):
+        src_free = all(link[0] != cand[0] for link in links)
+        tgt_free = all(link[1] != cand[1] for link in links)
+        if src_free or tgt_free:
+            links.add(cand)
+    return links
+
+
+def reference_consistent_phrases(src_len, tgt_len, links, max_len):
+    aligned_tgt = {j for _, j in links}
+    out = []
+    for i1 in range(src_len):
+        for i2 in range(i1 + 1, min(i1 + max_len, src_len) + 1):
+            span_links = [(i, j) for i, j in links if i1 <= i < i2]
+            if not span_links:
+                continue
+            j_min = min(j for _, j in span_links)
+            j_max = max(j for _, j in span_links) + 1
+            if any(j_min <= j < j_max and not (i1 <= i < i2) for i, j in links):
+                continue
+            if j_max - j_min > max_len:
+                continue
+            lo = j_min
+            while True:
+                hi = j_max
+                while True:
+                    if hi - lo <= max_len:
+                        out.append(((i1, i2), (lo, hi)))
+                    hi += 1
+                    if hi > tgt_len or (hi - 1) in aligned_tgt:
+                        break
+                lo -= 1
+                if lo < 0 or lo in aligned_tgt:
+                    break
+    return out
+
+
+def reference_lexical_weight(src_phrase, tgt_phrase, span_links, table, inverse=False):
+    """Koehn lexical weight of one phrase instance over its internal links."""
+    weight = 1.0
+    if inverse:
+        for i, s in enumerate(src_phrase):
+            aligned = [j for (ii, j) in span_links if ii == i]
+            if aligned:
+                total = sum(table.inv_prob(s, tgt_phrase[j]) for j in aligned)
+                weight *= total / len(aligned)
+        return weight
+    for j, t in enumerate(tgt_phrase):
+        aligned = [i for (i, jj) in span_links if jj == j]
+        if aligned:
+            total = sum(table.prob(t, src_phrase[i]) for i in aligned)
+            weight *= total / len(aligned)
+        else:
+            weight *= table.prob(t, NULL_TOKEN)
+    return weight
+
+
+def reference_lexical_features(corpus, alignments, max_len, table):
+    """(forward, reverse) lexical weight of each phrase pair: the maximum
+    over its instances, each weighed on its own."""
+    best = {}
+    for (src, tgt), links in zip(corpus.pairs, alignments):
+        for (i1, i2), (j1, j2) in reference_consistent_phrases(
+            len(src), len(tgt), links, max_len
+        ):
+            s_phrase, t_phrase = tuple(src[i1:i2]), tuple(tgt[j1:j2])
+            internal = [
+                (i - i1, j - j1) for i, j in links if i1 <= i < i2 and j1 <= j < j2
+            ]
+            fwd = reference_lexical_weight(s_phrase, t_phrase, internal, table)
+            rev = reference_lexical_weight(s_phrase, t_phrase, internal, table, True)
+            old = best.get((s_phrase, t_phrase), (0.0, 0.0))
+            best[(s_phrase, t_phrase)] = (max(old[0], fwd), max(old[1], rev))
+    return best
+
+
+def word_table(rng, draw):
+    """A table over s0..s5 / t0..t5 (plus null) with entries from ``draw``."""
+    src_vocab = [NULL_TOKEN] + [f"s{i}" for i in range(6)]
+    tgt_vocab = [f"t{j}" for j in range(6)]
+
+    def block():
+        return np.array([[draw() for _ in tgt_vocab] for _ in src_vocab])
+
+    return TranslationTable(src_vocab, tgt_vocab, block(), block())
+
+
+def tied_table(rng):
+    """Entries from a few values, so exact ties (with each other, with
+    null, and at zero) are common."""
+    return word_table(rng, lambda: rng.choice([0.0, 0.125, 0.25, 0.5]))
+
+
+def random_links(rng, m, n):
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    return set(rng.sample(cells, rng.randint(0, min(len(cells), m + n))))
+
+
+class TestAgainstReference:
+    def test_directional_links_with_ties_and_unknown_words(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            table = tied_table(rng)
+            # s6 / t6 are unknown to the table
+            src = tuple(f"s{rng.randrange(7)}" for _ in range(rng.randint(0, 7)))
+            tgt = tuple(f"t{rng.randrange(7)}" for _ in range(rng.randint(0, 7)))
+            got = _directional_links(table, (src, tgt))
+            want = reference_directional_links(table, (src, tgt))
+            assert [list(x) for x in got] == [list(x) for x in want], (src, tgt)
+
+    def test_grow_diag(self):
+        rng = random.Random(6)
+        for _ in range(500):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            forward, reverse = random_links(rng, m, n), random_links(rng, m, n)
+            got = _grow_diag(forward, reverse)
+            want = reference_grow_diag(forward, reverse, m, n)
+            assert list(got) == list(want), (forward, reverse)
+
+    def test_consistent_phrases(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            links = random_links(rng, m, n)
+            max_len = rng.randint(1, 5)
+            got = _consistent_phrases(m, n, links, max_len)
+            assert got == reference_consistent_phrases(m, n, links, max_len)
+
+    def test_lexical_weights_bit_equal(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            # sums of arbitrary floats depend on their order
+            table = word_table(rng, lambda: rng.uniform(0.05, 1.0))
+            pairs, alignments = [], []
+            for _ in range(6):
+                # short pairs: whole-sentence boxes hold words with 3+ links
+                m, n = rng.randint(1, 5), rng.randint(1, 5)
+                pairs.append((
+                    tuple(f"s{rng.randrange(7)}" for _ in range(m)),
+                    tuple(f"t{rng.randrange(7)}" for _ in range(n)),
+                ))
+                alignments.append(random_links(rng, m, n))
+            corpus = ParallelCorpus(pairs)
+            max_len = rng.randint(1, 5)
+            ptable = extract_phrases(corpus, alignments, max_len, table=table)
+            want = reference_lexical_features(corpus, alignments, max_len, table)
+            got = {
+                (s, o.target): o.features[2:]
+                for s, opts in ptable.entries.items()
+                for o in opts
+            }
+            assert set(got) == set(want)
+            for key, (fwd, rev) in want.items():
+                assert got[key] == (max(fwd, PROB_FLOOR), max(rev, PROB_FLOOR))

@@ -229,6 +229,13 @@ class TestConfigValidation:
             ("translate", "translate.beam=0", "translate.beam"),
             ("train-nmt", "nmt.segmentation=char", "nmt.segmentation"),
             ("inject", "inject.ranking=tfidf", "inject.ranking"),
+            ("train-smt", "smt.em_iterations=0", "smt.em_iterations"),
+            ("train-smt", "smt.lm_order=0", "smt.lm_order"),
+            ("train-smt", "smt.max_phrase_len=0", "smt.max_phrase_len"),
+            ("tune", "smt.stack_size=0", "smt.stack_size"),
+            ("tune", "smt.distortion_limit=-1", "smt.distortion_limit"),
+            ("train-nmt", "nmt.hidden=0", "nmt.hidden"),
+            ("train-nmt", "nmt.batch_size=0", "nmt.batch_size"),
         ],
     )
     def test_bad_value_names_key_before_work(

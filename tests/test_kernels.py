@@ -1,45 +1,61 @@
-"""Both E-step paths (numba loops, vectorized numpy) must agree exactly."""
+"""The flat E-step must equal the plain loop over pairs bit for bit."""
 
 import numpy as np
 
-from termforge._kernels import (
-    USE_NUMBA,
-    _ibm1_estep_loops,
-    _ibm1_estep_numpy,
-    flatten_encoded,
-    ibm1_estep,
-)
+from termforge._kernels import USE_NUMBA, flatten_encoded, ibm1_estep
 
 
-def synth(seed, n_pairs=40, vocab=30):
+def reference_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts):
+    """One IBM Model 1 E-step as plain loops: pairs, then target positions,
+    then source positions (null first).  The order of every sum is the one
+    :func:`ibm1_estep` must reproduce."""
+    n_pairs = src_off.shape[0] - 1
+    loglik = 0.0
+    for p in range(n_pairs):
+        s0, s1 = src_off[p], src_off[p + 1]
+        t0, t1 = tgt_off[p], tgt_off[p + 1]
+        slen = s1 - s0
+        for j in range(t0, t1):
+            tj = tgt_flat[j]
+            denom = 0.0
+            for i in range(s0, s1):
+                denom += table[src_flat[i], tj]
+            loglik += np.log(denom / slen)
+            for i in range(s0, s1):
+                si = src_flat[i]
+                counts[si, tj] += table[si, tj] / denom
+    return loglik
+
+
+def synth(seed, n_pairs=40, vocab=30, max_len=21):
+    """Sentences of 1..max_len tokens plus null, and one-token targets
+    against sources of 9 or more tokens, where a pairwise sum over the
+    source axis would differ from the loop in the last bit."""
     rng = np.random.default_rng(seed)
-    src = [rng.integers(0, vocab, size=rng.integers(1, 8)) for _ in range(n_pairs)]
-    tgt = [rng.integers(0, vocab, size=rng.integers(1, 8)) for _ in range(n_pairs)]
+
+    def sent(lo, hi):
+        return rng.integers(1, vocab, size=rng.integers(lo, hi + 1))
+
+    src = [sent(1, max_len) for _ in range(n_pairs)]
+    tgt = [sent(1, max_len) for _ in range(n_pairs)]
+    src += [sent(9, max_len) for _ in range(6)]
+    tgt += [sent(1, 1) for _ in range(6)]
+    src = [np.concatenate(([0], s)) for s in src]
     (sf, so), (tf, to) = flatten_encoded(src), flatten_encoded(tgt)
     table = np.abs(np.random.default_rng(seed + 1).normal(size=(vocab, vocab))) + 0.01
     table /= table.sum(axis=1, keepdims=True)
     return sf, so, tf, to, table
 
 
-def test_paths_agree_bitwise():
+def test_estep_matches_loop_bitwise():
     for seed in range(5):
         sf, so, tf, to, table = synth(seed)
-        counts_loops = np.zeros_like(table)
-        counts_numpy = np.zeros_like(table)
-        ll_loops = _ibm1_estep_loops(sf, so, tf, to, table, counts_loops)
-        ll_numpy = _ibm1_estep_numpy(sf, so, tf, to, table, counts_numpy)
-        assert np.array_equal(counts_loops, counts_numpy)
-        assert abs(ll_loops - ll_numpy) < 1e-9
-
-
-def test_dispatcher_matches_loops():
-    sf, so, tf, to, table = synth(9)
-    counts_a = np.zeros_like(table)
-    counts_b = np.zeros_like(table)
-    ll_a = ibm1_estep(sf, so, tf, to, table, counts_a)
-    ll_b = _ibm1_estep_loops(sf, so, tf, to, table, counts_b)
-    assert np.allclose(counts_a, counts_b, atol=0, rtol=0)
-    assert abs(ll_a - ll_b) < 1e-9
+        want = np.zeros_like(table)
+        got = np.zeros_like(table)
+        ll_want = reference_estep(sf, so, tf, to, table, want)
+        ll_got = ibm1_estep(sf, so, tf, to, table, got)
+        assert np.array_equal(got, want)
+        assert abs(ll_got - ll_want) < 1e-9
 
 
 def test_flatten_encoded_roundtrip():
@@ -52,5 +68,5 @@ def test_flatten_encoded_roundtrip():
 
 
 def test_env_flag_reflected():
-    # with numba installed the default path is the compiled one
-    assert isinstance(USE_NUMBA, bool)
+    # the benchmark's environment record reads this; no compiled path exists
+    assert USE_NUMBA is False
