@@ -361,11 +361,18 @@ def load_phrase_table(path, max_phrase_len: int = 7) -> PhraseTable:
                 continue
             parts = line.split(" ||| ")
             if len(parts) != 3:
-                raise ModelFormatError(f"line {lineno}: expected 3 '|||' fields")
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: expected 3 '|||' fields"
+                )
             src = tuple(parts[0].split())
             tgt = tuple(parts[1].split())
-            feats = tuple(float(x) for x in parts[2].split())
+            try:
+                feats = tuple(float(x) for x in parts[2].split())
+            except ValueError as exc:
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: bad feature value: {exc}"
+                ) from None
             if len(feats) != 4:
-                raise ModelFormatError(f"line {lineno}: expected 4 features")
+                raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
             entries[src].append(PhraseOption(tgt, feats))
     return PhraseTable(dict(entries), max_phrase_len=max_phrase_len)

@@ -215,27 +215,41 @@ def load_arpa(path) -> NgramLanguageModel:
         lines = f.read().splitlines()
     if "\\data\\" not in lines:
         raise ModelFormatError(f"{path}: not an ARPA file")
-    for line in lines:
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip("\n")
         if not line.strip() or line == "\\data\\" or line.startswith("ngram "):
             continue
         if line.strip() == "\\end\\":
             break
         if line.startswith("\\") and line.endswith("-grams:"):
-            section = int(line[1:-len("-grams:")])
+            try:
+                section = int(line[1:-len("-grams:")])
+            except ValueError:
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: bad section header {line!r}"
+                ) from None
             order = max(order, section)
             continue
         parts = line.split("\t")
         if len(parts) < 2:
-            raise ModelFormatError(f"{path}: malformed n-gram line {line!r}")
+            raise ModelFormatError(
+                f"{path}: line {lineno}: malformed n-gram line {line!r}"
+            )
         gram = tuple(parts[1].split(" "))
         if len(gram) != section:
-            raise ModelFormatError(f"{path}: {parts[1]!r} is not a {section}-gram")
-        value = float(parts[0])
-        if not (section == 1 and gram == (BOS,) and value <= -99.0):
-            logprob[gram] = value * _LOG10
-        if len(parts) >= 3 and parts[2]:
-            backoff[gram] = float(parts[2]) * _LOG10
+            raise ModelFormatError(
+                f"{path}: line {lineno}: {parts[1]!r} is not a {section}-gram"
+            )
+        try:
+            value = float(parts[0])
+            if not (section == 1 and gram == (BOS,) and value <= -99.0):
+                logprob[gram] = value * _LOG10
+            if len(parts) >= 3 and parts[2]:
+                backoff[gram] = float(parts[2]) * _LOG10
+        except ValueError as exc:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: bad probability: {exc}"
+            ) from None
     if order == 0:
         raise ModelFormatError(f"{path}: no n-gram sections found")
     unigrams = {g[0] for g in logprob if len(g) == 1}

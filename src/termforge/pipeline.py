@@ -4,11 +4,18 @@ Every artifact is written atomically (temp file in the target directory,
 then rename), so interrupted runs never leave partial outputs behind.
 Given the same configuration and seed, reruns produce byte-identical
 artifacts.
+
+Stages run in one process share parsed SMT models: the phrase table and
+the language model are parsed once and reused while their files' contents
+(by sha256) and the loader arguments stay the same, so ``tune`` followed
+by several ``translate`` calls parses each file once.  A changed file is
+parsed again.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import logging
 import os
 import tempfile
@@ -168,13 +175,47 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     log.info("train-smt: %d phrase entries -> %s", len(ptable), model_dir)
 
 
+# slot name -> ((path, loader arguments, sha256 of the file), parsed model);
+# one slot per model kind, so a process keeps at most one extra of each
+_PARSED: dict[str, tuple[tuple, object]] = {}
+
+
+def _parse_once(slot: str, loader, path: str, *args):
+    """``loader(path, *args)``, or the model the last call for ``slot``
+    parsed when the file's bytes and the arguments are unchanged.
+
+    The digest is taken before parsing, so a file replaced while it is
+    parsed is parsed again by the next call.
+    """
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            digest.update(block)
+    key = (os.path.abspath(path), args, digest.digest())
+    cached = _PARSED.get(slot)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    model = loader(path, *args)
+    _PARSED[slot] = (key, model)
+    return model
+
+
 def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
+    """The SMT model directory, phrase table, LM and weights.
+
+    The phrase table and LM are parsed once per process for given file
+    contents (see :func:`_parse_once`): tune and every translate call on
+    unchanged files share the same objects, which callers must treat as
+    read-only.  The weights are read on every call.
+    """
     model_dir = cfg.path("model.smt.dir", "smt-model")
-    ptable = align.load_phrase_table(
+    ptable = _parse_once(
+        "phrase-table",
+        align.load_phrase_table,
         os.path.join(model_dir, "phrase-table.txt"),
-        max_phrase_len=_at_least(cfg, "smt.max_phrase_len", 7, 1),
+        _at_least(cfg, "smt.max_phrase_len", 7, 1),
     )
-    model = lm.load_arpa(os.path.join(model_dir, "lm.arpa"))
+    model = _parse_once("lm", lm.load_arpa, os.path.join(model_dir, "lm.arpa"))
     weights_path = os.path.join(model_dir, weights_name)
     if not os.path.exists(weights_path):
         weights_path = os.path.join(model_dir, "weights.txt")
@@ -192,6 +233,9 @@ def _beam(cfg: PipelineConfig) -> smt.BeamConfig:
 def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     """MERT on the configured development set; overwrites the weights file."""
     beam = _beam(cfg)
+    restarts = _at_least(cfg, "smt.mert.restarts", 3, 0)
+    iterations = _at_least(cfg, "smt.mert.iterations", 4, 0)
+    nbest = _at_least(cfg, "smt.mert.nbest", 100, 1)
     model_dir, ptable, model, weights = _smt_artifacts(cfg)
     dev = _load_split(cfg, "dev")
     tuned = smt.mert_tune(
@@ -199,9 +243,9 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
         ptable,
         model,
         weights,
-        restarts=cfg.get_int("smt.mert.restarts", 3),
-        iterations=cfg.get_int("smt.mert.iterations", 4),
-        nbest=cfg.get_int("smt.mert.nbest", 100),
+        restarts=restarts,
+        iterations=iterations,
+        nbest=nbest,
         seed=cfg.seed,
         beam=beam,
     )
@@ -257,12 +301,12 @@ def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
     """Train the neural model, learning subword merges first when asked."""
     segmentation = _choice(cfg, "nmt.segmentation", "word", ("word", "bpe"))
     config = _nmt_config(cfg)
+    merges = _at_least(cfg, "bpe.num_merges", 1000, 0)
     model_dir = cfg.path("model.nmt.dir", "nmt-model")
     _guard_model_dir(model_dir, force)
     train_corpus = _load_split(cfg, "train")
     src_bpe = tgt_bpe = None
     if segmentation == "bpe":
-        merges = cfg.get_int("bpe.num_merges", 1000)
         if cfg.get_bool("bpe.joint", False):
             freqs = corpus.word_frequencies(
                 train_corpus.source_sentences + train_corpus.target_sentences

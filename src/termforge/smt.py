@@ -12,7 +12,9 @@ Annotated spans alter the option set before search starts:
 
 With an unbounded stack the search is exact dynamic programming over
 (coverage, LM context, last phrase end), which is what the equivalence
-tests against a brute-force decoder rely on.
+tests against a brute-force decoder rely on.  When pruning leaves no
+complete hypothesis, the sentence is searched again with a wider stack and
+distortion window, and a ``termforge.smt`` warning says so.
 
 The search loop does scalar work only.  A hypothesis holds its score,
 coverage bitmask, LM context, last phrase end, back-pointer, option and the
@@ -27,6 +29,7 @@ back-trace, adding each step's terms in search order.
 
 from __future__ import annotations
 
+import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -36,7 +39,7 @@ import numpy as np
 
 from .align import PROB_FLOOR, PhraseTable
 from .corpus import Normalization, ParallelCorpus, Tokens, tokenize
-from .errors import MarkupError
+from .errors import MarkupError, ModelFormatError
 from .lm import EOS, BOS, NgramLanguageModel
 from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
 
@@ -54,6 +57,8 @@ EXCLUSIVE = "exclusive"
 INCLUSIVE = "inclusive"
 CONSTRAINT = "constraint"
 MODES = (EXCLUSIVE, INCLUSIVE, CONSTRAINT)
+
+log = logging.getLogger("termforge.smt")
 
 
 @dataclass
@@ -86,15 +91,32 @@ def save_weights(weights: LogLinearWeights, path) -> None:
 
 
 def load_weights(path) -> LogLinearWeights:
+    """Read ``name value`` lines; every name in FEATURE_NAMES must appear."""
     mapping = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            name, value = line.split()
-            mapping[name] = float(value)
-    return LogLinearWeights.from_mapping(mapping)
+            fields = line.split()
+            if len(fields) != 2:
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: expected 'name value', got {line!r}"
+                )
+            name, value = fields
+            try:
+                weight = float(value)
+            except ValueError:
+                weight = math.nan
+            if not math.isfinite(weight):
+                raise ModelFormatError(
+                    f"{path}: line {lineno}: bad weight {value!r} for {name}"
+                )
+            mapping[name] = weight
+    try:
+        return LogLinearWeights.from_mapping(mapping)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: no weight for {exc.args[0]}") from None
 
 
 @dataclass
@@ -475,6 +497,11 @@ def _search_complete(annotated, table, lm, weights, beam):
         relaxed = BeamConfig(
             stack_size=max(beam.stack_size * 10, 1000),
             distortion_limit=max(beam.distortion_limit, len(annotated.tokens)),
+        )
+        log.warning(
+            "pruned search found no complete translation of a %d-token "
+            "sentence; searching again with stack size %d",
+            len(annotated.tokens), relaxed.stack_size,
         )
         finals = _search(annotated, table, lm, weights, relaxed)
     return finals

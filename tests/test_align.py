@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -23,7 +24,7 @@ from termforge.align import (
     viterbi_align,
 )
 from termforge.corpus import ParallelCorpus
-from termforge.errors import EmptyCorpusError
+from termforge.errors import EmptyCorpusError, ModelFormatError
 
 
 def oracle_em(pairs, iterations):
@@ -288,6 +289,18 @@ class TestPhraseTableIO:
         save_phrase_table(ptable, path)
         line = path.read_text(encoding="utf-8").strip()
         assert line == "a ||| x ||| 0.5 1.0 0.25 1.0"
+
+    def test_wrong_field_count_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pt"
+        path.write_text("a ||| x ||| 0.5 1 1 1\nb ||| y\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: expected 3"):
+            load_phrase_table(path)
+
+    def test_non_numeric_feature_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pt"
+        path.write_text("a ||| x ||| 0.5 1 1 1\nb ||| y ||| 0.5 one 1 1\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: bad feature"):
+            load_phrase_table(path)
 
 
 # Reference implementations: plain scans over the links and the table.

@@ -236,6 +236,10 @@ class TestConfigValidation:
             ("tune", "smt.distortion_limit=-1", "smt.distortion_limit"),
             ("train-nmt", "nmt.hidden=0", "nmt.hidden"),
             ("train-nmt", "nmt.batch_size=0", "nmt.batch_size"),
+            ("tune", "smt.mert.nbest=0", "smt.mert.nbest"),
+            ("tune", "smt.mert.restarts=-1", "smt.mert.restarts"),
+            ("tune", "smt.mert.iterations=-1", "smt.mert.iterations"),
+            ("train-nmt", "bpe.num_merges=-1", "bpe.num_merges"),
         ],
     )
     def test_bad_value_names_key_before_work(
@@ -250,6 +254,30 @@ class TestConfigValidation:
         assert "Traceback" not in err
         # rejected before any input was read or any output written
         assert not (tmp_path / "run").exists()
+
+
+class TestModelFiles:
+    def test_corrupted_weights_name_the_file(self, tmp_path, monkeypatch, capsys):
+        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+        from termforge.lm import save_arpa, train_lm
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        model_dir.mkdir(parents=True)
+        save_phrase_table(
+            PhraseTable({("a",): [PhraseOption(("x",), (0.5, 0.5, 0.5, 0.5))]}),
+            model_dir / "phrase-table.txt",
+        )
+        save_arpa(train_lm([("x",)], order=2), model_dir / "lm.arpa")
+        (model_dir / "weights.txt").write_text("phrase_fwd 1.0\nlm one\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("a\n", encoding="utf-8")
+        sets = ["--set", "translate.input=in.txt"]
+        assert run(["translate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert str(model_dir / "weights.txt") in err
+        assert "line 2" in err
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

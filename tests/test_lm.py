@@ -2,10 +2,11 @@
 
 import math
 import random
+import re
 
 import pytest
 
-from termforge.errors import EmptyCorpusError
+from termforge.errors import EmptyCorpusError, ModelFormatError
 from termforge.lm import BOS, EOS, UNK, load_arpa, save_arpa, train_lm
 
 
@@ -154,3 +155,19 @@ class TestArpa:
         again = load_arpa(path)
         assert context_sum(again, [BOS]) == pytest.approx(1.0, abs=1e-6)
         assert context_sum(again, ["w0", "w1"]) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("field", [0, 2])
+    def test_bad_probability_names_file_and_line(self, tmp_path, field):
+        path = tmp_path / "model.arpa"
+        save_arpa(train_lm([("a", "b")], order=2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.count("\t") == 2)
+        parts = lines[lineno - 1].split("\t")
+        parts[field] = "-0.3x"
+        lines[lineno - 1] = "\t".join(parts)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError,
+            match=rf"{re.escape(str(path))}: line {lineno}: bad probability",
+        ):
+            load_arpa(path)

@@ -1,0 +1,108 @@
+"""Reuse of parsed SMT models across pipeline stages in one process."""
+
+import os
+
+import pytest
+
+from termforge import align, lm, pipeline
+from termforge.config import PipelineConfig
+from termforge.fixtures import write_fixture_files
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small SMT model trained on the fixture corpora, plus an input."""
+    root = tmp_path_factory.mktemp("pipeline")
+    write_fixture_files(str(root / "data"), seed=42)
+    settings = {
+        "corpus.train.source": "data/generic.src",
+        "corpus.train.target": "data/generic.tgt",
+        "model.smt.dir": "smt",
+        "smt.em_iterations": "3",
+        "smt.max_phrase_len": "3",
+        "smt.lm_order": "3",
+        "translate.input": "data/icdtoy-eval.src",
+    }
+    pipeline.run_train_smt(PipelineConfig(settings, base_dir=str(root)))
+    return root, settings
+
+
+def config(trained, **overrides):
+    root, settings = trained
+    return PipelineConfig({**settings, **overrides}, base_dir=str(root))
+
+
+def test_unchanged_files_return_the_same_objects(trained):
+    _, ptable, model, _ = pipeline._smt_artifacts(config(trained))
+    _, ptable2, model2, _ = pipeline._smt_artifacts(config(trained))
+    assert ptable2 is ptable
+    assert model2 is model
+
+
+@pytest.mark.parametrize("name", ["phrase-table.txt", "lm.arpa"])
+def test_same_size_rewrite_is_parsed_again(trained, tmp_path, name):
+    """An in-place edit that keeps the size and modification time still
+    misses: the memo keys on the bytes."""
+    root, settings = trained
+    model_dir = tmp_path / "smt"
+    model_dir.mkdir()
+    for file in ("phrase-table.txt", "lm.arpa", "weights.txt"):
+        (model_dir / file).write_bytes((root / "smt" / file).read_bytes())
+    cfg = PipelineConfig({**settings, "model.smt.dir": str(model_dir)})
+    _, ptable, model, _ = pipeline._smt_artifacts(cfg)
+
+    path = model_dir / name
+    text = path.read_text(encoding="utf-8")
+    stat = os.stat(path)
+    first = text.index("-0.") if name == "lm.arpa" else text.index(" 0.")
+    digit = first + 3
+    old = text[digit]
+    edited = text[:digit] + ("1" if old != "1" else "2") + text[digit + 1:]
+    path.write_text(edited, encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert os.stat(path).st_size == stat.st_size
+
+    _, ptable2, model2, _ = pipeline._smt_artifacts(cfg)
+    if name == "lm.arpa":
+        assert ptable2 is ptable
+        assert model2 is not model
+        fresh = lm.load_arpa(path)
+        assert (model2.logprob, model2.backoff) == (fresh.logprob, fresh.backoff)
+        assert (model2.logprob, model2.backoff) != (model.logprob, model.backoff)
+    else:
+        assert model2 is model
+        assert ptable2 is not ptable
+        assert ptable2.entries == align.load_phrase_table(path, 3).entries
+        assert ptable2.entries != ptable.entries
+
+
+def test_other_max_phrase_len_misses(trained):
+    _, ptable, model, _ = pipeline._smt_artifacts(config(trained))
+    _, ptable2, model2, _ = pipeline._smt_artifacts(
+        config(trained, **{"smt.max_phrase_len": "2"})
+    )
+    assert ptable2 is not ptable
+    assert ptable2.max_phrase_len == 2
+    assert ptable2.entries == ptable.entries
+    assert model2 is model
+
+
+def test_cold_and_warm_translate_write_identical_hypotheses(
+    trained, tmp_path, monkeypatch
+):
+    pipeline._PARSED.clear()
+    cold_out, warm_out = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    cold = pipeline.run_translate(
+        config(trained, **{"translate.output": str(cold_out)})
+    )
+
+    def no_parse(*args):
+        raise AssertionError("a warm memo must not parse again")
+
+    monkeypatch.setattr(align, "load_phrase_table", no_parse)
+    monkeypatch.setattr(lm, "load_arpa", no_parse)
+    warm = pipeline.run_translate(
+        config(trained, **{"translate.output": str(warm_out)})
+    )
+    assert warm == cold
+    assert warm_out.read_bytes() == cold_out.read_bytes()

@@ -2,13 +2,14 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from termforge.align import PhraseOption, PhraseTable
 from termforge.corpus import ParallelCorpus
-from termforge.errors import MarkupError
+from termforge.errors import MarkupError, ModelFormatError
 from termforge.lm import BOS, EOS, train_lm
 from termforge.metrics import bleu
 from termforge.smt import (
@@ -136,6 +137,35 @@ class TestWeightsIO:
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
             LogLinearWeights(np.ones(3))
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("lm 0.5 extra", "line 5: expected 'name value'"),
+            ("lm", "line 5: expected 'name value'"),
+            ("lm half", "line 5: bad weight 'half'"),
+            ("lm nan", "line 5: bad weight 'nan'"),
+        ],
+    )
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "weights.txt"
+        save_weights(LogLinearWeights.default(), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[4].startswith("lm ")
+        lines[4] = bad_line
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_weights(path)
+
+    def test_missing_feature_names_file_and_feature(self, tmp_path):
+        path = tmp_path / "weights.txt"
+        save_weights(LogLinearWeights.default(), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=f"{re.escape(str(path))}: no weight for distortion"
+        ):
+            load_weights(path)
 
 
 def brute_force_decode(tokens, table, lm, weights, distortion_limit):
@@ -286,6 +316,43 @@ class TestDecode:
         result = decode((), toy_table(), toy_lm(), LogLinearWeights.default())
         assert result.tokens == ()
         assert math.isfinite(result.score)
+
+
+class TestRelaxedFallback:
+    """With a one-hypothesis stack and distortion limit 1, the pruned
+    search keeps only "b" (its option far outscores "a"'s), after which
+    position 0 is out of reach; the decoder must search again."""
+
+    @staticmethod
+    def stranding_setup():
+        table = PhraseTable(
+            {
+                ("a",): [PhraseOption(("x",), (1e-6, 1e-6, 1e-6, 1e-6))],
+                ("b",): [PhraseOption(("y",), (1.0, 1.0, 1.0, 1.0))],
+                ("c",): [PhraseOption(("z",), (1.0, 1.0, 1.0, 1.0))],
+            },
+            max_phrase_len=1,
+        )
+        return table, toy_lm([("x", "y", "z")]), LogLinearWeights.default()
+
+    def test_fallback_logs_one_warning(self, caplog):
+        table, lm, weights = self.stranding_setup()
+        beam = BeamConfig(stack_size=1, distortion_limit=1)
+        with caplog.at_level("WARNING", logger="termforge.smt"):
+            result = decode(("a", "b", "c"), table, lm, weights, beam)
+        assert sorted(result.tokens) == ["x", "y", "z"]
+        records = [r for r in caplog.records if r.name == "termforge.smt"]
+        assert len(records) == 1
+        assert records[0].levelname == "WARNING"
+        assert "3-token" in records[0].getMessage()
+        assert "stack size 1000" in records[0].getMessage()
+
+    def test_normal_path_logs_nothing(self, caplog):
+        table, lm, weights = self.stranding_setup()
+        with caplog.at_level("DEBUG", logger="termforge.smt"):
+            decode(("a", "b", "c"), table, lm, weights, BeamConfig())
+            decode_nbest(("a", "b", "c"), table, lm, weights, BeamConfig(), n=5)
+        assert not [r for r in caplog.records if r.name == "termforge.smt"]
 
 
 def random_setup(rng, n_src=6, n_tgt=6):
