@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ._kernels import flatten_encoded, ibm1_estep
-from .corpus import ParallelCorpus, Tokens
+from .corpus import ParallelCorpus, Tokens, finite_float
 from .errors import EmptyCorpusError, ModelFormatError
 
 NULL_TOKEN = "<null>"
@@ -62,11 +62,6 @@ class TranslationTable:
         if si is None or ti is None:
             return 0.0
         return float(self.inverse[si, ti])
-
-    def encode(self, pair: tuple[Sequence[str], Sequence[str]]):
-        src = [0] + [self._src_index[w] for w in pair[0] if w in self._src_index]
-        tgt = [self._tgt_index[w] for w in pair[1] if w in self._tgt_index]
-        return src, tgt
 
 
 def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
@@ -181,6 +176,9 @@ def _grow_diag(forward, reverse):
             src_used.add(cand[0])
             tgt_used.add(cand[1])
     return links
+
+
+SYMMETRIZATIONS = ("intersection", "union", "grow-diag")
 
 
 def viterbi_align(
@@ -367,7 +365,7 @@ def load_phrase_table(path, max_phrase_len: int = 7) -> PhraseTable:
             src = tuple(parts[0].split())
             tgt = tuple(parts[1].split())
             try:
-                feats = tuple(float(x) for x in parts[2].split())
+                feats = tuple(finite_float(x) for x in parts[2].split())
             except ValueError as exc:
                 raise ModelFormatError(
                     f"{path}: line {lineno}: bad feature value: {exc}"

@@ -157,7 +157,7 @@ def load_bpe(path) -> BpeModel:
     with open(path, encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith("#bpe v1 "):
-            raise SubwordFormatError(f"bad merge file header: {header!r}")
+            raise SubwordFormatError(f"{path}: bad merge file header: {header!r}")
         fields = dict(
             part.split("=", 1) for part in header[len("#bpe v1 "):].split() if "=" in part
         )
@@ -169,11 +169,11 @@ def load_bpe(path) -> BpeModel:
                 continue
             parts = line.split(" ")
             if len(parts) != 2:
-                raise SubwordFormatError(f"line {lineno}: expected 'left right'")
+                raise SubwordFormatError(f"{path}: line {lineno}: expected 'left right'")
             merges.append((parts[0], parts[1]))
         declared = fields.get("merges")
-        if declared is not None and int(declared) != len(merges):
+        if declared is not None and declared != str(len(merges)):
             raise SubwordFormatError(
-                f"header declares {declared} merges, file has {len(merges)}"
+                f"{path}: header declares {declared} merges, file has {len(merges)}"
             )
     return BpeModel(merges, marker=marker)

@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        cmd.add_argument("--threads", type=int, default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument(
             "--force", action="store_true",
@@ -88,8 +87,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = list(args.overrides)
-    if args.threads is not None:
-        overrides.append(f"threads={args.threads}")
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     try:

@@ -77,10 +77,6 @@ class PipelineConfig:
     def seed(self) -> int:
         return self.get_int("seed", 42)
 
-    @property
-    def threads(self) -> int:
-        return self.get_int("threads", 1)
-
 
 def parse_assignment(text: str) -> tuple[str, str]:
     if "=" not in text:

@@ -8,6 +8,7 @@ disabled.
 
 from __future__ import annotations
 
+import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,6 +27,14 @@ class Normalization:
 
     lowercase: bool = True
     split_punctuation: bool = True
+
+
+def finite_float(text: str) -> float:
+    """``float(text)``; a ValueError also for nan and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def tokenize(text: str, norm: Normalization = Normalization()) -> Tokens:
@@ -199,28 +208,26 @@ def load_lexicon(path, normalization: Normalization = Normalization()) -> Lexico
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
+            where = f"{path}: line {lineno}"
             cols = line.split("\t")
             if len(cols) < 2:
                 raise LexiconFormatError(
-                    f"expected at least 2 tab-separated columns, got {len(cols)}",
-                    line_number=lineno,
+                    f"{where}: expected at least 2 tab-separated columns, got {len(cols)}"
                 )
             source = tokenize(cols[0], normalization)
             target = tokenize(cols[1], normalization)
             if not source or not target:
-                raise LexiconFormatError("empty source or target term", lineno)
+                raise LexiconFormatError(f"{where}: empty source or target term")
             score: float | None = None
             if len(cols) >= 3 and cols[2].strip():
                 try:
                     score = float(cols[2])
                 except ValueError:
                     raise LexiconFormatError(
-                        f"score {cols[2]!r} is not a number", lineno
+                        f"{where}: score {cols[2]!r} is not a number"
                     ) from None
                 if not 0.0 <= score <= 1.0:
-                    raise LexiconFormatError(
-                        f"score {score} outside [0, 1]", lineno
-                    )
+                    raise LexiconFormatError(f"{where}: score {score} outside [0, 1]")
             abstract = cols[3] if len(cols) >= 4 and cols[3].strip() else None
             entry = entries.get(source)
             if entry is None:

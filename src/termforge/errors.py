@@ -16,12 +16,6 @@ class EmptyCorpusError(TermforgeError):
 class LexiconFormatError(TermforgeError):
     """A lexicon TSV row could not be parsed or validated."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class SubwordFormatError(TermforgeError):
     """Malformed subword sequence or merge file."""

@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .corpus import finite_float
 from .errors import EmptyCorpusError, ModelFormatError
 
 BOS = "<s>"
@@ -241,11 +242,11 @@ def load_arpa(path) -> NgramLanguageModel:
                 f"{path}: line {lineno}: {parts[1]!r} is not a {section}-gram"
             )
         try:
-            value = float(parts[0])
+            value = finite_float(parts[0])
             if not (section == 1 and gram == (BOS,) and value <= -99.0):
                 logprob[gram] = value * _LOG10
             if len(parts) >= 3 and parts[2]:
-                backoff[gram] = float(parts[2]) * _LOG10
+                backoff[gram] = finite_float(parts[2]) * _LOG10
         except ValueError as exc:
             raise ModelFormatError(
                 f"{path}: line {lineno}: bad probability: {exc}"

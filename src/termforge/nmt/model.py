@@ -139,7 +139,6 @@ class Seq2SeqModel:
     segmentation: str = "word"  # "word" | "bpe"
     src_bpe: BpeModel | None = None
     tgt_bpe: BpeModel | None = None
-    attention_kind: str = "bilinear"
     # per-epoch training perplexity of the most recent training run;
     # diagnostic only, not serialized
     train_history: list[float] = field(default_factory=list, compare=False)
@@ -153,7 +152,6 @@ class Seq2SeqModel:
             segmentation=self.segmentation,
             src_bpe=self.src_bpe,
             tgt_bpe=self.tgt_bpe,
-            attention_kind=self.attention_kind,
         )
 
     def encoder_residual(self, layer: int) -> bool:
@@ -169,7 +167,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
     header = {
         "config": asdict(model.config),
         "segmentation": model.segmentation,
-        "attention": model.attention_kind,
+        "attention": "bilinear",  # the only kind
         "src_vocab": model.src_vocab.itos,
         "tgt_vocab": model.tgt_vocab.itos,
         "src_bpe": None if model.src_bpe is None else {
@@ -198,6 +196,10 @@ def load_model(path) -> Seq2SeqModel:
         if magic != MAGIC:
             raise ModelFormatError(f"{path}: expected magic {MAGIC!r}, got {magic!r}")
         header = json.loads(f.readline().decode("utf-8"))
+        if header.get("attention") != "bilinear":
+            raise ModelFormatError(
+                f"{path}: unsupported attention {header.get('attention')!r}"
+            )
         params: dict[str, np.ndarray] = {}
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
@@ -221,5 +223,4 @@ def load_model(path) -> Seq2SeqModel:
         segmentation=header["segmentation"],
         src_bpe=parse_bpe(header["src_bpe"]),
         tgt_bpe=parse_bpe(header["tgt_bpe"]),
-        attention_kind=header["attention"],
     )

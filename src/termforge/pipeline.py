@@ -3,7 +3,8 @@
 Every artifact is written atomically (temp file in the target directory,
 then rename), so interrupted runs never leave partial outputs behind.
 Given the same configuration and seed, reruns produce byte-identical
-artifacts.
+artifacts.  Each stage handles its items (sentence pairs to align, lines
+to translate) one after another, in input order, in one thread.
 
 Stages run in one process share parsed SMT models: the phrase table and
 the language model are parsed once and reused while their files' contents
@@ -19,11 +20,10 @@ import hashlib
 import logging
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError
+from .errors import ConfigError, MarkupError
 from .fixtures import write_fixture_files
 
 log = logging.getLogger("termforge.pipeline")
@@ -86,13 +86,6 @@ def _load_split(cfg: PipelineConfig, split: str) -> corpus.ParallelCorpus:
     )
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _guard_model_dir(path: str, force: bool) -> None:
     if os.path.exists(path) and os.listdir(path) and not force:
         raise ConfigError(
@@ -148,15 +141,12 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     iterations = _at_least(cfg, "smt.em_iterations", 8, 1)
     max_phrase_len = _at_least(cfg, "smt.max_phrase_len", 7, 1)
     order = _at_least(cfg, "smt.lm_order", 5, 1)
+    sym = _choice(cfg, "smt.symmetrization", "grow-diag", align.SYMMETRIZATIONS)
     model_dir = cfg.path("model.smt.dir", "smt-model")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
     table = align.ibm1_em(train, iterations)
-    sym = cfg.get("smt.symmetrization", "grow-diag")
-    threads = cfg.threads
-    alignments = _parallel_map(
-        lambda pair: align.viterbi_align(table, pair, sym), train.pairs, threads
-    )
+    alignments = [align.viterbi_align(table, pair, sym) for pair in train.pairs]
     ptable = align.extract_phrases(
         train, alignments, max_phrase_len=max_phrase_len, table=table
     )
@@ -413,24 +403,29 @@ def _strip_dangling(subwords: tuple[str, ...], marker: str) -> tuple[str, ...]:
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system."""
     system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
+    mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
     beam_width = _at_least(cfg, "translate.beam", 5, 1)
     beam = _beam(cfg) if system == "smt" else None
     input_path = cfg.input_path("translate.input")
     norm = _normalization(cfg)
     with open(input_path, encoding="utf-8") as f:
-        lines = [line.rstrip("\n") for line in f if line.strip()]
-    mode = cfg.get("inject.mode", smt.EXCLUSIVE)
-    threads = cfg.threads
+        lines = [
+            (lineno, line.rstrip("\n"))
+            for lineno, line in enumerate(f, start=1)
+            if line.strip()
+        ]
 
     if system == "smt":
         weights_name = cfg.get("translate.weights", "weights.txt")
         _, ptable, model, weights = _smt_artifacts(cfg, weights_name)
 
-        def translate_line(line):
-            annotated = smt.parse_markup(line, mode=mode, normalization=norm)
+        def translate_line(lineno, line):
+            try:
+                annotated = smt.parse_markup(line, mode=mode, normalization=norm)
+            except MarkupError as exc:
+                raise MarkupError(f"{input_path}: line {lineno}: {exc}") from None
             return smt.decode(annotated, ptable, model, weights, beam).tokens
 
-        outputs = _parallel_map(translate_line, lines, threads)
     else:
         model_name = cfg.get("translate.model", "model.tfnmt")
         model = nmt.load_model(os.path.join(cfg.path("model.nmt.dir"), model_name))
@@ -439,21 +434,17 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         if lex_path is not None:
             lexicon = corpus.load_lexicon(cfg.input_path("translate.replace_unk_lexicon"), norm)
 
-        def translate_line(line):
+        def translate_line(lineno, line):
             tokens = corpus.tokenize(line, norm)
             out, trace, _ = nmt.translate(model, tokens, beam_width=beam_width)
             if model.segmentation == "word":
-                source_space = tokens
-                out = nmt.replace_unk(out, trace, source_space, lexicon)
-            else:
-                out = bpe.decode_bpe(
-                    _strip_dangling(out, model.tgt_bpe.marker),
-                    marker=model.tgt_bpe.marker,
-                )
-            return out
+                return nmt.replace_unk(out, trace, tokens, lexicon)
+            return bpe.decode_bpe(
+                _strip_dangling(out, model.tgt_bpe.marker),
+                marker=model.tgt_bpe.marker,
+            )
 
-        outputs = _parallel_map(translate_line, lines, threads)
-
+    outputs = [translate_line(lineno, line) for lineno, line in lines]
     text = "\n".join(" ".join(tokens) for tokens in outputs) + "\n"
     atomic_write(cfg.path("translate.output", "hypotheses.txt"), text)
     log.info("translate: %d lines via %s", len(outputs), system)

@@ -38,7 +38,9 @@ from typing import Sequence
 import numpy as np
 
 from .align import PROB_FLOOR, PhraseTable
-from .corpus import Normalization, ParallelCorpus, Tokens, tokenize
+from .corpus import (
+    Normalization, ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize,
+)
 from .errors import MarkupError, ModelFormatError
 from .lm import EOS, BOS, NgramLanguageModel
 from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
@@ -105,13 +107,11 @@ def load_weights(path) -> LogLinearWeights:
                 )
             name, value = fields
             try:
-                weight = float(value)
+                weight = finite_float(value)
             except ValueError:
-                weight = math.nan
-            if not math.isfinite(weight):
                 raise ModelFormatError(
                     f"{path}: line {lineno}: bad weight {value!r} for {name}"
-                )
+                ) from None
             mapping[name] = weight
     try:
         return LogLinearWeights.from_mapping(mapping)
@@ -186,7 +186,7 @@ def parse_markup(
                     f"{len(translations)} translations but {len(prob_strs)} probs"
                 )
             try:
-                probs = [float(p) for p in prob_strs]
+                probs = [finite_float(p) for p in prob_strs]
             except ValueError as exc:
                 raise MarkupError(f"bad probability: {exc}") from None
         else:
@@ -273,20 +273,6 @@ def _covers(option: _Option, span: Span) -> bool:
     return option.start <= span.start and option.end >= span.end
 
 
-def _contains_candidate(option: _Option, span: Span) -> bool:
-    for cand in span.candidates:
-        needle = tuple(cand.tokens)
-        m = len(needle)
-        if m == 0 or m > len(option.target):
-            continue
-        if any(
-            option.target[i:i + m] == needle
-            for i in range(len(option.target) - m + 1)
-        ):
-            return True
-    return False
-
-
 def build_options(
     annotated: AnnotatedInput, table: PhraseTable
 ) -> list[_Option]:
@@ -308,7 +294,9 @@ def build_options(
                 o
                 for o in options
                 if not _overlaps(o, span)
-                or (_covers(o, span) and _contains_candidate(o, span))
+                or (_covers(o, span) and any(
+                    contains_contiguous(o.target, c.tokens) for c in span.candidates
+                ))
             ]
         options.extend(_span_option(span, cand) for cand in span.candidates)
 

@@ -302,6 +302,12 @@ class TestPhraseTableIO:
         with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: bad feature"):
             load_phrase_table(path)
 
+    def test_non_finite_feature_names_file_and_line(self, tmp_path):
+        path = tmp_path / "pt"
+        path.write_text("a ||| x ||| 0.5 1 1 1\na ||| y ||| nan 0.5 0.5 0.5\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: bad feature"):
+            load_phrase_table(path)
+
 
 # Reference implementations: plain scans over the links and the table.
 # The array-backed versions in termforge.align must match them exactly,

@@ -1,6 +1,7 @@
 """BPE learning, application, and inversion."""
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -147,4 +148,19 @@ class TestMergeFile:
         path = tmp_path / "codes.bpe"
         path.write_text("#bpe v1 merges=2 marker=@@\na b\n", encoding="utf-8")
         with pytest.raises(SubwordFormatError):
+            load_bpe(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "not a merge file\n",
+            "#bpe v1 merges=1 marker=@@\na b c\n",
+            "#bpe v1 merges=2 marker=@@\na b\n",
+            "#bpe v1 merges=x marker=@@\na b\n",
+        ],
+    )
+    def test_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "codes.bpe"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SubwordFormatError, match=re.escape(str(path))):
             load_bpe(path)

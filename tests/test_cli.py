@@ -240,6 +240,8 @@ class TestConfigValidation:
             ("tune", "smt.mert.restarts=-1", "smt.mert.restarts"),
             ("tune", "smt.mert.iterations=-1", "smt.mert.iterations"),
             ("train-nmt", "bpe.num_merges=-1", "bpe.num_merges"),
+            ("translate", "inject.mode=bogus", "inject.mode"),
+            ("train-smt", "smt.symmetrization=bogus", "smt.symmetrization"),
         ],
     )
     def test_bad_value_names_key_before_work(
@@ -278,6 +280,31 @@ class TestModelFiles:
         assert str(model_dir / "weights.txt") in err
         assert "line 2" in err
         assert "Traceback" not in err
+
+    def test_bad_markup_names_the_input_line(self, tmp_path, monkeypatch, capsys):
+        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+        from termforge.lm import save_arpa, train_lm
+        from termforge.smt import LogLinearWeights, save_weights
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        model_dir.mkdir(parents=True)
+        save_phrase_table(
+            PhraseTable({("a",): [PhraseOption(("x",), (0.5, 0.5, 0.5, 0.5))]}),
+            model_dir / "phrase-table.txt",
+        )
+        save_arpa(train_lm([("x",)], order=2), model_dir / "lm.arpa")
+        save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
+        (tmp_path / "in.txt").write_text(
+            'a\n\n<n translation="x" prob="nan">a</n>\n', encoding="utf-8"
+        )
+        sets = ["--set", "translate.input=in.txt"]
+        assert run(["translate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'in.txt'}: line 3: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
 
 class TestEvaluate:

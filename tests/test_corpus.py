@@ -1,5 +1,6 @@
 """Corpus loading, normalization, stats, and overlap analytics."""
 
+import re
 import subprocess
 
 import pytest
@@ -111,6 +112,14 @@ class TestLoadLexicon:
     def test_malformed_row_reports_line(self, tmp_path):
         path = write(tmp_path / "lex.tsv", ["orbit\torbita", "justonecolumn"])
         with pytest.raises(LexiconFormatError, match="line 2"):
+            load_lexicon(path)
+
+    @pytest.mark.parametrize(
+        "row", ["justonecolumn", "orbit\t", "orbit\torbita\thigh", "orbit\torbita\t1.5"]
+    )
+    def test_errors_name_the_file_and_line(self, tmp_path, row):
+        path = write(tmp_path / "lex.tsv", ["orbit\torbita", row])
+        with pytest.raises(LexiconFormatError, match=rf"{re.escape(str(path))}: line 2: "):
             load_lexicon(path)
 
     def test_abstract_column(self, tmp_path):

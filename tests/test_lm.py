@@ -121,6 +121,20 @@ class TestScore:
         assert m1.score(("w0", "w1")) == m2.score(("w0", "w1"))
 
 
+def arpa_with_field(path, field, value):
+    """Save a bigram model to ``path`` with ``value`` in tab field ``field``
+    (0 log-probability, 2 back-off) of the first line that has a back-off;
+    returns that line's number."""
+    save_arpa(train_lm([("a", "b")], order=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.count("\t") == 2)
+    parts = lines[lineno - 1].split("\t")
+    parts[field] = value
+    lines[lineno - 1] = "\t".join(parts)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lineno
+
+
 class TestArpa:
     def test_roundtrip_preserves_scores(self, tmp_path):
         model = train_lm(fixture_sentences(), order=3)
@@ -159,15 +173,19 @@ class TestArpa:
     @pytest.mark.parametrize("field", [0, 2])
     def test_bad_probability_names_file_and_line(self, tmp_path, field):
         path = tmp_path / "model.arpa"
-        save_arpa(train_lm([("a", "b")], order=2), path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lineno = next(i for i, line in enumerate(lines, 1) if line.count("\t") == 2)
-        parts = lines[lineno - 1].split("\t")
-        parts[field] = "-0.3x"
-        lines[lineno - 1] = "\t".join(parts)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lineno = arpa_with_field(path, field, "-0.3x")
         with pytest.raises(
             ModelFormatError,
             match=rf"{re.escape(str(path))}: line {lineno}: bad probability",
+        ):
+            load_arpa(path)
+
+    @pytest.mark.parametrize("field, value", [(0, "nan"), (2, "nan"), (0, "-inf")])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, field, value):
+        path = tmp_path / "model.arpa"
+        lineno = arpa_with_field(path, field, value)
+        with pytest.raises(
+            ModelFormatError,
+            match=rf"{re.escape(str(path))}: line {lineno}: bad probability.*non-finite",
         ):
             load_arpa(path)

@@ -509,6 +509,15 @@ class TestCheckpoint:
         src = corpus.pairs[0][0]
         assert translate(loaded, src, 2)[0] == translate(model, src, 2)[0]
 
+    def test_other_attention_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.tfnmt"
+        save_model(tiny_model(layers=1)[0], path)
+        data = path.read_bytes()
+        assert data.count(b'"attention": "bilinear"') == 1
+        path.write_bytes(data.replace(b'"attention": "bilinear"', b'"attention": "dot"'))
+        with pytest.raises(ModelFormatError, match="attention"):
+            load_model(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.tfnmt"
         path.write_bytes(b"not-a-model\n{}\n")

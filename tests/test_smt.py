@@ -106,6 +106,11 @@ class TestMarkup:
         with pytest.raises(MarkupError):
             parse_markup('<n translation="a||b" prob="0.5">x</n>')
 
+    @pytest.mark.parametrize("prob", ["nan", "inf"])
+    def test_non_finite_prob_rejected(self, prob):
+        with pytest.raises(MarkupError, match="non-finite"):
+            parse_markup(f'<n translation="a||b" prob="0.5||{prob}">x</n>')
+
     def test_overlapping_spans_rejected(self):
         bad = AnnotatedInput(
             ("a", "b"),
