@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyCorpusError, SubwordFormatError
 
@@ -52,11 +52,9 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, .
 
 
 def learn_bpe(
-    corpus: Mapping[str, int] | Iterable[Sequence[str]],
-    num_merges: int,
-    marker: str = DEFAULT_MARKER,
+    freqs: Mapping[str, int], num_merges: int, marker: str = DEFAULT_MARKER
 ) -> BpeModel:
-    """Learn merges from a word-frequency map or an iterable of token sequences.
+    """Learn merges from a word-frequency map.
 
     Each word is a character sequence plus an end-of-word symbol; every merge
     is the currently most frequent adjacent pair, ties broken by lexicographic
@@ -64,13 +62,6 @@ def learn_bpe(
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
-    if isinstance(corpus, Mapping):
-        freqs = dict(corpus)
-    else:
-        freqs = {}
-        for sent in corpus:
-            for tok in sent:
-                freqs[tok] = freqs.get(tok, 0) + 1
     if not freqs:
         raise EmptyCorpusError("cannot learn BPE from an empty vocabulary")
 

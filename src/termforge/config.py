@@ -24,11 +24,6 @@ class PipelineConfig:
     def get(self, key: str, default: str | None = None) -> str | None:
         return self.values.get(key, default)
 
-    def require(self, key: str) -> str:
-        if key not in self.values:
-            raise ConfigError(f"missing required config key {key!r}")
-        return self.values[key]
-
     def get_int(self, key: str, default: int) -> int:
         raw = self.values.get(key)
         if raw is None:

@@ -1,9 +1,8 @@
 """Parallel corpora and term lexicons: loading, normalization, analytics.
 
 Everything downstream (alignment, LM and NMT training, evaluation) consumes
-the tokenized pairs produced here, so normalization is deterministic:
-whitespace split, leading/trailing punctuation detached, lowercased unless
-disabled.
+the tokenized pairs produced here, so normalization is deterministic and
+fixed: lowercased, whitespace split, leading/trailing punctuation detached.
 """
 
 from __future__ import annotations
@@ -12,21 +11,13 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import AlignmentError, EmptyCorpusError, LexiconFormatError
 
 Tokens = tuple[str, ...]
 
 _PUNCT = set(string.punctuation)
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Text normalization options applied at load time."""
-
-    lowercase: bool = True
-    split_punctuation: bool = True
 
 
 def finite_float(text: str) -> float:
@@ -37,19 +28,15 @@ def finite_float(text: str) -> float:
     return value
 
 
-def tokenize(text: str, norm: Normalization = Normalization()) -> Tokens:
-    """Tokenize one sentence: whitespace split, then detach edge punctuation.
+def tokenize(text: str) -> Tokens:
+    """Tokenize one sentence: lowercase, whitespace split, then detach edge
+    punctuation.
 
     Interior punctuation (hyphens, apostrophes) stays attached so compounds
     like "blood-vessel" survive as single tokens.
     """
-    if norm.lowercase:
-        text = text.lower()
     out: list[str] = []
-    for chunk in text.split():
-        if not norm.split_punctuation:
-            out.append(chunk)
-            continue
+    for chunk in text.lower().split():
         lead: list[str] = []
         while len(chunk) > 1 and chunk[0] in _PUNCT:
             lead.append(chunk[0])
@@ -164,12 +151,7 @@ class OverlapReport:
     term_joint: SideOverlap
 
 
-def load_parallel(
-    source_path,
-    target_path,
-    normalization: Normalization = Normalization(),
-    name: str | None = None,
-) -> ParallelCorpus:
+def load_parallel(source_path, target_path, name: str | None = None) -> ParallelCorpus:
     """Load a pair of one-sentence-per-line UTF-8 files into a corpus.
 
     Raises :class:`AlignmentError` on unequal line counts and
@@ -184,10 +166,7 @@ def load_parallel(
             f"{source_path}: {len(src_lines)} lines vs {target_path}: "
             f"{len(tgt_lines)} lines"
         )
-    pairs = [
-        (tokenize(s, normalization), tokenize(t, normalization))
-        for s, t in zip(src_lines, tgt_lines)
-    ]
+    pairs = [(tokenize(s), tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
     pairs = [(s, t) for s, t in pairs if s or t]
     if not pairs:
         raise EmptyCorpusError(f"no sentence pairs in {source_path} / {target_path}")
@@ -196,7 +175,7 @@ def load_parallel(
     return ParallelCorpus(pairs, name=name)
 
 
-def load_lexicon(path, normalization: Normalization = Normalization()) -> Lexicon:
+def load_lexicon(path) -> Lexicon:
     """Parse a lexicon TSV: ``source<TAB>target[<TAB>score][<TAB>abstract]``.
 
     ``#``-prefixed lines are comments.  Rows sharing a source term merge into
@@ -214,8 +193,8 @@ def load_lexicon(path, normalization: Normalization = Normalization()) -> Lexico
                 raise LexiconFormatError(
                     f"{where}: expected at least 2 tab-separated columns, got {len(cols)}"
                 )
-            source = tokenize(cols[0], normalization)
-            target = tokenize(cols[1], normalization)
+            source = tokenize(cols[0])
+            target = tokenize(cols[1])
             if not source or not target:
                 raise LexiconFormatError(f"{where}: empty source or target term")
             score: float | None = None
@@ -279,68 +258,28 @@ def contains_contiguous(haystack: Sequence[str], needle: Sequence[str]) -> bool:
 
 
 def overlap_report(
-    eval_set: ParallelCorpus,
-    reference: ParallelCorpus | Lexicon | tuple[set[str], set[str]],
-    name: str | None = None,
+    eval_set: ParallelCorpus, reference: ParallelCorpus, name: str | None = None
 ) -> OverlapReport:
-    """Word- and term-level overlap of ``eval_set`` against a reference.
+    """Word- and term-level overlap of ``eval_set`` against a reference corpus.
 
     A term (one evaluation line per side) is in-corpus when its full token
-    sequence occurs contiguously in a reference sentence; against a lexicon
-    it must match an entry exactly; against bare vocabularies every token
-    must be known.  Joint matches require both sides in the same reference
-    pair or entry.
+    sequence occurs contiguously in a reference sentence.  Joint matches
+    require both sides in the same reference pair.
     """
     if not eval_set.pairs:
         raise EmptyCorpusError("evaluation set is empty")
 
-    if isinstance(reference, Lexicon):
-        src_vocab = {tok for e in reference.entries for tok in e.source_term}
-        tgt_vocab = {
-            tok for e in reference.entries for c in e.candidates for tok in c.tokens
-        }
-        src_terms = {e.source_term for e in reference.entries}
-        tgt_terms = {c.tokens for e in reference.entries for c in e.candidates}
-        joint_terms = {
-            (e.source_term, c.tokens) for e in reference.entries for c in e.candidates
-        }
+    def src_match(term: Tokens) -> bool:
+        return any(contains_contiguous(s, term) for s, _ in reference.pairs)
 
-        def src_match(term: Tokens) -> bool:
-            return term in src_terms
+    def tgt_match(term: Tokens) -> bool:
+        return any(contains_contiguous(t, term) for _, t in reference.pairs)
 
-        def tgt_match(term: Tokens) -> bool:
-            return term in tgt_terms
-
-        def joint_match(src: Tokens, tgt: Tokens) -> bool:
-            return (src, tgt) in joint_terms
-
-    elif isinstance(reference, ParallelCorpus):
-        src_vocab = reference.vocab("source")
-        tgt_vocab = reference.vocab("target")
-
-        def src_match(term: Tokens) -> bool:
-            return any(contains_contiguous(s, term) for s, _ in reference.pairs)
-
-        def tgt_match(term: Tokens) -> bool:
-            return any(contains_contiguous(t, term) for _, t in reference.pairs)
-
-        def joint_match(src: Tokens, tgt: Tokens) -> bool:
-            return any(
-                contains_contiguous(s, src) and contains_contiguous(t, tgt)
-                for s, t in reference.pairs
-            )
-
-    else:
-        src_vocab, tgt_vocab = reference
-
-        def src_match(term: Tokens) -> bool:
-            return all(tok in src_vocab for tok in term)
-
-        def tgt_match(term: Tokens) -> bool:
-            return all(tok in tgt_vocab for tok in term)
-
-        def joint_match(src: Tokens, tgt: Tokens) -> bool:
-            return src_match(src) and tgt_match(tgt)
+    def joint_match(src: Tokens, tgt: Tokens) -> bool:
+        return any(
+            contains_contiguous(s, src) and contains_contiguous(t, tgt)
+            for s, t in reference.pairs
+        )
 
     def side_words(side_vocab: set[str], ref_vocab: set[str]) -> SideOverlap:
         found = sum(1 for w in side_vocab if w in ref_vocab)
@@ -359,8 +298,8 @@ def overlap_report(
 
     return OverlapReport(
         name=name or eval_set.name,
-        word_source=side_words(eval_src_vocab, src_vocab),
-        word_target=side_words(eval_tgt_vocab, tgt_vocab),
+        word_source=side_words(eval_src_vocab, reference.vocab("source")),
+        word_target=side_words(eval_tgt_vocab, reference.vocab("target")),
         term_source=SideOverlap(term_src_in, len(src_terms_distinct) - term_src_in),
         term_target=SideOverlap(term_tgt_in, len(tgt_terms_distinct) - term_tgt_in),
         term_joint=SideOverlap(joint_in, len(joint_distinct) - joint_in),

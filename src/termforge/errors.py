@@ -22,7 +22,7 @@ class SubwordFormatError(TermforgeError):
 
 
 class ModelFormatError(TermforgeError):
-    """A persisted model file is malformed or has the wrong version."""
+    """A persisted model or results file is malformed or has the wrong version."""
 
 
 class MarkupError(TermforgeError):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import Candidate, Lexicon, LexiconEntry, Normalization, Tokens, tokenize
+from .corpus import Candidate, Lexicon, LexiconEntry, tokenize
 from .smt import AnnotatedInput, EXCLUSIVE, Span, SpanCandidate
 
 UNIFORM = "uniform"
@@ -36,10 +36,8 @@ class VocabVector:
         return cls(raw)
 
     @classmethod
-    def from_text(
-        cls, text: str, normalization: Normalization = Normalization()
-    ) -> "VocabVector":
-        return cls.from_tokens(tokenize(text, normalization))
+    def from_text(cls, text: str) -> "VocabVector":
+        return cls.from_tokens(tokenize(text))
 
     @property
     def norm(self) -> float:
@@ -59,17 +57,9 @@ def cosine_score(x: VocabVector, y: VocabVector) -> float:
     return min(max(dot / denom, 0.0), 1.0)
 
 
-def domain_vector(
-    corpus_or_terms, normalization: Normalization = Normalization()
-) -> VocabVector:
-    """Domain vocabulary vector from a term list (token sequences or text)."""
-    tokens: list[str] = []
-    for item in corpus_or_terms:
-        if isinstance(item, str):
-            tokens.extend(tokenize(item, normalization))
-        else:
-            tokens.extend(item)
-    return VocabVector.from_tokens(tokens)
+def domain_vector(terms: Iterable[str]) -> VocabVector:
+    """Domain vocabulary vector from a list of term texts."""
+    return VocabVector.from_tokens(tok for term in terms for tok in tokenize(term))
 
 
 def rank_candidates(

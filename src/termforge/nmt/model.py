@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,13 +17,22 @@ RESERVED = (PAD, UNK, BOS, EOS)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 
 MAGIC = "termforge-nmt-v1"
+_HEADER_KEYS = (
+    "attention", "config", "segmentation", "src_bpe", "src_vocab", "tensors",
+    "tgt_bpe", "tgt_vocab",
+)
+# written into every header's config block for format stability; the
+# encoder has no positional table, so a file that enables one is rejected
+_NO_POSITIONAL = {"positional": False, "max_positions": 200}
 
 
 @dataclass
 class TrainConfig:
     """Desk-scale defaults: the 2-layer residual LSTM structure with sizes
     shrunk for CPU training.  ``embed`` defaults to ``hidden`` so the
-    layer-1 residual connection applies to the embedding stream itself."""
+    layer-1 residual connection applies to the embedding stream itself.
+    The encoder input is the word embedding alone: word order reaches the
+    model only through the recurrence."""
 
     layers: int = 2
     hidden: int = 64
@@ -37,8 +46,6 @@ class TrainConfig:
     seed: int = 42
     source_vocab_cap: int = 50000
     target_vocab_cap: int = 50000
-    positional: bool = False
-    max_positions: int = 200
 
     @property
     def embed_size(self) -> int:
@@ -109,8 +116,6 @@ def init_params(config: TrainConfig, n_src: int, n_tgt: int,
     params: dict[str, np.ndarray] = {}
     params["enc_E"] = uniform(n_src, m)
     params["dec_E"] = uniform(n_tgt, m)
-    if config.positional:
-        params["pos_E"] = uniform(config.max_positions, m)
     for l in range(1, config.layers + 1):
         enc_in = m if l == 1 else n
         params[f"enc_W_{l}"] = uniform(enc_in, 4 * n)
@@ -165,7 +170,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
     """Self-describing container: magic line, JSON header, raw tensors."""
     names = sorted(model.params)
     header = {
-        "config": asdict(model.config),
+        "config": {**asdict(model.config), **_NO_POSITIONAL},
         "segmentation": model.segmentation,
         "attention": "bilinear",  # the only kind
         "src_vocab": model.src_vocab.itos,
@@ -191,15 +196,33 @@ def save_model(model: Seq2SeqModel, path) -> None:
 
 
 def load_model(path) -> Seq2SeqModel:
+    """Read a :func:`save_model` file; a malformed one raises
+    :class:`ModelFormatError` naming ``path``."""
     with open(path, "rb") as f:
-        magic = f.readline().rstrip(b"\n").decode("utf-8")
+        magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != MAGIC:
             raise ModelFormatError(f"{path}: expected magic {MAGIC!r}, got {magic!r}")
-        header = json.loads(f.readline().decode("utf-8"))
-        if header.get("attention") != "bilinear":
+        try:
+            header = json.loads(f.readline().decode("utf-8"))
+        except ValueError as exc:
+            raise ModelFormatError(f"{path}: header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: header is not a JSON object")
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise ModelFormatError(f"{path}: header lacks {', '.join(missing)}")
+        if header["attention"] != "bilinear":
             raise ModelFormatError(
-                f"{path}: unsupported attention {header.get('attention')!r}"
+                f"{path}: unsupported attention {header['attention']!r}"
             )
+        config = dict(header["config"])
+        if config.pop("positional", False):
+            raise ModelFormatError(f"{path}: positional embeddings are not supported")
+        config.pop("max_positions", None)
+        known = {config_field.name for config_field in fields(TrainConfig)}
+        unknown = sorted(set(config) - known)
+        if unknown:
+            raise ModelFormatError(f"{path}: unknown config fields {', '.join(unknown)}")
         params: dict[str, np.ndarray] = {}
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
@@ -208,7 +231,6 @@ def load_model(path) -> Seq2SeqModel:
             if len(buf) != count * 8:
                 raise ModelFormatError(f"{path}: truncated tensor {spec['name']}")
             params[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-    config = TrainConfig(**header["config"])
 
     def parse_bpe(blob):
         if blob is None:
@@ -216,7 +238,7 @@ def load_model(path) -> Seq2SeqModel:
         return BpeModel([tuple(p) for p in blob["merges"]], marker=blob["marker"])
 
     return Seq2SeqModel(
-        config=config,
+        config=TrainConfig(**config),
         src_vocab=Vocab(list(header["src_vocab"])),
         tgt_vocab=Vocab(list(header["tgt_vocab"])),
         params=params,

@@ -87,12 +87,7 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
     cfg = model.config
     B, Ts = src_ids.shape
     n = cfg.hidden
-    x = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, m)
-    if cfg.positional:
-        if Ts > cfg.max_positions:
-            raise ValueError(f"source length {Ts} exceeds positional table")
-        x = x + params["pos_E"][:Ts][:, None, :]
-    inputs = x
+    inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, m)
     layer_caches = []
     finals = []
     for l in range(1, cfg.layers + 1):
@@ -146,10 +141,7 @@ def encode_backward(model, cache, d_top, d_finals, grads):
         if mask is not None:
             d_inputs *= mask
         d_states = d_inputs
-    d_x = d_states  # (Ts, B, m)
-    if cfg.positional:
-        grads["pos_E"][:Ts] += d_x.sum(axis=1)
-    np.add.at(grads["enc_E"], src_ids, d_x.transpose(1, 0, 2))
+    np.add.at(grads["enc_E"], src_ids, d_states.transpose(1, 0, 2))
 
 
 def _attention(params, h_top, enc_top):

@@ -23,7 +23,9 @@ import tempfile
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError, MarkupError
+from .errors import (
+    AlignmentError, ConfigError, EmptyCorpusError, MarkupError, ModelFormatError,
+)
 from .fixtures import write_fixture_files
 
 log = logging.getLogger("termforge.pipeline")
@@ -70,18 +72,10 @@ def _at_least(cfg: PipelineConfig, key: str, default: int, minimum: int) -> int:
     return value
 
 
-def _normalization(cfg: PipelineConfig) -> corpus.Normalization:
-    return corpus.Normalization(
-        lowercase=cfg.get_bool("normalize.lowercase", True),
-        split_punctuation=cfg.get_bool("normalize.split_punctuation", True),
-    )
-
-
 def _load_split(cfg: PipelineConfig, split: str) -> corpus.ParallelCorpus:
     return corpus.load_parallel(
         cfg.input_path(f"corpus.{split}.source"),
         cfg.input_path(f"corpus.{split}.target"),
-        normalization=_normalization(cfg),
         name=cfg.get(f"corpus.{split}.name", split),
     )
 
@@ -206,10 +200,7 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
         _at_least(cfg, "smt.max_phrase_len", 7, 1),
     )
     model = _parse_once("lm", lm.load_arpa, os.path.join(model_dir, "lm.arpa"))
-    weights_path = os.path.join(model_dir, weights_name)
-    if not os.path.exists(weights_path):
-        weights_path = os.path.join(model_dir, "weights.txt")
-    weights = smt.load_weights(weights_path)
+    weights = smt.load_weights(os.path.join(model_dir, weights_name))
     return model_dir, ptable, model, weights
 
 
@@ -267,7 +258,6 @@ def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
         seed=cfg.seed,
         source_vocab_cap=cfg.get_int("nmt.source_vocab_cap", 50000),
         target_vocab_cap=cfg.get_int("nmt.target_vocab_cap", 50000),
-        positional=cfg.get_bool("nmt.positional", False),
     )
     if adapt:
         config = dataclasses.replace(
@@ -297,18 +287,12 @@ def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
     train_corpus = _load_split(cfg, "train")
     src_bpe = tgt_bpe = None
     if segmentation == "bpe":
-        if cfg.get_bool("bpe.joint", False):
-            freqs = corpus.word_frequencies(
-                train_corpus.source_sentences + train_corpus.target_sentences
-            )
-            src_bpe = tgt_bpe = bpe.learn_bpe(freqs, merges)
-        else:
-            src_bpe = bpe.learn_bpe(
-                corpus.word_frequencies(train_corpus.source_sentences), merges
-            )
-            tgt_bpe = bpe.learn_bpe(
-                corpus.word_frequencies(train_corpus.target_sentences), merges
-            )
+        src_bpe = bpe.learn_bpe(
+            corpus.word_frequencies(train_corpus.source_sentences), merges
+        )
+        tgt_bpe = bpe.learn_bpe(
+            corpus.word_frequencies(train_corpus.target_sentences), merges
+        )
         _atomic_via(
             os.path.join(model_dir, "bpe.source.codes"),
             lambda tmp: bpe.save_bpe(src_bpe, tmp),
@@ -365,9 +349,7 @@ def run_inject(cfg: PipelineConfig) -> None:
         cfg, "inject.ranking", inject.UNIFORM, (inject.UNIFORM, inject.COSINE)
     )
     mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
-    lexicon = corpus.load_lexicon(
-        cfg.input_path("lexicon.path"), _normalization(cfg)
-    )
+    lexicon = corpus.load_lexicon(cfg.input_path("lexicon.path"))
     if ranking == inject.COSINE:
         dev = _load_split(cfg, "dev")
         domain = inject.domain_vector(
@@ -407,7 +389,6 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     beam_width = _at_least(cfg, "translate.beam", 5, 1)
     beam = _beam(cfg) if system == "smt" else None
     input_path = cfg.input_path("translate.input")
-    norm = _normalization(cfg)
     with open(input_path, encoding="utf-8") as f:
         lines = [
             (lineno, line.rstrip("\n"))
@@ -417,11 +398,14 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
 
     if system == "smt":
         weights_name = cfg.get("translate.weights", "weights.txt")
+        weights_path = os.path.join(cfg.path("model.smt.dir", "smt-model"), weights_name)
+        if not os.path.exists(weights_path):
+            raise ConfigError(f"translate.weights: {weights_path} does not exist")
         _, ptable, model, weights = _smt_artifacts(cfg, weights_name)
 
         def translate_line(lineno, line):
             try:
-                annotated = smt.parse_markup(line, mode=mode, normalization=norm)
+                annotated = smt.parse_markup(line, mode=mode)
             except MarkupError as exc:
                 raise MarkupError(f"{input_path}: line {lineno}: {exc}") from None
             return smt.decode(annotated, ptable, model, weights, beam).tokens
@@ -432,10 +416,10 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         lexicon = None
         lex_path = cfg.get("translate.replace_unk_lexicon")
         if lex_path is not None:
-            lexicon = corpus.load_lexicon(cfg.input_path("translate.replace_unk_lexicon"), norm)
+            lexicon = corpus.load_lexicon(cfg.input_path("translate.replace_unk_lexicon"))
 
         def translate_line(lineno, line):
-            tokens = corpus.tokenize(line, norm)
+            tokens = corpus.tokenize(line)
             out, trace, _ = nmt.translate(model, tokens, beam_width=beam_width)
             if model.segmentation == "word":
                 return nmt.replace_unk(out, trace, tokens, lexicon)
@@ -455,11 +439,18 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
     """Score a hypothesis file against references and record the scores in
     the results TSV consumed by the report subcommand, replacing the rows of
     an earlier run for the same (system, evalset) in place."""
-    norm = _normalization(cfg)
-    with open(cfg.input_path("evaluate.hypotheses"), encoding="utf-8") as f:
-        hyps = [corpus.tokenize(line, norm) for line in f.read().splitlines()]
-    with open(cfg.input_path("evaluate.references"), encoding="utf-8") as f:
-        refs = [corpus.tokenize(line, norm) for line in f.read().splitlines()]
+    hyp_path = cfg.input_path("evaluate.hypotheses")
+    ref_path = cfg.input_path("evaluate.references")
+    with open(hyp_path, encoding="utf-8") as f:
+        hyps = [corpus.tokenize(line) for line in f.read().splitlines()]
+    with open(ref_path, encoding="utf-8") as f:
+        refs = [corpus.tokenize(line) for line in f.read().splitlines()]
+    if len(hyps) != len(refs):
+        raise AlignmentError(
+            f"{hyp_path}: {len(hyps)} lines vs {ref_path}: {len(refs)} lines"
+        )
+    if not hyps:
+        raise EmptyCorpusError(f"{hyp_path} and {ref_path} have no lines")
     score = metrics.score_all(hyps, refs)
     system = cfg.get("evaluate.system", "system")
     evalset = cfg.get("evaluate.evalset", "eval")
@@ -490,11 +481,18 @@ def run_report(cfg: PipelineConfig) -> str:
     results_path = cfg.input_path("evaluate.results")
     table: dict[str, dict[str, dict[str, float]]] = {}
     with open(results_path, encoding="utf-8") as f:
-        for line in f.read().splitlines():
+        for lineno, line in enumerate(f.read().splitlines(), start=1):
             if not line.strip():
                 continue
-            system, evalset, metric, value = line.split("\t")
-            table.setdefault(system, {}).setdefault(evalset, {})[metric] = float(value)
+            try:
+                system, evalset, metric, value = line.split("\t")
+                number = float(value)
+            except ValueError:
+                raise ModelFormatError(
+                    f"{results_path}: line {lineno}: expected "
+                    f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
+                ) from None
+            table.setdefault(system, {}).setdefault(evalset, {})[metric] = number
     results = {
         system: {
             evalset: metrics.MetricScore(

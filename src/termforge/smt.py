@@ -38,9 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .align import PROB_FLOOR, PhraseTable
-from .corpus import (
-    Normalization, ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize,
-)
+from .corpus import ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize
 from .errors import MarkupError, ModelFormatError
 from .lm import EOS, BOS, NgramLanguageModel
 from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
@@ -161,11 +159,7 @@ _MARKUP_RE = re.compile(
 _SEP_RE = re.compile(r"\s*\|\|\s*")
 
 
-def parse_markup(
-    line: str,
-    mode: str = EXCLUSIVE,
-    normalization: Normalization = Normalization(),
-) -> AnnotatedInput:
+def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
     """Parse a source line with ``<n translation=.. prob=..>span</n>`` markup.
 
     Both ``a||b`` and ``a || b`` separator spellings are accepted.  The given
@@ -175,7 +169,7 @@ def parse_markup(
     spans: list[Span] = []
     pos = 0
     for match in _MARKUP_RE.finditer(line):
-        tokens.extend(tokenize(line[pos:match.start()], normalization))
+        tokens.extend(tokenize(line[pos:match.start()]))
         translations = _SEP_RE.split(match.group(1).strip())
         if not translations or translations == [""]:
             raise MarkupError("translation attribute is empty")
@@ -191,18 +185,18 @@ def parse_markup(
                 raise MarkupError(f"bad probability: {exc}") from None
         else:
             probs = [1.0] * len(translations)
-        span_tokens = tokenize(match.group(3), normalization)
+        span_tokens = tokenize(match.group(3))
         if not span_tokens:
             raise MarkupError("empty span text")
         start = len(tokens)
         tokens.extend(span_tokens)
         candidates = [
-            SpanCandidate(tokenize(text, normalization), prob)
+            SpanCandidate(tokenize(text), prob)
             for text, prob in zip(translations, probs)
         ]
         spans.append(Span(start, len(tokens), candidates, mode))
         pos = match.end()
-    tokens.extend(tokenize(line[pos:], normalization))
+    tokens.extend(tokenize(line[pos:]))
     annotated = AnnotatedInput(tuple(tokens), spans)
     annotated.validate()
     return annotated

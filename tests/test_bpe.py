@@ -65,10 +65,6 @@ class TestLearnBpe:
         second = learn_bpe(freqs, 20).merges
         assert first == second
 
-    def test_accepts_token_sequences(self):
-        model = learn_bpe([("low", "low"), ("lower",)], 2)
-        assert model.num_merges == 2
-
 
 class TestApplyBpe:
     def test_compound_splits_into_trained_units(self):

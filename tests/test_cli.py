@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from termforge.cli import main
-from termforge.config import PipelineConfig, load_config, parse_assignment
+from termforge.config import load_config, parse_assignment
 from termforge.errors import ConfigError
 
 BASE_CONFIG = """
@@ -98,11 +98,6 @@ class TestConfig:
     def test_parse_assignment_rejects_empty_key(self):
         with pytest.raises(ConfigError):
             parse_assignment("=value")
-
-    def test_missing_required_key(self):
-        cfg = PipelineConfig({})
-        with pytest.raises(ConfigError):
-            cfg.require("model.smt.dir")
 
 
 class TestCliPipeline:
@@ -307,6 +302,28 @@ class TestModelFiles:
         assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
 
+    def test_missing_weights_file_is_named(self, tmp_path, monkeypatch, capsys):
+        from termforge.smt import LogLinearWeights, save_weights
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        model_dir.mkdir(parents=True)
+        # the default weights exist; the named ones (adapt has not run) do not
+        save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
+        (tmp_path / "in.txt").write_text("a\n", encoding="utf-8")
+        sets = [
+            "--set", "translate.input=in.txt",
+            "--set", "translate.weights=weights-adapted.txt",
+        ]
+        assert run(["translate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert "translate.weights" in err
+        assert str(model_dir / "weights-adapted.txt") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "hypotheses.txt").exists()
+
+
 class TestEvaluate:
     def test_rerun_replaces_rows_in_place(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -337,6 +354,54 @@ class TestEvaluate:
         # the smt rows now hold the scores of the good hypotheses
         assert [v for *_, v in rows[:3]] == [v for *_, v in rows[3:]]
         assert float(rows[0][3]) == 100.0
+
+
+    @pytest.mark.parametrize(
+        "hyp, ref, message",
+        [
+            ("a b\n", "a b\nc d\n", "hyp.txt: 1 lines vs {}: 2 lines"),
+            ("", "", "have no lines"),
+        ],
+    )
+    def test_unusable_files_name_both(
+        self, tmp_path, monkeypatch, capsys, hyp, ref, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        (tmp_path / "ref.txt").write_text(ref, encoding="utf-8")
+        (tmp_path / "hyp.txt").write_text(hyp, encoding="utf-8")
+        sets = [
+            "--set", "evaluate.references=ref.txt",
+            "--set", "evaluate.hypotheses=hyp.txt",
+        ]
+        assert run(["evaluate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert str(tmp_path / "hyp.txt") in err
+        assert str(tmp_path / "ref.txt") in err
+        assert message.format(tmp_path / "ref.txt") in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "results.tsv").exists()
+
+
+class TestReport:
+    @pytest.mark.parametrize(
+        "bad_row", ["smt\ticdtoy\tbleu", "smt\ticdtoy\tbleu\thigh"]
+    )
+    def test_malformed_row_names_file_and_line(
+        self, tmp_path, monkeypatch, capsys, bad_row
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        results = tmp_path / "run" / "results.tsv"
+        results.parent.mkdir()
+        results.write_text(
+            f"smt\ticdtoy\tmeteor\t50.0\n\n{bad_row}\n", encoding="utf-8"
+        )
+        assert run(["report", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{results}: line 3: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "report.txt").exists()
 
 
 class TestTranslateBpe:

@@ -9,7 +9,6 @@ from termforge.corpus import (
     Candidate,
     Lexicon,
     LexiconEntry,
-    Normalization,
     ParallelCorpus,
     contains_contiguous,
     corpus_stats,
@@ -51,10 +50,6 @@ class TestTokenize:
 
     def test_lone_punctuation_survives(self):
         assert tokenize("a . b") == ("a", ".", "b")
-
-    def test_no_lowercase_option(self):
-        norm = Normalization(lowercase=False)
-        assert tokenize("Orbit", norm) == ("Orbit",)
 
 
 class TestLoadParallel:
@@ -345,27 +340,6 @@ class TestOverlapReport:
                 ]
             )
             assert rep.term_source.in_corpus <= full_cov
-
-    def test_lexicon_reference(self):
-        eval_set = ParallelCorpus([(("blood", "vessels"), ("blutgefäßen",))])
-        lex = Lexicon(
-            [
-                LexiconEntry(
-                    ("blood", "vessels"), [Candidate(("blutgefäßen",), None)]
-                )
-            ]
-        )
-        rep = overlap_report(eval_set, lex)
-        assert rep.term_source.in_corpus == 1
-        assert rep.term_joint.in_corpus == 1
-
-    def test_vocabulary_reference(self):
-        eval_set = ParallelCorpus([(("a", "b"), ("x", "z"))])
-        rep = overlap_report(eval_set, ({"a", "b"}, {"x", "y"}))
-        assert rep.word_source.coverage_percent == 100.0
-        assert rep.word_target.in_corpus == 1
-        assert rep.term_source.in_corpus == 1  # all words known
-        assert rep.term_target.in_corpus == 0  # 'z' unknown
 
     def test_empty_eval_set_rejected(self):
         with pytest.raises(EmptyCorpusError):

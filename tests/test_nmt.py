@@ -1,5 +1,6 @@
 """Neural model: gradients, residual structure, training, translation."""
 
+import json
 import math
 import random
 
@@ -30,10 +31,10 @@ from termforge.nmt.network import encode, loss_and_grads
 from termforge.nmt.train import _encode_pairs, _make_batches
 
 
-def tiny_model(layers=2, hidden=4, embed=None, seed=7, positional=False):
+def tiny_model(layers=2, hidden=4, embed=None, seed=7):
     cfg = TrainConfig(
         layers=layers, hidden=hidden, embed=embed, batch_size=2, dropout=0.0,
-        epochs=0, seed=seed, positional=positional, max_positions=16,
+        epochs=0, seed=seed,
     )
     pairs = [(("a", "b", "c"), ("x", "y")), (("b", "c", "a"), ("y", "z", "x"))]
     src_vocab = build_vocab((s for s, _ in pairs), 20)
@@ -114,10 +115,6 @@ class TestGradients:
 
     def test_finite_difference_check_residual_everywhere(self):
         model, batch = tiny_model(layers=2, hidden=4, embed=None)
-        assert gradient_check(model, batch, epsilon=1e-4) < 1e-4
-
-    def test_finite_difference_check_positional(self):
-        model, batch = tiny_model(layers=2, hidden=4, embed=None, positional=True)
         assert gradient_check(model, batch, epsilon=1e-4) < 1e-4
 
     def test_gradients_deterministic(self):
@@ -516,6 +513,52 @@ class TestCheckpoint:
         assert data.count(b'"attention": "bilinear"') == 1
         path.write_bytes(data.replace(b'"attention": "bilinear"', b'"attention": "dot"'))
         with pytest.raises(ModelFormatError, match="attention"):
+            load_model(path)
+
+    def test_header_as_previously_written_loads_equal(self, tmp_path):
+        path = tmp_path / "model.tfnmt"
+        model = tiny_model(layers=1)[0]
+        save_model(model, path)
+        with open(path, "rb") as f:
+            f.readline()
+            header = json.loads(f.readline())
+        # the config block keeps the pair the encoder no longer reads
+        assert header["config"] == {
+            "layers": 1, "hidden": 4, "embed": None, "batch_size": 2,
+            "dropout": 0.0, "epochs": 0, "learning_rate": 1.0,
+            "decay_factor": 0.5, "clip_norm": 5.0, "seed": 7,
+            "source_vocab_cap": 50000, "target_vocab_cap": 50000,
+            "positional": False, "max_positions": 200,
+        }
+        loaded = load_model(path)
+        assert loaded.config == model.config
+        assert loaded.params.keys() == model.params.keys()
+        for name in model.params:
+            assert np.array_equal(model.params[name], loaded.params[name])
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (b'"positional": false', b'"positional": true', "positional"),
+            (b'"seed": 7', b'"seed": 7, "heads": 2', "heads"),
+            (b'"tensors": ', b'"tensor_list": ', "tensors"),
+            (b'"attention": "bilinear", ', b'"attention": "bilinear" ', "JSON"),
+        ],
+    )
+    def test_malformed_header_names_the_file(self, tmp_path, old, new, message):
+        path = tmp_path / "model.tfnmt"
+        save_model(tiny_model(layers=1)[0], path)
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_binary_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.tfnmt"
+        path.write_bytes(b"\xff\xfe\n{}\n")
+        with pytest.raises(ModelFormatError, match="magic"):
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
