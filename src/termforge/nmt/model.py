@@ -103,34 +103,38 @@ def build_vocab(sequences: Iterable[Sequence[str]], cap: int) -> Vocab:
     return Vocab(itos)
 
 
-def init_params(config: TrainConfig, n_src: int, n_tgt: int,
-                rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Uniform(-0.1, 0.1) init for every tensor, in a fixed name order."""
+def param_shapes(config: TrainConfig, n_src: int, n_tgt: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor of a model, in a fixed name order;
+    the 1-d tensors are the biases."""
     n = config.hidden
     m = config.embed_size
-    scale = 0.1
-
-    def uniform(*shape):
-        return rng.uniform(-scale, scale, shape)
-
-    params: dict[str, np.ndarray] = {}
-    params["enc_E"] = uniform(n_src, m)
-    params["dec_E"] = uniform(n_tgt, m)
+    shapes: dict[str, tuple[int, ...]] = {"enc_E": (n_src, m), "dec_E": (n_tgt, m)}
     for l in range(1, config.layers + 1):
         enc_in = m if l == 1 else n
-        params[f"enc_W_{l}"] = uniform(enc_in, 4 * n)
-        params[f"enc_U_{l}"] = uniform(n, 4 * n)
-        params[f"enc_b_{l}"] = np.zeros(4 * n)
+        shapes[f"enc_W_{l}"] = (enc_in, 4 * n)
+        shapes[f"enc_U_{l}"] = (n, 4 * n)
+        shapes[f"enc_b_{l}"] = (4 * n,)
         dec_in = (m + n) if l == 1 else n
-        params[f"dec_W_{l}"] = uniform(dec_in, 4 * n)
-        params[f"dec_U_{l}"] = uniform(n, 4 * n)
-        params[f"dec_b_{l}"] = np.zeros(4 * n)
-    params["att_Wa"] = uniform(n, n)
-    params["att_Wc"] = uniform(2 * n, n)
-    params["att_bc"] = np.zeros(n)
-    params["out_W"] = uniform(n, n_tgt)
-    params["out_b"] = np.zeros(n_tgt)
-    return params
+        shapes[f"dec_W_{l}"] = (dec_in, 4 * n)
+        shapes[f"dec_U_{l}"] = (n, 4 * n)
+        shapes[f"dec_b_{l}"] = (4 * n,)
+    shapes["att_Wa"] = (n, n)
+    shapes["att_Wc"] = (2 * n, n)
+    shapes["att_bc"] = (n,)
+    shapes["out_W"] = (n, n_tgt)
+    shapes["out_b"] = (n_tgt,)
+    return shapes
+
+
+def init_params(config: TrainConfig, n_src: int, n_tgt: int,
+                rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform(-0.1, 0.1) init for every weight tensor and zeros for the
+    biases, drawn in :func:`param_shapes` order."""
+    scale = 0.1
+    return {
+        name: np.zeros(shape) if len(shape) == 1 else rng.uniform(-scale, scale, shape)
+        for name, shape in param_shapes(config, n_src, n_tgt).items()
+    }
 
 
 @dataclass
@@ -195,6 +199,25 @@ def save_model(model: Seq2SeqModel, path) -> None:
             f.write(np.ascontiguousarray(model.params[name], dtype=np.float64).tobytes())
 
 
+def _check_tensors(path, specs, expected: dict[str, tuple[int, ...]]) -> None:
+    """Raise :class:`ModelFormatError` naming the first tensor (in name
+    order) that the header lists differently from what its config and
+    vocabularies give: missing, unexpected or of another shape."""
+    listed = {spec["name"]: tuple(spec["shape"]) for spec in specs}
+    for name in sorted(listed.keys() | expected.keys()):
+        if name not in listed:
+            raise ModelFormatError(
+                f"{path}: tensor {name} missing; the config needs shape {expected[name]}"
+            )
+        if name not in expected:
+            raise ModelFormatError(f"{path}: tensor {name} is not part of the config's model")
+        if listed[name] != expected[name]:
+            raise ModelFormatError(
+                f"{path}: tensor {name} has shape {listed[name]}; "
+                f"the config needs {expected[name]}"
+            )
+
+
 def load_model(path) -> Seq2SeqModel:
     """Read a :func:`save_model` file; a malformed one raises
     :class:`ModelFormatError` naming ``path``."""
@@ -223,6 +246,12 @@ def load_model(path) -> Seq2SeqModel:
         unknown = sorted(set(config) - known)
         if unknown:
             raise ModelFormatError(f"{path}: unknown config fields {', '.join(unknown)}")
+        config = TrainConfig(**config)
+        src_vocab = Vocab(list(header["src_vocab"]))
+        tgt_vocab = Vocab(list(header["tgt_vocab"]))
+        _check_tensors(
+            path, header["tensors"], param_shapes(config, len(src_vocab), len(tgt_vocab))
+        )
         params: dict[str, np.ndarray] = {}
         for spec in header["tensors"]:
             shape = tuple(spec["shape"])
@@ -231,6 +260,9 @@ def load_model(path) -> Seq2SeqModel:
             if len(buf) != count * 8:
                 raise ModelFormatError(f"{path}: truncated tensor {spec['name']}")
             params[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        extra = len(f.read())
+        if extra:
+            raise ModelFormatError(f"{path}: {extra} bytes after the last tensor")
 
     def parse_bpe(blob):
         if blob is None:
@@ -238,9 +270,9 @@ def load_model(path) -> Seq2SeqModel:
         return BpeModel([tuple(p) for p in blob["merges"]], marker=blob["marker"])
 
     return Seq2SeqModel(
-        config=TrainConfig(**config),
-        src_vocab=Vocab(list(header["src_vocab"])),
-        tgt_vocab=Vocab(list(header["tgt_vocab"])),
+        config=config,
+        src_vocab=src_vocab,
+        tgt_vocab=tgt_vocab,
         params=params,
         segmentation=header["segmentation"],
         src_bpe=parse_bpe(header["src_bpe"]),

@@ -16,15 +16,23 @@ tests against a brute-force decoder rely on.  When pruning leaves no
 complete hypothesis, the sentence is searched again with a wider stack and
 distortion window, and a ``termforge.smt`` warning says so.
 
-The search loop does scalar work only.  A hypothesis holds its score,
-coverage bitmask, LM context, last phrase end, back-pointer, option and the
-LM log-probability of its step; each option's coverage mask and weighted
-phrase and word-penalty score are computed once per decode, so an extension
-adds that part, the weighted LM term and the distortion cost.  The LM terms
-come from memos that live for one search: (context, phrase) -> (log-prob,
-new context) and context -> end-of-sentence log-prob; only misses query the
-model.  The 7-dim feature vector of a returned result is rebuilt from its
-back-trace, adding each step's terms in search order.
+The search loop does scalar work only.  A stack maps a recombination key
+(coverage bitmask, LM context, last phrase end) to a (score, back-pointer,
+option, LM log-prob of the step) tuple; only the entries that survive
+pruning become ``_Hypothesis`` objects.  Each option's coverage mask and
+weighted phrase and word-penalty score are computed once per decode, so an
+extension adds that part, the weighted LM term and the distortion cost.
+The LM terms come from memos that live for one search: one dict per
+distinct phrase target, context -> (log-prob, new context), which each
+option holds directly, and context -> end-of-sentence log-prob; only misses
+query the model.  The 7-dim feature vector of a returned result is rebuilt
+from its back-trace, adding each step's terms in search order.
+
+MERT (Och 2003) searches each dev sentence once per weight vector: the
+n-best lists that measure the dev BLEU of an iteration's weights are the
+lists the next iteration adds to the pool.  A line-search pass prices every
+pool line once, and all seven dimensions of the pass share those dot
+products.
 """
 
 from __future__ import annotations
@@ -336,21 +344,24 @@ def _search(
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
     n = len(annotated.tokens)
-    # per start: (option, coverage mask, weighted phrase and word-penalty part)
-    options_by_start: list[list[tuple[_Option, int, float]]] = [[] for _ in range(n)]
+    keep = lm.order - 1
+    # LM memos for this decode: per distinct phrase target, context ->
+    # (log-prob, new context); and context -> end-of-sentence log-prob
+    phrase_lm: dict[Tokens, dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
+    eos_lm: dict[tuple[str, ...], float] = {}
+    # per start: (option, coverage mask, weighted phrase and word-penalty
+    # part, LM memo of the option's target)
+    options_by_start: list[list[tuple[_Option, int, float, dict]]] = [
+        [] for _ in range(n)
+    ]
     for opt in build_options(annotated, table):
         lf = opt.log_feats
         static = (
             w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
             - w_wp * len(opt.target)
         )
-        options_by_start[opt.start].append((opt, _mask(opt), static))
-
-    keep = lm.order - 1
-    # LM memos for this decode: (context, phrase) -> (log-prob, new context)
-    # and context -> end-of-sentence log-prob
-    phrase_lm: dict[tuple[tuple[str, ...], Tokens], tuple[float, tuple[str, ...]]] = {}
-    eos_lm: dict[tuple[str, ...], float] = {}
+        memo = phrase_lm.setdefault(opt.target, {})
+        options_by_start[opt.start].append((opt, _mask(opt), static, memo))
 
     def eos_logprob(ctx: tuple[str, ...]) -> float:
         eos = eos_lm.get(ctx)
@@ -358,41 +369,42 @@ def _search(
             eos = eos_lm[ctx] = lm.cond_logprob(EOS, ctx)
         return eos
 
-    init = _Hypothesis(0.0, 0, (BOS,), 0, None, None, 0.0)
     if n == 0:
+        init = _Hypothesis(0.0, 0, (BOS,), 0, None, None, 0.0)
         eos = eos_logprob(init.lm_ctx)
         return {(): _Hypothesis(w_lm * eos, 0, init.lm_ctx, 0, init, None, eos)}
 
     full = (1 << n) - 1
     limit = beam.distortion_limit
     finals: dict[Tokens, _Hypothesis] = {}
+    # a stack maps (coverage, LM context, last end) to (score, parent,
+    # option, LM log-prob); only the entries that survive pruning become
+    # _Hypothesis objects
     stacks: list[dict] = [{} for _ in range(n + 1)]
-    stacks[0][(0, (BOS,), 0)] = init
+    stacks[0][(0, (BOS,), 0)] = (0.0, None, None, 0.0)
 
     for k in range(n):
         ranked = sorted(
-            stacks[k].items(), key=lambda kv: (-kv[1].score, kv[0])
+            stacks[k].items(), key=lambda kv: (-kv[1][0], kv[0])
         )[: beam.stack_size]
-        for _, hyp in ranked:
-            coverage, ctx = hyp.coverage, hyp.lm_ctx
-            last, score = hyp.last_end, hyp.score
+        for (coverage, ctx, last), (score, parent, option, delta) in ranked:
+            hyp = _Hypothesis(score, coverage, ctx, last, parent, option, delta)
             prefix = None
             for start in range(max(0, last - limit), min(n, last + limit + 1)):
                 if coverage >> start & 1:
                     continue
                 dist_cost = w_dist * abs(start - last)
-                for opt, mask, static in options_by_start[start]:
+                for opt, mask, static, memo in options_by_start[start]:
                     if coverage & mask:
                         continue
-                    target = opt.target
-                    lm_entry = phrase_lm.get((ctx, target))
+                    lm_entry = memo.get(ctx)
                     if lm_entry is None:
                         history = list(ctx)
                         lm_delta = 0.0
-                        for tok in target:
+                        for tok in opt.target:
                             lm_delta += lm.cond_logprob(tok, history)
                             history.append(tok)
-                        lm_entry = phrase_lm[(ctx, target)] = (
+                        lm_entry = memo[ctx] = (
                             lm_delta, tuple(history[-keep:]) if keep else ()
                         )
                     lm_delta, new_ctx = lm_entry
@@ -403,7 +415,7 @@ def _search(
                         done_score = new_score + w_lm * eos
                         if prefix is None:
                             prefix = _target_tokens(hyp)
-                        output = prefix + target
+                        output = prefix + opt.target
                         old = finals.get(output)
                         if old is None or done_score > old.score:
                             last_step = _Hypothesis(
@@ -418,11 +430,8 @@ def _search(
                         stack = stacks[k + opt.end - opt.start]
                         key = (new_coverage, new_ctx, opt.end)
                         old = stack.get(key)
-                        if old is None or new_score > old.score:
-                            stack[key] = _Hypothesis(
-                                new_score, new_coverage, new_ctx, opt.end, hyp,
-                                opt, lm_delta,
-                            )
+                        if old is None or new_score > old[0]:
+                            stack[key] = (new_score, hyp, opt, lm_delta)
     return finals
 
 
@@ -499,7 +508,9 @@ def decode(
     """Translate one (possibly annotated) source into the best hypothesis.
 
     Source tokens with no translation options pass through verbatim, so the
-    decoder never fails on OOV input.
+    decoder never fails on OOV input.  Of outputs tied exactly on the best
+    score the largest token tuple wins (``decode_nbest`` lists the smallest
+    first).
     """
     finals = _search_complete(_as_annotated(source), table, lm, weights, beam)
     best = max(finals.items(), key=lambda kv: (kv[1].score, kv[0]))
@@ -531,7 +542,7 @@ def _upper_envelope(lines: list[tuple[float, float, int]]):
     ``lines`` holds (slope, intercept, id); returns [(x_from, id)] segments
     ordered by x.  Ids are stable under ties so the search is deterministic.
     """
-    lines = sorted(lines, key=lambda t: (t[0], t[1], t[2]))
+    lines = sorted(lines)
     # for equal slopes only the highest intercept can win
     dedup: list[tuple[float, float, int]] = []
     for b, a, idx in lines:
@@ -560,22 +571,31 @@ def _upper_envelope(lines: list[tuple[float, float, int]]):
             for i, (_, _, idx) in enumerate(hull)]
 
 
-def _line_search_dim(pools, stats, weights, dim):
+def _pool_dots(pools, weights) -> list[np.ndarray]:
+    """``w . f`` for every line of every sentence's pool."""
+    return [np.array([np.dot(weights, f) for f in feats]) for feats in pools]
+
+
+def _line_search_dim(pools, stats, weights, dim, dots=None):
     """Best value for one weight dimension by sweeping envelope breakpoints.
 
     Returns (best_lambda, best_bleu).  Among intervals tied on BLEU the
     widest wins and its midpoint is returned, which keeps the chosen weight
-    away from decision boundaries.  ``pools`` maps sentence -> list of
-    feature vectors; ``stats`` holds the matching BLEU statistics.
+    away from decision boundaries.  ``pools`` maps sentence -> feature
+    vectors (a list of them or one stacked array); ``stats`` holds the
+    matching BLEU statistics; ``dots`` is ``_pool_dots(pools, weights)``,
+    computed here when not given.
     """
+    if dots is None:
+        dots = _pool_dots(pools, weights)
+    w_dim = weights[dim]
     events: list[tuple[float, int, int]] = []  # (x, sentence, hyp index)
     active: list[int] = []
     for s_idx, feats in enumerate(pools):
-        lines = []
-        for h_idx, f in enumerate(feats):
-            a = float(np.dot(weights, f) - weights[dim] * f[dim])
-            b = float(f[dim])
-            lines.append((b, a, h_idx))
+        slopes = np.asarray(feats)[:, dim]
+        # the line of hypothesis h is a + b*x with a = w.f - w[dim]*f[dim]
+        intercepts = dots[s_idx] - w_dim * slopes
+        lines = list(zip(slopes.tolist(), intercepts.tolist(), range(len(slopes))))
         segments = _upper_envelope(lines)
         active.append(segments[0][1])
         for x, idx in segments[1:]:
@@ -611,42 +631,62 @@ def _line_search_dim(pools, stats, weights, dim):
     return best[2], best[0]
 
 
-def _pool_bleu(pools, stats, weights):
-    chosen = []
-    for s_idx, feats in enumerate(pools):
-        scores = [float(np.dot(weights, f)) for f in feats]
-        h_idx = max(range(len(scores)), key=lambda i: (scores[i], -i))
-        chosen.append(stats[s_idx][h_idx])
+def _pool_bleu(pools, stats, weights, dots=None):
+    """Corpus BLEU of each sentence's best pool line under ``weights`` (the
+    first of equally scored lines); ``dots`` as in ``_line_search_dim``."""
+    if dots is None:
+        dots = _pool_dots(pools, weights)
+    chosen = [stats[s_idx][int(np.argmax(d))] for s_idx, d in enumerate(dots)]
     return bleu_from_stats(*sum_bleu_stats(chosen))
 
 
 def _optimize_on_pool(pools, stats, start, max_passes=8):
     """Coordinate ascent on pool BLEU, taking the steepest dimension per
-    pass (first-improvement greedy is prone to knife-edge optima)."""
+    pass (first-improvement greedy is prone to knife-edge optima).  The
+    lines are priced once per pass: every dimension's search shares the
+    pass's ``w . f``."""
+    pools = [np.array(feats) for feats in pools]
     weights = start.copy()
-    best = _pool_bleu(pools, stats, weights)
+    dots = _pool_dots(pools, weights)
+    best = _pool_bleu(pools, stats, weights, dots)
     for _ in range(max_passes):
         best_dim, best_x, best_score = None, None, best
         for dim in range(len(FEATURE_NAMES)):
-            x, score = _line_search_dim(pools, stats, weights, dim)
+            x, score = _line_search_dim(pools, stats, weights, dim, dots)
             if score > best_score + 1e-9:
                 best_dim, best_x, best_score = dim, x, score
         if best_dim is None:
             break
         weights[best_dim] = best_x
         best = best_score
+        dots = _pool_dots(pools, weights)
     peak = float(np.abs(weights).max())
     if peak > 0:
         weights = weights / peak
     return weights, _pool_bleu(pools, stats, weights)
 
 
-def _corpus_bleu_decoding(dev, table, lm, weights, beam):
-    hyps = [decode(src, table, lm, weights, beam).tokens for src, _ in dev.pairs]
-    refs = [ref for _, ref in dev.pairs]
-    return bleu_from_stats(
-        *sum_bleu_stats(bleu_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
-    )
+def _search_dev(dev, table, lm, weights, beam, nbest):
+    """Search every dev sentence once under ``weights``.
+
+    Returns the ``nbest``-best lists as (tokens, features) pairs and the
+    dev BLEU of what ``decode`` outputs.  ``decode`` breaks exact score ties towards the larger output,
+    the n-best list towards the smaller one, so its output is the last of
+    the list's top-score entries; only when all ``nbest`` entries tie, and
+    the list may have cut the tie short, is the sentence decoded again.
+    """
+    w = LogLinearWeights(weights)
+    nbest_lists, sentence_stats = [], []
+    for src, ref in dev.pairs:
+        results = decode_nbest(src, table, lm, w, beam, nbest)
+        tied = [r.tokens for r in results if r.score == results[0].score]
+        if len(tied) < nbest:
+            output = max(tied)
+        else:
+            output = decode(src, table, lm, w, beam).tokens
+        nbest_lists.append([(r.tokens, r.features) for r in results])
+        sentence_stats.append(bleu_stats(output, ref))
+    return nbest_lists, bleu_from_stats(*sum_bleu_stats(sentence_stats))
 
 
 def mert_tune(
@@ -662,8 +702,12 @@ def mert_tune(
 ) -> LogLinearWeights:
     """Tune log-linear weights to maximize corpus BLEU on a development set.
 
-    Never returns weights that decode the dev set worse than ``init``: the
-    final step re-decodes with both and keeps the better.
+    Never returns weights that decode the dev set worse than ``init``: every
+    weight vector MERT decodes with, ``init`` included, has its dev BLEU
+    measured on the real decoder output, and the best one so far is kept
+    (the earliest among equals).  Each dev sentence is searched once per
+    weight vector: the n-best lists that measure the BLEU of an iteration's
+    weights are the lists the next iteration adds to the pool.
     """
     if not dev.pairs:
         raise ValueError("development set is empty")
@@ -672,23 +716,21 @@ def mert_tune(
     stats: list[list] = [[] for _ in dev.pairs]
     seen: list[set[Tokens]] = [set() for _ in dev.pairs]
 
-    best_weights = init.values.copy()
-    best_real = _corpus_bleu_decoding(dev, table, lm, init, beam)
     current = init.values.copy()
+    nbest_lists, best_real = _search_dev(dev, table, lm, current, beam, nbest)
+    best_weights = current.copy()
     for iteration in range(iterations):
         # n-best hypotheses under the current weights join the pool; weight
         # vectors that looked good on the pool but decode poorly thereby
         # contribute the counterexamples that correct the next line search
         grew = False
-        for s_idx, (src, ref) in enumerate(dev.pairs):
-            for result in decode_nbest(
-                src, table, lm, LogLinearWeights(current), beam, nbest
-            ):
-                if result.tokens in seen[s_idx]:
+        for s_idx, ((_, ref), nbest_list) in enumerate(zip(dev.pairs, nbest_lists)):
+            for tokens, features in nbest_list:
+                if tokens in seen[s_idx]:
                     continue
-                seen[s_idx].add(result.tokens)
-                pools[s_idx].append(result.features)
-                stats[s_idx].append(bleu_stats(result.tokens, ref))
+                seen[s_idx].add(tokens)
+                pools[s_idx].append(features)
+                stats[s_idx].append(bleu_stats(tokens, ref))
                 grew = True
         if not grew and iteration > 0:
             break
@@ -701,9 +743,7 @@ def mert_tune(
             if score > best_score + 1e-12:
                 best_w, best_score = w, score
         current = best_w
-        real = _corpus_bleu_decoding(
-            dev, table, lm, LogLinearWeights(current), beam
-        )
+        nbest_lists, real = _search_dev(dev, table, lm, current, beam, nbest)
         if real > best_real + 1e-12:
             best_real = real
             best_weights = current.copy()

@@ -555,6 +555,33 @@ class TestCheckpoint:
             load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a 1-layer model's tensors under a 2-layer config
+            (lambda data, shape: data.replace(b'"layers": 1', b'"layers": 2'),
+             "tensor dec_U_2 missing"),
+            # out_W listed transposed: same byte count, wrong shape
+            (lambda data, shape: data.replace(
+                b'"name": "out_W", "shape": [%d, %d]' % shape,
+                b'"name": "out_W", "shape": [%d, %d]' % shape[::-1]),
+             r"tensor out_W has shape \(7, 4\); the config needs \(4, 7\)"),
+            (lambda data, shape: data + b"\0", "1 bytes after the last tensor"),
+        ],
+        ids=["layers", "out_W-shape", "trailing-byte"],
+    )
+    def test_tensors_must_match_the_config(self, tmp_path, edit, message):
+        path = tmp_path / "model.tfnmt"
+        model = tiny_model(layers=1)[0]
+        save_model(model, path)
+        data = path.read_bytes()
+        changed = edit(data, model.params["out_W"].shape)
+        assert changed != data
+        path.write_bytes(changed)
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
     def test_binary_file_rejected(self, tmp_path):
         path = tmp_path / "bad.tfnmt"
         path.write_bytes(b"\xff\xfe\n{}\n")

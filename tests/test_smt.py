@@ -1,5 +1,7 @@
 """Stack decoder, injection semantics, markup round trip, MERT tuning."""
 
+from __future__ import annotations
+
 import math
 import random
 import re
@@ -7,24 +9,38 @@ import re
 import numpy as np
 import pytest
 
+from termforge import smt
 from termforge.align import PhraseOption, PhraseTable
-from termforge.corpus import ParallelCorpus
+from termforge.corpus import ParallelCorpus, Tokens
 from termforge.errors import MarkupError, ModelFormatError
-from termforge.lm import BOS, EOS, train_lm
-from termforge.metrics import bleu
+from termforge.lm import BOS, EOS, NgramLanguageModel, train_lm
+from termforge.metrics import (
+    BLEU_ORDER,
+    bleu,
+    bleu_from_stats,
+    bleu_stats,
+    sum_bleu_stats,
+)
 from termforge.smt import (
     CONSTRAINT,
     EXCLUSIVE,
     FEATURE_NAMES,
     INCLUSIVE,
+    MODES,
     AnnotatedInput,
     BeamConfig,
     DecodeResult,
     LogLinearWeights,
     Span,
     SpanCandidate,
+    _Hypothesis,
     _line_search_dim,
+    _mask,
+    _optimize_on_pool,
     _pool_bleu,
+    _target_tokens,
+    _upper_envelope,
+    build_options,
     decode,
     decode_nbest,
     format_markup,
@@ -474,6 +490,194 @@ class TestRebuiltFeatures:
             )
 
 
+def reference_search(
+    annotated: AnnotatedInput,
+    table: PhraseTable,
+    lm: NgramLanguageModel,
+    weights: LogLinearWeights,
+    beam: BeamConfig,
+) -> dict[Tokens, _Hypothesis]:
+    """The stack search as it was before stack entries became tuples and the
+    LM memo was split by target: every entry a ``_Hypothesis``, one
+    ``(context, target)`` memo."""
+    annotated.validate()
+    w = weights.values.tolist()
+    w_lm, w_wp, w_dist = w[4], w[5], w[6]
+    n = len(annotated.tokens)
+    # per start: (option, coverage mask, weighted phrase and word-penalty part)
+    options_by_start: list[list[tuple[_Option, int, float]]] = [[] for _ in range(n)]
+    for opt in build_options(annotated, table):
+        lf = opt.log_feats
+        static = (
+            w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
+            - w_wp * len(opt.target)
+        )
+        options_by_start[opt.start].append((opt, _mask(opt), static))
+
+    keep = lm.order - 1
+    # LM memos for this decode: (context, phrase) -> (log-prob, new context)
+    # and context -> end-of-sentence log-prob
+    phrase_lm: dict[tuple[tuple[str, ...], Tokens], tuple[float, tuple[str, ...]]] = {}
+    eos_lm: dict[tuple[str, ...], float] = {}
+
+    def eos_logprob(ctx: tuple[str, ...]) -> float:
+        eos = eos_lm.get(ctx)
+        if eos is None:
+            eos = eos_lm[ctx] = lm.cond_logprob(EOS, ctx)
+        return eos
+
+    init = _Hypothesis(0.0, 0, (BOS,), 0, None, None, 0.0)
+    if n == 0:
+        eos = eos_logprob(init.lm_ctx)
+        return {(): _Hypothesis(w_lm * eos, 0, init.lm_ctx, 0, init, None, eos)}
+
+    full = (1 << n) - 1
+    limit = beam.distortion_limit
+    finals: dict[Tokens, _Hypothesis] = {}
+    stacks: list[dict] = [{} for _ in range(n + 1)]
+    stacks[0][(0, (BOS,), 0)] = init
+
+    for k in range(n):
+        ranked = sorted(
+            stacks[k].items(), key=lambda kv: (-kv[1].score, kv[0])
+        )[: beam.stack_size]
+        for _, hyp in ranked:
+            coverage, ctx = hyp.coverage, hyp.lm_ctx
+            last, score = hyp.last_end, hyp.score
+            prefix = None
+            for start in range(max(0, last - limit), min(n, last + limit + 1)):
+                if coverage >> start & 1:
+                    continue
+                dist_cost = w_dist * abs(start - last)
+                for opt, mask, static in options_by_start[start]:
+                    if coverage & mask:
+                        continue
+                    target = opt.target
+                    lm_entry = phrase_lm.get((ctx, target))
+                    if lm_entry is None:
+                        history = list(ctx)
+                        lm_delta = 0.0
+                        for tok in target:
+                            lm_delta += lm.cond_logprob(tok, history)
+                            history.append(tok)
+                        lm_entry = phrase_lm[(ctx, target)] = (
+                            lm_delta, tuple(history[-keep:]) if keep else ()
+                        )
+                    lm_delta, new_ctx = lm_entry
+                    new_score = score + (static + w_lm * lm_delta - dist_cost)
+                    new_coverage = coverage | mask
+                    if new_coverage == full:
+                        eos = eos_logprob(new_ctx)
+                        done_score = new_score + w_lm * eos
+                        if prefix is None:
+                            prefix = _target_tokens(hyp)
+                        output = prefix + target
+                        old = finals.get(output)
+                        if old is None or done_score > old.score:
+                            last_step = _Hypothesis(
+                                new_score, full, new_ctx, opt.end, hyp, opt,
+                                lm_delta,
+                            )
+                            finals[output] = _Hypothesis(
+                                done_score, full, new_ctx, opt.end, last_step,
+                                None, eos,
+                            )
+                    else:
+                        stack = stacks[k + opt.end - opt.start]
+                        key = (new_coverage, new_ctx, opt.end)
+                        old = stack.get(key)
+                        if old is None or new_score > old.score:
+                            stack[key] = _Hypothesis(
+                                new_score, new_coverage, new_ctx, opt.end, hyp,
+                                opt, lm_delta,
+                            )
+    return finals
+
+
+def coarse_setup(rng, n_src=5, n_tgt=4):
+    """Table and LM over few words with probabilities from a short list, so
+    that different derivations often tie exactly on score.  The LM is a
+    uniform unigram model, under which every stack key of a coverage and
+    last end collides, or a trigram model, whose contexts hold two words."""
+    src_vocab = [f"s{i}" for i in range(n_src)]
+    tgt_vocab = [f"t{i}" for i in range(n_tgt)]
+    probs = (0.25, 0.5, 1.0)
+    entries = {}
+    for sw in src_vocab:
+        entries[(sw,)] = [
+            PhraseOption((tw,), (rng.choice(probs),) * 4)
+            for tw in rng.sample(tgt_vocab, k=rng.randint(1, 3))
+        ]
+    for _ in range(3):
+        i = rng.randrange(n_src - 1)
+        entries.setdefault((src_vocab[i], src_vocab[i + 1]), []).append(
+            PhraseOption(tuple(rng.sample(tgt_vocab, k=2)), (rng.choice(probs),) * 4)
+        )
+    table = PhraseTable(entries, max_phrase_len=2)
+    lm = train_lm(
+        [tuple(tgt_vocab)] * 2 + [(w,) for w in tgt_vocab], order=rng.choice((1, 3))
+    )
+    return src_vocab, table, lm
+
+
+def annotated_variants(rng, tokens, tgt_words):
+    """The plain input and one input per injection mode with a random span."""
+    variants = [AnnotatedInput(tokens)]
+    for mode in MODES:
+        start = rng.randrange(len(tokens))
+        end = rng.randint(start + 1, min(len(tokens), start + 2))
+        candidates = [
+            SpanCandidate(tuple(rng.sample(tgt_words, k=rng.randint(1, 2))),
+                          rng.choice((0.5, 1.0)))
+            for _ in range(rng.randint(1, 2))
+        ]
+        variants.append(AnnotatedInput(tokens, [Span(start, end, candidates, mode)]))
+    return variants
+
+
+class TestSearchAgainstReference:
+    """The search keeps tuple stack entries and per-target LM memos; its
+    results must be bit-equal to those of the search it replaced, ties
+    included."""
+
+    @pytest.mark.parametrize("stack", [1, 2, 3, 10])
+    def test_nbest_bit_equal(self, stack, monkeypatch):
+        rng = random.Random(stack)
+        tied = 0
+        for trial in range(10):
+            if trial % 2:
+                src_vocab, table, lm = coarse_setup(rng)
+                weights = LogLinearWeights(np.array(
+                    [rng.choice((0.5, 1.0)) for _ in range(5)] + [0.5, 0.5]
+                ))
+            else:
+                src_vocab, table, lm = random_setup(rng)
+                weights = LogLinearWeights(np.array(
+                    [rng.uniform(0.2, 1.0) for _ in range(5)] + [0.1, 0.4]
+                ))
+            tokens = tuple(rng.choices(src_vocab, k=rng.randint(1, 6)))
+            tgt_words = sorted({t for opts in table.entries.values()
+                                for o in opts for t in o.target})
+            for annotated in annotated_variants(rng, tokens, tgt_words):
+                for limit in range(4):
+                    beam = BeamConfig(stack_size=stack, distortion_limit=limit)
+                    got = decode_nbest(annotated, table, lm, weights, beam, n=10**6)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(smt, "_search", reference_search)
+                        want = decode_nbest(annotated, table, lm, weights, beam, n=10**6)
+                    assert [r.tokens for r in got] == [r.tokens for r in want]
+                    assert [r.score for r in got] == [r.score for r in want]
+                    for a, b in zip(got, want):
+                        assert np.array_equal(a.features, b.features)
+                        assert a.trace == b.trace
+                    # decode breaks ties towards the larger output
+                    top = [r.tokens for r in got if r.score == got[0].score]
+                    assert decode(annotated, table, lm, weights, beam).tokens == max(top)
+                    scores = [r.score for r in got]
+                    tied += len(scores) - len(set(scores))
+        assert tied > 0  # exact score ties were exercised
+
+
 class TestInjectionGuarantees:
     def test_randomized_span_semantics(self):
         rng = random.Random(404)
@@ -590,6 +794,264 @@ def sign_corruption_task(seed=0):
 def dev_bleu(dev, table, lm, weights):
     hyps = [decode(src, table, lm, weights).tokens for src, _ in dev.pairs]
     return bleu(hyps, [ref for _, ref in dev.pairs])
+
+
+def reference_line_search_dim(pools, stats, weights, dim):
+    """Best value for one weight dimension by sweeping envelope breakpoints.
+
+    Returns (best_lambda, best_bleu).  Among intervals tied on BLEU the
+    widest wins and its midpoint is returned, which keeps the chosen weight
+    away from decision boundaries.  ``pools`` maps sentence -> list of
+    feature vectors; ``stats`` holds the matching BLEU statistics.
+    """
+    events: list[tuple[float, int, int]] = []  # (x, sentence, hyp index)
+    active: list[int] = []
+    for s_idx, feats in enumerate(pools):
+        lines = []
+        for h_idx, f in enumerate(feats):
+            a = float(np.dot(weights, f) - weights[dim] * f[dim])
+            b = float(f[dim])
+            lines.append((b, a, h_idx))
+        segments = _upper_envelope(lines)
+        active.append(segments[0][1])
+        for x, idx in segments[1:]:
+            events.append((x, s_idx, idx))
+    events.sort()
+
+    # corpus statistics of the active hypotheses, updated at each event by
+    # swapping one sentence's integer counts (exact, so no re-summing)
+    correct, total, hyp_len, ref_len = sum_bleu_stats(
+        stats[s_idx][h_idx] for s_idx, h_idx in enumerate(active)
+    )
+    current_bleu = bleu_from_stats(correct, total, hyp_len, ref_len)
+    if not events:
+        return float(weights[dim]), current_bleu
+    edge = 2.0  # pseudo-width for the unbounded end intervals
+    best = (current_bleu, edge, min(events[0][0] - edge / 2, float(weights[dim])))
+    for i, (x, s_idx, h_idx) in enumerate(events):
+        c_out, t_out, hl_out, rl_out = stats[s_idx][active[s_idx]]
+        c_in, t_in, hl_in, rl_in = stats[s_idx][h_idx]
+        for n in range(BLEU_ORDER):
+            correct[n] += c_in[n] - c_out[n]
+            total[n] += t_in[n] - t_out[n]
+        hyp_len += hl_in - hl_out
+        ref_len += rl_in - rl_out
+        active[s_idx] = h_idx
+        right = events[i + 1][0] if i + 1 < len(events) else x + edge
+        score = bleu_from_stats(correct, total, hyp_len, ref_len)
+        cand = (score, right - x, (x + right) / 2.0)
+        if (cand[0], cand[1]) > (best[0] + 1e-12, best[1]):
+            best = cand
+        elif abs(cand[0] - best[0]) <= 1e-12 and cand[1] > best[1]:
+            best = (best[0], cand[1], cand[2])
+    return best[2], best[0]
+
+
+def reference_pool_bleu(pools, stats, weights):
+    # one np.dot per pool line, as before the dot products were shared
+    chosen = []
+    for s_idx, feats in enumerate(pools):
+        scores = [float(np.dot(weights, f)) for f in feats]
+        h_idx = max(range(len(scores)), key=lambda i: (scores[i], -i))
+        chosen.append(stats[s_idx][h_idx])
+    return bleu_from_stats(*sum_bleu_stats(chosen))
+
+
+def reference_optimize_on_pool(pools, stats, start, max_passes=8):
+    """Coordinate ascent on pool BLEU, taking the steepest dimension per
+    pass (first-improvement greedy is prone to knife-edge optima)."""
+    weights = start.copy()
+    best = reference_pool_bleu(pools, stats, weights)
+    for _ in range(max_passes):
+        best_dim, best_x, best_score = None, None, best
+        for dim in range(len(FEATURE_NAMES)):
+            x, score = reference_line_search_dim(pools, stats, weights, dim)
+            if score > best_score + 1e-9:
+                best_dim, best_x, best_score = dim, x, score
+        if best_dim is None:
+            break
+        weights[best_dim] = best_x
+        best = best_score
+    peak = float(np.abs(weights).max())
+    if peak > 0:
+        weights = weights / peak
+    return weights, reference_pool_bleu(pools, stats, weights)
+
+
+def reference_corpus_bleu_decoding(dev, table, lm, weights, beam):
+    hyps = [decode(src, table, lm, weights, beam).tokens for src, _ in dev.pairs]
+    refs = [ref for _, ref in dev.pairs]
+    return bleu_from_stats(
+        *sum_bleu_stats(bleu_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
+    )
+
+
+def reference_mert_tune(
+    dev: ParallelCorpus,
+    table: PhraseTable,
+    lm: NgramLanguageModel,
+    init: LogLinearWeights,
+    restarts: int = 3,
+    iterations: int = 4,
+    nbest: int = 100,
+    seed: int = 42,
+    beam: BeamConfig = BeamConfig(),
+) -> LogLinearWeights:
+    """MERT as it was before the n-best lists were reused: every iteration
+    searches the dev set twice, once with ``decode`` for its BLEU and once
+    with ``decode_nbest`` for the pool, and each dimension of a line-search
+    pass prices every pool line again."""
+    if not dev.pairs:
+        raise ValueError("development set is empty")
+    rng = np.random.default_rng(seed)
+    pools: list[list[np.ndarray]] = [[] for _ in dev.pairs]
+    stats: list[list] = [[] for _ in dev.pairs]
+    seen: list[set[Tokens]] = [set() for _ in dev.pairs]
+
+    best_weights = init.values.copy()
+    best_real = reference_corpus_bleu_decoding(dev, table, lm, init, beam)
+    current = init.values.copy()
+    for iteration in range(iterations):
+        # n-best hypotheses under the current weights join the pool; weight
+        # vectors that looked good on the pool but decode poorly thereby
+        # contribute the counterexamples that correct the next line search
+        grew = False
+        for s_idx, (src, ref) in enumerate(dev.pairs):
+            for result in decode_nbest(
+                src, table, lm, LogLinearWeights(current), beam, nbest
+            ):
+                if result.tokens in seen[s_idx]:
+                    continue
+                seen[s_idx].add(result.tokens)
+                pools[s_idx].append(result.features)
+                stats[s_idx].append(bleu_stats(result.tokens, ref))
+                grew = True
+        if not grew and iteration > 0:
+            break
+        starts = [current.copy(), best_weights.copy()]
+        for _ in range(restarts):
+            starts.append(rng.uniform(-1.0, 1.0, len(FEATURE_NAMES)))
+        best_w, best_score = None, float("-inf")
+        for start in starts:
+            w, score = reference_optimize_on_pool(pools, stats, start)
+            if score > best_score + 1e-12:
+                best_w, best_score = w, score
+        current = best_w
+        real = reference_corpus_bleu_decoding(
+            dev, table, lm, LogLinearWeights(current), beam
+        )
+        if real > best_real + 1e-12:
+            best_real = real
+            best_weights = current.copy()
+    return LogLinearWeights(best_weights)
+
+
+def count_searches(monkeypatch) -> list:
+    """A list that grows by one per search (per ``build_options`` call)."""
+    searches = []
+    real_build_options = smt.build_options
+
+    def counted(*args):
+        searches.append(1)
+        return real_build_options(*args)
+
+    monkeypatch.setattr(smt, "build_options", counted)
+    return searches
+
+
+class TestMertAgainstReference:
+    """MERT with reused n-best lists and shared dot products against the
+    loop it replaced: bit-equal weights from fewer searches."""
+
+    @pytest.mark.parametrize("nbest", [5, 100])
+    @pytest.mark.parametrize("restarts, iterations", [(0, 1), (1, 2), (2, 3)])
+    @pytest.mark.parametrize("task_seed", [0, 9])
+    def test_weights_bit_equal_with_fewer_searches(
+        self, task_seed, restarts, iterations, nbest, monkeypatch
+    ):
+        dev, table, lm = sign_corruption_task(seed=task_seed)
+        init = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, -2.0, 0.0, 0.5]))
+        searches = count_searches(monkeypatch)
+        want = reference_mert_tune(
+            dev, table, lm, init, restarts=restarts, iterations=iterations,
+            nbest=nbest, seed=task_seed,
+        )
+        reference_searches = len(searches)
+        searches.clear()
+        got = mert_tune(
+            dev, table, lm, init, restarts=restarts, iterations=iterations,
+            nbest=nbest, seed=task_seed,
+        )
+        assert np.array_equal(got.values, want.values)
+        d = len(dev.pairs)
+        # each iteration that grew the pool searched the dev set twice in
+        # the reference and once here; the one that did not (if any) ended
+        # the loop after its n-best search
+        grown = (reference_searches // d - 1) // 2
+        assert reference_searches in (d * (2 * grown + 1), d * (2 * grown + 2))
+        assert len(searches) == d * (grown + 1)
+        if reference_searches == d * (2 * iterations + 1):
+            assert len(searches) == d * (iterations + 1)
+
+    @pytest.mark.parametrize("nbest", [1, 2, 5])
+    @pytest.mark.parametrize("init", [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],  # all monotone outputs tie
+        [0.0] * 7,  # every output ties
+    ])
+    @pytest.mark.parametrize("task_seed", [0, 9])
+    def test_tied_outputs_bit_equal(self, task_seed, init, nbest, monkeypatch):
+        # decode's output among tied n-best entries, or from a search of
+        # its own when every entry of a full list ties
+        dev, table, lm = sign_corruption_task(seed=task_seed)
+        init = LogLinearWeights(np.array(init))
+        searches = count_searches(monkeypatch)
+        want = reference_mert_tune(
+            dev, table, lm, init, restarts=1, iterations=2, nbest=nbest, seed=task_seed
+        )
+        reference_searches = len(searches)
+        searches.clear()
+        got = mert_tune(
+            dev, table, lm, init, restarts=1, iterations=2, nbest=nbest, seed=task_seed
+        )
+        assert np.array_equal(got.values, want.values)
+        assert len(searches) <= reference_searches
+
+    @pytest.mark.parametrize("nbest", [1, 2, 5, 1000])
+    def test_dev_bleu_is_decode_bleu(self, nbest):
+        # with all weights 0 every output ties: decode picks the largest
+        # token tuple, the n-best list starts with the smallest
+        dev, table, lm = sign_corruption_task(seed=0)
+        beam = BeamConfig()
+        rng = np.random.default_rng(nbest)
+        for values in [np.zeros(7), np.eye(7)[6], rng.uniform(-1, 1, 7)]:
+            nbest_lists, dev_bleu = smt._search_dev(dev, table, lm, values, beam, nbest)
+            assert dev_bleu == reference_corpus_bleu_decoding(
+                dev, table, lm, LogLinearWeights(values), beam
+            )
+            for (src, _), nbest_list in zip(dev.pairs, nbest_lists):
+                want = decode_nbest(src, table, lm, LogLinearWeights(values), beam, nbest)
+                assert [tokens for tokens, _ in nbest_list] == [r.tokens for r in want]
+                for (_, features), r in zip(nbest_list, want):
+                    assert np.array_equal(features, r.features)
+
+    def test_line_search_and_ascent_bit_equal(self):
+        rng = random.Random(31)
+        for trial in range(6):
+            pools, stats = random_pool(rng, hyps=8)
+            # repeated lines tie on every weight vector
+            for feats in pools:
+                feats[3] = feats[0].copy()
+            weights = np.array([rng.uniform(-1.0, 1.0) for _ in FEATURE_NAMES])
+            for dim in range(len(FEATURE_NAMES)):
+                want = reference_line_search_dim(pools, stats, weights, dim)
+                assert _line_search_dim(pools, stats, weights, dim) == want
+            assert _pool_bleu(pools, stats, weights) == reference_pool_bleu(
+                pools, stats, weights
+            )
+            got_w, got_bleu = _optimize_on_pool(pools, stats, weights)
+            want_w, want_bleu = reference_optimize_on_pool(pools, stats, weights)
+            assert np.array_equal(got_w, want_w)
+            assert got_bleu == want_bleu
 
 
 class TestMertTune:
