@@ -34,7 +34,7 @@ def _score_line(score) -> str:
 
 # subcommand -> run(cfg, force); return values are not used
 RUN = {
-    "prepare": lambda cfg, force: pipeline.run_prepare(cfg, force=force),
+    "prepare": lambda cfg, force: pipeline.run_prepare(cfg),
     "stats": lambda cfg, force: sys.stdout.write(pipeline.run_stats(cfg)),
     "train-smt": lambda cfg, force: pipeline.run_train_smt(cfg, force=force),
     "train-nmt": lambda cfg, force: pipeline.run_train_nmt(cfg, force=force),

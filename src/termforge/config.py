@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
 
 @dataclass
 class PipelineConfig:
@@ -41,17 +38,6 @@ class PipelineConfig:
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: {raw!r} is not a number") from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self.values.get(key)
-        if raw is None:
-            return default
-        lowered = raw.strip().lower()
-        if lowered in _TRUE:
-            return True
-        if lowered in _FALSE:
-            return False
-        raise ConfigError(f"{key}: {raw!r} is not a boolean")
 
     def path(self, key: str, default: str | None = None) -> str:
         raw = self.values.get(key, default)

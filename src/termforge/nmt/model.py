@@ -22,21 +22,21 @@ _HEADER_KEYS = (
     "tgt_bpe", "tgt_vocab",
 )
 # written into every header's config block for format stability; the
-# encoder has no positional table, so a file that enables one is rejected
-_NO_POSITIONAL = {"positional": False, "max_positions": 200}
+# encoder has no positional table, so a file that enables one is rejected,
+# and embeddings are ``hidden`` wide, so ``embed`` may only be null or that
+_FIXED_CONFIG = {"embed": None, "positional": False, "max_positions": 200}
 
 
 @dataclass
 class TrainConfig:
     """Desk-scale defaults: the 2-layer residual LSTM structure with sizes
-    shrunk for CPU training.  ``embed`` defaults to ``hidden`` so the
-    layer-1 residual connection applies to the embedding stream itself.
-    The encoder input is the word embedding alone: word order reaches the
-    model only through the recurrence."""
+    shrunk for CPU training.  Embeddings are ``hidden`` wide, so the
+    encoder's layer-1 residual connection applies to the embedding stream
+    itself.  The encoder input is the word embedding alone: word order
+    reaches the model only through the recurrence."""
 
     layers: int = 2
     hidden: int = 64
-    embed: int | None = None
     batch_size: int = 16
     dropout: float = 0.3
     epochs: int = 13
@@ -47,10 +47,6 @@ class TrainConfig:
     source_vocab_cap: int = 50000
     target_vocab_cap: int = 50000
 
-    @property
-    def embed_size(self) -> int:
-        return self.hidden if self.embed is None else self.embed
-
     def validate(self) -> None:
         """Raise ValueError for the first field out of range; the message
         starts with the field's name."""
@@ -58,7 +54,6 @@ class TrainConfig:
         for name, ok, rule in (
             ("layers", self.layers >= 1, ">= 1"),
             ("hidden", self.hidden >= 1, ">= 1"),
-            ("embed", self.embed_size >= 1, ">= 1"),
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -107,15 +102,12 @@ def param_shapes(config: TrainConfig, n_src: int, n_tgt: int) -> dict[str, tuple
     """Name and shape of every tensor of a model, in a fixed name order;
     the 1-d tensors are the biases."""
     n = config.hidden
-    m = config.embed_size
-    shapes: dict[str, tuple[int, ...]] = {"enc_E": (n_src, m), "dec_E": (n_tgt, m)}
+    shapes: dict[str, tuple[int, ...]] = {"enc_E": (n_src, n), "dec_E": (n_tgt, n)}
     for l in range(1, config.layers + 1):
-        enc_in = m if l == 1 else n
-        shapes[f"enc_W_{l}"] = (enc_in, 4 * n)
+        shapes[f"enc_W_{l}"] = (n, 4 * n)
         shapes[f"enc_U_{l}"] = (n, 4 * n)
         shapes[f"enc_b_{l}"] = (4 * n,)
-        dec_in = (m + n) if l == 1 else n
-        shapes[f"dec_W_{l}"] = (dec_in, 4 * n)
+        shapes[f"dec_W_{l}"] = (2 * n if l == 1 else n, 4 * n)
         shapes[f"dec_U_{l}"] = (n, 4 * n)
         shapes[f"dec_b_{l}"] = (4 * n,)
     shapes["att_Wa"] = (n, n)
@@ -163,18 +155,12 @@ class Seq2SeqModel:
             tgt_bpe=self.tgt_bpe,
         )
 
-    def encoder_residual(self, layer: int) -> bool:
-        return layer > 1 or self.config.embed_size == self.config.hidden
-
-    def decoder_residual(self, layer: int) -> bool:
-        return layer > 1  # layer 1 consumes [embedding; attentional vector]
-
 
 def save_model(model: Seq2SeqModel, path) -> None:
     """Self-describing container: magic line, JSON header, raw tensors."""
     names = sorted(model.params)
     header = {
-        "config": {**asdict(model.config), **_NO_POSITIONAL},
+        "config": {**asdict(model.config), **_FIXED_CONFIG},
         "segmentation": model.segmentation,
         "attention": "bilinear",  # the only kind
         "src_vocab": model.src_vocab.itos,
@@ -218,6 +204,48 @@ def _check_tensors(path, specs, expected: dict[str, tuple[int, ...]]) -> None:
             )
 
 
+def _parse_config(path, block) -> TrainConfig:
+    """The :class:`TrainConfig` of a header's config block; a field that is
+    unknown, of another type than its default or out of range raises
+    :class:`ModelFormatError` naming ``path`` and the field."""
+    if not isinstance(block, dict):
+        raise ModelFormatError(f"{path}: config is not a JSON object")
+    values = dict(block)
+    if values.pop("positional", False):
+        raise ModelFormatError(f"{path}: positional embeddings are not supported")
+    values.pop("max_positions", None)
+    embed = values.pop("embed", None)
+    known = {config_field.name: config_field for config_field in fields(TrainConfig)}
+    unknown = sorted(set(values) - known.keys())
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown config fields {', '.join(unknown)}")
+    for name, value in values.items():
+        kind = type(known[name].default)  # every field defaults to an int or a float
+        allowed = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ModelFormatError(
+                f"{path}: config field {name} must be {kind.__name__}, got {value!r}"
+            )
+    config = TrainConfig(**values)
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: config field {exc}") from None
+    if embed not in (None, config.hidden):
+        raise ModelFormatError(
+            f"{path}: config field embed must be null or hidden ({config.hidden}), "
+            f"got {embed!r}"
+        )
+    return config
+
+
+def _parse_vocab(path, header, key) -> Vocab:
+    itos = header[key]
+    if not isinstance(itos, list) or not all(isinstance(tok, str) for tok in itos):
+        raise ModelFormatError(f"{path}: {key} is not a list of strings")
+    return Vocab(itos)
+
+
 def load_model(path) -> Seq2SeqModel:
     """Read a :func:`save_model` file; a malformed one raises
     :class:`ModelFormatError` naming ``path``."""
@@ -238,17 +266,9 @@ def load_model(path) -> Seq2SeqModel:
             raise ModelFormatError(
                 f"{path}: unsupported attention {header['attention']!r}"
             )
-        config = dict(header["config"])
-        if config.pop("positional", False):
-            raise ModelFormatError(f"{path}: positional embeddings are not supported")
-        config.pop("max_positions", None)
-        known = {config_field.name for config_field in fields(TrainConfig)}
-        unknown = sorted(set(config) - known)
-        if unknown:
-            raise ModelFormatError(f"{path}: unknown config fields {', '.join(unknown)}")
-        config = TrainConfig(**config)
-        src_vocab = Vocab(list(header["src_vocab"]))
-        tgt_vocab = Vocab(list(header["tgt_vocab"]))
+        config = _parse_config(path, header["config"])
+        src_vocab = _parse_vocab(path, header, "src_vocab")
+        tgt_vocab = _parse_vocab(path, header, "tgt_vocab")
         _check_tensors(
             path, header["tensors"], param_shapes(config, len(src_vocab), len(tgt_vocab))
         )

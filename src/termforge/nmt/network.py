@@ -3,9 +3,11 @@
 The layer recurrence is ``state_l[i] = state_{l-1}[i] + cell(state_{l-1}[i],
 state_l[i-1])``: the cell consumes the previous layer's state at the same
 position and the *post-residual* state of its own layer at the previous
-position.  The residual sum is skipped only where dimensions differ (encoder
-layer 1 when embed != hidden, and decoder layer 1, whose input is the
-embedding concatenated with the previous attentional vector - input feeding).
+position.  Embeddings are ``hidden`` wide, so every encoder layer adds its
+input; decoder layers add theirs from layer 2 up, since decoder layer 1
+consumes the embedding concatenated with the previous attentional vector
+(input feeding).  :func:`_layer_step` and :func:`_layer_step_backward` are
+the one place that rule is written.
 
 The LSTM cell fuses its gate nonlinearities: one sigmoid pass over all 4n
 pre-activation columns, from which the input, forget and output gates are
@@ -29,27 +31,38 @@ def _sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def lstm_cell_forward(x, h_prev, c_prev, W, U, b):
-    """One LSTM step for a batch; returns (cell_output, new_memory, cache)."""
-    n = h_prev.shape[1]
-    z = x @ W + h_prev @ U + b
+def _layer_step(params, side, l, x, h, c):
+    """One step of layer ``l`` of ``side`` ("enc" or "dec") for a batch.
+
+    Runs the fused-gate cell on the input ``x`` and the layer's previous
+    (state, memory) and adds ``x`` to the cell output on every encoder
+    layer and on decoder layers above the first.  Returns (state, memory,
+    cache).
+    """
+    n = h.shape[1]
+    W, U, b = (params[f"{side}_{kind}_{l}"] for kind in "WUb")
+    z = x @ W + h @ U + b
     gates = _sigmoid(z)  # one pass over all 4n columns; g's are unused
     i = gates[:, :n]
     f = gates[:, n:2 * n]
     g = np.tanh(z[:, 2 * n:3 * n])
     o = gates[:, 3 * n:]
-    c = f * c_prev + i * g
-    hout = o * np.tanh(c)
-    return hout, c, (x, h_prev, c_prev, i, f, g, o, c)
+    c_new = f * c + i * g
+    state = o * np.tanh(c_new)
+    if side == "enc" or l > 1:
+        state = x + state
+    return state, c_new, (x, h, c, i, f, g, o, c_new)
 
 
-def lstm_cell_backward(dhout, dc_in, cache, W, U, grads, names):
-    """Backward through one step; accumulates into grads[names] = (W, U, b)."""
+def _layer_step_backward(params, side, l, ds, dc, cache, mask, grads):
+    """Backward through one :func:`_layer_step` given the gradients on its
+    state and memory; accumulates the weight gradients into ``grads`` and
+    returns (d_input, d_prev_state, d_prev_memory), the input gradient
+    scaled by the dropout ``mask`` that was applied to the input."""
     x, h_prev, c_prev, i, f, g, o, c = cache
-    wname, uname, bname = names
     tc = np.tanh(c)
-    do = dhout * tc
-    dc = dc_in + dhout * o * (1.0 - tc * tc)
+    do = ds * tc
+    dc = dc + ds * o * (1.0 - tc * tc)
     di = dc * g
     dg = dc * i
     df = dc * c_prev
@@ -63,11 +76,15 @@ def lstm_cell_backward(dhout, dc_in, cache, W, U, grads, names):
         ],
         axis=1,
     )
-    grads[wname] += x.T @ dz
-    grads[uname] += h_prev.T @ dz
-    grads[bname] += dz.sum(axis=0)
-    dx = dz @ W.T
-    dh_prev = dz @ U.T
+    grads[f"{side}_W_{l}"] += x.T @ dz
+    grads[f"{side}_U_{l}"] += h_prev.T @ dz
+    grads[f"{side}_b_{l}"] += dz.sum(axis=0)
+    dx = dz @ params[f"{side}_W_{l}"].T
+    dh_prev = dz @ params[f"{side}_U_{l}"].T
+    if side == "enc" or l > 1:
+        dx = dx + ds
+    if mask is not None:
+        dx = dx * mask
     return dx, dh_prev, dc_prev
 
 
@@ -87,11 +104,10 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
     cfg = model.config
     B, Ts = src_ids.shape
     n = cfg.hidden
-    inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, m)
+    inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, n)
     layer_caches = []
     finals = []
     for l in range(1, cfg.layers + 1):
-        residual = model.encoder_residual(l)
         mask = _dropout_mask(rng, inputs.shape, cfg.dropout) if l > 1 else None
         if mask is not None:
             inputs = inputs * mask
@@ -100,14 +116,10 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
         c = np.zeros((B, n))
         cell_caches = []
         for t in range(Ts):
-            hout, c, cache = lstm_cell_forward(
-                inputs[t], h, c,
-                params[f"enc_W_{l}"], params[f"enc_U_{l}"], params[f"enc_b_{l}"],
-            )
-            h = inputs[t] + hout if residual else hout
+            h, c, cache = _layer_step(params, "enc", l, inputs[t], h, c)
             states[t] = h
             cell_caches.append(cache)
-        layer_caches.append((inputs, cell_caches, mask, residual))
+        layer_caches.append((inputs, cell_caches, mask))
         finals.append((states[-1].copy(), c.copy()))
         inputs = states
     return inputs, finals, (src_ids, layer_caches)
@@ -121,49 +133,42 @@ def encode_backward(model, cache, d_top, d_finals, grads):
     Ts = d_top.shape[0]
     d_states = d_top.copy()
     for l in range(cfg.layers, 0, -1):
-        inputs, cell_caches, mask, residual = layer_caches[l - 1]
-        dh_final, dc_final = d_finals[l - 1]
+        inputs, cell_caches, mask = layer_caches[l - 1]
+        dh_final, dc_carry = d_finals[l - 1]
         d_states[-1] += dh_final
-        dh_carry = np.zeros_like(d_states[0])
-        dc_carry = dc_final.copy()
+        dh_carry = np.zeros_like(dh_final)
         d_inputs = np.empty_like(inputs)
-        W = params[f"enc_W_{l}"]
-        U = params[f"enc_U_{l}"]
-        names = (f"enc_W_{l}", f"enc_U_{l}", f"enc_b_{l}")
         for t in range(Ts - 1, -1, -1):
-            ds_t = d_states[t] + dh_carry
-            dx, dh_carry, dc_carry = lstm_cell_backward(
-                ds_t, dc_carry, cell_caches[t], W, U, grads, names
+            d_inputs[t], dh_carry, dc_carry = _layer_step_backward(
+                params, "enc", l, d_states[t] + dh_carry, dc_carry, cell_caches[t],
+                None if mask is None else mask[t], grads,
             )
-            if residual:
-                dx = dx + ds_t
-            d_inputs[t] = dx
-        if mask is not None:
-            d_inputs *= mask
         d_states = d_inputs
     np.add.at(grads["enc_E"], src_ids, d_states.transpose(1, 0, 2))
 
 
 def _attention(params, h_top, enc_top):
-    """Bilinear (general) attention: returns (weights, context, cache)."""
+    """Bilinear (general) attention and the attentional vector
+    hbar = tanh([ctx; h_top] Wc + bc): returns (hbar, weights, cache)."""
     q = h_top @ params["att_Wa"]                      # (B, n)
     scores = np.einsum("bn,tbn->bt", q, enc_top)      # (B, Ts)
     scores = scores - scores.max(axis=1, keepdims=True)
     exp = np.exp(scores)
     attn = exp / exp.sum(axis=1, keepdims=True)
     ctx = np.einsum("bt,tbn->bn", attn, enc_top)
-    return attn, ctx, (q, attn)
+    cat = np.concatenate([ctx, h_top], axis=1)
+    hbar = np.tanh(cat @ params["att_Wc"] + params["att_bc"])
+    return hbar, attn, (q, attn, cat)
 
 
 def _attention_backward(params, cache, enc_top, h_top, d_attnvec, hbar, grads):
-    """Backward through hbar = tanh([ctx; h_top] Wc + bc) and the attention.
+    """Backward through :func:`_attention`.
 
     Returns (dh_top, d_enc_top_delta).
     """
-    q, attn = cache
+    q, attn, cat = cache
     n = h_top.shape[1]
     dz = d_attnvec * (1.0 - hbar * hbar)
-    cat = np.concatenate([np.einsum("bt,tbn->bn", attn, enc_top), h_top], axis=1)
     grads["att_Wc"] += cat.T @ dz
     grads["att_bc"] += dz.sum(axis=0)
     dcat = dz @ params["att_Wc"].T
@@ -193,22 +198,15 @@ def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None
         mask = _dropout_mask(rng, x.shape, cfg.dropout) if l > 1 else None
         if mask is not None:
             x = x * mask
-        hout, c, cache = lstm_cell_forward(
-            x, h_layers[l - 1], c_layers[l - 1],
-            params[f"dec_W_{l}"], params[f"dec_U_{l}"], params[f"dec_b_{l}"],
+        x, c_layers[l - 1], cache = _layer_step(
+            params, "dec", l, x, h_layers[l - 1], c_layers[l - 1]
         )
-        h = x + hout if model.decoder_residual(l) else hout
-        step_caches.append((cache, mask, model.decoder_residual(l), x))
-        h_layers[l - 1] = h
-        c_layers[l - 1] = c
-        x = h
-    h_top = x
-    attn, ctx, att_cache = _attention(params, h_top, enc_top)
-    hbar = np.tanh(
-        np.concatenate([ctx, h_top], axis=1) @ params["att_Wc"] + params["att_bc"]
-    )
+        h_layers[l - 1] = x
+        step_caches.append((cache, mask))
+    # x is now the top layer's state
+    hbar, attn, att_cache = _attention(params, x, enc_top)
     if caches is not None:
-        caches.append((step_caches, att_cache, h_top, hbar))
+        caches.append((step_caches, att_cache, x, hbar))
     return hbar, attn
 
 
@@ -223,7 +221,6 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     cfg = model.config
     B, _ = src_ids.shape
     n = cfg.hidden
-    m = cfg.embed_size
     dec_in = tgt_ids[:, :-1]
     dec_out = tgt_ids[:, 1:]
     Tt = dec_in.shape[1]
@@ -283,23 +280,14 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
 
         ds = dh_top
         for l in range(cfg.layers, 0, -1):
-            cache, drop_mask, residual, _ = step_caches[l - 1]
-            ds_l = ds + dh_time[l - 1]
-            dx, dh_prev, dc_prev = lstm_cell_backward(
-                ds_l, dc_time[l - 1], cache,
-                params[f"dec_W_{l}"], params[f"dec_U_{l}"], grads,
-                (f"dec_W_{l}", f"dec_U_{l}", f"dec_b_{l}"),
+            cache, drop_mask = step_caches[l - 1]
+            ds, dh_time[l - 1], dc_time[l - 1] = _layer_step_backward(
+                params, "dec", l, ds + dh_time[l - 1], dc_time[l - 1], cache,
+                drop_mask, grads,
             )
-            if residual:
-                dx = dx + ds_l
-            if drop_mask is not None:
-                dx = dx * drop_mask
-            dh_time[l - 1] = dh_prev
-            dc_time[l - 1] = dc_prev
-            ds = dx
         # ds is now the gradient on [embedding; previous attentional vector]
-        np.add.at(grads["dec_E"], dec_in[:, t], ds[:, :m])
-        d_hbar_next = ds[:, m:]
+        np.add.at(grads["dec_E"], dec_in[:, t], ds[:, :n])
+        d_hbar_next = ds[:, n:]
 
     d_finals = list(zip(dh_time, dc_time))
     encode_backward(model, enc_cache, d_enc_top, d_finals, grads)

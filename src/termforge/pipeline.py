@@ -93,7 +93,7 @@ def _guard_model_dir(path: str, force: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_prepare(cfg: PipelineConfig, force: bool = False) -> None:
+def run_prepare(cfg: PipelineConfig) -> None:
     """Generate the synthetic fixture corpora when configured.
 
     With ``fixtures.dir`` set, writes the two-domain toy corpora and the
@@ -248,7 +248,6 @@ def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
     config = nmt.TrainConfig(
         layers=cfg.get_int("nmt.layers", 2),
         hidden=cfg.get_int("nmt.hidden", 64),
-        embed=cfg.get_int("nmt.embed", None),
         batch_size=cfg.get_int("nmt.batch_size", 16),
         dropout=cfg.get_float("nmt.dropout", 0.3),
         epochs=cfg.get_int("nmt.epochs", 13),

@@ -363,7 +363,7 @@ def test_criterion_05_mert_recovery():
 def test_criterion_06_nmt_correctness():
     with timer("6 NMT correctness", 300.0):
         # gradient check at tiny dims
-        cfg = TrainConfig(layers=2, hidden=4, embed=None, batch_size=2,
+        cfg = TrainConfig(layers=2, hidden=4, batch_size=2,
                           dropout=0.0, epochs=0, seed=7)
         pairs = [(("a", "b", "c"), ("x", "y")), (("b", "c", "a"), ("y", "z", "x"))]
         src_vocab = build_vocab((s for s, _ in pairs), 20)
@@ -378,8 +378,7 @@ def test_criterion_06_nmt_correctness():
         # Eq-1 residual structure, checked with independent cell math
         top, _, (_, layer_caches) = encode(model, batch[0])
         for l in range(1, cfg.layers + 1):
-            inputs, cell_caches, _, residual = layer_caches[l - 1]
-            assert residual
+            inputs, cell_caches, _ = layer_caches[l - 1]
             states = layer_caches[l][0] if l < cfg.layers else top
             W = model.params[f"enc_W_{l}"]
             U = model.params[f"enc_U_{l}"]
@@ -406,7 +405,7 @@ def test_criterion_06_nmt_correctness():
             seen.add(sent)
             copy_pairs.append((sent, sent))
         corpus = ParallelCorpus(copy_pairs)
-        copy_cfg = TrainConfig(layers=2, hidden=24, embed=None, batch_size=2,
+        copy_cfg = TrainConfig(layers=2, hidden=24, batch_size=2,
                                dropout=0.0, epochs=200, learning_rate=1.5, seed=3)
         trained = train(corpus, copy_cfg)
         exact = 0

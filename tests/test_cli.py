@@ -75,11 +75,9 @@ class TestConfig:
 
     def test_typed_getters(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("flag = true\nrate = 0.5\n", encoding="utf-8")
+        path.write_text("rate = 0.5\n", encoding="utf-8")
         cfg = load_config(path)
-        assert cfg.get_bool("flag", False) is True
         assert cfg.get_float("rate", 0.0) == 0.5
-        assert cfg.get_bool("missing", True) is True
         with pytest.raises(ConfigError):
             cfg.get_int("rate", 0)
 

@@ -27,14 +27,14 @@ from termforge.nmt import (
     translate,
 )
 from termforge.nmt.model import RESERVED, init_params
-from termforge.nmt.network import encode, loss_and_grads
+from termforge.nmt.network import decoder_step, encode, loss_and_grads
 from termforge.nmt.train import _encode_pairs, _make_batches
 
 
-def tiny_model(layers=2, hidden=4, embed=None, seed=7):
+def tiny_model(layers=2, hidden=4, seed=7):
     cfg = TrainConfig(
-        layers=layers, hidden=hidden, embed=embed, batch_size=2, dropout=0.0,
-        epochs=0, seed=seed,
+        layers=layers, hidden=hidden, batch_size=2, dropout=0.0, epochs=0,
+        seed=seed,
     )
     pairs = [(("a", "b", "c"), ("x", "y")), (("b", "c", "a"), ("y", "z", "x"))]
     src_vocab = build_vocab((s for s, _ in pairs), 20)
@@ -63,7 +63,7 @@ def copy_corpus(n_pairs=50, vocab_size=12, seed=0):
 
 
 COPY_CONFIG = TrainConfig(
-    layers=2, hidden=24, embed=None, batch_size=2, dropout=0.0,
+    layers=2, hidden=24, batch_size=2, dropout=0.0,
     epochs=200, learning_rate=1.5, seed=3,
 )
 
@@ -110,11 +110,12 @@ class TestBuildVocab:
 
 class TestGradients:
     def test_finite_difference_check_mixed_dims(self):
-        model, batch = tiny_model(layers=1, hidden=4, embed=3)
+        # one layer: the decoder's 2n-wide input beside the encoder's n-wide one
+        model, batch = tiny_model(layers=1, hidden=4)
         assert gradient_check(model, batch, epsilon=1e-4) < 1e-4
 
     def test_finite_difference_check_residual_everywhere(self):
-        model, batch = tiny_model(layers=2, hidden=4, embed=None)
+        model, batch = tiny_model(layers=2, hidden=4)
         assert gradient_check(model, batch, epsilon=1e-4) < 1e-4
 
     def test_gradients_deterministic(self):
@@ -139,7 +140,7 @@ def independent_cell_output(cache, W, U, b):
 
 
 def eq1_residual_deviation(model, src_ids, ablate=False):
-    """Max |state_l[i] - (state_{l-1}[i] + cell_output)| over residual layers.
+    """Max |state_l[i] - (state_{l-1}[i] + cell_output)| over the encoder layers.
 
     With ``ablate=True`` the residual term is dropped from the expectation,
     which must break the check on a real model.
@@ -148,9 +149,7 @@ def eq1_residual_deviation(model, src_ids, ablate=False):
     worst = 0.0
     L = model.config.layers
     for l in range(1, L + 1):
-        inputs, cell_caches, _, residual = layer_caches[l - 1]
-        if not residual:
-            continue
+        inputs, cell_caches, _ = layer_caches[l - 1]
         states = layer_caches[l][0] if l < L else top
         W = model.params[f"enc_W_{l}"]
         U = model.params[f"enc_U_{l}"]
@@ -164,38 +163,386 @@ def eq1_residual_deviation(model, src_ids, ablate=False):
 
 class TestResidualStructure:
     def test_eq1_holds_per_position(self):
-        model, batch = tiny_model(layers=3, hidden=5, embed=None)
+        model, batch = tiny_model(layers=3, hidden=5)
         src_ids, _ = batch
         assert eq1_residual_deviation(model, src_ids) < 1e-6
 
     def test_single_layer_residual_over_embeddings(self):
-        # with one layer and embed == hidden the layer state is the
-        # embedding stream plus the cell output
-        model, batch = tiny_model(layers=1, hidden=4, embed=None)
+        # with one layer the layer state is the embedding stream plus the
+        # cell output
+        model, batch = tiny_model(layers=1, hidden=4)
         src_ids, _ = batch
         assert eq1_residual_deviation(model, src_ids) < 1e-6
 
     def test_ablated_residual_fails_check(self):
-        model, batch = tiny_model(layers=2, hidden=4, embed=None)
+        model, batch = tiny_model(layers=2, hidden=4)
         src_ids, _ = batch
         assert eq1_residual_deviation(model, src_ids, ablate=True) > 1e-3
 
     def test_recurrence_consumes_post_residual_state(self):
         # the cached recurrent input at step t+1 must be the layer state at
         # t (embedding + cell output), not the bare cell output
-        model, batch = tiny_model(layers=2, hidden=4, embed=None)
+        model, batch = tiny_model(layers=2, hidden=4)
         src_ids, _ = batch
         top, _, (_, layer_caches) = encode(model, src_ids)
-        inputs, cell_caches, _, _ = layer_caches[1]
+        inputs, cell_caches, _ = layer_caches[1]
         states = top
         assert np.allclose(cell_caches[1][1], states[0], atol=1e-12)
 
-    def test_mismatched_dims_skip_layer1_residual(self):
-        model, batch = tiny_model(layers=2, hidden=4, embed=3)
-        assert not model.encoder_residual(1)
-        assert model.encoder_residual(2)
-        assert not model.decoder_residual(1)
-        assert model.decoder_residual(2)
+
+# The parent revision's network code, kept verbatim as an oracle for
+# `_layer_step`/`_layer_step_backward`, with the residual tests replaced by
+# their values now that embeddings are `hidden` wide: `encoder_residual(l)`
+# by True, `decoder_residual(l)` by `l > 1` and `embed_size` by `hidden`.
+
+
+def reference_sigmoid(x):
+    with np.errstate(over="ignore"):  # saturated gates flush to exactly 0/1
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_lstm_cell_forward(x, h_prev, c_prev, W, U, b):
+    """One LSTM step for a batch; returns (cell_output, new_memory, cache)."""
+    n = h_prev.shape[1]
+    z = x @ W + h_prev @ U + b
+    gates = reference_sigmoid(z)  # one pass over all 4n columns; g's are unused
+    i = gates[:, :n]
+    f = gates[:, n:2 * n]
+    g = np.tanh(z[:, 2 * n:3 * n])
+    o = gates[:, 3 * n:]
+    c = f * c_prev + i * g
+    hout = o * np.tanh(c)
+    return hout, c, (x, h_prev, c_prev, i, f, g, o, c)
+
+
+def reference_lstm_cell_backward(dhout, dc_in, cache, W, U, grads, names):
+    """Backward through one step; accumulates into grads[names] = (W, U, b)."""
+    x, h_prev, c_prev, i, f, g, o, c = cache
+    wname, uname, bname = names
+    tc = np.tanh(c)
+    do = dhout * tc
+    dc = dc_in + dhout * o * (1.0 - tc * tc)
+    di = dc * g
+    dg = dc * i
+    df = dc * c_prev
+    dc_prev = dc * f
+    dz = np.concatenate(
+        [
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ],
+        axis=1,
+    )
+    grads[wname] += x.T @ dz
+    grads[uname] += h_prev.T @ dz
+    grads[bname] += dz.sum(axis=0)
+    dx = dz @ W.T
+    dh_prev = dz @ U.T
+    return dx, dh_prev, dc_prev
+
+
+def reference_dropout_mask(rng, shape, rate):
+    if rng is None or rate <= 0.0:
+        return None
+    return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def reference_encode(model, src_ids: np.ndarray, rng=None):
+    """Run the encoder stack over a batch of equal-length sources.
+
+    Returns (top_states (Ts,B,n), per-layer final (state, memory), cache).
+    ``rng`` enables dropout between layers (training mode).
+    """
+    params = model.params
+    cfg = model.config
+    B, Ts = src_ids.shape
+    n = cfg.hidden
+    inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, m)
+    layer_caches = []
+    finals = []
+    for l in range(1, cfg.layers + 1):
+        residual = True
+        mask = reference_dropout_mask(rng, inputs.shape, cfg.dropout) if l > 1 else None
+        if mask is not None:
+            inputs = inputs * mask
+        states = np.empty((Ts, B, n))
+        h = np.zeros((B, n))
+        c = np.zeros((B, n))
+        cell_caches = []
+        for t in range(Ts):
+            hout, c, cache = reference_lstm_cell_forward(
+                inputs[t], h, c,
+                params[f"enc_W_{l}"], params[f"enc_U_{l}"], params[f"enc_b_{l}"],
+            )
+            h = inputs[t] + hout if residual else hout
+            states[t] = h
+            cell_caches.append(cache)
+        layer_caches.append((inputs, cell_caches, mask, residual))
+        finals.append((states[-1].copy(), c.copy()))
+        inputs = states
+    return inputs, finals, (src_ids, layer_caches)
+
+
+def reference_encode_backward(model, cache, d_top, d_finals, grads):
+    """Backpropagate attention and decoder-init gradients through the encoder."""
+    params = model.params
+    cfg = model.config
+    src_ids, layer_caches = cache
+    Ts = d_top.shape[0]
+    d_states = d_top.copy()
+    for l in range(cfg.layers, 0, -1):
+        inputs, cell_caches, mask, residual = layer_caches[l - 1]
+        dh_final, dc_final = d_finals[l - 1]
+        d_states[-1] += dh_final
+        dh_carry = np.zeros_like(d_states[0])
+        dc_carry = dc_final.copy()
+        d_inputs = np.empty_like(inputs)
+        W = params[f"enc_W_{l}"]
+        U = params[f"enc_U_{l}"]
+        names = (f"enc_W_{l}", f"enc_U_{l}", f"enc_b_{l}")
+        for t in range(Ts - 1, -1, -1):
+            ds_t = d_states[t] + dh_carry
+            dx, dh_carry, dc_carry = reference_lstm_cell_backward(
+                ds_t, dc_carry, cell_caches[t], W, U, grads, names
+            )
+            if residual:
+                dx = dx + ds_t
+            d_inputs[t] = dx
+        if mask is not None:
+            d_inputs *= mask
+        d_states = d_inputs
+    np.add.at(grads["enc_E"], src_ids, d_states.transpose(1, 0, 2))
+
+
+def reference_attention(params, h_top, enc_top):
+    """Bilinear (general) attention: returns (weights, context, cache)."""
+    q = h_top @ params["att_Wa"]                      # (B, n)
+    scores = np.einsum("bn,tbn->bt", q, enc_top)      # (B, Ts)
+    scores = scores - scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores)
+    attn = exp / exp.sum(axis=1, keepdims=True)
+    ctx = np.einsum("bt,tbn->bn", attn, enc_top)
+    return attn, ctx, (q, attn)
+
+
+def reference_attention_backward(params, cache, enc_top, h_top, d_attnvec, hbar, grads):
+    """Backward through hbar = tanh([ctx; h_top] Wc + bc) and the attention.
+
+    Returns (dh_top, d_enc_top_delta).
+    """
+    q, attn = cache
+    n = h_top.shape[1]
+    dz = d_attnvec * (1.0 - hbar * hbar)
+    cat = np.concatenate([np.einsum("bt,tbn->bn", attn, enc_top), h_top], axis=1)
+    grads["att_Wc"] += cat.T @ dz
+    grads["att_bc"] += dz.sum(axis=0)
+    dcat = dz @ params["att_Wc"].T
+    dctx = dcat[:, :n]
+    dh_top = dcat[:, n:].copy()
+    d_attn = np.einsum("bn,tbn->bt", dctx, enc_top)
+    d_enc = np.einsum("bt,bn->tbn", attn, dctx)
+    dscores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
+    dq = np.einsum("bt,tbn->bn", dscores, enc_top)
+    d_enc += np.einsum("bt,bn->tbn", dscores, q)
+    dh_top += dq @ params["att_Wa"].T
+    grads["att_Wa"] += h_top.T @ dq
+    return dh_top, d_enc
+
+
+def reference_decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None):
+    """One decoder step over the layer stack plus attention.
+
+    ``x_in`` is [embedding; previous attentional vector].  Mutates
+    ``h_layers``/``c_layers`` in place and returns (hbar, attn_row).
+    """
+    params = model.params
+    cfg = model.config
+    x = x_in
+    step_caches = []
+    for l in range(1, cfg.layers + 1):
+        mask = reference_dropout_mask(rng, x.shape, cfg.dropout) if l > 1 else None
+        if mask is not None:
+            x = x * mask
+        hout, c, cache = reference_lstm_cell_forward(
+            x, h_layers[l - 1], c_layers[l - 1],
+            params[f"dec_W_{l}"], params[f"dec_U_{l}"], params[f"dec_b_{l}"],
+        )
+        h = x + hout if l > 1 else hout
+        step_caches.append((cache, mask, l > 1, x))
+        h_layers[l - 1] = h
+        c_layers[l - 1] = c
+        x = h
+    h_top = x
+    attn, ctx, att_cache = reference_attention(params, h_top, enc_top)
+    hbar = np.tanh(
+        np.concatenate([ctx, h_top], axis=1) @ params["att_Wc"] + params["att_bc"]
+    )
+    if caches is not None:
+        caches.append((step_caches, att_cache, h_top, hbar))
+    return hbar, attn
+
+
+def reference_loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
+    """Teacher-forced cross-entropy over a batch; optionally with gradients.
+
+    ``src_ids`` is (B, Ts) without padding (batches bucket source lengths);
+    ``tgt_ids`` is (B, Tt+1) holding BOS + target + EOS + PAD.  The loss is
+    the mean negative log-likelihood per non-pad target token.
+    """
+    params = model.params
+    cfg = model.config
+    B, _ = src_ids.shape
+    n = cfg.hidden
+    m = cfg.hidden
+    dec_in = tgt_ids[:, :-1]
+    dec_out = tgt_ids[:, 1:]
+    Tt = dec_in.shape[1]
+    mask = (dec_out != 0).astype(np.float64)
+    total_tokens = float(mask.sum())
+    if total_tokens == 0:
+        raise ValueError("batch contains no target tokens")
+
+    enc_top, enc_finals, enc_cache = reference_encode(model, src_ids, rng=train_rng)
+    h_layers = [h.copy() for h, _ in enc_finals]
+    c_layers = [c.copy() for _, c in enc_finals]
+    hbar = np.zeros((B, n))
+
+    caches = []
+    probs_steps = []
+    loss = 0.0
+    for t in range(Tt):
+        emb = params["dec_E"][dec_in[:, t]]
+        x_in = np.concatenate([emb, hbar], axis=1)
+        hbar, _ = reference_decoder_step(
+            model, x_in, h_layers, c_layers, enc_top, rng=train_rng, caches=caches
+        )
+        logits = hbar @ params["out_W"] + params["out_b"]
+        logits -= logits.max(axis=1, keepdims=True)
+        exp = np.exp(logits)
+        probs = exp / exp.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore"):  # -inf here means divergence
+            logp = np.log(probs[np.arange(B), dec_out[:, t]])
+        loss -= float((logp * mask[:, t]).sum())
+        probs_steps.append(probs)
+    loss /= total_tokens
+    if not np.isfinite(loss):
+        return loss, None, total_tokens
+    if not with_grads:
+        return loss, None, total_tokens
+
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    d_enc_top = np.zeros_like(enc_top)
+    dh_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
+    dc_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
+    d_hbar_next = np.zeros((B, n))
+
+    for t in range(Tt - 1, -1, -1):
+        step_caches, att_cache, h_top, hbar_t = caches[t]
+        probs = probs_steps[t]
+        dlogits = probs.copy()
+        dlogits[np.arange(B), dec_out[:, t]] -= 1.0
+        dlogits *= (mask[:, t] / total_tokens)[:, None]
+        grads["out_W"] += hbar_t.T @ dlogits
+        grads["out_b"] += dlogits.sum(axis=0)
+        d_hbar = dlogits @ params["out_W"].T + d_hbar_next
+
+        dh_top, d_enc = reference_attention_backward(
+            params, att_cache, enc_top, h_top, d_hbar, hbar_t, grads
+        )
+        d_enc_top += d_enc
+
+        ds = dh_top
+        for l in range(cfg.layers, 0, -1):
+            cache, drop_mask, residual, _ = step_caches[l - 1]
+            ds_l = ds + dh_time[l - 1]
+            dx, dh_prev, dc_prev = reference_lstm_cell_backward(
+                ds_l, dc_time[l - 1], cache,
+                params[f"dec_W_{l}"], params[f"dec_U_{l}"], grads,
+                (f"dec_W_{l}", f"dec_U_{l}", f"dec_b_{l}"),
+            )
+            if residual:
+                dx = dx + ds_l
+            if drop_mask is not None:
+                dx = dx * drop_mask
+            dh_time[l - 1] = dh_prev
+            dc_time[l - 1] = dc_prev
+            ds = dx
+        # ds is now the gradient on [embedding; previous attentional vector]
+        np.add.at(grads["dec_E"], dec_in[:, t], ds[:, :m])
+        d_hbar_next = ds[:, m:]
+
+    d_finals = list(zip(dh_time, dc_time))
+    reference_encode_backward(model, enc_cache, d_enc_top, d_finals, grads)
+    return loss, grads, total_tokens
+
+
+def oracle_model(layers, dropout, hidden=5, n_src=9, n_tgt=8, seed=3):
+    cfg = TrainConfig(layers=layers, hidden=hidden, dropout=dropout, seed=seed)
+    src_vocab = Vocab(list(RESERVED) + [f"s{i}" for i in range(n_src - 4)])
+    tgt_vocab = Vocab(list(RESERVED) + [f"t{i}" for i in range(n_tgt - 4)])
+    params = init_params(cfg, n_src, n_tgt, np.random.default_rng(seed))
+    return Seq2SeqModel(cfg, src_vocab, tgt_vocab, params)
+
+
+def oracle_batch(B, n_src=9, n_tgt=8, Ts=4, Tt=5, seed=4):
+    """B sources of one length; BOS + target + EOS + PAD of varied lengths."""
+    rng = np.random.default_rng(seed)
+    src_ids = rng.integers(4, n_src, size=(B, Ts))
+    tgt_ids = np.zeros((B, Tt + 2), dtype=np.int64)
+    for row in range(B):
+        length = Tt - row % 3
+        tgt_ids[row, 0] = 2  # BOS
+        tgt_ids[row, 1:length + 1] = rng.integers(4, n_tgt, size=length)
+        tgt_ids[row, length + 1] = 3  # EOS
+    return src_ids, tgt_ids
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("B", [1, 2, 5])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+class TestLayerStepOracle:
+    """The layer-step network is bit-equal to the per-site residual code."""
+
+    def test_loss_and_grads(self, layers, B, dropout):
+        model = oracle_model(layers, dropout)
+        src_ids, tgt_ids = oracle_batch(B)
+        loss, grads, tokens = loss_and_grads(
+            model, src_ids, tgt_ids, train_rng=np.random.default_rng(9)
+        )
+        ref_loss, ref_grads, ref_tokens = reference_loss_and_grads(
+            model, src_ids, tgt_ids, train_rng=np.random.default_rng(9)
+        )
+        assert np.array_equal(loss, ref_loss)
+        assert tokens == ref_tokens
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    def test_encode_and_decoder_step(self, layers, B, dropout):
+        model = oracle_model(layers, dropout)
+        src_ids, _ = oracle_batch(B)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        top, finals, _ = encode(model, src_ids, rng=rng)
+        ref_top, ref_finals, _ = reference_encode(model, src_ids, rng=ref_rng)
+        assert np.array_equal(top, ref_top)
+        for (h, c), (ref_h, ref_c) in zip(finals, ref_finals, strict=True):
+            assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+
+        n = model.config.hidden
+        x_in = np.random.default_rng(1).uniform(-1, 1, (B, 2 * n))
+        h_layers, c_layers = [h for h, _ in finals], [c for _, c in finals]
+        ref_h_layers, ref_c_layers = list(h_layers), list(c_layers)
+        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, top, rng=rng)
+        ref_hbar, ref_attn = reference_decoder_step(
+            model, x_in, ref_h_layers, ref_c_layers, top, rng=ref_rng
+        )
+        assert np.array_equal(hbar, ref_hbar)
+        assert np.array_equal(attn, ref_attn)
+        for got, want in zip(h_layers + c_layers, ref_h_layers + ref_c_layers):
+            assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the same draws were made
 
 
 class TestTraining:
@@ -522,7 +869,7 @@ class TestCheckpoint:
         with open(path, "rb") as f:
             f.readline()
             header = json.loads(f.readline())
-        # the config block keeps the pair the encoder no longer reads
+        # the config block keeps the constant keys the model no longer reads
         assert header["config"] == {
             "layers": 1, "hidden": 4, "embed": None, "batch_size": 2,
             "dropout": 0.0, "epochs": 0, "learning_rate": 1.0,
@@ -543,6 +890,14 @@ class TestCheckpoint:
             (b'"seed": 7', b'"seed": 7, "heads": 2', "heads"),
             (b'"tensors": ', b'"tensor_list": ', "tensors"),
             (b'"attention": "bilinear", ', b'"attention": "bilinear" ', "JSON"),
+            (b'"layers": 1', b'"layers": "1"', "config field layers must be int"),
+            (b'"hidden": 4', b'"hidden": null', "config field hidden must be int"),
+            (b'"dropout": 0.0', b'"dropout": 1.5', "config field dropout must be in"),
+            (b'"embed": null', b'"embed": 3', "config field embed must be null or hidden"),
+            (b'"src_vocab": ["<pad>", "<unk>", "<s>", "</s>", "a", "b", "c"]',
+             b'"src_vocab": 5', "src_vocab is not a list of strings"),
+            (b'"tgt_vocab": ["<pad>"', b'"tgt_vocab": [7',
+             "tgt_vocab is not a list of strings"),
         ],
     )
     def test_malformed_header_names_the_file(self, tmp_path, old, new, message):
