@@ -4,10 +4,12 @@ EM runs over integer-encoded sentence pairs on a dense table; the E-step
 is one flat array pass over the corpus in :mod:`termforge._kernels`.  A
 null source token (index 0) absorbs target words with no lexical
 counterpart.  Viterbi links come from one table gather per sentence pair
-and an argmax per direction.  Grow-diag symmetrization keeps the covered
-source and target words in sets; phrase extraction grows each source span
-one word at a time over per-word link bounds, and a phrase's lexical
-weights are products of per-word factors taken once per sentence pair.
+and an argmax per direction; grow-diag-final symmetrization, the only
+one, combines the two directions and keeps the covered source and target
+words in sets.  Phrase extraction grows each source span one word at a
+time over per-word link bounds, and a phrase's lexical weights are
+products of per-word factors from the word table, taken once per sentence
+pair.  A phrase table's length limit is its longest source phrase.
 """
 
 from __future__ import annotations
@@ -178,28 +180,16 @@ def _grow_diag(forward, reverse):
     return links
 
 
-SYMMETRIZATIONS = ("intersection", "union", "grow-diag")
-
-
 def viterbi_align(
-    table: TranslationTable,
-    pair: tuple[Sequence[str], Sequence[str]],
-    symmetrization: str = "grow-diag",
+    table: TranslationTable, pair: tuple[Sequence[str], Sequence[str]]
 ) -> set[tuple[int, int]]:
     """Alignment links (source_pos, target_pos) for one sentence pair.
 
     Each target position links to its argmax source (the null token yields
-    no link); the reverse direction comes from the same table, and the two
-    are combined per ``symmetrization``: intersection | union | grow-diag.
+    no link); the reverse direction comes from the same table, and
+    :func:`_grow_diag` combines the two.
     """
-    forward, reverse = _directional_links(table, pair)
-    if symmetrization == "intersection":
-        return forward & reverse
-    if symmetrization == "union":
-        return forward | reverse
-    if symmetrization == "grow-diag":
-        return _grow_diag(forward, reverse)
-    raise ValueError(f"unknown symmetrization {symmetrization!r}")
+    return _grow_diag(*_directional_links(table, pair))
 
 
 @dataclass
@@ -210,8 +200,14 @@ class PhraseOption:
 
 @dataclass
 class PhraseTable:
+    """Scored options per source phrase; ``max_phrase_len`` is the length
+    of the longest source phrase, so lookups stop there."""
+
     entries: dict[Tokens, list[PhraseOption]]
-    max_phrase_len: int = 7
+    max_phrase_len: int = field(init=False)
+
+    def __post_init__(self):
+        self.max_phrase_len = max(map(len, self.entries), default=0)
 
     def options(self, source_phrase: Tokens) -> list[PhraseOption]:
         return self.entries.get(tuple(source_phrase), [])
@@ -289,15 +285,15 @@ def _word_factors(src, tgt, links, table):
 def extract_phrases(
     corpus: ParallelCorpus,
     alignments: Sequence[set[tuple[int, int]]],
+    table: TranslationTable,
     max_phrase_len: int = 7,
-    table: TranslationTable | None = None,
 ) -> PhraseTable:
     """Extract all alignment-consistent phrase pairs and score them.
 
     Forward/backward phrase probabilities come from relative frequencies of
-    extracted instances; lexical weights use the word table when given,
-    otherwise 1.0, and keep the maximum over a pair's instances.  All
-    features are floored at ``PROB_FLOOR``.
+    extracted instances; lexical weights come from the word table and keep
+    the maximum over a pair's instances.  All features are floored at
+    ``PROB_FLOOR``.
     """
     if len(alignments) != len(corpus.pairs):
         raise ValueError("alignments must cover the corpus pair-for-pair")
@@ -309,8 +305,7 @@ def extract_phrases(
 
     for (src, tgt), links in zip(corpus.pairs, alignments):
         boxes = _consistent_phrases(len(src), len(tgt), links, max_phrase_len)
-        if table is not None:
-            fwd_factors, rev_factors = _word_factors(src, tgt, links, table)
+        fwd_factors, rev_factors = _word_factors(src, tgt, links, table)
         for (i1, i2), (j1, j2) in boxes:
             s_phrase = tuple(src[i1:i2])
             t_phrase = tuple(tgt[j1:j2])
@@ -318,11 +313,10 @@ def extract_phrases(
             pair_counts[key] += 1
             src_counts[s_phrase] += 1
             tgt_counts[t_phrase] += 1
-            if table is not None:
-                fwd = math.prod(fwd_factors[j1:j2])
-                rev = math.prod(rev_factors[i1:i2])
-                lex_fwd[key] = max(lex_fwd.get(key, 0.0), fwd)
-                lex_rev[key] = max(lex_rev.get(key, 0.0), rev)
+            fwd = math.prod(fwd_factors[j1:j2])
+            rev = math.prod(rev_factors[i1:i2])
+            lex_fwd[key] = max(lex_fwd.get(key, 0.0), fwd)
+            lex_rev[key] = max(lex_rev.get(key, 0.0), rev)
 
     entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
     for (s_phrase, t_phrase), count in sorted(pair_counts.items()):
@@ -332,13 +326,13 @@ def extract_phrases(
         features = (
             max(phi_fwd, PROB_FLOOR),
             max(phi_rev, PROB_FLOOR),
-            max(lex_fwd.get(key, 1.0), PROB_FLOOR),
-            max(lex_rev.get(key, 1.0), PROB_FLOOR),
+            max(lex_fwd[key], PROB_FLOOR),
+            max(lex_rev[key], PROB_FLOOR),
         )
         entries[s_phrase].append(PhraseOption(t_phrase, features))
     for options in entries.values():
         options.sort(key=lambda o: (-o.features[0], o.target))
-    return PhraseTable(dict(entries), max_phrase_len=max_phrase_len)
+    return PhraseTable(dict(entries))
 
 
 def save_phrase_table(ptable: PhraseTable, path) -> None:
@@ -350,7 +344,7 @@ def save_phrase_table(ptable: PhraseTable, path) -> None:
                 f.write(f"{' '.join(src)} ||| {' '.join(opt.target)} ||| {feats}\n")
 
 
-def load_phrase_table(path, max_phrase_len: int = 7) -> PhraseTable:
+def load_phrase_table(path) -> PhraseTable:
     entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -373,4 +367,4 @@ def load_phrase_table(path, max_phrase_len: int = 7) -> PhraseTable:
             if len(feats) != 4:
                 raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
             entries[src].append(PhraseOption(tgt, feats))
-    return PhraseTable(dict(entries), max_phrase_len=max_phrase_len)
+    return PhraseTable(dict(entries))

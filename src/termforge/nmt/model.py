@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
@@ -57,6 +59,12 @@ class TrainConfig:
             ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
             ("epochs", self.epochs >= 0, ">= 0"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("learning_rate", math.isfinite(self.learning_rate)
+             and self.learning_rate > 0.0, "finite and > 0"),
+            ("decay_factor", 0.0 < self.decay_factor <= 1.0, "in (0, 1]"),
+            # 0 turns gradient clipping off
+            ("clip_norm", math.isfinite(self.clip_norm)
+             and self.clip_norm >= 0.0, "finite and >= 0"),
             ("source_vocab_cap", self.source_vocab_cap >= reserved, f">= {reserved}"),
             ("target_vocab_cap", self.target_vocab_cap >= reserved, f">= {reserved}"),
         ):
@@ -131,28 +139,22 @@ def init_params(config: TrainConfig, n_src: int, n_tgt: int,
 
 @dataclass
 class Seq2SeqModel:
-    """Trained encoder-decoder: parameters, vocabularies, and segmentation."""
+    """Trained encoder-decoder: parameters, vocabularies, and the subword
+    merges of a BPE model (both None for a word-level one)."""
 
     config: TrainConfig
     src_vocab: Vocab
     tgt_vocab: Vocab
     params: dict[str, np.ndarray]
-    segmentation: str = "word"  # "word" | "bpe"
     src_bpe: BpeModel | None = None
     tgt_bpe: BpeModel | None = None
     # per-epoch training perplexity of the most recent training run;
-    # diagnostic only, not serialized
-    train_history: list[float] = field(default_factory=list, compare=False)
+    # diagnostic only, not serialized, and not carried over by copy()
+    train_history: list[float] = field(default_factory=list, compare=False, init=False)
 
     def copy(self) -> "Seq2SeqModel":
-        return Seq2SeqModel(
-            config=self.config,
-            src_vocab=self.src_vocab,
-            tgt_vocab=self.tgt_vocab,
-            params={k: v.copy() for k, v in self.params.items()},
-            segmentation=self.segmentation,
-            src_bpe=self.src_bpe,
-            tgt_bpe=self.tgt_bpe,
+        return dataclasses.replace(
+            self, params={k: v.copy() for k, v in self.params.items()}
         )
 
 
@@ -161,7 +163,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
     names = sorted(model.params)
     header = {
         "config": {**asdict(model.config), **_FIXED_CONFIG},
-        "segmentation": model.segmentation,
+        "segmentation": "word" if model.tgt_bpe is None else "bpe",
         "attention": "bilinear",  # the only kind
         "src_vocab": model.src_vocab.itos,
         "tgt_vocab": model.tgt_vocab.itos,
@@ -186,9 +188,17 @@ def save_model(model: Seq2SeqModel, path) -> None:
 
 
 def _check_tensors(path, specs, expected: dict[str, tuple[int, ...]]) -> None:
-    """Raise :class:`ModelFormatError` naming the first tensor (in name
-    order) that the header lists differently from what its config and
-    vocabularies give: missing, unexpected or of another shape."""
+    """Raise :class:`ModelFormatError` if ``specs`` is not a list of
+    ``{name, shape}`` objects, or naming the first tensor (in name order)
+    that it lists differently from what the config and vocabularies give:
+    missing, unexpected or of another shape."""
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and spec.keys() == {"name", "shape"}
+        and isinstance(spec["name"], str) and isinstance(spec["shape"], list)
+        and all(type(dim) is int and dim >= 0 for dim in spec["shape"])
+        for spec in specs
+    ):
+        raise ModelFormatError(f"{path}: tensors is not a list of {{name, shape}} objects")
     listed = {spec["name"]: tuple(spec["shape"]) for spec in specs}
     for name in sorted(listed.keys() | expected.keys()):
         if name not in listed:
@@ -246,6 +256,24 @@ def _parse_vocab(path, header, key) -> Vocab:
     return Vocab(itos)
 
 
+def _parse_bpe(path, header, key) -> BpeModel | None:
+    blob = header[key]
+    if blob is None:
+        return None
+    if not (
+        isinstance(blob, dict) and blob.keys() == {"merges", "marker"}
+        and isinstance(blob["marker"], str) and blob["marker"]
+        and isinstance(blob["merges"], list)
+        and all(isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(part, str) for part in pair)
+                for pair in blob["merges"])
+    ):
+        raise ModelFormatError(
+            f"{path}: {key} is neither null nor string-pair merges with a marker"
+        )
+    return BpeModel([tuple(pair) for pair in blob["merges"]], marker=blob["marker"])
+
+
 def load_model(path) -> Seq2SeqModel:
     """Read a :func:`save_model` file; a malformed one raises
     :class:`ModelFormatError` naming ``path``."""
@@ -269,6 +297,18 @@ def load_model(path) -> Seq2SeqModel:
         config = _parse_config(path, header["config"])
         src_vocab = _parse_vocab(path, header, "src_vocab")
         tgt_vocab = _parse_vocab(path, header, "tgt_vocab")
+        src_bpe = _parse_bpe(path, header, "src_bpe")
+        tgt_bpe = _parse_bpe(path, header, "tgt_bpe")
+        if (src_bpe is None) != (tgt_bpe is None):
+            raise ModelFormatError(
+                f"{path}: src_bpe and tgt_bpe must both be null or both hold merges"
+            )
+        segmentation = "word" if tgt_bpe is None else "bpe"
+        if header["segmentation"] != segmentation:
+            raise ModelFormatError(
+                f"{path}: segmentation {header['segmentation']!r} disagrees with "
+                f"the BPE blocks, which make it {segmentation!r}"
+            )
         _check_tensors(
             path, header["tensors"], param_shapes(config, len(src_vocab), len(tgt_vocab))
         )
@@ -283,18 +323,11 @@ def load_model(path) -> Seq2SeqModel:
         extra = len(f.read())
         if extra:
             raise ModelFormatError(f"{path}: {extra} bytes after the last tensor")
-
-    def parse_bpe(blob):
-        if blob is None:
-            return None
-        return BpeModel([tuple(p) for p in blob["merges"]], marker=blob["marker"])
-
     return Seq2SeqModel(
         config=config,
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
         params=params,
-        segmentation=header["segmentation"],
-        src_bpe=parse_bpe(header["src_bpe"]),
-        tgt_bpe=parse_bpe(header["tgt_bpe"]),
+        src_bpe=src_bpe,
+        tgt_bpe=tgt_bpe,
     )

@@ -26,15 +26,10 @@ log = logging.getLogger("termforge.nmt")
 
 
 def _segment_pairs(pairs, src_bpe, tgt_bpe):
-    if src_bpe is None and tgt_bpe is None:
+    """Subword pairs when the merges are given (both or neither are)."""
+    if tgt_bpe is None:
         return list(pairs)
-    return [
-        (
-            apply_bpe(src_bpe, s) if src_bpe is not None else s,
-            apply_bpe(tgt_bpe, t) if tgt_bpe is not None else t,
-        )
-        for s, t in pairs
-    ]
+    return [(apply_bpe(src_bpe, s), apply_bpe(tgt_bpe, t)) for s, t in pairs]
 
 
 def _encode_pairs(pairs, src_vocab: Vocab, tgt_vocab: Vocab):
@@ -83,10 +78,10 @@ def _clip(grads, max_norm):
     return 1.0
 
 
-def _run_epochs(model, encoded, config, rng, start_lr=None):
+def _run_epochs(model, encoded, config, rng):
     """SGD with dynamic learning-rate decay on epoch perplexity."""
     batches = _make_batches(encoded, config.batch_size)
-    lr = config.learning_rate if start_lr is None else start_lr
+    lr = config.learning_rate
     best_ppl = math.inf
     model.train_history = []
     for epoch in range(config.epochs):
@@ -120,26 +115,21 @@ def _run_epochs(model, encoded, config, rng, start_lr=None):
 def train(
     corpus: ParallelCorpus,
     config: TrainConfig,
-    segmentation: str = "word",
     src_bpe: BpeModel | None = None,
     tgt_bpe: BpeModel | None = None,
 ) -> Seq2SeqModel:
     """Train an encoder-decoder from scratch; deterministic given the seed.
 
-    For ``segmentation="bpe"`` the corpus is segmented with the given merge
-    models before vocabulary building, and they are stored on the model so
-    translation segments its input the same way.
+    With merge models for both sides the model is subword-level: the
+    corpus is segmented with them before vocabulary building, and they are
+    stored on the model so translation segments its input the same way.
+    Without them it is word-level; giving only one raises ValueError.
     """
     config.validate()
     if not corpus.pairs:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    if segmentation not in ("word", "bpe"):
-        raise ValueError(f"unknown segmentation {segmentation!r}")
-    if segmentation == "bpe":
-        if src_bpe is None or tgt_bpe is None:
-            raise ValueError("bpe segmentation requires src_bpe and tgt_bpe")
-    else:
-        src_bpe = tgt_bpe = None
+    if (src_bpe is None) != (tgt_bpe is None):
+        raise ValueError("subword training needs both src_bpe and tgt_bpe")
 
     pairs = _segment_pairs(corpus.pairs, src_bpe, tgt_bpe)
     src_vocab = build_vocab((s for s, _ in pairs), config.source_vocab_cap)
@@ -150,7 +140,6 @@ def train(
         src_vocab=src_vocab,
         tgt_vocab=tgt_vocab,
         params=init_params(config, len(src_vocab), len(tgt_vocab), rng),
-        segmentation=segmentation,
         src_bpe=src_bpe,
         tgt_bpe=tgt_bpe,
     )

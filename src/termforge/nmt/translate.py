@@ -44,16 +44,15 @@ def translate(
     model: Seq2SeqModel,
     tokens,
     beam_width: int = 5,
-    max_len: int | None = None,
-    min_len: int = 1,
 ) -> tuple[tuple[str, ...], AttentionTrace, float]:
-    """Length-normalized beam search until end-of-sentence.
+    """Length-normalized beam search until end-of-sentence, for at most
+    ``2 * len(tokens) + 5`` target positions.
 
     Input tokens are segmented per the model (BPE models receive subwords
     internally); the returned tokens are in model space, so BPE outputs
     still carry continuation markers.  Predicted unknowns surface as the
-    unk symbol for downstream replacement.  ``min_len`` blocks the
-    end-of-sentence token until that many tokens have been emitted.
+    unk symbol for downstream replacement.  The end-of-sentence token is
+    blocked at the first position, so a translation is never empty.
 
     Each target position is one batched step: the K unfinished hypotheses
     gather their layer states, attentional vectors and last tokens into
@@ -71,8 +70,6 @@ def translate(
     tokens = tuple(tokens)
     if not tokens:
         return (), AttentionTrace(np.zeros((0, 0))), 0.0
-    if max_len is None:
-        max_len = 2 * len(tokens) + 5
 
     params = model.params
     src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
@@ -82,7 +79,7 @@ def translate(
     c_layers = [c for _, c in enc_finals]
     hbar = np.zeros((1, model.config.hidden))
     beams = [_Beam(tokens=[BOS_ID], logprob=0.0, attn_rows=[])]
-    for _ in range(max_len):
+    for step in range(2 * len(tokens) + 5):
         live = [b for b in beams if not b.finished]
         if not live:
             break
@@ -98,9 +95,8 @@ def translate(
         logits = hbar @ params["out_W"] + params["out_b"]
         logits -= logits.max(axis=1, keepdims=True)
         logprobs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        for r, beam in enumerate(live):
-            if len(beam.tokens) - 1 < min_len:
-                logprobs[r, EOS_ID] = -np.inf
+        if step == 0:
+            logprobs[:, EOS_ID] = -np.inf
         order = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_width]
         top = np.take_along_axis(logprobs, order, axis=1)
         # (score, token id, parent, row); finished hypotheses carry token -1

@@ -8,9 +8,12 @@ to translate) one after another, in input order, in one thread.
 
 Stages run in one process share parsed SMT models: the phrase table and
 the language model are parsed once and reused while their files' contents
-(by sha256) and the loader arguments stay the same, so ``tune`` followed
-by several ``translate`` calls parses each file once.  A changed file is
-parsed again.
+(by sha256) stay the same, so ``tune`` followed by several ``translate``
+calls parses each file once.  A changed file is parsed again.  Settings
+that a trained model already fixes are read from the model, not from the
+config: the phrase-length limit is the phrase table's longest source
+phrase, and an NMT model is subword-level exactly when it holds BPE
+merges.
 """
 
 from __future__ import annotations
@@ -103,11 +106,8 @@ def run_prepare(cfg: PipelineConfig) -> None:
     fixtures_dir = cfg.get("fixtures.dir")
     if fixtures_dir is None:
         raise ConfigError("prepare needs fixtures.dir")
-    style = cfg.get("fixtures.domain_a_style", "reorder")
     paths = write_fixture_files(
-        cfg.path("fixtures.dir"),
-        seed=cfg.get_int("fixtures.seed", cfg.seed),
-        domain_a_style=style,
+        cfg.path("fixtures.dir"), seed=cfg.get_int("fixtures.seed", cfg.seed)
     )
     log.info("prepare: wrote %d fixture files to %s", len(paths), fixtures_dir)
 
@@ -135,15 +135,12 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     iterations = _at_least(cfg, "smt.em_iterations", 8, 1)
     max_phrase_len = _at_least(cfg, "smt.max_phrase_len", 7, 1)
     order = _at_least(cfg, "smt.lm_order", 5, 1)
-    sym = _choice(cfg, "smt.symmetrization", "grow-diag", align.SYMMETRIZATIONS)
     model_dir = cfg.path("model.smt.dir", "smt-model")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
     table = align.ibm1_em(train, iterations)
-    alignments = [align.viterbi_align(table, pair, sym) for pair in train.pairs]
-    ptable = align.extract_phrases(
-        train, alignments, max_phrase_len=max_phrase_len, table=table
-    )
+    alignments = [align.viterbi_align(table, pair) for pair in train.pairs]
+    ptable = align.extract_phrases(train, alignments, table, max_phrase_len)
     model = lm.train_lm(train.target_sentences, order=order)
     _atomic_via(
         os.path.join(model_dir, "phrase-table.txt"),
@@ -159,14 +156,14 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     log.info("train-smt: %d phrase entries -> %s", len(ptable), model_dir)
 
 
-# slot name -> ((path, loader arguments, sha256 of the file), parsed model);
-# one slot per model kind, so a process keeps at most one extra of each
+# slot name -> ((path, sha256 of the file), parsed model); one slot per
+# model kind, so a process keeps at most one extra of each
 _PARSED: dict[str, tuple[tuple, object]] = {}
 
 
-def _parse_once(slot: str, loader, path: str, *args):
-    """``loader(path, *args)``, or the model the last call for ``slot``
-    parsed when the file's bytes and the arguments are unchanged.
+def _parse_once(slot: str, loader, path: str):
+    """``loader(path)``, or the model the last call for ``slot`` parsed
+    when the file's bytes are unchanged.
 
     The digest is taken before parsing, so a file replaced while it is
     parsed is parsed again by the next call.
@@ -175,11 +172,11 @@ def _parse_once(slot: str, loader, path: str, *args):
     with open(path, "rb") as f:
         for block in iter(lambda: f.read(1 << 16), b""):
             digest.update(block)
-    key = (os.path.abspath(path), args, digest.digest())
+    key = (os.path.abspath(path), digest.digest())
     cached = _PARSED.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1]
-    model = loader(path, *args)
+    model = loader(path)
     _PARSED[slot] = (key, model)
     return model
 
@@ -194,10 +191,8 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
     """
     model_dir = cfg.path("model.smt.dir", "smt-model")
     ptable = _parse_once(
-        "phrase-table",
-        align.load_phrase_table,
+        "phrase-table", align.load_phrase_table,
         os.path.join(model_dir, "phrase-table.txt"),
-        _at_least(cfg, "smt.max_phrase_len", 7, 1),
     )
     model = _parse_once("lm", lm.load_arpa, os.path.join(model_dir, "lm.arpa"))
     weights = smt.load_weights(os.path.join(model_dir, weights_name))
@@ -300,10 +295,7 @@ def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
             os.path.join(model_dir, "bpe.target.codes"),
             lambda tmp: bpe.save_bpe(tgt_bpe, tmp),
         )
-    model = nmt.train(
-        train_corpus, config, segmentation=segmentation,
-        src_bpe=src_bpe, tgt_bpe=tgt_bpe,
-    )
+    model = nmt.train(train_corpus, config, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
     _atomic_via(
         os.path.join(model_dir, "model.tfnmt"),
         lambda tmp: nmt.save_model(model, tmp),
@@ -315,12 +307,12 @@ def run_adapt(cfg: PipelineConfig) -> None:
     """Domain adaptation for both systems from the configured dev terms:
     re-run MERT for the SMT weights and fine-tune the neural weights."""
     did = False
-    nmt_path = None
+    nmt_path = ft_config = None
     if cfg.get("model.nmt.dir") is not None:
+        ft_config = _nmt_config(cfg, adapt=True)
         candidate = os.path.join(cfg.path("model.nmt.dir"), "model.tfnmt")
         if os.path.exists(candidate):
             nmt_path = candidate
-    ft_config = _nmt_config(cfg, adapt=True) if nmt_path is not None else None
     smt_dir = cfg.get("model.smt.dir")
     if smt_dir is not None and os.path.exists(
         os.path.join(cfg.path("model.smt.dir"), "phrase-table.txt")
@@ -420,7 +412,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         def translate_line(lineno, line):
             tokens = corpus.tokenize(line)
             out, trace, _ = nmt.translate(model, tokens, beam_width=beam_width)
-            if model.segmentation == "word":
+            if model.tgt_bpe is None:
                 return nmt.replace_unk(out, trace, tokens, lexicon)
             return bpe.decode_bpe(
                 _strip_dangling(out, model.tgt_bpe.marker),

@@ -576,18 +576,15 @@ def _pool_dots(pools, weights) -> list[np.ndarray]:
     return [np.array([np.dot(weights, f) for f in feats]) for feats in pools]
 
 
-def _line_search_dim(pools, stats, weights, dim, dots=None):
+def _line_search_dim(pools, stats, weights, dim, dots):
     """Best value for one weight dimension by sweeping envelope breakpoints.
 
     Returns (best_lambda, best_bleu).  Among intervals tied on BLEU the
     widest wins and its midpoint is returned, which keeps the chosen weight
     away from decision boundaries.  ``pools`` maps sentence -> feature
     vectors (a list of them or one stacked array); ``stats`` holds the
-    matching BLEU statistics; ``dots`` is ``_pool_dots(pools, weights)``,
-    computed here when not given.
+    matching BLEU statistics; ``dots`` is ``_pool_dots(pools, weights)``.
     """
-    if dots is None:
-        dots = _pool_dots(pools, weights)
     w_dim = weights[dim]
     events: list[tuple[float, int, int]] = []  # (x, sentence, hyp index)
     active: list[int] = []
@@ -631,11 +628,9 @@ def _line_search_dim(pools, stats, weights, dim, dots=None):
     return best[2], best[0]
 
 
-def _pool_bleu(pools, stats, weights, dots=None):
-    """Corpus BLEU of each sentence's best pool line under ``weights`` (the
-    first of equally scored lines); ``dots`` as in ``_line_search_dim``."""
-    if dots is None:
-        dots = _pool_dots(pools, weights)
+def _pool_bleu(stats, dots):
+    """Corpus BLEU of each sentence's best pool line (the first of equally
+    scored lines); ``dots`` as in ``_line_search_dim``."""
     chosen = [stats[s_idx][int(np.argmax(d))] for s_idx, d in enumerate(dots)]
     return bleu_from_stats(*sum_bleu_stats(chosen))
 
@@ -648,7 +643,7 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     pools = [np.array(feats) for feats in pools]
     weights = start.copy()
     dots = _pool_dots(pools, weights)
-    best = _pool_bleu(pools, stats, weights, dots)
+    best = _pool_bleu(stats, dots)
     for _ in range(max_passes):
         best_dim, best_x, best_score = None, None, best
         for dim in range(len(FEATURE_NAMES)):
@@ -663,7 +658,7 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     peak = float(np.abs(weights).max())
     if peak > 0:
         weights = weights / peak
-    return weights, _pool_bleu(pools, stats, weights)
+    return weights, _pool_bleu(stats, _pool_dots(pools, weights))
 
 
 def _search_dev(dev, table, lm, weights, beam, nbest):

@@ -189,7 +189,7 @@ def _random_decoder_setup(rng, n_src=6, n_tgt=6):
         entries.setdefault(pair, []).append(
             PhraseOption(tgt, (p, rng.uniform(0.05, 1.0), p, p))
         )
-    table = PhraseTable(entries, max_phrase_len=2)
+    table = PhraseTable(entries)
     sents = [tuple(rng.choices(tgt_vocab, k=rng.randint(1, 5))) for _ in range(30)]
     return src_vocab, table, train_lm(sents, order=2)
 
@@ -329,7 +329,7 @@ def test_criterion_05_mert_recovery():
                 PhraseOption((bad[s],), (0.9, 0.9, 0.9, 0.9)),
                 PhraseOption((good[s],), (0.4, 0.4, 0.4, 0.4)),
             ]
-        table = PhraseTable(entries, max_phrase_len=1)
+        table = PhraseTable(entries)
         lm_sents = [
             tuple(good[s] for s in rng.choices(src_vocab, k=rng.randint(2, 3)))
             for _ in range(40)
@@ -425,7 +425,7 @@ def test_criterion_07_domain_adaptation_direction():
             # SMT: baseline weights vs MERT re-tuned on the domain-A dev terms
             table = ibm1_em(fx.generic, 8)
             aligns = [viterbi_align(table, p) for p in fx.generic.pairs]
-            ptable = extract_phrases(fx.generic, aligns, max_phrase_len=4, table=table)
+            ptable = extract_phrases(fx.generic, aligns, table, max_phrase_len=4)
             lm_model = train_lm(fx.generic.target_sentences, order=3)
             base_w = LogLinearWeights.default()
 
@@ -468,8 +468,7 @@ def test_criterion_07_domain_adaptation_direction():
                     tgt_bpe = learn_bpe(
                         word_frequencies(fx.generic.target_sentences), 120
                     )
-                    base = train(fx.generic, cfg, segmentation="bpe",
-                                 src_bpe=src_bpe, tgt_bpe=tgt_bpe)
+                    base = train(fx.generic, cfg, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
                 adapted = fine_tune(base, fx.domain_a.dev, ft)
                 a0 = nmt_bleu(base, fx.domain_a.eval)
                 a1 = nmt_bleu(adapted, fx.domain_a.eval)
@@ -500,8 +499,7 @@ def test_criterion_08_subword_vs_word_mechanism():
                                   epochs=35, learning_rate=2.0, seed=seed)
             src_bpe = learn_bpe(word_frequencies(fx.generic.source_sentences), 120)
             tgt_bpe = learn_bpe(tgt_freq, 120)
-            bpe_model = train(fx.generic, bpe_cfg, segmentation="bpe",
-                              src_bpe=src_bpe, tgt_bpe=tgt_bpe)
+            bpe_model = train(fx.generic, bpe_cfg, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
 
             word_unks = bpe_unks = 0
             word_hyps, bpe_hyps, refs = [], [], []

@@ -153,28 +153,20 @@ class TestViterbiAlign:
 
     def test_diagonal_on_identity_table(self):
         table = self.identity_table()
-        links = viterbi_align(table, (("a", "b", "c"), ("x", "y", "z")),
-                              symmetrization="intersection")
+        links = viterbi_align(table, (("a", "b", "c"), ("x", "y", "z")))
         assert links == {(0, 0), (1, 1), (2, 2)}
 
     def test_converged_la_maison(self):
         table = ibm1_em(LA_MAISON, 15)
-        links = viterbi_align(table, LA_MAISON.pairs[0], symmetrization="grow-diag")
+        links = viterbi_align(table, LA_MAISON.pairs[0])
         assert (0, 0) in links  # the -> la
         assert (1, 1) in links  # house -> maison
 
     def test_intersection_subset_of_union(self):
         table = ibm1_em(random_corpus(12, n_pairs=30), 8)
         for pair in random_corpus(13, n_pairs=10).pairs:
-            inter = viterbi_align(table, pair, "intersection")
-            union = viterbi_align(table, pair, "union")
-            grow = viterbi_align(table, pair, "grow-diag")
-            assert inter <= union
-            assert inter <= grow <= union
-
-    def test_unknown_symmetrization(self):
-        with pytest.raises(ValueError):
-            viterbi_align(self.identity_table(), (("a",), ("x",)), "bogus")
+            forward, reverse = _directional_links(table, pair)
+            assert forward & reverse <= viterbi_align(table, pair) <= forward | reverse
 
 
 def oracle_phrases(src_len, tgt_len, links, max_len):
@@ -202,10 +194,19 @@ def oracle_phrases(src_len, tgt_len, links, max_len):
     return out
 
 
+def ones_table(corpus):
+    """A word table over the corpus vocabulary whose every probability is
+    1.0, so every lexical weight is 1.0."""
+    src_vocab = [NULL_TOKEN] + sorted(corpus.vocab("source"))
+    tgt_vocab = sorted(corpus.vocab("target"))
+    ones = np.ones((len(src_vocab), len(tgt_vocab)))
+    return TranslationTable(src_vocab, tgt_vocab, ones, ones)
+
+
 class TestExtractPhrases:
     def test_diagonal_two_token_pair(self):
         corpus = ParallelCorpus([(("a", "b"), ("x", "y"))])
-        table = extract_phrases(corpus, [{(0, 0), (1, 1)}])
+        table = extract_phrases(corpus, [{(0, 0), (1, 1)}], ones_table(corpus))
         pairs = {
             (src, opt.target)
             for src, opts in table.entries.items()
@@ -216,6 +217,8 @@ class TestExtractPhrases:
             (("b",), ("y",)),
             (("a", "b"), ("x", "y")),
         }
+        lexical = {opt.features[2:] for opts in table.entries.values() for opt in opts}
+        assert lexical == {(1.0, 1.0)}
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(77)
@@ -229,7 +232,9 @@ class TestExtractPhrases:
             tgt = tuple(f"t{j}" for j in range(n))
             corpus = ParallelCorpus([(src, tgt)])
             max_len = rng.randint(1, 4)
-            table = extract_phrases(corpus, [links], max_phrase_len=max_len)
+            table = extract_phrases(
+                corpus, [links], ones_table(corpus), max_phrase_len=max_len
+            )
             got = {
                 ((src.index(s[0]), src.index(s[0]) + len(s)),
                  (tgt.index(o.target[0]), tgt.index(o.target[0]) + len(o.target)))
@@ -241,7 +246,7 @@ class TestExtractPhrases:
     def test_unaligned_target_attaches(self):
         corpus = ParallelCorpus([(("a", "b"), ("x", "y", "z"))])
         links = {(0, 0), (1, 2)}
-        table = extract_phrases(corpus, [links], max_phrase_len=3)
+        table = extract_phrases(corpus, [links], ones_table(corpus), max_phrase_len=3)
         pairs = {
             (src, opt.target) for src, opts in table.entries.items() for opt in opts
         }
@@ -254,7 +259,7 @@ class TestExtractPhrases:
         corpus = random_corpus(21, n_pairs=30)
         word_table = ibm1_em(corpus, 5)
         aligns = [viterbi_align(word_table, p) for p in corpus.pairs]
-        ptable = extract_phrases(corpus, aligns, table=word_table)
+        ptable = extract_phrases(corpus, aligns, word_table)
         for src, opts in ptable.entries.items():
             total = sum(o.features[0] for o in opts)
             assert total <= 1.0 + 1e-6
@@ -264,8 +269,9 @@ class TestExtractPhrases:
                 assert all(0.0 < f <= 1.0 + 1e-9 for f in o.features)
 
     def test_alignment_count_mismatch(self):
+        corpus = ParallelCorpus([(("a",), ("x",))])
         with pytest.raises(ValueError):
-            extract_phrases(ParallelCorpus([(("a",), ("x",))]), [])
+            extract_phrases(corpus, [], ones_table(corpus))
 
 
 class TestPhraseTableIO:
@@ -273,11 +279,12 @@ class TestPhraseTableIO:
         corpus = random_corpus(31, n_pairs=20)
         word_table = ibm1_em(corpus, 4)
         aligns = [viterbi_align(word_table, p) for p in corpus.pairs]
-        ptable = extract_phrases(corpus, aligns, table=word_table)
+        ptable = extract_phrases(corpus, aligns, word_table)
         path = tmp_path / "phrase-table"
         save_phrase_table(ptable, path)
         again = load_phrase_table(path)
         assert set(again.entries) == set(ptable.entries)
+        assert again.max_phrase_len == ptable.max_phrase_len == max(map(len, ptable.entries))
         for src in ptable.entries:
             got = {(o.target, o.features) for o in again.entries[src]}
             want = {(o.target, o.features) for o in ptable.entries[src]}
@@ -510,7 +517,7 @@ class TestAgainstReference:
                 alignments.append(random_links(rng, m, n))
             corpus = ParallelCorpus(pairs)
             max_len = rng.randint(1, 5)
-            ptable = extract_phrases(corpus, alignments, max_len, table=table)
+            ptable = extract_phrases(corpus, alignments, table, max_len)
             want = reference_lexical_features(corpus, alignments, max_len, table)
             got = {
                 (s, o.target): o.features[2:]

@@ -234,7 +234,8 @@ class TestConfigValidation:
             ("tune", "smt.mert.iterations=-1", "smt.mert.iterations"),
             ("train-nmt", "bpe.num_merges=-1", "bpe.num_merges"),
             ("translate", "inject.mode=bogus", "inject.mode"),
-            ("train-smt", "smt.symmetrization=bogus", "smt.symmetrization"),
+            ("train-nmt", "nmt.learning_rate=nan", "nmt.learning_rate"),
+            ("adapt", "nmt.adapt.decay_factor=0", "nmt.adapt.decay_factor"),
         ],
     )
     def test_bad_value_names_key_before_work(
@@ -424,7 +425,7 @@ class TestTranslateBpe:
         model = nmt.train(
             ParallelCorpus(pairs),
             nmt.TrainConfig(layers=1, hidden=4, batch_size=2, epochs=0, seed=0),
-            segmentation="bpe", src_bpe=codes, tgt_bpe=codes,
+            src_bpe=codes, tgt_bpe=codes,
         )
         nmt.save_model(model, tmp_path / "model.tfnmt")
         (tmp_path / "in.txt").write_text("heart low\n", encoding="utf-8")

@@ -574,8 +574,11 @@ class TestTraining:
             train(corpus, cfg)
 
     def test_bpe_segmentation_requires_models(self):
+        bpe = learn_bpe({"a": 5}, num_merges=1)
         with pytest.raises(ValueError):
-            train(copy_corpus(5), TrainConfig(epochs=0), segmentation="bpe")
+            train(copy_corpus(5), TrainConfig(epochs=0), src_bpe=bpe)
+        with pytest.raises(ValueError):
+            train(copy_corpus(5), TrainConfig(epochs=0), tgt_bpe=bpe)
 
     def test_bpe_model_stored_and_used(self):
         corpus = copy_corpus(n_pairs=10)
@@ -584,8 +587,8 @@ class TestTraining:
         )
         cfg = TrainConfig(layers=1, hidden=8, batch_size=4, dropout=0.0,
                           epochs=1, seed=0)
-        model = train(corpus, cfg, segmentation="bpe", src_bpe=bpe, tgt_bpe=bpe)
-        assert model.segmentation == "bpe"
+        model = train(corpus, cfg, src_bpe=bpe, tgt_bpe=bpe)
+        assert model.src_bpe is bpe and model.tgt_bpe is bpe
         out, trace, _ = translate(model, corpus.pairs[0][0], beam_width=1)
         # attention columns cover the subword-segmented source
         from termforge.bpe import apply_bpe
@@ -738,19 +741,16 @@ class TestTranslate:
     def test_batched_beam_matches_reference(self):
         model, corpus = self.trained()
         for beam_width in (1, 3, 5):
-            for min_len in (1, 3):
-                for src, _ in corpus.pairs[:8]:
-                    case = (beam_width, min_len, src)
-                    out, trace, score = translate(
-                        model, src, beam_width=beam_width, min_len=min_len
-                    )
-                    ref_out, ref_trace, ref_score = reference_beam(
-                        model, src, beam_width=beam_width, min_len=min_len
-                    )
-                    assert out == ref_out, case
-                    assert abs(score - ref_score) <= 1e-9, case
-                    assert trace.weights.shape == ref_trace.weights.shape, case
-                    assert np.allclose(trace.weights, ref_trace.weights), case
+            for src, _ in corpus.pairs[:8]:
+                case = (beam_width, src)
+                out, trace, score = translate(model, src, beam_width=beam_width)
+                ref_out, ref_trace, ref_score = reference_beam(
+                    model, src, beam_width=beam_width
+                )
+                assert out == ref_out, case
+                assert abs(score - ref_score) <= 1e-9, case
+                assert trace.weights.shape == ref_trace.weights.shape, case
+                assert np.allclose(trace.weights, ref_trace.weights), case
 
     def test_empty_input(self):
         model, _ = self.trained()
@@ -833,12 +833,16 @@ class TestReplaceUnk:
             replace_unk(("a",), AttentionTrace(np.zeros((2, 2))), ("s", "s2"), None)
 
 
+# a well-formed BPE block for header edits
+_MERGES = b'{"marker": "@@", "merges": [["a", "b"]]}'
+
+
 class TestCheckpoint:
     def test_roundtrip_and_byte_stability(self, tmp_path):
         corpus = copy_corpus(n_pairs=8)
         bpe = learn_bpe({w: 3 for s, _ in corpus.pairs for w in s}, 5)
         cfg = TrainConfig(layers=2, hidden=8, batch_size=4, epochs=1, seed=2)
-        model = train(corpus, cfg, segmentation="bpe", src_bpe=bpe, tgt_bpe=bpe)
+        model = train(corpus, cfg, src_bpe=bpe, tgt_bpe=bpe)
         p1 = tmp_path / "model.tfnmt"
         save_model(model, p1)
         assert p1.read_bytes().startswith(b"termforge-nmt-v1\n")
@@ -894,18 +898,42 @@ class TestCheckpoint:
             (b'"hidden": 4', b'"hidden": null', "config field hidden must be int"),
             (b'"dropout": 0.0', b'"dropout": 1.5', "config field dropout must be in"),
             (b'"embed": null', b'"embed": 3', "config field embed must be null or hidden"),
+            (b'"learning_rate": 1.0', b'"learning_rate": NaN',
+             "config field learning_rate must be finite and > 0"),
+            (b'"clip_norm": 5.0', b'"clip_norm": -1', "config field clip_norm must be finite"),
             (b'"src_vocab": ["<pad>", "<unk>", "<s>", "</s>", "a", "b", "c"]',
              b'"src_vocab": 5', "src_vocab is not a list of strings"),
             (b'"tgt_vocab": ["<pad>"', b'"tgt_vocab": [7',
              "tgt_vocab is not a list of strings"),
+            (b'"tensors": [', b'"tensors": 5, "unread": [', "tensors is not a list of"),
+            (b'"shape": [4, 4]', b'"shape": [4, -4]', "tensors is not a list of"),
+            (b'"src_bpe": null', b'"src_bpe": {"merges": 3, "marker": "@@"}',
+             "src_bpe is neither null nor string-pair merges"),
+            (b'"tgt_bpe": null', b'"tgt_bpe": {"merges": [["a"]], "marker": "@@"}',
+             "tgt_bpe is neither null nor string-pair merges"),
+            (b'"segmentation": "word"', b'"segmentation": "chars"',
+             "segmentation 'chars' disagrees"),
+            (b'"segmentation": "word"', b'"segmentation": "bpe"',
+             "segmentation 'bpe' disagrees"),
+            ((b'"src_bpe": null', b'"tgt_bpe": null'),
+             (b'"src_bpe": ' + _MERGES, b'"tgt_bpe": ' + _MERGES),
+             "segmentation 'word' disagrees"),
+            ((b'"segmentation": "word"', b'"src_bpe": null'),
+             (b'"segmentation": "bpe"', b'"src_bpe": ' + _MERGES),
+             "src_bpe and tgt_bpe must both be null or both hold merges"),
         ],
     )
     def test_malformed_header_names_the_file(self, tmp_path, old, new, message):
+        """``old`` and ``new`` are one replacement or tuples of them."""
         path = tmp_path / "model.tfnmt"
         save_model(tiny_model(layers=1)[0], path)
         data = path.read_bytes()
-        assert data.count(old) == 1
-        path.write_bytes(data.replace(old, new))
+        if isinstance(old, bytes):
+            old, new = (old,), (new,)
+        for before, after in zip(old, new):
+            assert data.count(before) == 1
+            data = data.replace(before, after)
+        path.write_bytes(data)
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert str(path) in str(info.value)

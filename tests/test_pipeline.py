@@ -72,19 +72,22 @@ def test_same_size_rewrite_is_parsed_again(trained, tmp_path, name):
     else:
         assert model2 is model
         assert ptable2 is not ptable
-        assert ptable2.entries == align.load_phrase_table(path, 3).entries
+        assert ptable2.entries == align.load_phrase_table(path).entries
         assert ptable2.entries != ptable.entries
 
 
-def test_other_max_phrase_len_misses(trained):
-    _, ptable, model, _ = pipeline._smt_artifacts(config(trained))
-    _, ptable2, model2, _ = pipeline._smt_artifacts(
+def test_phrase_length_comes_from_the_table(trained):
+    """A translate-time ``smt.max_phrase_len`` neither parses the table
+    again nor changes its limit, the longest source phrase in the file."""
+    root, _ = trained
+    _, ptable, _, _ = pipeline._smt_artifacts(config(trained))
+    _, ptable2, _, _ = pipeline._smt_artifacts(
         config(trained, **{"smt.max_phrase_len": "2"})
     )
-    assert ptable2 is not ptable
-    assert ptable2.max_phrase_len == 2
-    assert ptable2.entries == ptable.entries
-    assert model2 is model
+    assert ptable2 is ptable
+    with open(root / "smt" / "phrase-table.txt", encoding="utf-8") as f:
+        longest = max(len(line.split(" ||| ")[0].split()) for line in f)
+    assert ptable.max_phrase_len == longest
 
 
 def test_cold_and_warm_translate_write_identical_hypotheses(

@@ -38,6 +38,7 @@ from termforge.smt import (
     _mask,
     _optimize_on_pool,
     _pool_bleu,
+    _pool_dots,
     _target_tokens,
     _upper_envelope,
     build_options,
@@ -77,7 +78,6 @@ def toy_table():
                 PhraseOption(("der", "orbita"), (0.1, 0.1, 0.1, 0.1)),
             ],
         },
-        max_phrase_len=3,
     )
 
 
@@ -252,7 +252,6 @@ class TestDecode:
     def test_single_option_verbatim(self):
         table = PhraseTable(
             {("a", "b"): [PhraseOption(("x", "y"), (1.0, 1.0, 1.0, 1.0))]},
-            max_phrase_len=2,
         )
         lm = train_lm([("x", "y")], order=2)
         result = decode(("a", "b"), table, lm, LogLinearWeights.default())
@@ -293,7 +292,7 @@ class TestDecode:
         )
         # candidates mirroring the strongest existing entry: same features as
         # an option built from prob 0.8 -> (0.8, 1.0, 0.8, 0.8)
-        table_dup = PhraseTable(dict(table.entries), max_phrase_len=3)
+        table_dup = PhraseTable(dict(table.entries))
         table_dup.entries[("orbit",)] = [
             PhraseOption(("umlaufbahn",), (0.8, 1.0, 0.8, 0.8)),
             PhraseOption(("orbita",), (0.1, 0.1, 0.1, 0.1)),
@@ -352,7 +351,6 @@ class TestRelaxedFallback:
                 ("b",): [PhraseOption(("y",), (1.0, 1.0, 1.0, 1.0))],
                 ("c",): [PhraseOption(("z",), (1.0, 1.0, 1.0, 1.0))],
             },
-            max_phrase_len=1,
         )
         return table, toy_lm([("x", "y", "z")]), LogLinearWeights.default()
 
@@ -395,7 +393,7 @@ def random_setup(rng, n_src=6, n_tgt=6):
         entries.setdefault(pair, []).append(
             PhraseOption(tgt, (p, rng.uniform(0.05, 1.0), p, p))
         )
-    table = PhraseTable(entries, max_phrase_len=2)
+    table = PhraseTable(entries)
     lm_sents = [
         tuple(rng.choices(tgt_vocab, k=rng.randint(1, 5))) for _ in range(30)
     ]
@@ -445,7 +443,6 @@ class TestExhaustiveEquivalence:
         tokens = ("a", "b", "c", "d", "e")
         table = PhraseTable(
             {(s,): [PhraseOption((s.upper(),), (0.9, 0.9, 0.9, 0.9))] for s in tokens},
-            max_phrase_len=1,
         )
         lm = train_lm([("B", "A", "C", "D", "E")] * 3, order=3)
         weights = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.1]))
@@ -613,7 +610,7 @@ def coarse_setup(rng, n_src=5, n_tgt=4):
         entries.setdefault((src_vocab[i], src_vocab[i + 1]), []).append(
             PhraseOption(tuple(rng.sample(tgt_vocab, k=2)), (rng.choice(probs),) * 4)
         )
-    table = PhraseTable(entries, max_phrase_len=2)
+    table = PhraseTable(entries)
     lm = train_lm(
         [tuple(tgt_vocab)] * 2 + [(w,) for w in tgt_vocab], order=rng.choice((1, 3))
     )
@@ -752,15 +749,17 @@ class TestLineSearch:
             pools, stats = random_pool(rng)
             weights = np.array([rng.uniform(-1.0, 1.0) for _ in FEATURE_NAMES])
             for dim in range(len(FEATURE_NAMES)):
-                x, score = _line_search_dim(pools, stats, weights, dim)
+                x, score = _line_search_dim(
+                    pools, stats, weights, dim, _pool_dots(pools, weights)
+                )
                 probe = weights.copy()
                 probe[dim] = x
                 assert score == pytest.approx(
-                    _pool_bleu(pools, stats, probe), abs=1e-12
+                    _pool_bleu(stats, _pool_dots(pools, probe)), abs=1e-12
                 )
                 for value in np.linspace(-6.0, 6.0, 241):
                     probe[dim] = value
-                    assert _pool_bleu(pools, stats, probe) <= score + 1e-9, (
+                    assert _pool_bleu(stats, _pool_dots(pools, probe)) <= score + 1e-9, (
                         trial, dim, value,
                     )
 
@@ -777,7 +776,7 @@ def sign_corruption_task(seed=0):
             PhraseOption((bad[s],), (0.9, 0.9, 0.9, 0.9)),   # table prefers bad
             PhraseOption((good[s],), (0.4, 0.4, 0.4, 0.4)),
         ]
-    table = PhraseTable(entries, max_phrase_len=1)
+    table = PhraseTable(entries)
     # LM strongly prefers the good target words
     lm_sents = [
         tuple(good[s] for s in rng.choices(src_vocab, k=rng.randint(2, 3)))
@@ -1042,12 +1041,11 @@ class TestMertAgainstReference:
             for feats in pools:
                 feats[3] = feats[0].copy()
             weights = np.array([rng.uniform(-1.0, 1.0) for _ in FEATURE_NAMES])
+            dots = _pool_dots(pools, weights)
             for dim in range(len(FEATURE_NAMES)):
                 want = reference_line_search_dim(pools, stats, weights, dim)
-                assert _line_search_dim(pools, stats, weights, dim) == want
-            assert _pool_bleu(pools, stats, weights) == reference_pool_bleu(
-                pools, stats, weights
-            )
+                assert _line_search_dim(pools, stats, weights, dim, dots) == want
+            assert _pool_bleu(stats, dots) == reference_pool_bleu(pools, stats, weights)
             got_w, got_bleu = _optimize_on_pool(pools, stats, weights)
             want_w, want_bleu = reference_optimize_on_pool(pools, stats, weights)
             assert np.array_equal(got_w, want_w)

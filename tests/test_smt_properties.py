@@ -68,7 +68,7 @@ def tables(draw):
             max_size=12,
         )
     )
-    return PhraseTable(entries, max_phrase_len=2)
+    return PhraseTable(entries)
 
 
 @PROPERTY
