@@ -134,37 +134,3 @@ def decode_bpe(subwords: Sequence[str], marker: str = DEFAULT_MARKER) -> tuple[s
     if pending:
         raise SubwordFormatError("dangling continuation marker at end of sequence")
     return tuple(out)
-
-
-def save_bpe(model: BpeModel, path) -> None:
-    """Write the merge file: header line, then one ``left right`` pair per rank."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"#bpe v1 merges={model.num_merges} marker={model.marker}\n")
-        for left, right in model.merges:
-            f.write(f"{left} {right}\n")
-
-
-def load_bpe(path) -> BpeModel:
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if not header.startswith("#bpe v1 "):
-            raise SubwordFormatError(f"{path}: bad merge file header: {header!r}")
-        fields = dict(
-            part.split("=", 1) for part in header[len("#bpe v1 "):].split() if "=" in part
-        )
-        marker = fields.get("marker", DEFAULT_MARKER)
-        merges = []
-        for lineno, line in enumerate(f, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise SubwordFormatError(f"{path}: line {lineno}: expected 'left right'")
-            merges.append((parts[0], parts[1]))
-        declared = fields.get("merges")
-        if declared is not None and declared != str(len(merges)):
-            raise SubwordFormatError(
-                f"{path}: header declares {declared} merges, file has {len(merges)}"
-            )
-    return BpeModel(merges, marker=marker)

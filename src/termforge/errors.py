@@ -18,7 +18,7 @@ class LexiconFormatError(TermforgeError):
 
 
 class SubwordFormatError(TermforgeError):
-    """Malformed subword sequence or merge file."""
+    """Malformed subword sequence."""
 
 
 class ModelFormatError(TermforgeError):

@@ -287,14 +287,6 @@ def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
         tgt_bpe = bpe.learn_bpe(
             corpus.word_frequencies(train_corpus.target_sentences), merges
         )
-        _atomic_via(
-            os.path.join(model_dir, "bpe.source.codes"),
-            lambda tmp: bpe.save_bpe(src_bpe, tmp),
-        )
-        _atomic_via(
-            os.path.join(model_dir, "bpe.target.codes"),
-            lambda tmp: bpe.save_bpe(tgt_bpe, tmp),
-        )
     model = nmt.train(train_corpus, config, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
     _atomic_via(
         os.path.join(model_dir, "model.tfnmt"),

@@ -26,13 +26,16 @@ The LM terms come from memos that live for one search: one dict per
 distinct phrase target, context -> (log-prob, new context), which each
 option holds directly, and context -> end-of-sentence log-prob; only misses
 query the model.  The 7-dim feature vector of a returned result is rebuilt
-from its back-trace, adding each step's terms in search order.
+from its back-trace, adding each step's terms in search order.  Completed
+hypotheses have one order, score descending and then tokens ascending:
+``decode`` returns the head of ``decode_nbest``'s list.
 
 MERT (Och 2003) searches each dev sentence once per weight vector: the
 n-best lists that measure the dev BLEU of an iteration's weights are the
 lists the next iteration adds to the pool.  A line-search pass prices every
 pool line once, and all seven dimensions of the pass share those dot
-products.
+products.  A dev sentence whose top score is an exact tie counts at its
+worst tied output, so MERT cannot gain dev BLEU from the tie-break.
 """
 
 from __future__ import annotations
@@ -498,6 +501,13 @@ def _search_complete(annotated, table, lm, weights, beam):
     return finals
 
 
+def _rank(item: tuple[Tokens, _Hypothesis]) -> tuple[float, Tokens]:
+    """The order of completed hypotheses: score descending, then tokens
+    ascending, so exact score ties are broken by the output alone."""
+    tokens, hyp = item
+    return -hyp.score, tokens
+
+
 def decode(
     source,
     table: PhraseTable,
@@ -508,13 +518,11 @@ def decode(
     """Translate one (possibly annotated) source into the best hypothesis.
 
     Source tokens with no translation options pass through verbatim, so the
-    decoder never fails on OOV input.  Of outputs tied exactly on the best
-    score the largest token tuple wins (``decode_nbest`` lists the smallest
-    first).
+    decoder never fails on OOV input.  The result is the head of
+    ``decode_nbest``'s list.
     """
     finals = _search_complete(_as_annotated(source), table, lm, weights, beam)
-    best = max(finals.items(), key=lambda kv: (kv[1].score, kv[0]))
-    return _to_result(best[1])
+    return _to_result(min(finals.items(), key=_rank)[1])
 
 
 def decode_nbest(
@@ -526,7 +534,7 @@ def decode_nbest(
     n: int = 100,
 ) -> list[DecodeResult]:
     finals = _search_complete(_as_annotated(source), table, lm, weights, beam)
-    ranked = sorted(finals.items(), key=lambda kv: (-kv[1].score, kv[0]))
+    ranked = sorted(finals.items(), key=_rank)
     return [_to_result(hyp) for _, hyp in ranked[:n]]
 
 
@@ -664,24 +672,22 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
 def _search_dev(dev, table, lm, weights, beam, nbest):
     """Search every dev sentence once under ``weights``.
 
-    Returns the ``nbest``-best lists as (tokens, features) pairs and the
-    dev BLEU of what ``decode`` outputs.  ``decode`` breaks exact score ties towards the larger output,
-    the n-best list towards the smaller one, so its output is the last of
-    the list's top-score entries; only when all ``nbest`` entries tie, and
-    the list may have cut the tie short, is the sentence decoded again.
+    Returns the ``nbest``-best lists as (tokens, features) pairs, the dev
+    BLEU, and the number of sentences whose list ties exactly on the top
+    score.  A tied sentence counts at its worst top entry (fewest clipped
+    n-gram matches, the earliest of equals), so no tie rule can raise the
+    dev BLEU that MERT maximizes.
     """
     w = LogLinearWeights(weights)
-    nbest_lists, sentence_stats = [], []
+    nbest_lists, sentence_stats, tied = [], [], 0
     for src, ref in dev.pairs:
         results = decode_nbest(src, table, lm, w, beam, nbest)
-        tied = [r.tokens for r in results if r.score == results[0].score]
-        if len(tied) < nbest:
-            output = max(tied)
-        else:
-            output = decode(src, table, lm, w, beam).tokens
+        top = [bleu_stats(r.tokens, ref) for r in results
+               if r.score == results[0].score]
+        sentence_stats.append(min(top, key=lambda st: sum(st[0])))
+        tied += len(top) > 1
         nbest_lists.append([(r.tokens, r.features) for r in results])
-        sentence_stats.append(bleu_stats(output, ref))
-    return nbest_lists, bleu_from_stats(*sum_bleu_stats(sentence_stats))
+    return nbest_lists, bleu_from_stats(*sum_bleu_stats(sentence_stats)), tied
 
 
 def mert_tune(
@@ -697,12 +703,16 @@ def mert_tune(
 ) -> LogLinearWeights:
     """Tune log-linear weights to maximize corpus BLEU on a development set.
 
-    Never returns weights that decode the dev set worse than ``init``: every
-    weight vector MERT decodes with, ``init`` included, has its dev BLEU
-    measured on the real decoder output, and the best one so far is kept
-    (the earliest among equals).  Each dev sentence is searched once per
-    weight vector: the n-best lists that measure the BLEU of an iteration's
-    weights are the lists the next iteration adds to the pool.
+    Tuned weights are never worse than ``init`` on dev BLEU when each exact
+    top tie is counted at its worst output (see ``_search_dev``): every
+    weight vector MERT decodes with, ``init`` included, has that dev BLEU
+    measured on its real n-best lists, and the best one so far is kept (the
+    earliest among equals).  Where a weight vector leaves no top tie, this
+    is the dev BLEU of what ``decode`` outputs.  Each dev sentence is
+    searched once per weight vector: the n-best lists that measure the BLEU
+    of an iteration's weights are the lists the next iteration adds to the
+    pool.  Each measurement is logged at info level (iteration 0 is
+    ``init``).
     """
     if not dev.pairs:
         raise ValueError("development set is empty")
@@ -712,9 +722,19 @@ def mert_tune(
     seen: list[set[Tokens]] = [set() for _ in dev.pairs]
 
     current = init.values.copy()
-    nbest_lists, best_real = _search_dev(dev, table, lm, current, beam, nbest)
-    best_weights = current.copy()
-    for iteration in range(iterations):
+    best_weights, best_real = current, float("-inf")
+    for iteration in range(iterations + 1):
+        nbest_lists, real, tied = _search_dev(dev, table, lm, current, beam, nbest)
+        log.info(
+            "MERT iteration %d: dev BLEU %.2f, %d of %d dev sentences tied "
+            "on the top score, pool of %d hypotheses",
+            iteration, real, tied, len(dev.pairs), sum(map(len, pools)),
+        )
+        if real > best_real + 1e-12:
+            best_real = real
+            best_weights = current.copy()
+        if iteration == iterations:
+            break
         # n-best hypotheses under the current weights join the pool; weight
         # vectors that looked good on the pool but decode poorly thereby
         # contribute the counterexamples that correct the next line search
@@ -738,8 +758,4 @@ def mert_tune(
             if score > best_score + 1e-12:
                 best_w, best_score = w, score
         current = best_w
-        nbest_lists, real = _search_dev(dev, table, lm, current, beam, nbest)
-        if real > best_real + 1e-12:
-            best_real = real
-            best_weights = current.copy()
     return LogLinearWeights(best_weights)

@@ -1,7 +1,6 @@
 """BPE learning, application, and inversion."""
 
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -10,8 +9,6 @@ from termforge.bpe import (
     apply_bpe,
     decode_bpe,
     learn_bpe,
-    load_bpe,
-    save_bpe,
 )
 from termforge.errors import EmptyCorpusError, SubwordFormatError
 
@@ -122,41 +119,3 @@ class TestDecodeBpe:
             sent = tuple(rng.choices(vocab + ["unseen", "xyzzy"], k=rng.randint(1, 8)))
             assert decode_bpe(apply_bpe(model, sent)) == sent
 
-
-class TestMergeFile:
-    def test_roundtrip(self, tmp_path):
-        model = learn_bpe({"low": 5, "lower": 2}, 10)
-        path = tmp_path / "codes.bpe"
-        save_bpe(model, path)
-        header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header == f"#bpe v1 merges={model.num_merges} marker=@@"
-        again = load_bpe(path)
-        assert again.merges == model.merges
-        assert again.marker == model.marker
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "codes.bpe"
-        path.write_text("not a merge file\n", encoding="utf-8")
-        with pytest.raises(SubwordFormatError):
-            load_bpe(path)
-
-    def test_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "codes.bpe"
-        path.write_text("#bpe v1 merges=2 marker=@@\na b\n", encoding="utf-8")
-        with pytest.raises(SubwordFormatError):
-            load_bpe(path)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "not a merge file\n",
-            "#bpe v1 merges=1 marker=@@\na b c\n",
-            "#bpe v1 merges=2 marker=@@\na b\n",
-            "#bpe v1 merges=x marker=@@\na b\n",
-        ],
-    )
-    def test_errors_name_the_file(self, tmp_path, text):
-        path = tmp_path / "codes.bpe"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(SubwordFormatError, match=re.escape(str(path))):
-            load_bpe(path)

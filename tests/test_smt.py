@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import math
 import random
 import re
@@ -667,9 +668,8 @@ class TestSearchAgainstReference:
                     for a, b in zip(got, want):
                         assert np.array_equal(a.features, b.features)
                         assert a.trace == b.trace
-                    # decode breaks ties towards the larger output
-                    top = [r.tokens for r in got if r.score == got[0].score]
-                    assert decode(annotated, table, lm, weights, beam).tokens == max(top)
+                    # decode is the head of the n-best order
+                    assert decode(annotated, table, lm, weights, beam).tokens == got[0].tokens
                     scores = [r.score for r in got]
                     tied += len(scores) - len(set(scores))
         assert tied > 0  # exact score ties were exercised
@@ -885,6 +885,24 @@ def reference_corpus_bleu_decoding(dev, table, lm, weights, beam):
     )
 
 
+def reference_worst_tie_bleu(dev, table, lm, weights, beam, nbest):
+    """Dev BLEU with each sentence scored at the worst of the n-best entries
+    that share the top score: the one with the fewest clipped n-gram
+    matches, the first listed of equals."""
+    chosen = []
+    for src, ref in dev.pairs:
+        results = decode_nbest(src, table, lm, weights, beam, nbest)
+        worst = None
+        for result in results:
+            if result.score != results[0].score:
+                break
+            st = bleu_stats(result.tokens, ref)
+            if worst is None or sum(st[0]) < sum(worst[0]):
+                worst = st
+        chosen.append(worst)
+    return bleu_from_stats(*sum_bleu_stats(chosen))
+
+
 def reference_mert_tune(
     dev: ParallelCorpus,
     table: PhraseTable,
@@ -897,9 +915,9 @@ def reference_mert_tune(
     beam: BeamConfig = BeamConfig(),
 ) -> LogLinearWeights:
     """MERT as it was before the n-best lists were reused: every iteration
-    searches the dev set twice, once with ``decode`` for its BLEU and once
-    with ``decode_nbest`` for the pool, and each dimension of a line-search
-    pass prices every pool line again."""
+    searches the dev set twice, once for its BLEU and once for the pool,
+    and each dimension of a line-search pass prices every pool line
+    again."""
     if not dev.pairs:
         raise ValueError("development set is empty")
     rng = np.random.default_rng(seed)
@@ -908,7 +926,7 @@ def reference_mert_tune(
     seen: list[set[Tokens]] = [set() for _ in dev.pairs]
 
     best_weights = init.values.copy()
-    best_real = reference_corpus_bleu_decoding(dev, table, lm, init, beam)
+    best_real = reference_worst_tie_bleu(dev, table, lm, init, beam, nbest)
     current = init.values.copy()
     for iteration in range(iterations):
         # n-best hypotheses under the current weights join the pool; weight
@@ -936,8 +954,8 @@ def reference_mert_tune(
             if score > best_score + 1e-12:
                 best_w, best_score = w, score
         current = best_w
-        real = reference_corpus_bleu_decoding(
-            dev, table, lm, LogLinearWeights(current), beam
+        real = reference_worst_tie_bleu(
+            dev, table, lm, LogLinearWeights(current), beam, nbest
         )
         if real > best_real + 1e-12:
             best_real = real
@@ -999,8 +1017,8 @@ class TestMertAgainstReference:
     ])
     @pytest.mark.parametrize("task_seed", [0, 9])
     def test_tied_outputs_bit_equal(self, task_seed, init, nbest, monkeypatch):
-        # decode's output among tied n-best entries, or from a search of
-        # its own when every entry of a full list ties
+        # exact top ties, scored at their worst n-best entry, also when
+        # every entry of a full list ties
         dev, table, lm = sign_corruption_task(seed=task_seed)
         init = LogLinearWeights(np.array(init))
         searches = count_searches(monkeypatch)
@@ -1017,13 +1035,17 @@ class TestMertAgainstReference:
 
     @pytest.mark.parametrize("nbest", [1, 2, 5, 1000])
     def test_dev_bleu_is_decode_bleu(self, nbest):
-        # with all weights 0 every output ties: decode picks the largest
-        # token tuple, the n-best list starts with the smallest
+        # with all weights 0 every output ties, and with distortion alone
+        # every monotone one: decode's output, the head of the n-best list,
+        # is then the all-"b" output, which matches no reference n-gram and
+        # so is also the worst tied output
         dev, table, lm = sign_corruption_task(seed=0)
         beam = BeamConfig()
         rng = np.random.default_rng(nbest)
         for values in [np.zeros(7), np.eye(7)[6], rng.uniform(-1, 1, 7)]:
-            nbest_lists, dev_bleu = smt._search_dev(dev, table, lm, values, beam, nbest)
+            nbest_lists, dev_bleu, _ = smt._search_dev(
+                dev, table, lm, values, beam, nbest
+            )
             assert dev_bleu == reference_corpus_bleu_decoding(
                 dev, table, lm, LogLinearWeights(values), beam
             )
@@ -1032,6 +1054,51 @@ class TestMertAgainstReference:
                 assert [tokens for tokens, _ in nbest_list] == [r.tokens for r in want]
                 for (_, features), r in zip(nbest_list, want):
                     assert np.array_equal(features, r.features)
+
+    @pytest.mark.parametrize("ref_is_larger", [True, False])
+    def test_top_tie_scored_at_worst_output(self, ref_is_larger):
+        # two phrases with equal probabilities under a uniform unigram LM:
+        # without a distortion weight both orders tie exactly
+        table = PhraseTable({
+            ("a",): [PhraseOption(("x1", "x2"), (0.5,) * 4)],
+            ("b",): [PhraseOption(("y1", "y2"), (0.5,) * 4)],
+        })
+        lm = train_lm([("x1", "x2", "y1", "y2")], order=1)
+        smaller, larger = ("x1", "x2", "y1", "y2"), ("y1", "y2", "x1", "x2")
+        ref, worse = (larger, smaller) if ref_is_larger else (smaller, larger)
+        dev = ParallelCorpus([(("a", "b"), ref)])
+        beam = BeamConfig()
+        free, penalized = np.ones(7), np.ones(7)
+        free[6] = 0.0
+        nbest_lists, dev_bleu, tied = smt._search_dev(dev, table, lm, free, beam, 10)
+        assert [tokens for tokens, _ in nbest_lists[0]] == [smaller, larger]
+        assert tied == 1
+        assert dev_bleu == bleu([worse], [ref]) < bleu([ref], [ref])
+        decoded = reference_corpus_bleu_decoding(
+            dev, table, lm, LogLinearWeights(free), beam
+        )
+        assert dev_bleu <= decoded
+        assert (dev_bleu < decoded) == (not ref_is_larger)
+        # a distortion weight breaks the tie in favour of the monotone order
+        _, dev_bleu, tied = smt._search_dev(dev, table, lm, penalized, beam, 10)
+        assert tied == 0
+        assert dev_bleu == reference_corpus_bleu_decoding(
+            dev, table, lm, LogLinearWeights(penalized), beam
+        )
+
+    def test_logs_each_measurement(self, caplog, monkeypatch):
+        dev, table, lm = sign_corruption_task(seed=0)
+        searches = count_searches(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="termforge.smt"):
+            mert_tune(dev, table, lm, LogLinearWeights(np.zeros(7)),
+                      restarts=0, iterations=2, nbest=5)
+        lines = [r.getMessage() for r in caplog.records if r.name == "termforge.smt"]
+        d = len(dev.pairs)
+        assert len(lines) == len(searches) // d
+        # every output ties under all-zero weights
+        assert lines[0].startswith("MERT iteration 0: dev BLEU ")
+        assert f"{d} of {d} dev sentences tied on the top score" in lines[0]
+        assert lines[0].endswith("pool of 0 hypotheses")
 
     def test_line_search_and_ascent_bit_equal(self):
         rng = random.Random(31)
