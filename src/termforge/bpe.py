@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import EmptyCorpusError, SubwordFormatError
+from .errors import EmptyCorpusError
 
 END_OF_WORD = "</w>"
 DEFAULT_MARKER = "@@"
@@ -21,10 +21,6 @@ class BpeModel:
     _cache: dict[str, tuple[str, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    @property
-    def num_merges(self) -> int:
-        return len(self.merges)
 
 
 def _pair_counts(vocab: dict[tuple[str, ...], int]) -> Counter:
@@ -121,7 +117,9 @@ def apply_bpe(model: BpeModel, tokens: Sequence[str]) -> tuple[str, ...]:
 def decode_bpe(subwords: Sequence[str], marker: str = DEFAULT_MARKER) -> tuple[str, ...]:
     """Invert :func:`apply_bpe` by joining marker-suffixed pieces.
 
-    Raises :class:`SubwordFormatError` if the sequence ends on a continuation.
+    Trailing continuation pieces join into a final word without their
+    markers, as subword-nmt's ``s/@@ ?$//`` does; a piece that is only the
+    marker adds nothing.
     """
     out: list[str] = []
     pending = ""
@@ -132,5 +130,5 @@ def decode_bpe(subwords: Sequence[str], marker: str = DEFAULT_MARKER) -> tuple[s
             out.append(pending + sub)
             pending = ""
     if pending:
-        raise SubwordFormatError("dangling continuation marker at end of sequence")
+        out.append(pending)
     return tuple(out)

@@ -17,10 +17,6 @@ class LexiconFormatError(TermforgeError):
     """A lexicon TSV row could not be parsed or validated."""
 
 
-class SubwordFormatError(TermforgeError):
-    """Malformed subword sequence."""
-
-
 class ModelFormatError(TermforgeError):
     """A persisted model or results file is malformed or has the wrong version."""
 

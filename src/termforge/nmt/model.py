@@ -18,15 +18,8 @@ PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
 RESERVED = (PAD, UNK, BOS, EOS)
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 
-MAGIC = "termforge-nmt-v1"
-_HEADER_KEYS = (
-    "attention", "config", "segmentation", "src_bpe", "src_vocab", "tensors",
-    "tgt_bpe", "tgt_vocab",
-)
-# written into every header's config block for format stability; the
-# encoder has no positional table, so a file that enables one is rejected,
-# and embeddings are ``hidden`` wide, so ``embed`` may only be null or that
-_FIXED_CONFIG = {"embed": None, "positional": False, "max_positions": 200}
+MAGIC = "termforge-nmt-v2"
+_HEADER_KEYS = ("config", "src_bpe", "src_vocab", "tensors", "tgt_bpe", "tgt_vocab")
 
 
 @dataclass
@@ -162,9 +155,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
     """Self-describing container: magic line, JSON header, raw tensors."""
     names = sorted(model.params)
     header = {
-        "config": {**asdict(model.config), **_FIXED_CONFIG},
-        "segmentation": "word" if model.tgt_bpe is None else "bpe",
-        "attention": "bilinear",  # the only kind
+        "config": asdict(model.config),
         "src_vocab": model.src_vocab.itos,
         "tgt_vocab": model.tgt_vocab.itos,
         "src_bpe": None if model.src_bpe is None else {
@@ -220,32 +211,22 @@ def _parse_config(path, block) -> TrainConfig:
     :class:`ModelFormatError` naming ``path`` and the field."""
     if not isinstance(block, dict):
         raise ModelFormatError(f"{path}: config is not a JSON object")
-    values = dict(block)
-    if values.pop("positional", False):
-        raise ModelFormatError(f"{path}: positional embeddings are not supported")
-    values.pop("max_positions", None)
-    embed = values.pop("embed", None)
     known = {config_field.name: config_field for config_field in fields(TrainConfig)}
-    unknown = sorted(set(values) - known.keys())
+    unknown = sorted(block.keys() - known.keys())
     if unknown:
         raise ModelFormatError(f"{path}: unknown config fields {', '.join(unknown)}")
-    for name, value in values.items():
+    for name, value in block.items():
         kind = type(known[name].default)  # every field defaults to an int or a float
         allowed = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ModelFormatError(
                 f"{path}: config field {name} must be {kind.__name__}, got {value!r}"
             )
-    config = TrainConfig(**values)
+    config = TrainConfig(**block)
     try:
         config.validate()
     except ValueError as exc:
         raise ModelFormatError(f"{path}: config field {exc}") from None
-    if embed not in (None, config.hidden):
-        raise ModelFormatError(
-            f"{path}: config field embed must be null or hidden ({config.hidden}), "
-            f"got {embed!r}"
-        )
     return config
 
 
@@ -290,10 +271,6 @@ def load_model(path) -> Seq2SeqModel:
         missing = [key for key in _HEADER_KEYS if key not in header]
         if missing:
             raise ModelFormatError(f"{path}: header lacks {', '.join(missing)}")
-        if header["attention"] != "bilinear":
-            raise ModelFormatError(
-                f"{path}: unsupported attention {header['attention']!r}"
-            )
         config = _parse_config(path, header["config"])
         src_vocab = _parse_vocab(path, header, "src_vocab")
         tgt_vocab = _parse_vocab(path, header, "tgt_vocab")
@@ -302,12 +279,6 @@ def load_model(path) -> Seq2SeqModel:
         if (src_bpe is None) != (tgt_bpe is None):
             raise ModelFormatError(
                 f"{path}: src_bpe and tgt_bpe must both be null or both hold merges"
-            )
-        segmentation = "word" if tgt_bpe is None else "bpe"
-        if header["segmentation"] != segmentation:
-            raise ModelFormatError(
-                f"{path}: segmentation {header['segmentation']!r} disagrees with "
-                f"the BPE blocks, which make it {segmentation!r}"
             )
         _check_tensors(
             path, header["tensors"], param_shapes(config, len(src_vocab), len(tgt_vocab))

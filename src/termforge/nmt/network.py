@@ -252,9 +252,7 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
         loss -= float((logp * mask[:, t]).sum())
         probs_steps.append(probs)
     loss /= total_tokens
-    if not np.isfinite(loss):
-        return loss, None, total_tokens
-    if not with_grads:
+    if not with_grads or not np.isfinite(loss):
         return loss, None, total_tokens
 
     grads = {k: np.zeros_like(v) for k, v in params.items()}

@@ -156,8 +156,11 @@ def fine_tune(
 ) -> Seq2SeqModel:
     """Continue training all weights on the terminology set only.
 
-    The vocabulary (and any subword model) stays frozen; with zero epochs
-    the returned model is an identical copy.
+    The adapted model keeps the architecture and the dropout of ``model``,
+    and its vocabulary (and any subword model) stays frozen; ``config``
+    supplies only the schedule: epochs, batch size, learning rate, decay
+    factor, clipping norm and seed.  With zero epochs the returned model
+    is an identical copy.
     """
     if not dev_terms.pairs:
         raise EmptyCorpusError("cannot adapt on an empty development set")
@@ -168,12 +171,9 @@ def fine_tune(
     if not encoded:
         raise EmptyCorpusError("no usable pairs in the development set")
     rng = np.random.default_rng(config.seed)
-    # the adapted model keeps its architecture; the passed config supplies
-    # only the schedule (epochs, rate, dropout, batching)
     run_cfg = dataclasses.replace(
         model.config,
         batch_size=config.batch_size,
-        dropout=config.dropout,
         epochs=config.epochs,
         learning_rate=config.learning_rate,
         decay_factor=config.decay_factor,

@@ -26,9 +26,7 @@ import tempfile
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import (
-    AlignmentError, ConfigError, EmptyCorpusError, MarkupError, ModelFormatError,
-)
+from .errors import ConfigError, MarkupError, ModelFormatError
 from .fixtures import write_fixture_files
 
 log = logging.getLogger("termforge.pipeline")
@@ -233,13 +231,18 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
 
 
 # TrainConfig fields that fine-tuning reads from nmt.adapt.* keys
-_ADAPT_FIELDS = ("epochs", "batch_size", "dropout", "learning_rate", "decay_factor")
+_ADAPT_FIELDS = ("epochs", "batch_size", "learning_rate")
 
 
 def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
     """The NMT training settings, or with ``adapt`` the fine-tuning ones
     (``nmt.adapt.*`` over ``nmt.*``).  A value out of range raises a
-    ConfigError naming its key."""
+    ConfigError naming its key.
+
+    Gradient clipping, the learning-rate decay and the vocabulary caps
+    keep their :class:`nmt.TrainConfig` defaults; fine-tuning never decays
+    its rate, and it keeps the dropout of the model it starts from.
+    """
     config = nmt.TrainConfig(
         layers=cfg.get_int("nmt.layers", 2),
         hidden=cfg.get_int("nmt.hidden", 64),
@@ -247,20 +250,15 @@ def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
         dropout=cfg.get_float("nmt.dropout", 0.3),
         epochs=cfg.get_int("nmt.epochs", 13),
         learning_rate=cfg.get_float("nmt.learning_rate", 1.0),
-        decay_factor=cfg.get_float("nmt.decay_factor", 0.5),
-        clip_norm=cfg.get_float("nmt.clip_norm", 5.0),
         seed=cfg.seed,
-        source_vocab_cap=cfg.get_int("nmt.source_vocab_cap", 50000),
-        target_vocab_cap=cfg.get_int("nmt.target_vocab_cap", 50000),
     )
     if adapt:
         config = dataclasses.replace(
             config,
             epochs=cfg.get_int("nmt.adapt.epochs", 35),
             batch_size=cfg.get_int("nmt.adapt.batch_size", 2),
-            dropout=cfg.get_float("nmt.adapt.dropout", 0.0),
             learning_rate=cfg.get_float("nmt.adapt.learning_rate", 1.0),
-            decay_factor=cfg.get_float("nmt.adapt.decay_factor", 1.0),
+            decay_factor=1.0,
         )
     try:
         config.validate()
@@ -356,15 +354,6 @@ def run_inject(cfg: PipelineConfig) -> None:
     log.info("inject: annotated %d lines (%s, %s)", len(lines), mode, ranking)
 
 
-def _strip_dangling(subwords: tuple[str, ...], marker: str) -> tuple[str, ...]:
-    """Drop the continuation marker from a hypothesis' final piece, as
-    subword-nmt's ``s/@@ ?$//`` does; a piece that was only the marker goes."""
-    if not subwords or not subwords[-1].endswith(marker):
-        return subwords
-    last = subwords[-1][: -len(marker)]
-    return subwords[:-1] + ((last,) if last else ())
-
-
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system."""
     system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
@@ -406,10 +395,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
             out, trace, _ = nmt.translate(model, tokens, beam_width=beam_width)
             if model.tgt_bpe is None:
                 return nmt.replace_unk(out, trace, tokens, lexicon)
-            return bpe.decode_bpe(
-                _strip_dangling(out, model.tgt_bpe.marker),
-                marker=model.tgt_bpe.marker,
-            )
+            return bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
 
     outputs = [translate_line(lineno, line) for lineno, line in lines]
     text = "\n".join(" ".join(tokens) for tokens in outputs) + "\n"
@@ -422,19 +408,10 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
     """Score a hypothesis file against references and record the scores in
     the results TSV consumed by the report subcommand, replacing the rows of
     an earlier run for the same (system, evalset) in place."""
-    hyp_path = cfg.input_path("evaluate.hypotheses")
-    ref_path = cfg.input_path("evaluate.references")
-    with open(hyp_path, encoding="utf-8") as f:
-        hyps = [corpus.tokenize(line) for line in f.read().splitlines()]
-    with open(ref_path, encoding="utf-8") as f:
-        refs = [corpus.tokenize(line) for line in f.read().splitlines()]
-    if len(hyps) != len(refs):
-        raise AlignmentError(
-            f"{hyp_path}: {len(hyps)} lines vs {ref_path}: {len(refs)} lines"
-        )
-    if not hyps:
-        raise EmptyCorpusError(f"{hyp_path} and {ref_path} have no lines")
-    score = metrics.score_all(hyps, refs)
+    pairs = corpus.load_parallel(
+        cfg.input_path("evaluate.hypotheses"), cfg.input_path("evaluate.references")
+    )
+    score = metrics.score_all(pairs.source_sentences, pairs.target_sentences)
     system = cfg.get("evaluate.system", "system")
     evalset = cfg.get("evaluate.evalset", "eval")
     rows = metrics.format_report_tsv({system: {evalset: score}}).splitlines()

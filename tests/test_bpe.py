@@ -10,7 +10,7 @@ from termforge.bpe import (
     decode_bpe,
     learn_bpe,
 )
-from termforge.errors import EmptyCorpusError, SubwordFormatError
+from termforge.errors import EmptyCorpusError
 
 
 def brute_force_best_pair(freqs):
@@ -107,9 +107,11 @@ class TestDecodeBpe:
             "krankheiten",
         )
 
-    def test_dangling_marker_rejected(self):
-        with pytest.raises(SubwordFormatError):
-            decode_bpe(("heart@@",))
+    def test_dangling_marker_joins_the_final_word(self):
+        assert decode_bpe(("low", "heart@@")) == ("low", "heart")
+        assert decode_bpe(("low", "he@@", "art@@")) == ("low", "heart")
+        assert decode_bpe(("low", "he@@", "@@")) == ("low", "he")
+        assert decode_bpe(("low", "@@")) == ("low",)
 
     def test_roundtrip_random_sentences(self):
         rng = random.Random(11)

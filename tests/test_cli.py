@@ -235,7 +235,7 @@ class TestConfigValidation:
             ("train-nmt", "bpe.num_merges=-1", "bpe.num_merges"),
             ("translate", "inject.mode=bogus", "inject.mode"),
             ("train-nmt", "nmt.learning_rate=nan", "nmt.learning_rate"),
-            ("adapt", "nmt.adapt.decay_factor=0", "nmt.adapt.decay_factor"),
+            ("adapt", "nmt.adapt.learning_rate=0", "nmt.adapt.learning_rate"),
         ],
     )
     def test_bad_value_names_key_before_work(
@@ -359,7 +359,7 @@ class TestEvaluate:
         "hyp, ref, message",
         [
             ("a b\n", "a b\nc d\n", "hyp.txt: 1 lines vs {}: 2 lines"),
-            ("", "", "have no lines"),
+            ("", "", "no sentence pairs in"),
         ],
     )
     def test_unusable_files_name_both(
@@ -410,6 +410,7 @@ class TestTranslateBpe:
             (("low", "he@@", "art@@"), "low heart"),
             (("low", "@@"), "low"),
             (("he@@", "art", "low"), "heart low"),
+            (("low", "he@@", "@@"), "low he"),
         ],
     )
     def test_dangling_final_piece_is_joined(

@@ -1,5 +1,6 @@
 """Neural model: gradients, residual structure, training, translation."""
 
+import dataclasses
 import json
 import math
 import random
@@ -630,6 +631,22 @@ class TestFineTune:
         # original model untouched
         assert dataset_loss(model, dev) == pytest.approx(before)
 
+    def test_dropout_comes_from_the_model(self):
+        corpus = copy_corpus(n_pairs=8)
+        model = train(corpus, TrainConfig(layers=2, hidden=8, batch_size=4,
+                                          dropout=0.5, epochs=1, seed=5))
+
+        def tuned(base, dropout):
+            schedule = TrainConfig(epochs=2, batch_size=2, dropout=dropout, seed=5)
+            return fine_tune(base, corpus, schedule).params
+
+        at_zero, at_half = tuned(model, 0.0), tuned(model, 0.5)
+        assert all(np.array_equal(at_zero[k], at_half[k]) for k in at_zero)
+        without = model.copy()
+        without.config = dataclasses.replace(model.config, dropout=0.0)
+        plain = tuned(without, 0.0)
+        assert not all(np.array_equal(at_zero[k], plain[k]) for k in at_zero)
+
 
 def reference_beam(model, tokens, beam_width=5, max_len=None, min_len=1):
     """Beam search that steps every hypothesis as its own B=1 decoder call,
@@ -845,7 +862,7 @@ class TestCheckpoint:
         model = train(corpus, cfg, src_bpe=bpe, tgt_bpe=bpe)
         p1 = tmp_path / "model.tfnmt"
         save_model(model, p1)
-        assert p1.read_bytes().startswith(b"termforge-nmt-v1\n")
+        assert p1.read_bytes().startswith(b"termforge-nmt-v2\n")
         loaded = load_model(p1)
         for name in model.params:
             assert np.array_equal(model.params[name], loaded.params[name])
@@ -857,15 +874,6 @@ class TestCheckpoint:
         src = corpus.pairs[0][0]
         assert translate(loaded, src, 2)[0] == translate(model, src, 2)[0]
 
-    def test_other_attention_kind_rejected(self, tmp_path):
-        path = tmp_path / "model.tfnmt"
-        save_model(tiny_model(layers=1)[0], path)
-        data = path.read_bytes()
-        assert data.count(b'"attention": "bilinear"') == 1
-        path.write_bytes(data.replace(b'"attention": "bilinear"', b'"attention": "dot"'))
-        with pytest.raises(ModelFormatError, match="attention"):
-            load_model(path)
-
     def test_header_as_previously_written_loads_equal(self, tmp_path):
         path = tmp_path / "model.tfnmt"
         model = tiny_model(layers=1)[0]
@@ -873,13 +881,14 @@ class TestCheckpoint:
         with open(path, "rb") as f:
             f.readline()
             header = json.loads(f.readline())
-        # the config block keeps the constant keys the model no longer reads
+        assert sorted(header) == [
+            "config", "src_bpe", "src_vocab", "tensors", "tgt_bpe", "tgt_vocab",
+        ]
         assert header["config"] == {
-            "layers": 1, "hidden": 4, "embed": None, "batch_size": 2,
+            "layers": 1, "hidden": 4, "batch_size": 2,
             "dropout": 0.0, "epochs": 0, "learning_rate": 1.0,
             "decay_factor": 0.5, "clip_norm": 5.0, "seed": 7,
             "source_vocab_cap": 50000, "target_vocab_cap": 50000,
-            "positional": False, "max_positions": 200,
         }
         loaded = load_model(path)
         assert loaded.config == model.config
@@ -890,14 +899,12 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "old, new, message",
         [
-            (b'"positional": false', b'"positional": true', "positional"),
             (b'"seed": 7', b'"seed": 7, "heads": 2', "heads"),
             (b'"tensors": ', b'"tensor_list": ', "tensors"),
-            (b'"attention": "bilinear", ', b'"attention": "bilinear" ', "JSON"),
+            (b'"src_bpe": null, ', b'"src_bpe": null ', "JSON"),
             (b'"layers": 1', b'"layers": "1"', "config field layers must be int"),
             (b'"hidden": 4', b'"hidden": null', "config field hidden must be int"),
             (b'"dropout": 0.0', b'"dropout": 1.5', "config field dropout must be in"),
-            (b'"embed": null', b'"embed": 3', "config field embed must be null or hidden"),
             (b'"learning_rate": 1.0', b'"learning_rate": NaN',
              "config field learning_rate must be finite and > 0"),
             (b'"clip_norm": 5.0', b'"clip_norm": -1', "config field clip_norm must be finite"),
@@ -911,29 +918,16 @@ class TestCheckpoint:
              "src_bpe is neither null nor string-pair merges"),
             (b'"tgt_bpe": null', b'"tgt_bpe": {"merges": [["a"]], "marker": "@@"}',
              "tgt_bpe is neither null nor string-pair merges"),
-            (b'"segmentation": "word"', b'"segmentation": "chars"',
-             "segmentation 'chars' disagrees"),
-            (b'"segmentation": "word"', b'"segmentation": "bpe"',
-             "segmentation 'bpe' disagrees"),
-            ((b'"src_bpe": null', b'"tgt_bpe": null'),
-             (b'"src_bpe": ' + _MERGES, b'"tgt_bpe": ' + _MERGES),
-             "segmentation 'word' disagrees"),
-            ((b'"segmentation": "word"', b'"src_bpe": null'),
-             (b'"segmentation": "bpe"', b'"src_bpe": ' + _MERGES),
+            (b'"src_bpe": null', b'"src_bpe": ' + _MERGES,
              "src_bpe and tgt_bpe must both be null or both hold merges"),
         ],
     )
     def test_malformed_header_names_the_file(self, tmp_path, old, new, message):
-        """``old`` and ``new`` are one replacement or tuples of them."""
         path = tmp_path / "model.tfnmt"
         save_model(tiny_model(layers=1)[0], path)
         data = path.read_bytes()
-        if isinstance(old, bytes):
-            old, new = (old,), (new,)
-        for before, after in zip(old, new):
-            assert data.count(before) == 1
-            data = data.replace(before, after)
-        path.write_bytes(data)
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert str(path) in str(info.value)
@@ -972,7 +966,15 @@ class TestCheckpoint:
             load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.tfnmt"
-        path.write_bytes(b"not-a-model\n{}\n")
-        with pytest.raises(ModelFormatError):
+        """A file in the earlier v1 format fails on its first line."""
+        path = tmp_path / "old.tfnmt"
+        save_model(tiny_model(layers=1)[0], path)
+        data = path.read_bytes()
+        assert data.startswith(b"termforge-nmt-v2\n")
+        path.write_bytes(b"termforge-nmt-v1" + data[len(b"termforge-nmt-v2"):])
+        with pytest.raises(
+            ModelFormatError,
+            match="expected magic 'termforge-nmt-v2', got 'termforge-nmt-v1'",
+        ) as info:
             load_model(path)
+        assert str(path) in str(info.value)
