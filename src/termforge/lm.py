@@ -38,18 +38,20 @@ class NgramLanguageModel:
         """log P(word | context) with standard backoff recursion."""
         if word not in self.prediction_set:
             word = UNK
-        ctx = tuple(
-            tok if tok in self.vocab else UNK
-            for tok in context[max(0, len(context) - (self.order - 1)):]
-        )
+        keep = self.order - 1
+        ctx = tuple(context[len(context) - keep:] if len(context) > keep else context)
+        vocab = self.vocab
+        if not vocab.issuperset(ctx):
+            ctx = tuple(tok if tok in vocab else UNK for tok in ctx)
+        logprob = self.logprob
         acc = 0.0
         while True:
-            prob = self.logprob.get(ctx + (word,))
+            prob = logprob.get(ctx + (word,))
             if prob is not None:
                 return acc + prob
             if not ctx:
                 # Every prediction-set member has a unigram, including UNK.
-                return acc + self.logprob[(word,)]
+                return acc + logprob[(word,)]
             acc += self.backoff.get(ctx, 0.0)
             ctx = ctx[1:]
 

@@ -19,16 +19,30 @@ distortion window, and a ``termforge.smt`` warning says so.
 The search loop does scalar work only.  A stack maps a recombination key
 (coverage bitmask, LM context, last phrase end) to a (score, back-pointer,
 option, LM log-prob of the step) tuple; only the entries that survive
-pruning become ``_Hypothesis`` objects.  Each option's coverage mask and
-weighted phrase and word-penalty score are computed once per decode, so an
-extension adds that part, the weighted LM term and the distortion cost.
-The LM terms come from memos that live for one search: one dict per
-distinct phrase target, context -> (log-prob, new context), which each
-option holds directly, and context -> end-of-sentence log-prob; only misses
-query the model.  The 7-dim feature vector of a returned result is rebuilt
-from its back-trace, adding each step's terms in search order.  Completed
+pruning become ``_Hypothesis`` objects.  The options are kept in start
+order, and for each last phrase end the window of options starting within
+the distortion limit is listed once per decode, with each option's
+coverage mask, weighted phrase and word-penalty score and distortion cost;
+an extension tests the mask (which also rejects covered starts) and adds
+that part, the weighted LM term and the distortion cost.  The LM terms
+come from memos that live for one search: one dict per distinct phrase
+target, context -> (log-prob, new context), which each option holds
+directly, and context -> end-of-sentence log-prob; only misses query the
+model.  The 7-dim feature vector of a returned result is rebuilt from its
+back-trace, adding each step's terms in search order.  Completed
 hypotheses have one order, score descending and then tokens ascending:
 ``decode`` returns the head of ``decode_nbest``'s list.
+
+Histogram pruning keeps its exact result with less work.  The search is
+told the list length it serves (1 for ``decode``, ``n`` for
+``decode_nbest``), and each stack and the completed outputs keep a floor:
+the ``size``-th best first-insert score among their keys, where ``size``
+is the stack size or the list length.  A key's score only rises, so a
+completion or stack insert scoring strictly below the floor could never
+make the cut and is skipped before any bookkeeping; ties pass, so the
+(score, key) tie order is untouched.  A stack is filtered by its floor
+before it is sorted.  The LM is still queried for every extension, so the
+memos fill exactly as without floors.
 
 MERT (Och 2003) searches each dev sentence once per weight vector: the
 n-best lists that measure the dev BLEU of an iteration's weights are the
@@ -40,6 +54,8 @@ worst tied output, so MERT cannot gain dev BLEU from the tie-break.
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import logging
 import math
 import re
@@ -335,41 +351,46 @@ def _mask(option: _Option) -> int:
     return ((1 << (option.end - option.start)) - 1) << option.start
 
 
+def _push_floor(heap: list[float], size: int, score: float) -> float:
+    """Record a key's first-insert ``score`` in ``heap``, a min-heap of at
+    most ``size`` scores, and return the floor: the ``size``-th best score
+    recorded, or ``-inf`` while fewer are (always, when ``size < 1``).
+
+    A key's score only rises after its first insert, so ``size`` keys score
+    at or above the floor; a key scoring strictly below it can never make a
+    cut of ``size``, and ties pass."""
+    if len(heap) < size:
+        heapq.heappush(heap, score)
+    elif heap and score > heap[0]:
+        heapq.heapreplace(heap, score)
+    return heap[0] if heap and len(heap) == size else -math.inf
+
+
 def _search(
     annotated: AnnotatedInput,
     table: PhraseTable,
     lm: NgramLanguageModel,
     weights: LogLinearWeights,
     beam: BeamConfig,
+    nbest: int,
 ) -> dict[Tokens, _Hypothesis]:
-    """Coverage-stack beam search; returns completed hypotheses by target."""
+    """Coverage-stack beam search; returns completed hypotheses by target,
+    a superset of the ``nbest`` first in ``_rank`` order."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
     n = len(annotated.tokens)
     keep = lm.order - 1
+    cond_logprob = lm.cond_logprob
     # LM memos for this decode: per distinct phrase target, context ->
     # (log-prob, new context); and context -> end-of-sentence log-prob
     phrase_lm: dict[Tokens, dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     eos_lm: dict[tuple[str, ...], float] = {}
-    # per start: (option, coverage mask, weighted phrase and word-penalty
-    # part, LM memo of the option's target)
-    options_by_start: list[list[tuple[_Option, int, float, dict]]] = [
-        [] for _ in range(n)
-    ]
-    for opt in build_options(annotated, table):
-        lf = opt.log_feats
-        static = (
-            w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
-            - w_wp * len(opt.target)
-        )
-        memo = phrase_lm.setdefault(opt.target, {})
-        options_by_start[opt.start].append((opt, _mask(opt), static, memo))
 
     def eos_logprob(ctx: tuple[str, ...]) -> float:
         eos = eos_lm.get(ctx)
         if eos is None:
-            eos = eos_lm[ctx] = lm.cond_logprob(EOS, ctx)
+            eos = eos_lm[ctx] = cond_logprob(EOS, ctx)
         return eos
 
     if n == 0:
@@ -377,64 +398,96 @@ def _search(
         eos = eos_logprob(init.lm_ctx)
         return {(): _Hypothesis(w_lm * eos, 0, init.lm_ctx, 0, init, None, eos)}
 
-    full = (1 << n) - 1
+    # the options in start order, each with its coverage mask, weighted
+    # phrase and word-penalty part and the LM memo of its target
+    scored = []
+    for opt in sorted(build_options(annotated, table), key=lambda o: o.start):
+        lf = opt.log_feats
+        static = (
+            w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
+            - w_wp * len(opt.target)
+        )
+        scored.append((opt, _mask(opt), static, phrase_lm.setdefault(opt.target, {})))
+    starts = [opt.start for opt, _, _, _ in scored]
     limit = beam.distortion_limit
+    # per last phrase end: the options starting within the distortion limit,
+    # as (mask, static part, distortion cost, LM memo, option, span length)
+    windows = []
+    for last in range(n + 1):
+        lo = bisect.bisect_left(starts, last - limit)
+        hi = bisect.bisect_left(starts, last + limit + 1)
+        windows.append([
+            (mask, static, w_dist * abs(opt.start - last), memo, opt,
+             opt.end - opt.start)
+            for opt, mask, static, memo in scored[lo:hi]
+        ])
+
+    size = beam.stack_size
+    full = (1 << n) - 1
     finals: dict[Tokens, _Hypothesis] = {}
+    final_heap: list[float] = []
+    final_floor = -math.inf
     # a stack maps (coverage, LM context, last end) to (score, parent,
     # option, LM log-prob); only the entries that survive pruning become
     # _Hypothesis objects
     stacks: list[dict] = [{} for _ in range(n + 1)]
+    heaps: list[list[float]] = [[] for _ in range(n + 1)]
+    floors = [-math.inf] * (n + 1)
     stacks[0][(0, (BOS,), 0)] = (0.0, None, None, 0.0)
 
     for k in range(n):
+        floor = floors[k]
         ranked = sorted(
-            stacks[k].items(), key=lambda kv: (-kv[1][0], kv[0])
-        )[: beam.stack_size]
+            [kv for kv in stacks[k].items() if kv[1][0] >= floor],
+            key=lambda kv: (-kv[1][0], kv[0]),
+        )[:size]
         for (coverage, ctx, last), (score, parent, option, delta) in ranked:
             hyp = _Hypothesis(score, coverage, ctx, last, parent, option, delta)
             prefix = None
-            for start in range(max(0, last - limit), min(n, last + limit + 1)):
-                if coverage >> start & 1:
+            for mask, static, dist_cost, memo, opt, length in windows[last]:
+                if coverage & mask:
                     continue
-                dist_cost = w_dist * abs(start - last)
-                for opt, mask, static, memo in options_by_start[start]:
-                    if coverage & mask:
+                lm_entry = memo.get(ctx)
+                if lm_entry is None:
+                    history = list(ctx)
+                    lm_delta = 0.0
+                    for tok in opt.target:
+                        lm_delta += cond_logprob(tok, history)
+                        history.append(tok)
+                    lm_entry = memo[ctx] = (
+                        lm_delta, tuple(history[-keep:]) if keep else ()
+                    )
+                lm_delta, new_ctx = lm_entry
+                new_score = score + (static + w_lm * lm_delta - dist_cost)
+                j = k + length
+                if j == n:
+                    eos = eos_logprob(new_ctx)
+                    done_score = new_score + w_lm * eos
+                    if done_score < final_floor:
                         continue
-                    lm_entry = memo.get(ctx)
-                    if lm_entry is None:
-                        history = list(ctx)
-                        lm_delta = 0.0
-                        for tok in opt.target:
-                            lm_delta += lm.cond_logprob(tok, history)
-                            history.append(tok)
-                        lm_entry = memo[ctx] = (
-                            lm_delta, tuple(history[-keep:]) if keep else ()
-                        )
-                    lm_delta, new_ctx = lm_entry
-                    new_score = score + (static + w_lm * lm_delta - dist_cost)
-                    new_coverage = coverage | mask
-                    if new_coverage == full:
-                        eos = eos_logprob(new_ctx)
-                        done_score = new_score + w_lm * eos
-                        if prefix is None:
-                            prefix = _target_tokens(hyp)
-                        output = prefix + opt.target
-                        old = finals.get(output)
-                        if old is None or done_score > old.score:
-                            last_step = _Hypothesis(
-                                new_score, full, new_ctx, opt.end, hyp, opt,
-                                lm_delta,
-                            )
-                            finals[output] = _Hypothesis(
-                                done_score, full, new_ctx, opt.end, last_step,
-                                None, eos,
-                            )
-                    else:
-                        stack = stacks[k + opt.end - opt.start]
-                        key = (new_coverage, new_ctx, opt.end)
-                        old = stack.get(key)
-                        if old is None or new_score > old[0]:
-                            stack[key] = (new_score, hyp, opt, lm_delta)
+                    if prefix is None:
+                        prefix = _target_tokens(hyp)
+                    output = prefix + opt.target
+                    old = finals.get(output)
+                    if old is None:
+                        final_floor = _push_floor(final_heap, nbest, done_score)
+                    elif done_score <= old.score:
+                        continue
+                    last_step = _Hypothesis(
+                        new_score, full, new_ctx, opt.end, hyp, opt, lm_delta,
+                    )
+                    finals[output] = _Hypothesis(
+                        done_score, full, new_ctx, opt.end, last_step, None, eos,
+                    )
+                elif new_score >= floors[j]:
+                    stack = stacks[j]
+                    key = (coverage | mask, new_ctx, opt.end)
+                    old = stack.get(key)
+                    if old is None:
+                        floors[j] = _push_floor(heaps[j], size, new_score)
+                    elif new_score <= old[0]:
+                        continue
+                    stack[key] = (new_score, hyp, opt, lm_delta)
     return finals
 
 
@@ -483,8 +536,8 @@ def _as_annotated(source) -> AnnotatedInput:
     return AnnotatedInput(tuple(source), [])
 
 
-def _search_complete(annotated, table, lm, weights, beam):
-    finals = _search(annotated, table, lm, weights, beam)
+def _search_complete(annotated, table, lm, weights, beam, nbest):
+    finals = _search(annotated, table, lm, weights, beam, nbest)
     if not finals:
         # aggressive pruning can strand the search on dead ends; a monotone
         # completion always exists, so an unpruned pass must find something
@@ -497,7 +550,7 @@ def _search_complete(annotated, table, lm, weights, beam):
             "sentence; searching again with stack size %d",
             len(annotated.tokens), relaxed.stack_size,
         )
-        finals = _search(annotated, table, lm, weights, relaxed)
+        finals = _search(annotated, table, lm, weights, relaxed, nbest)
     return finals
 
 
@@ -521,7 +574,7 @@ def decode(
     decoder never fails on OOV input.  The result is the head of
     ``decode_nbest``'s list.
     """
-    finals = _search_complete(_as_annotated(source), table, lm, weights, beam)
+    finals = _search_complete(_as_annotated(source), table, lm, weights, beam, 1)
     return _to_result(min(finals.items(), key=_rank)[1])
 
 
@@ -533,7 +586,10 @@ def decode_nbest(
     beam: BeamConfig = BeamConfig(),
     n: int = 100,
 ) -> list[DecodeResult]:
-    finals = _search_complete(_as_annotated(source), table, lm, weights, beam)
+    """The ``n`` best distinct outputs, in ``_rank`` order."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    finals = _search_complete(_as_annotated(source), table, lm, weights, beam, n)
     ranked = sorted(finals.items(), key=_rank)
     return [_to_result(hyp) for _, hyp in ranked[:n]]
 
@@ -716,6 +772,8 @@ def mert_tune(
     """
     if not dev.pairs:
         raise ValueError("development set is empty")
+    if nbest < 1:
+        raise ValueError(f"nbest must be >= 1, got {nbest}")
     rng = np.random.default_rng(seed)
     pools: list[list[np.ndarray]] = [[] for _ in dev.pairs]
     stats: list[list] = [[] for _ in dev.pairs]

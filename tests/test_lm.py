@@ -21,6 +21,50 @@ def context_sum(model, context):
     return sum(math.exp(model.cond_logprob(w, context)) for w in model.prediction_set)
 
 
+def reference_cond_logprob(model, word, context):
+    """``cond_logprob`` as it was before its fast path: every kept context
+    token is mapped through the vocabulary on every call."""
+    if word not in model.prediction_set:
+        word = UNK
+    ctx = tuple(
+        tok if tok in model.vocab else UNK
+        for tok in context[max(0, len(context) - (model.order - 1)):]
+    )
+    acc = 0.0
+    while True:
+        prob = model.logprob.get(ctx + (word,))
+        if prob is not None:
+            return acc + prob
+        if not ctx:
+            return acc + model.logprob[(word,)]
+        acc += model.backoff.get(ctx, 0.0)
+        ctx = ctx[1:]
+
+
+class TestCondLogprobAgainstReference:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_bit_equal(self, order):
+        model = train_lm(fixture_sentences(seed=order, n=40, vocab_size=6), order=order)
+        rng = random.Random(100 + order)
+        words = sorted(model.prediction_set) + ["oov1", BOS]
+        context_words = sorted(model.vocab) + ["oov1", "oov2"]
+        oov_contexts = long_contexts = 0
+        for _ in range(500):
+            context = rng.choices(context_words, k=rng.randint(0, order + 2))
+            if rng.random() < 0.3:
+                context = [BOS] + context
+            kept = context[max(0, len(context) - (order - 1)):]
+            oov_contexts += any(tok not in model.vocab for tok in kept)
+            long_contexts += len(context) > order - 1
+            word = rng.choice(words)
+            want = reference_cond_logprob(model, word, context).hex()
+            assert model.cond_logprob(word, context).hex() == want
+            assert model.cond_logprob(word, tuple(context)).hex() == want
+        assert long_contexts > 0
+        if order > 1:
+            assert oov_contexts > 0
+
+
 class TestNormalization:
     def test_sums_to_one_over_seen_contexts(self):
         sents = fixture_sentences()

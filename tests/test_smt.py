@@ -592,6 +592,13 @@ def reference_search(
     return finals
 
 
+def reference_search_any_n(annotated, table, lm, weights, beam, nbest):
+    """``reference_search`` in the place of a search that is told the list
+    length it serves; it ignores the length and keeps every completion, a
+    superset of what the pruned-by-floor search keeps."""
+    return reference_search(annotated, table, lm, weights, beam)
+
+
 def coarse_setup(rng, n_src=5, n_tgt=4):
     """Table and LM over few words with probabilities from a short list, so
     that different derivations often tie exactly on score.  The LM is a
@@ -634,9 +641,10 @@ def annotated_variants(rng, tokens, tgt_words):
 
 
 class TestSearchAgainstReference:
-    """The search keeps tuple stack entries and per-target LM memos; its
-    results must be bit-equal to those of the search it replaced, ties
-    included."""
+    """The search keeps tuple stack entries and per-target LM memos, scans
+    options by distortion window and skips completions and stack inserts
+    below their floors; its results must be bit-equal to those of the search
+    it replaced, ties included, at every list length."""
 
     @pytest.mark.parametrize("stack", [1, 2, 3, 10])
     def test_nbest_bit_equal(self, stack, monkeypatch):
@@ -661,13 +669,21 @@ class TestSearchAgainstReference:
                     beam = BeamConfig(stack_size=stack, distortion_limit=limit)
                     got = decode_nbest(annotated, table, lm, weights, beam, n=10**6)
                     with monkeypatch.context() as patch:
-                        patch.setattr(smt, "_search", reference_search)
+                        patch.setattr(smt, "_search", reference_search_any_n)
                         want = decode_nbest(annotated, table, lm, weights, beam, n=10**6)
                     assert [r.tokens for r in got] == [r.tokens for r in want]
                     assert [r.score for r in got] == [r.score for r in want]
                     for a, b in zip(got, want):
                         assert np.array_equal(a.features, b.features)
                         assert a.trace == b.trace
+                    # short lists raise the completion floor early
+                    for n in (1, 2, 3, 5):
+                        head = decode_nbest(annotated, table, lm, weights, beam, n=n)
+                        assert [r.tokens for r in head] == [r.tokens for r in want[:n]]
+                        assert [r.score for r in head] == [r.score for r in want[:n]]
+                        for a, b in zip(head, want):
+                            assert np.array_equal(a.features, b.features)
+                            assert a.trace == b.trace
                     # decode is the head of the n-best order
                     assert decode(annotated, table, lm, weights, beam).tokens == got[0].tokens
                     scores = [r.score for r in got]
@@ -721,6 +737,51 @@ class TestNbest:
             tokens, table, lm, LogLinearWeights.default(), WIDE, n=1
         )[0]
         assert top.tokens == full.tokens
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_list_length_below_one_is_rejected(self, n):
+        rng = random.Random(7)
+        src_vocab, table, lm = random_setup(rng)
+        with pytest.raises(ValueError, match="^n must be >= 1"):
+            decode_nbest(tuple(src_vocab[:3]), table, lm,
+                         LogLinearWeights.default(), WIDE, n=n)
+
+    @pytest.mark.parametrize("stack", [0, -1])
+    def test_stack_below_one_keeps_the_fallback(self, stack, caplog):
+        """A stack size below one records no floor; the pruned pass keeps
+        what ``sorted(...)[:stack_size]`` keeps and the relaxed pass
+        translates the sentence."""
+        assert smt._push_floor([], stack, 1.0) == -math.inf
+        rng = random.Random(8)
+        src_vocab, table, lm = random_setup(rng)
+        tokens = tuple(src_vocab[:3])
+        beam = BeamConfig(stack_size=stack, distortion_limit=3)
+        want = decode(tokens, table, lm, LogLinearWeights.default(), WIDE)
+        with caplog.at_level("WARNING", logger="termforge.smt"):
+            got = decode(tokens, table, lm, LogLinearWeights.default(), beam)
+        assert got.tokens == want.tokens
+        assert "stack size 1000" in caplog.records[0].getMessage()
+
+
+class TestPushFloor:
+    def test_stack_insert_tied_with_the_floor_survives(self):
+        """With a one-entry stack, "y" and then "x" translate "a" at exactly
+        the same score.  The second insert ties the stack floor set by the
+        first, and its key ranks first, so it must be kept."""
+        table = PhraseTable({
+            ("a",): [PhraseOption(("y",), (0.5,) * 4), PhraseOption(("x",), (0.5,) * 4)],
+            ("b",): [PhraseOption(("z",), (1.0,) * 4)],
+        })
+        lm = train_lm([("y", "z"), ("x", "z")], order=2)
+        beam = BeamConfig(stack_size=1, distortion_limit=0)
+        result = decode(("a", "b"), table, lm, LogLinearWeights.default(), beam)
+        assert result.tokens == ("x", "z")
+
+    def test_floor_is_the_size_th_best_first_score(self):
+        heap = []
+        floors = [smt._push_floor(heap, 3, score) for score in (2.0, 5.0, 1.0, 4.0, 0.5)]
+        assert floors == [-math.inf, -math.inf, 1.0, 2.0, 2.0]
+        assert sorted(heap) == [2.0, 4.0, 5.0]
 
 
 def random_pool(rng, sentences=6, hyps=5):
@@ -1120,6 +1181,11 @@ class TestMertAgainstReference:
 
 
 class TestMertTune:
+    def test_nbest_below_one_is_rejected(self):
+        dev, table, lm = sign_corruption_task()
+        with pytest.raises(ValueError, match="^nbest must be >= 1"):
+            mert_tune(dev, table, lm, LogLinearWeights.default(), nbest=0)
+
     def test_recovers_from_sign_corrupted_lm_weight(self):
         dev, table, lm = sign_corruption_task()
         init = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, -2.0, 0.0, 0.5]))
