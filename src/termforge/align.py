@@ -25,6 +25,7 @@ import numpy as np
 from ._kernels import flatten_encoded, ibm1_estep
 from .corpus import ParallelCorpus, Tokens, finite_float
 from .errors import EmptyCorpusError, ModelFormatError
+from .files import atomic_open, read_lines
 
 NULL_TOKEN = "<null>"
 
@@ -337,7 +338,7 @@ def extract_phrases(
 
 def save_phrase_table(ptable: PhraseTable, path) -> None:
     """Moses-style lines: ``source ||| target ||| f1 f2 f3 f4``."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for src in sorted(ptable.entries):
             for opt in ptable.entries[src]:
                 feats = " ".join(repr(float(v)) for v in opt.features)
@@ -346,25 +347,21 @@ def save_phrase_table(ptable: PhraseTable, path) -> None:
 
 def load_phrase_table(path) -> PhraseTable:
     entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ||| ")
-            if len(parts) != 3:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: expected 3 '|||' fields"
-                )
-            src = tuple(parts[0].split())
-            tgt = tuple(parts[1].split())
-            try:
-                feats = tuple(finite_float(x) for x in parts[2].split())
-            except ValueError as exc:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: bad feature value: {exc}"
-                ) from None
-            if len(feats) != 4:
-                raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
-            entries[src].append(PhraseOption(tgt, feats))
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split(" ||| ")
+        if len(parts) != 3:
+            raise ModelFormatError(f"{path}: line {lineno}: expected 3 '|||' fields")
+        src = tuple(parts[0].split())
+        tgt = tuple(parts[1].split())
+        try:
+            feats = tuple(finite_float(x) for x in parts[2].split())
+        except ValueError as exc:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: bad feature value: {exc}"
+            ) from None
+        if len(feats) != 4:
+            raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
+        entries[src].append(PhraseOption(tgt, feats))
     return PhraseTable(dict(entries))

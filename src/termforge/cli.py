@@ -92,8 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         RUN[args.command](cfg, args.force)
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"termforge {args.command}: missing input: {exc}\n")
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        sys.stderr.write(f"termforge {args.command}: {where}{exc.strerror or exc}\n")
         return 1
     except TermforgeError as exc:
         sys.stderr.write(f"termforge {args.command}: {exc}\n")

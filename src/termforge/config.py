@@ -11,6 +11,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .files import read_lines
 
 
 @dataclass
@@ -72,16 +73,15 @@ def parse_assignment(text: str) -> tuple[str, str]:
 
 def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                key, value = parse_assignment(line)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            values[key] = value
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            key, value = parse_assignment(line)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        values[key] = value
     for item in overrides or []:
         key, value = parse_assignment(item)
         values[key] = value

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import AlignmentError, EmptyCorpusError, LexiconFormatError
+from .files import atomic_open, read_lines
 
 Tokens = tuple[str, ...]
 
@@ -157,10 +158,8 @@ def load_parallel(source_path, target_path, name: str | None = None) -> Parallel
     Raises :class:`AlignmentError` on unequal line counts and
     :class:`EmptyCorpusError` when no pairs remain.
     """
-    with open(source_path, encoding="utf-8") as f:
-        src_lines = f.read().splitlines()
-    with open(target_path, encoding="utf-8") as f:
-        tgt_lines = f.read().splitlines()
+    src_lines = read_lines(source_path)
+    tgt_lines = read_lines(target_path)
     if len(src_lines) != len(tgt_lines):
         raise AlignmentError(
             f"{source_path}: {len(src_lines)} lines vs {target_path}: "
@@ -182,45 +181,43 @@ def load_lexicon(path) -> Lexicon:
     one entry with multiple candidates; the first abstract seen wins.
     """
     entries: dict[Tokens, LexiconEntry] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            where = f"{path}: line {lineno}"
-            cols = line.split("\t")
-            if len(cols) < 2:
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        where = f"{path}: line {lineno}"
+        cols = line.split("\t")
+        if len(cols) < 2:
+            raise LexiconFormatError(
+                f"{where}: expected at least 2 tab-separated columns, got {len(cols)}"
+            )
+        source = tokenize(cols[0])
+        target = tokenize(cols[1])
+        if not source or not target:
+            raise LexiconFormatError(f"{where}: empty source or target term")
+        score: float | None = None
+        if len(cols) >= 3 and cols[2].strip():
+            try:
+                score = float(cols[2])
+            except ValueError:
                 raise LexiconFormatError(
-                    f"{where}: expected at least 2 tab-separated columns, got {len(cols)}"
-                )
-            source = tokenize(cols[0])
-            target = tokenize(cols[1])
-            if not source or not target:
-                raise LexiconFormatError(f"{where}: empty source or target term")
-            score: float | None = None
-            if len(cols) >= 3 and cols[2].strip():
-                try:
-                    score = float(cols[2])
-                except ValueError:
-                    raise LexiconFormatError(
-                        f"{where}: score {cols[2]!r} is not a number"
-                    ) from None
-                if not 0.0 <= score <= 1.0:
-                    raise LexiconFormatError(f"{where}: score {score} outside [0, 1]")
-            abstract = cols[3] if len(cols) >= 4 and cols[3].strip() else None
-            entry = entries.get(source)
-            if entry is None:
-                entries[source] = LexiconEntry(source, [Candidate(target, score)], abstract)
-            else:
-                entry.candidates.append(Candidate(target, score))
-                if entry.abstract is None:
-                    entry.abstract = abstract
+                    f"{where}: score {cols[2]!r} is not a number"
+                ) from None
+            if not 0.0 <= score <= 1.0:
+                raise LexiconFormatError(f"{where}: score {score} outside [0, 1]")
+        abstract = cols[3] if len(cols) >= 4 and cols[3].strip() else None
+        entry = entries.get(source)
+        if entry is None:
+            entries[source] = LexiconEntry(source, [Candidate(target, score)], abstract)
+        else:
+            entry.candidates.append(Candidate(target, score))
+            if entry.abstract is None:
+                entry.abstract = abstract
     return Lexicon(list(entries.values()))
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
     """Write a lexicon back to the TSV format accepted by :func:`load_lexicon`."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for entry in lexicon.entries:
             for cand in entry.candidates:
                 cols = [" ".join(entry.source_term), " ".join(cand.tokens)]

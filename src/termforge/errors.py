@@ -5,6 +5,10 @@ class TermforgeError(Exception):
     """Base class for all workbench errors."""
 
 
+class InputError(TermforgeError):
+    """A text input file is not valid UTF-8."""
+
+
 class AlignmentError(TermforgeError):
     """Parallel files disagree on line count."""
 

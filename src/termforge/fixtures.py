@@ -12,10 +12,12 @@ Everything is derived from the seed; identical seeds give identical corpora.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
-from .corpus import Candidate, Lexicon, LexiconEntry, ParallelCorpus
+from .corpus import Candidate, Lexicon, LexiconEntry, ParallelCorpus, save_lexicon
+from .files import atomic_open
 
 FUNCTION_WORDS = [("the", "die"), ("of", "der"), ("and", "und"), ("with", "mit")]
 
@@ -25,7 +27,6 @@ class DomainData:
     name: str
     dev: ParallelCorpus
     eval: ParallelCorpus
-    compound_style: bool
 
 
 @dataclass
@@ -172,7 +173,6 @@ def build_fixture_set(
         eval=domain_corpus(
             term_pool_a, domain_a_style, dev_terms, eval_terms, "icdtoy-eval"
         ),
-        compound_style=domain_a_style == "compound",
     )
     domain_b = DomainData(
         name="ifrstoy",
@@ -180,7 +180,6 @@ def build_fixture_set(
         eval=domain_corpus(
             term_pool_b, "straight", dev_terms, eval_terms, "ifrstoy-eval"
         ),
-        compound_style=False,
     )
 
     # external-knowledge lexicon for the injection path: domain-A terms with
@@ -208,23 +207,15 @@ def write_fixture_files(root, seed: int = 42, **kwargs) -> dict[str, str]:
 
     Returns a name -> path map for the pipeline configuration.
     """
-    import os
-
     fixtures = build_fixture_set(seed=seed, **kwargs)
-    os.makedirs(root, exist_ok=True)
     paths: dict[str, str] = {}
 
     def write_corpus(corpus, stem):
-        src = os.path.join(root, f"{stem}.src")
-        tgt = os.path.join(root, f"{stem}.tgt")
-        with open(src, "w", encoding="utf-8") as f:
-            for s, _ in corpus.pairs:
-                f.write(" ".join(s) + "\n")
-        with open(tgt, "w", encoding="utf-8") as f:
-            for _, t in corpus.pairs:
-                f.write(" ".join(t) + "\n")
-        paths[f"{stem}.src"] = src
-        paths[f"{stem}.tgt"] = tgt
+        for side, suffix in enumerate(("src", "tgt")):
+            path = os.path.join(root, f"{stem}.{suffix}")
+            with atomic_open(path) as f:
+                f.writelines(" ".join(pair[side]) + "\n" for pair in corpus.pairs)
+            paths[f"{stem}.{suffix}"] = path
 
     write_corpus(fixtures.generic, "generic")
     write_corpus(fixtures.domain_a.dev, "icdtoy-dev")
@@ -233,13 +224,6 @@ def write_fixture_files(root, seed: int = 42, **kwargs) -> dict[str, str]:
     write_corpus(fixtures.domain_b.eval, "ifrstoy-eval")
 
     lex_path = os.path.join(root, "lexicon.tsv")
-    with open(lex_path, "w", encoding="utf-8") as f:
-        f.write("# synthetic domain-A terminology with abstracts\n")
-        for entry in fixtures.lexicon.entries:
-            for cand in entry.candidates:
-                cols = [" ".join(entry.source_term), " ".join(cand.tokens), ""]
-                if entry.abstract:
-                    cols.append(entry.abstract)
-                f.write("\t".join(cols) + "\n")
+    save_lexicon(fixtures.lexicon, lex_path)
     paths["lexicon.tsv"] = lex_path
     return paths

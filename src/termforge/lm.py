@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .corpus import finite_float
 from .errors import EmptyCorpusError, ModelFormatError
+from .files import atomic_open, read_lines
 
 BOS = "<s>"
 EOS = "</s>"
@@ -183,7 +184,7 @@ def save_arpa(model: NgramLanguageModel, path) -> None:
     grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(model.order + 1)]
     for gram in model.logprob:
         grams_by_order[len(gram)].append(gram)
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         f.write("\\data\\\n")
         for n in range(1, model.order + 1):
             count = len(grams_by_order[n]) + (1 if n == 1 else 0)  # +1 for <s>
@@ -214,12 +215,10 @@ def load_arpa(path) -> NgramLanguageModel:
     backoff: dict[tuple[str, ...], float] = {}
     order = 0
     section = 0
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_lines(path)
     if "\\data\\" not in lines:
         raise ModelFormatError(f"{path}: not an ARPA file")
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip("\n")
         if not line.strip() or line == "\\data\\" or line.startswith("ngram "):
             continue
         if line.strip() == "\\end\\":
@@ -255,6 +254,9 @@ def load_arpa(path) -> NgramLanguageModel:
             ) from None
     if order == 0:
         raise ModelFormatError(f"{path}: no n-gram sections found")
+    for word in (EOS, UNK):  # score predicts </s>; an unknown word scores as <unk>
+        if (word,) not in logprob:
+            raise ModelFormatError(f"{path}: no {word} unigram")
     unigrams = {g[0] for g in logprob if len(g) == 1}
     vocab = frozenset(unigrams | {BOS, EOS, UNK})
     prediction_set = frozenset(unigrams - {BOS})

@@ -13,6 +13,7 @@ import numpy as np
 
 from ..bpe import BpeModel
 from ..errors import ModelFormatError
+from ..files import atomic_open
 
 PAD, UNK, BOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
 RESERVED = (PAD, UNK, BOS, EOS)
@@ -171,7 +172,7 @@ def save_model(model: Seq2SeqModel, path) -> None:
             for name in names
         ],
     }
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(MAGIC.encode("utf-8") + b"\n")
         f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
         for name in names:

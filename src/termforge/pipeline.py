@@ -1,7 +1,9 @@
 """Pipeline subcommands composing the module operations end to end.
 
-Every artifact is written atomically (temp file in the target directory,
-then rename), so interrupted runs never leave partial outputs behind.
+Every saver is atomic by itself (see :mod:`termforge.files`), so
+interrupted runs never leave partial outputs behind.  Every text input is
+read as UTF-8 lines ending at ``\n``, ``\r\n`` or ``\r``, and an
+undecodable byte raises :class:`InputError` naming the file and line.
 Given the same configuration and seed, reruns produce byte-identical
 artifacts.  Each stage handles its items (sentence pairs to align, lines
 to translate) one after another, in input order, in one thread.
@@ -22,37 +24,14 @@ import dataclasses
 import hashlib
 import logging
 import os
-import tempfile
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
 from .errors import ConfigError, MarkupError, ModelFormatError
+from .files import atomic_open, read_lines
 from .fixtures import write_fixture_files
 
 log = logging.getLogger("termforge.pipeline")
-
-
-def _atomic_via(path, writer) -> None:
-    """Run ``writer(tmp_path)`` and rename the result into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write(path, content: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(content)
-
-    _atomic_via(path, write)
 
 
 def _choice(cfg: PipelineConfig, key: str, default: str, choices) -> str:
@@ -124,7 +103,8 @@ def run_stats(cfg: PipelineConfig) -> str:
     if overlaps:
         sections.append(corpus.format_overlap(overlaps))
     report = "\n".join(sections)
-    atomic_write(cfg.path("stats.output", "stats.txt"), report)
+    with atomic_open(cfg.path("stats.output", "stats.txt")) as f:
+        f.write(report)
     return report
 
 
@@ -140,16 +120,10 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     alignments = [align.viterbi_align(table, pair) for pair in train.pairs]
     ptable = align.extract_phrases(train, alignments, table, max_phrase_len)
     model = lm.train_lm(train.target_sentences, order=order)
-    _atomic_via(
-        os.path.join(model_dir, "phrase-table.txt"),
-        lambda tmp: align.save_phrase_table(ptable, tmp),
-    )
-    _atomic_via(
-        os.path.join(model_dir, "lm.arpa"), lambda tmp: lm.save_arpa(model, tmp)
-    )
-    _atomic_via(
-        os.path.join(model_dir, "weights.txt"),
-        lambda tmp: smt.save_weights(smt.LogLinearWeights.default(), tmp),
+    align.save_phrase_table(ptable, os.path.join(model_dir, "phrase-table.txt"))
+    lm.save_arpa(model, os.path.join(model_dir, "lm.arpa"))
+    smt.save_weights(
+        smt.LogLinearWeights.default(), os.path.join(model_dir, "weights.txt")
     )
     log.info("train-smt: %d phrase entries -> %s", len(ptable), model_dir)
 
@@ -223,10 +197,7 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
         seed=cfg.seed,
         beam=beam,
     )
-    _atomic_via(
-        os.path.join(model_dir, weights_out),
-        lambda tmp: smt.save_weights(tuned, tmp),
-    )
+    smt.save_weights(tuned, os.path.join(model_dir, weights_out))
     log.info("tune: wrote %s", weights_out)
 
 
@@ -286,10 +257,7 @@ def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
             corpus.word_frequencies(train_corpus.target_sentences), merges
         )
     model = nmt.train(train_corpus, config, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
-    _atomic_via(
-        os.path.join(model_dir, "model.tfnmt"),
-        lambda tmp: nmt.save_model(model, tmp),
-    )
+    nmt.save_model(model, os.path.join(model_dir, "model.tfnmt"))
     log.info("train-nmt: saved %s model to %s", segmentation, model_dir)
 
 
@@ -313,9 +281,8 @@ def run_adapt(cfg: PipelineConfig) -> None:
         model = nmt.load_model(nmt_path)
         dev = _load_split(cfg, "dev")
         adapted = nmt.fine_tune(model, dev, ft_config)
-        _atomic_via(
-            os.path.join(cfg.path("model.nmt.dir"), "model-adapted.tfnmt"),
-            lambda tmp: nmt.save_model(adapted, tmp),
+        nmt.save_model(
+            adapted, os.path.join(cfg.path("model.nmt.dir"), "model-adapted.tfnmt")
         )
         did = True
     if not did:
@@ -346,11 +313,9 @@ def run_inject(cfg: PipelineConfig) -> None:
         smt.format_markup(inject.annotate(src, ranked, mode))
         for src, _ in eval_corpus.pairs
     ]
-    atomic_write(cfg.path("inject.output", "annotated.txt"), "\n".join(lines) + "\n")
-    _atomic_via(
-        cfg.path("inject.lexicon_output", "lexicon-ranked.tsv"),
-        lambda tmp: corpus.save_lexicon(ranked, tmp),
-    )
+    with atomic_open(cfg.path("inject.output", "annotated.txt")) as f:
+        f.write("\n".join(lines) + "\n")
+    corpus.save_lexicon(ranked, cfg.path("inject.lexicon_output", "lexicon-ranked.tsv"))
     log.info("inject: annotated %d lines (%s, %s)", len(lines), mode, ranking)
 
 
@@ -361,12 +326,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     beam_width = _at_least(cfg, "translate.beam", 5, 1)
     beam = _beam(cfg) if system == "smt" else None
     input_path = cfg.input_path("translate.input")
-    with open(input_path, encoding="utf-8") as f:
-        lines = [
-            (lineno, line.rstrip("\n"))
-            for lineno, line in enumerate(f, start=1)
-            if line.strip()
-        ]
+    lines = list(enumerate(read_lines(input_path), start=1))
 
     if system == "smt":
         weights_name = cfg.get("translate.weights", "weights.txt")
@@ -397,9 +357,10 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
                 return nmt.replace_unk(out, trace, tokens, lexicon)
             return bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
 
-    outputs = [translate_line(lineno, line) for lineno, line in lines]
+    outputs = [translate_line(lineno, line) for lineno, line in lines if line.strip()]
     text = "\n".join(" ".join(tokens) for tokens in outputs) + "\n"
-    atomic_write(cfg.path("translate.output", "hypotheses.txt"), text)
+    with atomic_open(cfg.path("translate.output", "hypotheses.txt")) as f:
+        f.write(text)
     log.info("translate: %d lines via %s", len(outputs), system)
     return outputs
 
@@ -416,10 +377,7 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
     evalset = cfg.get("evaluate.evalset", "eval")
     rows = metrics.format_report_tsv({system: {evalset: score}}).splitlines()
     results_path = cfg.path("evaluate.results", "results.tsv")
-    existing = []
-    if os.path.exists(results_path):
-        with open(results_path, encoding="utf-8") as f:
-            existing = f.read().splitlines()
+    existing = read_lines(results_path) if os.path.exists(results_path) else []
     key = f"{system}\t{evalset}\t"
     lines = []
     for line in existing:
@@ -428,7 +386,8 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
         elif rows:  # the first old row of this pair takes the new rows
             lines.extend(rows)
             rows = []
-    atomic_write(results_path, "\n".join(lines + rows) + "\n")
+    with atomic_open(results_path) as f:
+        f.write("\n".join(lines + rows) + "\n")
     log.info(
         "evaluate: %s on %s -> BLEU %.2f chrF3 %.2f METEOR %.2f",
         system, evalset, score.bleu, score.chrf3, score.meteor,
@@ -440,19 +399,18 @@ def run_report(cfg: PipelineConfig) -> str:
     """Assemble the matrix report from the accumulated results TSV."""
     results_path = cfg.input_path("evaluate.results")
     table: dict[str, dict[str, dict[str, float]]] = {}
-    with open(results_path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                system, evalset, metric, value = line.split("\t")
-                number = float(value)
-            except ValueError:
-                raise ModelFormatError(
-                    f"{results_path}: line {lineno}: expected "
-                    f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
-                ) from None
-            table.setdefault(system, {}).setdefault(evalset, {})[metric] = number
+    for lineno, line in enumerate(read_lines(results_path), start=1):
+        if not line.strip():
+            continue
+        try:
+            system, evalset, metric, value = line.split("\t")
+            number = float(value)
+        except ValueError:
+            raise ModelFormatError(
+                f"{results_path}: line {lineno}: expected "
+                f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
+            ) from None
+        table.setdefault(system, {}).setdefault(evalset, {})[metric] = number
     results = {
         system: {
             evalset: metrics.MetricScore(
@@ -466,5 +424,6 @@ def run_report(cfg: PipelineConfig) -> str:
         for system, per_system in table.items()
     }
     report = metrics.format_report(results)
-    atomic_write(cfg.path("report.output", "report.txt"), report)
+    with atomic_open(cfg.path("report.output", "report.txt")) as f:
+        f.write(report)
     return report

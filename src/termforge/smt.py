@@ -67,6 +67,7 @@ import numpy as np
 from .align import PROB_FLOOR, PhraseTable
 from .corpus import ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize
 from .errors import MarkupError, ModelFormatError
+from .files import atomic_open, read_lines
 from .lm import EOS, BOS, NgramLanguageModel
 from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
 
@@ -112,7 +113,7 @@ class LogLinearWeights:
 
 
 def save_weights(weights: LogLinearWeights, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         for name, value in weights.as_mapping().items():
             f.write(f"{name} {value!r}\n")
 
@@ -120,24 +121,23 @@ def save_weights(weights: LogLinearWeights, path) -> None:
 def load_weights(path) -> LogLinearWeights:
     """Read ``name value`` lines; every name in FEATURE_NAMES must appear."""
     mapping = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: expected 'name value', got {line!r}"
-                )
-            name, value = fields
-            try:
-                weight = finite_float(value)
-            except ValueError:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: bad weight {value!r} for {name}"
-                ) from None
-            mapping[name] = weight
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: expected 'name value', got {line!r}"
+            )
+        name, value = fields
+        try:
+            weight = finite_float(value)
+        except ValueError:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: bad weight {value!r} for {name}"
+            ) from None
+        mapping[name] = weight
     try:
         return LogLinearWeights.from_mapping(mapping)
     except KeyError as exc:

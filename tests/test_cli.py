@@ -64,6 +64,24 @@ def run(argv):
     return main(argv)
 
 
+def small_smt_model(model_dir):
+    """A two-entry phrase table, a bigram LM and default weights."""
+    from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+    from termforge.lm import save_arpa, train_lm
+    from termforge.smt import LogLinearWeights, save_weights
+
+    feats = (0.5, 0.5, 0.5, 0.5)
+    save_phrase_table(
+        PhraseTable({
+            ("a",): [PhraseOption(("x",), feats)],
+            ("b",): [PhraseOption(("y",), feats)],
+        }),
+        model_dir / "phrase-table.txt",
+    )
+    save_arpa(train_lm([("x", "y")], order=2), model_dir / "lm.arpa")
+    save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
+
+
 class TestConfig:
     def test_parse_and_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -144,6 +162,15 @@ class TestCliPipeline:
             f2 = tmp_path / "run2" / rel
             assert f1.exists(), rel
             assert filecmp.cmp(f1, f2, shallow=False), f"{rel} differs"
+        # every artifact gets the mode of a plain open, and no temp file stays
+        with open(tmp_path / "probe", "w", encoding="utf-8"):
+            pass
+        plain = os.stat(tmp_path / "probe").st_mode & 0o777
+        artifacts = [p for p in (tmp_path / "run1").rglob("*") if p.is_file()]
+        assert len(artifacts) == 12
+        for path in artifacts:
+            assert not path.name.startswith(".tmp-"), path
+            assert os.stat(path).st_mode & 0o777 == plain, path
 
     def test_train_refuses_overwrite_without_force(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -254,18 +281,10 @@ class TestConfigValidation:
 
 class TestModelFiles:
     def test_corrupted_weights_name_the_file(self, tmp_path, monkeypatch, capsys):
-        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
-        from termforge.lm import save_arpa, train_lm
-
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
         model_dir = tmp_path / "run" / "smt"
-        model_dir.mkdir(parents=True)
-        save_phrase_table(
-            PhraseTable({("a",): [PhraseOption(("x",), (0.5, 0.5, 0.5, 0.5))]}),
-            model_dir / "phrase-table.txt",
-        )
-        save_arpa(train_lm([("x",)], order=2), model_dir / "lm.arpa")
+        small_smt_model(model_dir)
         (model_dir / "weights.txt").write_text("phrase_fwd 1.0\nlm one\n", encoding="utf-8")
         (tmp_path / "in.txt").write_text("a\n", encoding="utf-8")
         sets = ["--set", "translate.input=in.txt"]
@@ -276,20 +295,9 @@ class TestModelFiles:
         assert "Traceback" not in err
 
     def test_bad_markup_names_the_input_line(self, tmp_path, monkeypatch, capsys):
-        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
-        from termforge.lm import save_arpa, train_lm
-        from termforge.smt import LogLinearWeights, save_weights
-
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
-        model_dir = tmp_path / "run" / "smt"
-        model_dir.mkdir(parents=True)
-        save_phrase_table(
-            PhraseTable({("a",): [PhraseOption(("x",), (0.5, 0.5, 0.5, 0.5))]}),
-            model_dir / "phrase-table.txt",
-        )
-        save_arpa(train_lm([("x",)], order=2), model_dir / "lm.arpa")
-        save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
+        small_smt_model(tmp_path / "run" / "smt")
         (tmp_path / "in.txt").write_text(
             'a\n\n<n translation="x" prob="nan">a</n>\n', encoding="utf-8"
         )
@@ -446,3 +454,65 @@ class TestTranslateBpe:
         )
         assert pipeline.run_translate(cfg) == [tuple(expected.split())]
         assert (tmp_path / "out.txt").read_text() == expected + "\n"
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "command, rel",
+        [
+            ("stats", "pipeline.cfg"),
+            ("stats", "data/generic.src"),
+            ("inject", "data/lexicon.tsv"),
+            ("translate", "in.txt"),
+            ("translate", "run/smt/phrase-table.txt"),
+            ("translate", "run/smt/lm.arpa"),
+            ("translate", "run/smt/weights.txt"),
+            ("report", "run/results.tsv"),
+        ],
+    )
+    def test_non_utf8_byte_names_file_and_line(
+        self, tmp_path, monkeypatch, capsys, command, rel
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert run(["prepare", "--config", cfg]) == 0
+        small_smt_model(tmp_path / "run" / "smt")
+        (tmp_path / "in.txt").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "run" / "results.tsv").write_text(
+            "smt\ticdtoy\tbleu\t1.0\nsmt\ticdtoy\tchrf3\t2.0\n", encoding="utf-8"
+        )
+        path = tmp_path / rel
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = b"\xff" + lines[1]
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        argv = [command, "--config", cfg, "--set", "translate.input=in.txt"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"termforge {command}: {path}: line 2: not UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_directory_as_input_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert run(["prepare", "--config", cfg]) == 0
+        (tmp_path / "corpus").mkdir()
+        argv = ["stats", "--config", cfg, "--set", "corpus.train.source=corpus"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"termforge stats: {tmp_path / 'corpus'}: Is a directory\n"
+
+    @pytest.mark.parametrize("sep", ["\x85", "\u2028"])
+    def test_unicode_break_is_not_a_line_end(self, tmp_path, monkeypatch, sep):
+        from termforge.corpus import load_parallel
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        small_smt_model(tmp_path / "run" / "smt")
+        source = tmp_path / "in.txt"
+        source.write_text(f"a{sep}b\nb\n", encoding="utf-8")
+        assert run(["translate", "--config", cfg, "--set", "translate.input=in.txt"]) == 0
+        hypotheses = tmp_path / "run" / "hypotheses.txt"
+        assert hypotheses.read_text(encoding="utf-8") == "x y\ny\n"
+        pairs = load_parallel(source, hypotheses).pairs
+        assert pairs == [(("a", "b"), ("x", "y")), (("b",), ("y",))]

@@ -61,7 +61,7 @@ class TestWriteFixtureFiles:
         fx = build_fixture_set(seed=11)
         assert generic.pairs == fx.generic.pairs
         lexicon = load_lexicon(paths["lexicon.tsv"])
-        assert len(lexicon) == len(fx.lexicon)
+        assert lexicon.entries == fx.lexicon.entries
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         write_fixture_files(tmp_path / "fx", seed=12)

@@ -233,3 +233,15 @@ class TestArpa:
             match=rf"{re.escape(str(path))}: line {lineno}: bad probability.*non-finite",
         ):
             load_arpa(path)
+
+
+@pytest.mark.parametrize("word", [UNK, EOS])
+def test_arpa_without_fallback_unigram_is_rejected(tmp_path, word):
+    path = tmp_path / "model.arpa"
+    save_arpa(train_lm([("a", "b")], order=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [line for line in lines if not line.endswith(f"\t{word}\n")]
+    assert len(kept) == len(lines) - 1
+    path.write_text("".join(kept), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: no {word} unigram"):
+        load_arpa(path)
