@@ -80,7 +80,7 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
         try:
             key, value = parse_assignment(line)
         except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            raise ConfigError(f"{path}: line {lineno}: {exc}") from None
         values[key] = value
     for item in overrides or []:
         key, value = parse_assignment(item)

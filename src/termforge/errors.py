@@ -29,6 +29,10 @@ class MarkupError(TermforgeError):
     """Annotated-input markup could not be parsed or is inconsistent."""
 
 
+class SearchError(TermforgeError):
+    """The decoder found no sequence of translation options covering an input."""
+
+
 class TrainingDivergedError(TermforgeError):
     """Training produced a non-finite loss."""
 

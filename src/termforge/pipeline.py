@@ -27,7 +27,7 @@ import os
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError, MarkupError, ModelFormatError
+from .errors import ConfigError, MarkupError, ModelFormatError, SearchError
 from .files import atomic_open, read_lines
 from .fixtures import write_fixture_files
 
@@ -338,9 +338,9 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         def translate_line(lineno, line):
             try:
                 annotated = smt.parse_markup(line, mode=mode)
-            except MarkupError as exc:
-                raise MarkupError(f"{input_path}: line {lineno}: {exc}") from None
-            return smt.decode(annotated, ptable, model, weights, beam).tokens
+                return smt.decode(annotated, ptable, model, weights, beam).tokens
+            except (MarkupError, SearchError) as exc:
+                raise type(exc)(f"{input_path}: line {lineno}: {exc}") from None
 
     else:
         model_name = cfg.get("translate.model", "model.tfnmt")

@@ -14,12 +14,16 @@ With an unbounded stack the search is exact dynamic programming over
 (coverage, LM context, last phrase end), which is what the equivalence
 tests against a brute-force decoder rely on.  When pruning leaves no
 complete hypothesis, the sentence is searched again with a wider stack and
-distortion window, and a ``termforge.smt`` warning says so.
+distortion window, and a ``termforge.smt`` warning says so.  If that pass
+finds nothing either, as when no sequence of options covers the input,
+``SearchError`` names the source tokens.
 
 The search loop does scalar work only.  A stack maps a recombination key
-(coverage bitmask, LM context, last phrase end) to a (score, back-pointer,
-option, LM log-prob of the step) tuple; only the entries that survive
-pruning become ``_Hypothesis`` objects.  The options are kept in start
+(coverage bitmask, LM context, last phrase end) to an entry, the tuple
+(score, parent entry, option, LM log-prob of the step).  The entry is the
+search state: its back-pointer points at its parent's entry, the root is
+``(0.0, None, None, 0.0)``, and a completed output is an end-of-sentence
+entry whose option is ``None``.  The options are kept in start
 order, and for each last phrase end the window of options starting within
 the distortion limit is listed once per decode, with each option's
 coverage mask, weighted phrase and word-penalty score and distortion cost;
@@ -66,7 +70,7 @@ import numpy as np
 
 from .align import PROB_FLOOR, PhraseTable
 from .corpus import ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize
-from .errors import MarkupError, ModelFormatError
+from .errors import MarkupError, ModelFormatError, SearchError
 from .files import atomic_open, read_lines
 from .lm import EOS, BOS, NgramLanguageModel
 from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
@@ -331,22 +335,6 @@ def build_options(
     return options
 
 
-@dataclass(slots=True)
-class _Hypothesis:
-    """One search state.  ``lm_delta`` is the language-model log-probability
-    of the step that made it: its phrase, or, on a completed hypothesis
-    (``option is None``), the end-of-sentence event.  Feature vectors are
-    rebuilt from the back-trace only for returned results."""
-
-    score: float
-    coverage: int
-    lm_ctx: tuple[str, ...]
-    last_end: int
-    backptr: "_Hypothesis | None"
-    option: _Option | None
-    lm_delta: float
-
-
 def _mask(option: _Option) -> int:
     return ((1 << (option.end - option.start)) - 1) << option.start
 
@@ -373,9 +361,10 @@ def _search(
     weights: LogLinearWeights,
     beam: BeamConfig,
     nbest: int,
-) -> dict[Tokens, _Hypothesis]:
-    """Coverage-stack beam search; returns completed hypotheses by target,
-    a superset of the ``nbest`` first in ``_rank`` order."""
+) -> dict[Tokens, tuple]:
+    """Coverage-stack beam search.  Returns the end-of-sentence entry of
+    each completed output by target, a superset of the ``nbest`` first in
+    ``_rank`` order."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
@@ -393,10 +382,10 @@ def _search(
             eos = eos_lm[ctx] = cond_logprob(EOS, ctx)
         return eos
 
+    root = (0.0, None, None, 0.0)
     if n == 0:
-        init = _Hypothesis(0.0, 0, (BOS,), 0, None, None, 0.0)
-        eos = eos_logprob(init.lm_ctx)
-        return {(): _Hypothesis(w_lm * eos, 0, init.lm_ctx, 0, init, None, eos)}
+        eos = eos_logprob((BOS,))
+        return {(): (w_lm * eos, root, None, eos)}
 
     # the options in start order, each with its coverage mask, weighted
     # phrase and word-penalty part and the LM memo of its target
@@ -424,16 +413,16 @@ def _search(
 
     size = beam.stack_size
     full = (1 << n) - 1
-    finals: dict[Tokens, _Hypothesis] = {}
+    finals: dict[Tokens, tuple] = {}
     final_heap: list[float] = []
     final_floor = -math.inf
-    # a stack maps (coverage, LM context, last end) to (score, parent,
-    # option, LM log-prob); only the entries that survive pruning become
-    # _Hypothesis objects
+    # a stack maps (coverage, LM context, last end) to its entry (score,
+    # parent entry, option, LM log-prob of the step); the entry is the
+    # search state, and its parent chain is the back-trace
     stacks: list[dict] = [{} for _ in range(n + 1)]
     heaps: list[list[float]] = [[] for _ in range(n + 1)]
     floors = [-math.inf] * (n + 1)
-    stacks[0][(0, (BOS,), 0)] = (0.0, None, None, 0.0)
+    stacks[0][(0, (BOS,), 0)] = root
 
     for k in range(n):
         floor = floors[k]
@@ -441,8 +430,8 @@ def _search(
             [kv for kv in stacks[k].items() if kv[1][0] >= floor],
             key=lambda kv: (-kv[1][0], kv[0]),
         )[:size]
-        for (coverage, ctx, last), (score, parent, option, delta) in ranked:
-            hyp = _Hypothesis(score, coverage, ctx, last, parent, option, delta)
+        for (coverage, ctx, last), entry in ranked:
+            score = entry[0]
             prefix = None
             for mask, static, dist_cost, memo, opt, length in windows[last]:
                 if coverage & mask:
@@ -466,18 +455,15 @@ def _search(
                     if done_score < final_floor:
                         continue
                     if prefix is None:
-                        prefix = _target_tokens(hyp)
+                        prefix = _target_tokens(entry)
                     output = prefix + opt.target
                     old = finals.get(output)
                     if old is None:
                         final_floor = _push_floor(final_heap, nbest, done_score)
-                    elif done_score <= old.score:
+                    elif done_score <= old[0]:
                         continue
-                    last_step = _Hypothesis(
-                        new_score, full, new_ctx, opt.end, hyp, opt, lm_delta,
-                    )
-                    finals[output] = _Hypothesis(
-                        done_score, full, new_ctx, opt.end, last_step, None, eos,
+                    finals[output] = (
+                        done_score, (new_score, entry, opt, lm_delta), None, eos,
                     )
                 elif new_score >= floors[j]:
                     stack = stacks[j]
@@ -487,44 +473,44 @@ def _search(
                         floors[j] = _push_floor(heaps[j], size, new_score)
                     elif new_score <= old[0]:
                         continue
-                    stack[key] = (new_score, hyp, opt, lm_delta)
+                    stack[key] = (new_score, entry, opt, lm_delta)
     return finals
 
 
-def _target_tokens(hyp: _Hypothesis) -> Tokens:
+def _target_tokens(entry: tuple) -> Tokens:
     parts: list[Tokens] = []
-    node = hyp
-    while node is not None:
-        if node.option is not None:
-            parts.append(node.option.target)
-        node = node.backptr
+    while entry is not None:
+        if entry[2] is not None:
+            parts.append(entry[2].target)
+        entry = entry[1]
     return tuple(tok for phrase in reversed(parts) for tok in phrase)
 
 
-def _to_result(hyp: _Hypothesis) -> DecodeResult:
+def _to_result(entry: tuple) -> DecodeResult:
     """Rebuild the 7-dim feature vector by adding each step's terms from the
-    first step to the end-of-sentence event, slot by slot."""
-    path: list[_Hypothesis] = []
-    node = hyp
+    root to the end-of-sentence event, slot by slot."""
+    path: list[tuple] = []
+    node = entry
     while node is not None:
         path.append(node)
-        node = node.backptr
+        node = node[1]
     features = [0.0] * len(FEATURE_NAMES)
     trace: list[TracedPhrase] = []
     tokens: list[str] = []
-    for node in reversed(path):
-        opt = node.option
+    last_end = 0
+    for _, _, opt, lm_delta in reversed(path):
         if opt is not None:
             for i, value in enumerate(opt.log_feats):
                 features[i] += value
             features[5] -= len(opt.target)
-            features[6] -= abs(opt.start - node.backptr.last_end)
+            features[6] -= abs(opt.start - last_end)
+            last_end = opt.end
             trace.append(TracedPhrase((opt.start, opt.end), opt.target, opt.log_feats))
             tokens.extend(opt.target)
-        features[4] += node.lm_delta
+        features[4] += lm_delta
     return DecodeResult(
         tokens=tuple(tokens),
-        score=hyp.score,
+        score=entry[0],
         features=np.array(features),
         trace=trace,
     )
@@ -539,8 +525,7 @@ def _as_annotated(source) -> AnnotatedInput:
 def _search_complete(annotated, table, lm, weights, beam, nbest):
     finals = _search(annotated, table, lm, weights, beam, nbest)
     if not finals:
-        # aggressive pruning can strand the search on dead ends; a monotone
-        # completion always exists, so an unpruned pass must find something
+        # aggressive pruning can strand the search on dead ends
         relaxed = BeamConfig(
             stack_size=max(beam.stack_size * 10, 1000),
             distortion_limit=max(beam.distortion_limit, len(annotated.tokens)),
@@ -551,14 +536,20 @@ def _search_complete(annotated, table, lm, weights, beam, nbest):
             len(annotated.tokens), relaxed.stack_size,
         )
         finals = _search(annotated, table, lm, weights, relaxed, nbest)
+        if not finals:
+            raise SearchError(
+                f"no sequence of translation options covering "
+                f"{' '.join(annotated.tokens)!r} survived a search with stack "
+                f"size {relaxed.stack_size}"
+            )
     return finals
 
 
-def _rank(item: tuple[Tokens, _Hypothesis]) -> tuple[float, Tokens]:
+def _rank(item: tuple[Tokens, tuple]) -> tuple[float, Tokens]:
     """The order of completed hypotheses: score descending, then tokens
     ascending, so exact score ties are broken by the output alone."""
-    tokens, hyp = item
-    return -hyp.score, tokens
+    tokens, entry = item
+    return -entry[0], tokens
 
 
 def decode(
@@ -591,7 +582,7 @@ def decode_nbest(
         raise ValueError(f"n must be >= 1, got {n}")
     finals = _search_complete(_as_annotated(source), table, lm, weights, beam, n)
     ranked = sorted(finals.items(), key=_rank)
-    return [_to_result(hyp) for _, hyp in ranked[:n]]
+    return [_to_result(entry) for _, entry in ranked[:n]]
 
 
 # ---------------------------------------------------------------------------

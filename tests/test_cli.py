@@ -102,7 +102,7 @@ class TestConfig:
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("just a line\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="c.cfg:1"):
+        with pytest.raises(ConfigError, match="c.cfg: line 1"):
             load_config(path)
 
     def test_relative_paths_resolve_from_config_dir(self, tmp_path):
@@ -308,6 +308,32 @@ class TestModelFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
+    def test_uncoverable_input_names_the_input_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        small_smt_model(model_dir)
+        # every token has an option, but no sequence of options covers "a b c"
+        feats = (0.5, 0.5, 0.5, 0.5)
+        save_phrase_table(
+            PhraseTable({
+                ("a", "b"): [PhraseOption(("x",), feats)],
+                ("b", "c"): [PhraseOption(("y",), feats)],
+            }),
+            model_dir / "phrase-table.txt",
+        )
+        (tmp_path / "in.txt").write_text("a b\na b c\n", encoding="utf-8")
+        sets = ["--set", "translate.input=in.txt"]
+        assert run(["translate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'in.txt'}: line 2: " in err
+        assert "'a b c'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
     def test_missing_weights_file_is_named(self, tmp_path, monkeypatch, capsys):
         from termforge.smt import LogLinearWeights, save_weights

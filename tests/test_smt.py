@@ -6,6 +6,7 @@ import logging
 import math
 import random
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from termforge import smt
 from termforge.align import PhraseOption, PhraseTable
 from termforge.corpus import ParallelCorpus, Tokens
-from termforge.errors import MarkupError, ModelFormatError
+from termforge.errors import MarkupError, ModelFormatError, SearchError
 from termforge.lm import BOS, EOS, NgramLanguageModel, train_lm
 from termforge.metrics import (
     BLEU_ORDER,
@@ -34,13 +35,11 @@ from termforge.smt import (
     LogLinearWeights,
     Span,
     SpanCandidate,
-    _Hypothesis,
     _line_search_dim,
     _mask,
     _optimize_on_pool,
     _pool_bleu,
     _pool_dots,
-    _target_tokens,
     _upper_envelope,
     build_options,
     decode,
@@ -334,9 +333,16 @@ class TestDecode:
         assert positions == [0, 1, 2]
 
     def test_empty_input(self):
-        result = decode((), toy_table(), toy_lm(), LogLinearWeights.default())
+        lm = toy_lm()
+        result = decode((), toy_table(), lm, LogLinearWeights.default())
         assert result.tokens == ()
         assert math.isfinite(result.score)
+        # the root's end-of-sentence entry alone: weight 1.0 on the LM term
+        eos = lm.cond_logprob(EOS, (BOS,))
+        assert result.score == eos
+        assert result.features[4] == eos
+        assert [result.features[i] for i in (0, 1, 2, 3, 5, 6)] == [0.0] * 6
+        assert result.trace == []
 
 
 class TestRelaxedFallback:
@@ -373,6 +379,38 @@ class TestRelaxedFallback:
             decode(("a", "b", "c"), table, lm, weights, BeamConfig())
             decode_nbest(("a", "b", "c"), table, lm, weights, BeamConfig(), n=5)
         assert not [r for r in caplog.records if r.name == "termforge.smt"]
+
+
+class TestUncoverableInput:
+    """Every token of "a b c" has an option, so none passes through, but no
+    sequence of options covers the input: the pruned and the relaxed pass
+    both find nothing."""
+
+    @staticmethod
+    def uncoverable_setup():
+        table = PhraseTable(
+            {
+                ("a", "b"): [PhraseOption(("x",), (0.5, 0.5, 0.5, 0.5))],
+                ("b", "c"): [PhraseOption(("y",), (0.5, 0.5, 0.5, 0.5))],
+            },
+        )
+        return table, toy_lm([("x", "y")]), LogLinearWeights.default()
+
+    def test_decode_names_the_source(self):
+        table, lm, weights = self.uncoverable_setup()
+        with pytest.raises(SearchError, match="'a b c'"):
+            decode(("a", "b", "c"), table, lm, weights)
+
+    def test_decode_nbest_names_the_source(self):
+        table, lm, weights = self.uncoverable_setup()
+        with pytest.raises(SearchError, match="'a b c'"):
+            decode_nbest(("a", "b", "c"), table, lm, weights, n=5)
+
+    def test_mert_tune_names_the_source(self):
+        table, lm, weights = self.uncoverable_setup()
+        dev = ParallelCorpus([(("a", "b"), ("x",)), (("a", "b", "c"), ("x", "y"))])
+        with pytest.raises(SearchError, match="'a b c'"):
+            mert_tune(dev, table, lm, weights, restarts=0, iterations=1)
 
 
 def random_setup(rng, n_src=6, n_tgt=6):
@@ -488,6 +526,32 @@ class TestRebuiltFeatures:
             )
 
 
+@dataclass(slots=True)
+class _Hypothesis:
+    """One search state.  ``lm_delta`` is the language-model log-probability
+    of the step that made it: its phrase, or, on a completed hypothesis
+    (``option is None``), the end-of-sentence event.  Feature vectors are
+    rebuilt from the back-trace only for returned results."""
+
+    score: float
+    coverage: int
+    lm_ctx: tuple[str, ...]
+    last_end: int
+    backptr: "_Hypothesis | None"
+    option: _Option | None
+    lm_delta: float
+
+
+def _target_tokens(hyp: _Hypothesis) -> Tokens:
+    parts: list[Tokens] = []
+    node = hyp
+    while node is not None:
+        if node.option is not None:
+            parts.append(node.option.target)
+        node = node.backptr
+    return tuple(tok for phrase in reversed(parts) for tok in phrase)
+
+
 def reference_search(
     annotated: AnnotatedInput,
     table: PhraseTable,
@@ -496,8 +560,9 @@ def reference_search(
     beam: BeamConfig,
 ) -> dict[Tokens, _Hypothesis]:
     """The stack search as it was before stack entries became tuples and the
-    LM memo was split by target: every entry a ``_Hypothesis``, one
-    ``(context, target)`` memo."""
+    LM memo was split by target: every entry a ``_Hypothesis`` (the class and
+    ``_target_tokens`` above are the decoder's own before it kept its stack
+    entries as the search states), one ``(context, target)`` memo."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
@@ -592,11 +657,21 @@ def reference_search(
     return finals
 
 
+def as_entry(hyp: _Hypothesis | None) -> tuple | None:
+    """A ``_Hypothesis`` chain as the decoder's stack entries:
+    ``(score, parent entry, option, LM log-prob of the step)``."""
+    if hyp is None:
+        return None
+    return (hyp.score, as_entry(hyp.backptr), hyp.option, hyp.lm_delta)
+
+
 def reference_search_any_n(annotated, table, lm, weights, beam, nbest):
     """``reference_search`` in the place of a search that is told the list
     length it serves; it ignores the length and keeps every completion, a
-    superset of what the pruned-by-floor search keeps."""
-    return reference_search(annotated, table, lm, weights, beam)
+    superset of what the pruned-by-floor search keeps.  Its finals are
+    converted into stack entries, the form ``decode_nbest`` reads."""
+    finals = reference_search(annotated, table, lm, weights, beam)
+    return {tokens: as_entry(hyp) for tokens, hyp in finals.items()}
 
 
 def coarse_setup(rng, n_src=5, n_tgt=4):
