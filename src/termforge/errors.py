@@ -30,7 +30,12 @@ class MarkupError(TermforgeError):
 
 
 class SearchError(TermforgeError):
-    """The decoder found no sequence of translation options covering an input."""
+    """The decoder found no sequence of translation options covering an
+    input; ``tokens`` holds that input's tokens."""
+
+    def __init__(self, message: str, tokens: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.tokens = tokens
 
 
 class TrainingDivergedError(TermforgeError):

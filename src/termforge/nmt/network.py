@@ -13,10 +13,19 @@ The LSTM cell fuses its gate nonlinearities: one sigmoid pass over all 4n
 pre-activation columns, from which the input, forget and output gates are
 slices, and a tanh over the candidate slice.  The sigmoid is
 ``1/(1+exp(-z))`` element by element either way, so fusing changes no value.
+A step caches the fused gates, the candidate and the tanh of the new
+memory, so the backward pass recomputes no nonlinearity.  It writes the four
+gate gradients into one (B, 4n) buffer ``dz`` and takes all three sigmoid
+derivatives with two in-place products over the whole buffer.
 
-Everything is plain float64 numpy; the per-step matrix products are
-BLAS-bound, which profiling showed beats both numba loop kernels and jitted
-np.dot at these sizes.
+Everything is plain float64 numpy.  At these sizes (hidden 32, batches of
+16 or 2) a step is bound by the fixed cost of each numpy call, not by flops,
+which profiling showed plain numpy handles better than numba loop kernels or
+jitted np.dot.  So the code saves calls: one ``np.errstate`` per encoder or
+decoder step call, the output softmax of all time steps at once, one
+embedding-gradient scatter per batch.  Each saving keeps every element's
+operations in their order, so every value stays bit-identical; stacking
+matrix products across time steps would not, and is not done.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ from .model import Seq2SeqModel
 
 
 def _sigmoid(x):
-    with np.errstate(over="ignore"):  # saturated gates flush to exactly 0/1
-        return 1.0 / (1.0 + np.exp(-x))
+    # callers enter np.errstate(over="ignore"): saturated gates flush to 0/1
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _layer_step(params, side, l, x, h, c):
@@ -37,21 +46,20 @@ def _layer_step(params, side, l, x, h, c):
     Runs the fused-gate cell on the input ``x`` and the layer's previous
     (state, memory) and adds ``x`` to the cell output on every encoder
     layer and on decoder layers above the first.  Returns (state, memory,
-    cache).
+    cache).  The caller holds ``np.errstate(over="ignore")``.
     """
     n = h.shape[1]
-    W, U, b = (params[f"{side}_{kind}_{l}"] for kind in "WUb")
-    z = x @ W + h @ U + b
+    z = x @ params[f"{side}_W_{l}"]
+    z += h @ params[f"{side}_U_{l}"]
+    z += params[f"{side}_b_{l}"]
     gates = _sigmoid(z)  # one pass over all 4n columns; g's are unused
-    i = gates[:, :n]
-    f = gates[:, n:2 * n]
     g = np.tanh(z[:, 2 * n:3 * n])
-    o = gates[:, 3 * n:]
-    c_new = f * c + i * g
-    state = o * np.tanh(c_new)
+    c_new = gates[:, n:2 * n] * c + gates[:, :n] * g
+    tc = np.tanh(c_new)
+    state = gates[:, 3 * n:] * tc
     if side == "enc" or l > 1:
         state = x + state
-    return state, c_new, (x, h, c, i, f, g, o, c_new)
+    return state, c_new, (x, h, c, gates, g, tc)
 
 
 def _layer_step_backward(params, side, l, ds, dc, cache, mask, grads):
@@ -59,32 +67,30 @@ def _layer_step_backward(params, side, l, ds, dc, cache, mask, grads):
     state and memory; accumulates the weight gradients into ``grads`` and
     returns (d_input, d_prev_state, d_prev_memory), the input gradient
     scaled by the dropout ``mask`` that was applied to the input."""
-    x, h_prev, c_prev, i, f, g, o, c = cache
-    tc = np.tanh(c)
-    do = ds * tc
-    dc = dc + ds * o * (1.0 - tc * tc)
-    di = dc * g
-    dg = dc * i
-    df = dc * c_prev
-    dc_prev = dc * f
-    dz = np.concatenate(
-        [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
-        ],
-        axis=1,
-    )
+    x, h_prev, c_prev, gates, g, tc = cache
+    n = g.shape[1]
+    dc = dc + ds * gates[:, 3 * n:] * (1.0 - tc * tc)
+    # [di, df, (candidate), do] times s·(1-s), one gate slice per quarter;
+    # the buffer starts at zero so the candidate quarter, rewritten below,
+    # never multiplies stale memory
+    dz = np.zeros(gates.shape)
+    np.multiply(dc, g, out=dz[:, :n])
+    np.multiply(dc, c_prev, out=dz[:, n:2 * n])
+    np.multiply(ds, tc, out=dz[:, 3 * n:])
+    dz *= gates
+    dz *= 1.0 - gates
+    dg = np.multiply(dc, gates[:, :n], out=dz[:, 2 * n:3 * n])
+    dg *= 1.0 - g * g
+    dc_prev = dc * gates[:, n:2 * n]
     grads[f"{side}_W_{l}"] += x.T @ dz
     grads[f"{side}_U_{l}"] += h_prev.T @ dz
     grads[f"{side}_b_{l}"] += dz.sum(axis=0)
     dx = dz @ params[f"{side}_W_{l}"].T
     dh_prev = dz @ params[f"{side}_U_{l}"].T
     if side == "enc" or l > 1:
-        dx = dx + ds
+        dx += ds
     if mask is not None:
-        dx = dx * mask
+        dx *= mask
     return dx, dh_prev, dc_prev
 
 
@@ -107,21 +113,22 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
     inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, n)
     layer_caches = []
     finals = []
-    for l in range(1, cfg.layers + 1):
-        mask = _dropout_mask(rng, inputs.shape, cfg.dropout) if l > 1 else None
-        if mask is not None:
-            inputs = inputs * mask
-        states = np.empty((Ts, B, n))
-        h = np.zeros((B, n))
-        c = np.zeros((B, n))
-        cell_caches = []
-        for t in range(Ts):
-            h, c, cache = _layer_step(params, "enc", l, inputs[t], h, c)
-            states[t] = h
-            cell_caches.append(cache)
-        layer_caches.append((inputs, cell_caches, mask))
-        finals.append((states[-1].copy(), c.copy()))
-        inputs = states
+    with np.errstate(over="ignore"):  # saturated gates flush to 0/1
+        for l in range(1, cfg.layers + 1):
+            mask = _dropout_mask(rng, inputs.shape, cfg.dropout) if l > 1 else None
+            if mask is not None:
+                inputs = inputs * mask
+            states = np.empty((Ts, B, n))
+            h = np.zeros((B, n))
+            c = np.zeros((B, n))
+            cell_caches = []
+            for t in range(Ts):
+                h, c, cache = _layer_step(params, "enc", l, inputs[t], h, c)
+                states[t] = h
+                cell_caches.append(cache)
+            layer_caches.append((inputs, cell_caches, mask))
+            finals.append((states[-1].copy(), c.copy()))
+            inputs = states
     return inputs, finals, (src_ids, layer_caches)
 
 
@@ -194,15 +201,16 @@ def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None
     cfg = model.config
     x = x_in
     step_caches = []
-    for l in range(1, cfg.layers + 1):
-        mask = _dropout_mask(rng, x.shape, cfg.dropout) if l > 1 else None
-        if mask is not None:
-            x = x * mask
-        x, c_layers[l - 1], cache = _layer_step(
-            params, "dec", l, x, h_layers[l - 1], c_layers[l - 1]
-        )
-        h_layers[l - 1] = x
-        step_caches.append((cache, mask))
+    with np.errstate(over="ignore"):  # saturated gates flush to 0/1
+        for l in range(1, cfg.layers + 1):
+            mask = _dropout_mask(rng, x.shape, cfg.dropout) if l > 1 else None
+            if mask is not None:
+                x = x * mask
+            x, c_layers[l - 1], cache = _layer_step(
+                params, "dec", l, x, h_layers[l - 1], c_layers[l - 1]
+            )
+            h_layers[l - 1] = x
+            step_caches.append((cache, mask))
     # x is now the top layer's state
     hbar, attn, att_cache = _attention(params, x, enc_top)
     if caches is not None:
@@ -228,29 +236,37 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     total_tokens = float(mask.sum())
     if total_tokens == 0:
         raise ValueError("batch contains no target tokens")
+    rows = np.arange(B)
 
     enc_top, enc_finals, enc_cache = encode(model, src_ids, rng=train_rng)
     h_layers = [h.copy() for h, _ in enc_finals]
     c_layers = [c.copy() for _, c in enc_finals]
     hbar = np.zeros((B, n))
 
+    out_W = params["out_W"]
     caches = []
-    probs_steps = []
-    loss = 0.0
+    # each step's logits, turned in place into its softmax and, for the
+    # backward pass, into the gradient on the logits
+    probs = np.empty((Tt, B, out_W.shape[1]))
+    emb = params["dec_E"][dec_in.T]  # (Tt, B, n)
     for t in range(Tt):
-        emb = params["dec_E"][dec_in[:, t]]
-        x_in = np.concatenate([emb, hbar], axis=1)
+        x_in = np.concatenate([emb[t], hbar], axis=1)
         hbar, _ = decoder_step(
             model, x_in, h_layers, c_layers, enc_top, rng=train_rng, caches=caches
         )
-        logits = hbar @ params["out_W"] + params["out_b"]
-        logits -= logits.max(axis=1, keepdims=True)
-        exp = np.exp(logits)
-        probs = exp / exp.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore"):  # -inf here means divergence
-            logp = np.log(probs[np.arange(B), dec_out[:, t]])
-        loss -= float((logp * mask[:, t]).sum())
-        probs_steps.append(probs)
+        np.matmul(hbar, out_W, out=probs[t])
+    # the softmax and the log-likelihood act row by row, so taking every
+    # step at once changes no value
+    probs += params["out_b"]
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    steps = np.arange(Tt)[:, None]
+    with np.errstate(divide="ignore"):  # -inf here means divergence
+        logp = np.log(probs[steps, rows, dec_out.T])
+    loss = 0.0
+    for step_logp in logp * mask.T:  # 1-D sums: sum(axis=1) adds in another order
+        loss -= float(step_logp.sum())
     loss /= total_tokens
     if not with_grads or not np.isfinite(loss):
         return loss, None, total_tokens
@@ -260,16 +276,18 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     dh_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
     dc_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
     d_hbar_next = np.zeros((B, n))
+    dlogits = probs
+    dlogits[steps, rows, dec_out.T] -= 1.0
+    dlogits *= (mask / total_tokens).T[:, :, None]
+    # embedding gradients by step, latest step first, for one scatter below
+    d_emb = np.empty((Tt, B, n))
 
     for t in range(Tt - 1, -1, -1):
         step_caches, att_cache, h_top, hbar_t = caches[t]
-        probs = probs_steps[t]
-        dlogits = probs.copy()
-        dlogits[np.arange(B), dec_out[:, t]] -= 1.0
-        dlogits *= (mask[:, t] / total_tokens)[:, None]
-        grads["out_W"] += hbar_t.T @ dlogits
-        grads["out_b"] += dlogits.sum(axis=0)
-        d_hbar = dlogits @ params["out_W"].T + d_hbar_next
+        grads["out_W"] += hbar_t.T @ dlogits[t]
+        grads["out_b"] += dlogits[t].sum(axis=0)
+        d_hbar = dlogits[t] @ out_W.T
+        d_hbar += d_hbar_next
 
         dh_top, d_enc = _attention_backward(
             params, att_cache, enc_top, h_top, d_hbar, hbar_t, grads
@@ -284,8 +302,11 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
                 drop_mask, grads,
             )
         # ds is now the gradient on [embedding; previous attentional vector]
-        np.add.at(grads["dec_E"], dec_in[:, t], ds[:, :n])
+        d_emb[Tt - 1 - t] = ds[:, :n]
         d_hbar_next = ds[:, n:]
+    # ufunc.at adds in index order, so each dec_E row sums its terms in the
+    # order the backward pass met them: t descending, then rows
+    np.add.at(grads["dec_E"], dec_in.T[::-1].reshape(-1), d_emb.reshape(-1, n))
 
     d_finals = list(zip(dh_time, dc_time))
     encode_backward(model, enc_cache, d_enc_top, d_finals, grads)

@@ -186,17 +186,27 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     nbest = _at_least(cfg, "smt.mert.nbest", 100, 1)
     model_dir, ptable, model, weights = _smt_artifacts(cfg)
     dev = _load_split(cfg, "dev")
-    tuned = smt.mert_tune(
-        dev,
-        ptable,
-        model,
-        weights,
-        restarts=restarts,
-        iterations=iterations,
-        nbest=nbest,
-        seed=cfg.seed,
-        beam=beam,
-    )
+    try:
+        tuned = smt.mert_tune(
+            dev,
+            ptable,
+            model,
+            weights,
+            restarts=restarts,
+            iterations=iterations,
+            nbest=nbest,
+            seed=cfg.seed,
+            beam=beam,
+        )
+    except SearchError as exc:
+        # dev sentences are searched in order, so the first line holding
+        # the uncoverable tokens is the one that failed
+        source = cfg.input_path("corpus.dev.source")
+        lineno = next(
+            lineno for lineno, line in enumerate(read_lines(source), start=1)
+            if corpus.tokenize(line) == exc.tokens
+        )
+        raise SearchError(f"{source}: line {lineno}: {exc}", exc.tokens) from None
     smt.save_weights(tuned, os.path.join(model_dir, weights_out))
     log.info("tune: wrote %s", weights_out)
 

@@ -540,7 +540,8 @@ def _search_complete(annotated, table, lm, weights, beam, nbest):
             raise SearchError(
                 f"no sequence of translation options covering "
                 f"{' '.join(annotated.tokens)!r} survived a search with stack "
-                f"size {relaxed.stack_size}"
+                f"size {relaxed.stack_size}",
+                annotated.tokens,
             )
     return finals
 

@@ -335,6 +335,38 @@ class TestModelFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
+    # the second dev file starts with a blank line, which the corpus drops
+    @pytest.mark.parametrize("src, tgt", [("a b\na b c\n", "x\nx y\n"),
+                                          ("\na b c\n", "\nx y\n")])
+    def test_uncoverable_dev_sentence_names_the_dev_line(
+        self, tmp_path, monkeypatch, capsys, src, tgt
+    ):
+        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        small_smt_model(model_dir)
+        feats = (0.5, 0.5, 0.5, 0.5)
+        save_phrase_table(
+            PhraseTable({
+                ("a", "b"): [PhraseOption(("x",), feats)],
+                ("b", "c"): [PhraseOption(("y",), feats)],
+            }),
+            model_dir / "phrase-table.txt",
+        )
+        weights = (model_dir / "weights.txt").read_bytes()
+        (tmp_path / "dev.src").write_text(src, encoding="utf-8")
+        (tmp_path / "dev.tgt").write_text(tgt, encoding="utf-8")
+        sets = ["--set", "corpus.dev.source=dev.src",
+                "--set", "corpus.dev.target=dev.tgt"]
+        assert run(["tune", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'dev.src'}: line 2: " in err
+        assert "'a b c'" in err
+        assert "Traceback" not in err
+        assert (model_dir / "weights.txt").read_bytes() == weights
+
     def test_missing_weights_file_is_named(self, tmp_path, monkeypatch, capsys):
         from termforge.smt import LogLinearWeights, save_weights
 

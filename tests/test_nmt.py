@@ -1,9 +1,12 @@
 """Neural model: gradients, residual structure, training, translation."""
 
 import dataclasses
+import fnmatch
+import importlib
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -544,6 +547,120 @@ class TestLayerStepOracle:
         for got, want in zip(h_layers + c_layers, ref_h_layers + ref_c_layers):
             assert np.array_equal(got, want)
         assert rng.random() == ref_rng.random()  # the same draws were made
+
+
+def ragged_corpus(n_pairs=48, n_symbols=5, seed=6):
+    """Sources of 3-4 tokens and targets of 1-7 over a few symbols, so a
+    batch holds targets of several lengths and target ids recur across
+    steps."""
+    rng = random.Random(seed)
+    src_symbols = [f"s{i}" for i in range(n_symbols)]
+    tgt_symbols = [f"t{i}" for i in range(n_symbols)]
+    return ParallelCorpus([
+        (tuple(rng.choices(src_symbols, k=rng.randint(3, 4))),
+         tuple(rng.choices(tgt_symbols, k=rng.randint(1, 7))))
+        for _ in range(n_pairs)
+    ])
+
+
+class TestTrainingOracle:
+    """Training is bit-equal with the reference network in place of
+    ``loss_and_grads``: this covers the embedding scatter of each batch and
+    the optimizer loop, which the per-batch oracle above does not.
+
+    Both runs start from zero target embeddings: a gradient one ulp off
+    (as a reordered scatter makes) would vanish when added to weights of
+    about 0.1, but not into weights of its own size."""
+
+    CONFIG = TrainConfig(layers=2, hidden=6, batch_size=16, dropout=0.1,
+                         epochs=2, seed=8)
+    # `termforge.nmt.train` names the function, so reach the module itself
+    MODULE = importlib.import_module("termforge.nmt.train")
+
+    def with_reference(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].shape[0])
+            return reference_loss_and_grads(*args, **kwargs)
+
+        monkeypatch.setattr(self.MODULE, "loss_and_grads", counted)
+        return calls
+
+    @staticmethod
+    def assert_same(model, ref):
+        assert model.train_history == ref.train_history
+        assert model.params.keys() == ref.params.keys()
+        for name in model.params:
+            assert np.array_equal(model.params[name], ref.params[name]), name
+
+    def test_train(self, monkeypatch):
+        def zero_target_embeddings(*args):
+            params = init_params(*args)
+            params["dec_E"][:] = 0.0
+            return params
+
+        monkeypatch.setattr(self.MODULE, "init_params", zero_target_embeddings)
+        corpus = ragged_corpus()
+        model = train(corpus, self.CONFIG)
+        batch_sizes = self.with_reference(monkeypatch)
+        self.assert_same(model, train(corpus, self.CONFIG))
+        assert max(batch_sizes) == 16
+
+    def test_fine_tune(self, monkeypatch):
+        corpus = ragged_corpus()
+        base = train(corpus, dataclasses.replace(self.CONFIG, epochs=1))
+        base.params["dec_E"][:] = 0.0
+        dev = ParallelCorpus(corpus.pairs[:12])
+        schedule = TrainConfig(epochs=2, batch_size=2, seed=8)
+        tuned = fine_tune(base, dev, schedule)
+        batch_sizes = self.with_reference(monkeypatch)
+        self.assert_same(tuned, fine_tune(base, dev, schedule))
+        assert max(batch_sizes) == 2
+
+
+class TestSaturatedGates:
+    """Weights scaled by 1e4 push pre-activations past ±710, where
+    ``exp(-z)`` overflows: the gates flush to exactly 0 or 1 with no
+    warning from any entry point."""
+
+    def test_no_warning_and_exact_flush(self):
+        model, (src_ids, tgt_ids) = tiny_model(layers=2, hidden=4)
+        for name in model.params:
+            if any(fnmatch.fnmatch(name, p) for p in ("*_W_*", "*_U_*", "*_b_*")):
+                model.params[name] *= 1e4
+        B, n = src_ids.shape[0], model.config.hidden
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top, finals, (_, layer_caches) = encode(model, src_ids)
+            x_in = np.concatenate(
+                [model.params["dec_E"][tgt_ids[:, 0]], np.zeros((B, n))], axis=1
+            )
+            step_caches = []
+            decoder_step(model, x_in, [h for h, _ in finals],
+                         [c for _, c in finals], top, caches=step_caches)
+            loss, grads, _ = loss_and_grads(
+                model, src_ids, tgt_ids, train_rng=np.random.default_rng(0)
+            )
+            out, _, _ = translate(model, ("a", "b", "c"), beam_width=3)
+        assert np.isfinite(loss) and out
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+        cells = [("enc", l + 1, cache)
+                 for l, (_, caches, _) in enumerate(layer_caches) for cache in caches]
+        cells += [("dec", l + 1, cache)
+                  for l, (cache, _) in enumerate(step_caches[0][0])]
+        below = 0
+        for side, l, cache in cells:
+            x, h, _, gates = cache[:4]  # cell input, state, memory, gates
+            z = (x @ model.params[f"{side}_W_{l}"] + h @ model.params[f"{side}_U_{l}"]
+                 + model.params[f"{side}_b_{l}"])
+            sig = np.r_[0:2 * n, 3 * n:4 * n]  # input, forget and output gates
+            gates, z = gates[:, sig], z[:, sig]
+            assert ((gates >= 0.0) & (gates <= 1.0)).all()
+            assert (gates[z < -710] == 0.0).all() and (gates[z > 710] == 1.0).all()
+            below += int((z < -710).sum())
+        assert below > 0  # exp(-z) overflowed
 
 
 class TestTraining:
