@@ -5,10 +5,27 @@ at each order is exactly the interpolation weight handed to the next order
 down, and the unigram level interpolates with a uniform distribution over
 the prediction set (vocabulary + end-of-sentence + unknown), so unknown
 tokens always receive finite probability.
+
+Queries run on integer ids and context states (Heafield 2011).  From the
+``logprob`` and ``backoff`` tables a model derives, once and on its first
+query, its :class:`StateTables`.  Every vocabulary word gets an id.  Every
+n-gram shorter than the order, every context that has an entry (it
+prefixes an n-gram or has a back-off weight) and every prefix of these
+gets a state; with the prefixes, the state after a word follows from the
+state before it.  A state holds its back-off weight and its lower state,
+the state of its longest proper suffix that has one.  The state of a
+context is that of its longest suffix with a state: each level skipped on
+the way has no n-gram and a back-off weight of 0.0, and a sum that starts
+at 0.0 is never -0.0, so skipping it leaves every log-prob bit-equal.
+``StateTables.step`` is the one back-off walk: it looks ``log P(word |
+state)`` up by the single int key ``state * n_words + word`` on each level
+from the state down, and it returns the state after the word too.
+``cond_logprob`` on strings is a thin wrapper over it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -25,6 +42,112 @@ UNK = "<unk>"
 _LOG10 = math.log(10.0)
 
 
+class StateTables:
+    """The integer ids and context states of one model (see the module
+    docstring).  Built in one pass over its n-grams, then over its back-off
+    weights and its states; the model must not change afterwards."""
+
+    __slots__ = ("ids", "n_words", "keep", "predict", "unk", "child", "backoff",
+                 "probs", "lower")
+
+    def __init__(self, model: "NgramLanguageModel"):
+        ids = {word: i for i, word in enumerate(sorted(model.vocab))}
+        n = len(ids)
+        unk = ids[UNK]
+        prediction_set = model.prediction_set
+        missing = sorted(w for w in prediction_set if (w,) not in model.logprob)
+        if missing or UNK not in prediction_set:
+            raise ValueError(f"predicted words without a unigram: {missing or [UNK]}")
+        self.ids = ids
+        self.n_words = n
+        self.keep = keep = model.order - 1
+        # the id each word is predicted as: a word outside the prediction
+        # set (only <s> in a trained or loaded model) scores as <unk>
+        self.predict = [
+            i if word in prediction_set else unk for word, i in ids.items()
+        ]
+        self.unk = unk
+        states: dict[tuple[str, ...], int] = {(): 0}  # for the build only
+        # state * n_words + word -> the state of the state's context + word
+        self.child = child = {}
+        self.backoff = backoff = [0.0]
+
+        def add(ctx: tuple[str, ...]) -> int:
+            """Add the state of ``ctx``, and of its prefixes that have none."""
+            sid = 0
+            for i, word in enumerate(ctx, start=1):
+                after = states.get(ctx[:i])
+                if after is None:
+                    after = states[ctx[:i]] = len(backoff)
+                    backoff.append(0.0)
+                    child[sid * n + ids[word]] = after
+                sid = after
+            return sid
+
+        # state * n_words + word -> log P(word | the state's context); an
+        # n-gram shorter than the order is a state itself, so the context
+        # of a longer one is found at once
+        self.probs = probs = {}
+        for gram, value in model.logprob.items():
+            sid = states.get(gram[:-1])
+            if sid is None:
+                sid = add(gram[:-1])
+            key = sid * n + ids[gram[-1]]
+            probs[key] = value
+            if len(gram) <= keep:
+                after = states.setdefault(gram, len(backoff))
+                if after == len(backoff):
+                    backoff.append(0.0)
+                    child[key] = after
+        for ctx, value in model.backoff.items():
+            sid = states.get(ctx)
+            if sid is None:
+                if len(ctx) > keep:
+                    continue
+                sid = add(ctx)
+            backoff[sid] = value
+        self.lower = lower = [0] * len(backoff)
+        for ctx, sid in states.items():
+            suffix = ctx[1:]
+            low = states.get(suffix)
+            while low is None:
+                suffix = suffix[1:]
+                low = states.get(suffix)
+            lower[sid] = low
+
+    def state(self, context: Sequence[str]) -> int:
+        """The state of a context of strings, stepped into from the empty
+        context through its last ``order - 1`` words."""
+        keep = self.keep
+        ids, unk = self.ids, self.unk
+        state = 0
+        for tok in context[len(context) - keep:] if len(context) > keep else context:
+            state = self.step(state, ids.get(tok, unk))[1]
+        return state
+
+    def step(self, state: int, word: int) -> tuple[float, int]:
+        """``log P(word | state)`` and the state after ``word``, for a word
+        id as a context word (``ids``, ``<unk>`` for unknown words)."""
+        n = self.n_words
+        probs = self.probs
+        lower = self.lower
+        predict = self.predict[word]
+        acc = 0.0
+        s = state
+        prob = probs.get(s * n + predict)
+        while prob is None:  # state 0 has a unigram for every predicted id
+            acc += self.backoff[s]
+            s = lower[s]
+            prob = probs.get(s * n + predict)
+        child = self.child
+        s = state
+        after = child.get(s * n + word)
+        while after is None and s:
+            s = lower[s]
+            after = child.get(s * n + word)
+        return acc + prob, after or 0
+
+
 @dataclass
 class NgramLanguageModel:
     """ARPA-style tables: natural-log probabilities and backoff weights."""
@@ -35,26 +158,16 @@ class NgramLanguageModel:
     vocab: frozenset[str]
     prediction_set: frozenset[str]
 
+    @functools.cached_property
+    def tables(self) -> StateTables:
+        """The ids and states every query walks, derived on first use."""
+        return StateTables(self)
+
     def cond_logprob(self, word: str, context: Sequence[str]) -> float:
-        """log P(word | context) with standard backoff recursion."""
-        if word not in self.prediction_set:
-            word = UNK
-        keep = self.order - 1
-        ctx = tuple(context[len(context) - keep:] if len(context) > keep else context)
-        vocab = self.vocab
-        if not vocab.issuperset(ctx):
-            ctx = tuple(tok if tok in vocab else UNK for tok in ctx)
-        logprob = self.logprob
-        acc = 0.0
-        while True:
-            prob = logprob.get(ctx + (word,))
-            if prob is not None:
-                return acc + prob
-            if not ctx:
-                # Every prediction-set member has a unigram, including UNK.
-                return acc + logprob[(word,)]
-            acc += self.backoff.get(ctx, 0.0)
-            ctx = ctx[1:]
+        """log P(word | context): the back-off walk of
+        :meth:`StateTables.step` from the state of the context."""
+        tables = self.tables
+        return tables.step(tables.state(context), tables.ids.get(word, tables.unk))[0]
 
     def score(self, tokens: Sequence[str]) -> float:
         """Sentence log-probability including the end-of-sentence event."""
@@ -210,38 +323,53 @@ def save_arpa(model: NgramLanguageModel, path) -> None:
 
 
 def load_arpa(path) -> NgramLanguageModel:
-    """Read a tab-separated textual ARPA file (as written by :func:`save_arpa`)."""
+    """Read a tab-separated textual ARPA file (as written by :func:`save_arpa`).
+
+    Every word of an n-gram needs a line in the 1-gram section before it
+    (``<s>`` has its placeholder line there), so every word id of the
+    model's :class:`StateTables` comes from that section."""
     logprob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
+    unigrams: dict[str, str] = {}  # the words of the 1-gram lines so far
+    stray = None  # the first n-gram line with a word not among them
     order = 0
     section = 0
     lines = read_lines(path)
     if "\\data\\" not in lines:
         raise ModelFormatError(f"{path}: not an ARPA file")
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line == "\\data\\" or line.startswith("ngram "):
-            continue
-        if line.strip() == "\\end\\":
-            break
-        if line.startswith("\\") and line.endswith("-grams:"):
-            try:
-                section = int(line[1:-len("-grams:")])
-            except ValueError:
-                raise ModelFormatError(
-                    f"{path}: line {lineno}: bad section header {line!r}"
-                ) from None
-            order = max(order, section)
-            continue
+        if line[:1] != "-":  # not a negative log-probability: maybe a header
+            if not line.strip() or line == "\\data\\" or line.startswith("ngram "):
+                continue
+            if line.strip() == "\\end\\":
+                break
+            if line.startswith("\\") and line.endswith("-grams:"):
+                try:
+                    section = int(line[1:-len("-grams:")])
+                except ValueError:
+                    raise ModelFormatError(
+                        f"{path}: line {lineno}: bad section header {line!r}"
+                    ) from None
+                order = max(order, section)
+                continue
         parts = line.split("\t")
         if len(parts) < 2:
             raise ModelFormatError(
                 f"{path}: line {lineno}: malformed n-gram line {line!r}"
             )
-        gram = tuple(parts[1].split(" "))
-        if len(gram) != section:
+        words = parts[1].split(" ")
+        if len(words) != section:
             raise ModelFormatError(
                 f"{path}: line {lineno}: {parts[1]!r} is not a {section}-gram"
             )
+        # each word as the string of its 1-gram line: one string per word
+        gram = tuple(map(unigrams.get, words))
+        if None in gram:
+            if section == 1:
+                unigrams[words[0]] = words[0]
+            elif stray is None:
+                stray = lineno, next(w for w in words if w not in unigrams)
+            gram = tuple(words)
         try:
             value = finite_float(parts[0])
             if not (section == 1 and gram == (BOS,) and value <= -99.0):
@@ -257,13 +385,14 @@ def load_arpa(path) -> NgramLanguageModel:
     for word in (EOS, UNK):  # score predicts </s>; an unknown word scores as <unk>
         if (word,) not in logprob:
             raise ModelFormatError(f"{path}: no {word} unigram")
-    unigrams = {g[0] for g in logprob if len(g) == 1}
-    vocab = frozenset(unigrams | {BOS, EOS, UNK})
-    prediction_set = frozenset(unigrams - {BOS})
+    if stray is not None:
+        raise ModelFormatError(
+            f"{path}: line {stray[0]}: {stray[1]!r} has no 1-gram line before it"
+        )
     return NgramLanguageModel(
         order=order,
         logprob=logprob,
         backoff=backoff,
-        vocab=vocab,
-        prediction_set=prediction_set,
+        vocab=frozenset(unigrams.keys() | {BOS, EOS, UNK}),
+        prediction_set=frozenset(unigrams.keys() - {BOS}),
     )

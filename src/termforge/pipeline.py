@@ -330,13 +330,14 @@ def run_inject(cfg: PipelineConfig) -> None:
 
 
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
-    """Translate the configured input with the chosen system."""
+    """Translate the configured input with the chosen system, one output
+    line per input line: a blank line gives a blank line."""
     system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
     mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
     beam_width = _at_least(cfg, "translate.beam", 5, 1)
     beam = _beam(cfg) if system == "smt" else None
     input_path = cfg.input_path("translate.input")
-    lines = list(enumerate(read_lines(input_path), start=1))
+    lines = read_lines(input_path)
 
     if system == "smt":
         weights_name = cfg.get("translate.weights", "weights.txt")
@@ -367,8 +368,8 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
                 return nmt.replace_unk(out, trace, tokens, lexicon)
             return bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
 
-    outputs = [translate_line(lineno, line) for lineno, line in lines if line.strip()]
-    text = "\n".join(" ".join(tokens) for tokens in outputs) + "\n"
+    outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
+    text = "".join(" ".join(tokens) + "\n" for tokens in outputs)
     with atomic_open(cfg.path("translate.output", "hypotheses.txt")) as f:
         f.write(text)
     log.info("translate: %d lines via %s", len(outputs), system)

@@ -31,11 +31,15 @@ an extension tests the mask (which also rejects covered starts) and adds
 that part, the weighted LM term and the distortion cost.  The LM terms
 come from memos that live for one search: one dict per distinct phrase
 target, context -> (log-prob, new context), which each option holds
-directly, and context -> end-of-sentence log-prob; only misses query the
-model.  The 7-dim feature vector of a returned result is rebuilt from its
-back-trace, adding each step's terms in search order.  Completed
-hypotheses have one order, score descending and then tokens ascending:
-``decode`` returns the head of ``decode_nbest``'s list.
+directly, and context -> end-of-sentence log-prob.  A miss steps through
+the target's word ids from the LM state of the context (see
+``termforge.lm``), by one more memo, state and word id -> (log-prob, state
+after the word); only its misses walk the model's tables.  Contexts stay
+strings in the recombination key, so a stack, sorted on (-score, key),
+keeps its tie order.  The 7-dim feature vector of a returned result is
+rebuilt from its back-trace, adding each step's terms in search order.
+Completed hypotheses have one order, score descending and then tokens
+ascending: ``decode`` returns the head of ``decode_nbest``'s list.
 
 Histogram pruning keeps its exact result with less work.  The search is
 told the list length it serves (1 for ``decode``, ``n`` for
@@ -45,8 +49,8 @@ is the stack size or the list length.  A key's score only rises, so a
 completion or stack insert scoring strictly below the floor could never
 make the cut and is skipped before any bookkeeping; ties pass, so the
 (score, key) tie order is untouched.  A stack is filtered by its floor
-before it is sorted.  The LM is still queried for every extension, so the
-memos fill exactly as without floors.
+before it is sorted.  The LM term of every extension is still looked up
+before its floor test, so the memos fill exactly as without floors.
 
 MERT (Och 2003) searches each dev sentence once per weight vector: the
 n-best lists that measure the dev BLEU of an iteration's weights are the
@@ -201,9 +205,10 @@ def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
     pos = 0
     for match in _MARKUP_RE.finditer(line):
         tokens.extend(tokenize(line[pos:match.start()]))
-        translations = _SEP_RE.split(match.group(1).strip())
-        if not translations or translations == [""]:
-            raise MarkupError("translation attribute is empty")
+        translations = [tokenize(text) for text in _SEP_RE.split(match.group(1))]
+        if not all(translations):
+            # an empty candidate would delete the span in exclusive mode
+            raise MarkupError(f"empty candidate in translation {match.group(1)!r}")
         if match.group(2) is not None:
             prob_strs = _SEP_RE.split(match.group(2).strip())
             if len(prob_strs) != len(translations):
@@ -222,8 +227,7 @@ def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
         start = len(tokens)
         tokens.extend(span_tokens)
         candidates = [
-            SpanCandidate(tokenize(text), prob)
-            for text, prob in zip(translations, probs)
+            SpanCandidate(words, prob) for words, prob in zip(translations, probs)
         ]
         spans.append(Span(start, len(tokens), candidates, mode))
         pos = match.end()
@@ -339,21 +343,6 @@ def _mask(option: _Option) -> int:
     return ((1 << (option.end - option.start)) - 1) << option.start
 
 
-def _push_floor(heap: list[float], size: int, score: float) -> float:
-    """Record a key's first-insert ``score`` in ``heap``, a min-heap of at
-    most ``size`` scores, and return the floor: the ``size``-th best score
-    recorded, or ``-inf`` while fewer are (always, when ``size < 1``).
-
-    A key's score only rises after its first insert, so ``size`` keys score
-    at or above the floor; a key scoring strictly below it can never make a
-    cut of ``size``, and ties pass."""
-    if len(heap) < size:
-        heapq.heappush(heap, score)
-    elif heap and score > heap[0]:
-        heapq.heapreplace(heap, score)
-    return heap[0] if heap and len(heap) == size else -math.inf
-
-
 def _search(
     annotated: AnnotatedInput,
     table: PhraseTable,
@@ -370,16 +359,22 @@ def _search(
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
     n = len(annotated.tokens)
     keep = lm.order - 1
-    cond_logprob = lm.cond_logprob
+    tables = lm.tables
+    lm_step, n_words, word_ids, unk = tables.step, tables.n_words, tables.ids, tables.unk
+    eos_id = word_ids[EOS]
     # LM memos for this decode: per distinct phrase target, context ->
-    # (log-prob, new context); and context -> end-of-sentence log-prob
+    # (log-prob, new context); context -> end-of-sentence log-prob; the LM
+    # state of each context; and state * n_words + word id -> (log-prob,
+    # state after the word)
     phrase_lm: dict[Tokens, dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
     eos_lm: dict[tuple[str, ...], float] = {}
+    ctx_states = {(BOS,): tables.state((BOS,))}
+    steps: dict[int, tuple[float, int]] = {}
 
     def eos_logprob(ctx: tuple[str, ...]) -> float:
         eos = eos_lm.get(ctx)
         if eos is None:
-            eos = eos_lm[ctx] = cond_logprob(EOS, ctx)
+            eos = eos_lm[ctx] = lm_step(ctx_states[ctx], eos_id)[0]
         return eos
 
     root = (0.0, None, None, 0.0)
@@ -388,7 +383,8 @@ def _search(
         return {(): (w_lm * eos, root, None, eos)}
 
     # the options in start order, each with its coverage mask, weighted
-    # phrase and word-penalty part and the LM memo of its target
+    # phrase and word-penalty part, the LM memo of its target and its
+    # target's word ids
     scored = []
     for opt in sorted(build_options(annotated, table), key=lambda o: o.start):
         lf = opt.log_feats
@@ -396,29 +392,34 @@ def _search(
             w[0] * lf[0] + w[1] * lf[1] + w[2] * lf[2] + w[3] * lf[3]
             - w_wp * len(opt.target)
         )
-        scored.append((opt, _mask(opt), static, phrase_lm.setdefault(opt.target, {})))
-    starts = [opt.start for opt, _, _, _ in scored]
+        ids = tuple(word_ids.get(tok, unk) for tok in opt.target)
+        scored.append(
+            (opt, _mask(opt), static, phrase_lm.setdefault(opt.target, {}), ids)
+        )
+    starts = [opt.start for opt, _, _, _, _ in scored]
     limit = beam.distortion_limit
     # per last phrase end: the options starting within the distortion limit,
-    # as (mask, static part, distortion cost, LM memo, option, span length)
+    # as (mask, static part, distortion cost, LM memo, option, span length,
+    # target word ids)
     windows = []
     for last in range(n + 1):
         lo = bisect.bisect_left(starts, last - limit)
         hi = bisect.bisect_left(starts, last + limit + 1)
         windows.append([
             (mask, static, w_dist * abs(opt.start - last), memo, opt,
-             opt.end - opt.start)
-            for opt, mask, static, memo in scored[lo:hi]
+             opt.end - opt.start, ids)
+            for opt, mask, static, memo, ids in scored[lo:hi]
         ])
 
     size = beam.stack_size
-    full = (1 << n) - 1
     finals: dict[Tokens, tuple] = {}
     final_heap: list[float] = []
     final_floor = -math.inf
     # a stack maps (coverage, LM context, last end) to its entry (score,
     # parent entry, option, LM log-prob of the step); the entry is the
-    # search state, and its parent chain is the back-trace
+    # search state, and its parent chain is the back-trace.  A heap holds
+    # the first-insert scores of at most ``size`` (``nbest`` for finals)
+    # keys, and its floor is the least of them once it is full.
     stacks: list[dict] = [{} for _ in range(n + 1)]
     heaps: list[list[float]] = [[] for _ in range(n + 1)]
     floors = [-math.inf] * (n + 1)
@@ -426,26 +427,30 @@ def _search(
 
     for k in range(n):
         floor = floors[k]
-        ranked = sorted(
-            [kv for kv in stacks[k].items() if kv[1][0] >= floor],
-            key=lambda kv: (-kv[1][0], kv[0]),
-        )[:size]
-        for (coverage, ctx, last), entry in ranked:
+        ranked = sorted([
+            (-entry[0], key, entry)
+            for key, entry in stacks[k].items() if entry[0] >= floor
+        ])[:size]
+        for _, (coverage, ctx, last), entry in ranked:
             score = entry[0]
             prefix = None
-            for mask, static, dist_cost, memo, opt, length in windows[last]:
+            for mask, static, dist_cost, memo, opt, length, ids in windows[last]:
                 if coverage & mask:
                     continue
                 lm_entry = memo.get(ctx)
                 if lm_entry is None:
-                    history = list(ctx)
+                    state = ctx_states[ctx]
                     lm_delta = 0.0
-                    for tok in opt.target:
-                        lm_delta += cond_logprob(tok, history)
-                        history.append(tok)
-                    lm_entry = memo[ctx] = (
-                        lm_delta, tuple(history[-keep:]) if keep else ()
-                    )
+                    for word in ids:
+                        step_key = state * n_words + word
+                        step = steps.get(step_key)
+                        if step is None:
+                            step = steps[step_key] = lm_step(state, word)
+                        lm_delta += step[0]
+                        state = step[1]
+                    new_ctx = (ctx + opt.target)[-keep:] if keep else ()
+                    ctx_states[new_ctx] = state
+                    lm_entry = memo[ctx] = (lm_delta, new_ctx)
                 lm_delta, new_ctx = lm_entry
                 new_score = score + (static + w_lm * lm_delta - dist_cost)
                 j = k + length
@@ -459,7 +464,13 @@ def _search(
                     output = prefix + opt.target
                     old = finals.get(output)
                     if old is None:
-                        final_floor = _push_floor(final_heap, nbest, done_score)
+                        if len(final_heap) < nbest:
+                            heapq.heappush(final_heap, done_score)
+                            if len(final_heap) == nbest:
+                                final_floor = final_heap[0]
+                        elif final_heap and done_score > final_heap[0]:
+                            heapq.heapreplace(final_heap, done_score)
+                            final_floor = final_heap[0]
                     elif done_score <= old[0]:
                         continue
                     finals[output] = (
@@ -470,7 +481,14 @@ def _search(
                     key = (coverage | mask, new_ctx, opt.end)
                     old = stack.get(key)
                     if old is None:
-                        floors[j] = _push_floor(heaps[j], size, new_score)
+                        heap = heaps[j]
+                        if len(heap) < size:
+                            heapq.heappush(heap, new_score)
+                            if len(heap) == size:
+                                floors[j] = heap[0]
+                        elif heap and new_score > heap[0]:
+                            heapq.heapreplace(heap, new_score)
+                            floors[j] = heap[0]
                     elif new_score <= old[0]:
                         continue
                     stack[key] = (new_score, entry, opt, lm_delta)

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 import subprocess
 import sys
 
@@ -80,6 +81,18 @@ def small_smt_model(model_dir):
     )
     save_arpa(train_lm([("x", "y")], order=2), model_dir / "lm.arpa")
     save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
+
+
+def small_nmt_model(model_dir):
+    """An untrained one-layer word model over the words of the SMT one."""
+    from termforge.nmt import Seq2SeqModel, TrainConfig, build_vocab, save_model
+    from termforge.nmt.model import init_params
+
+    config = TrainConfig(layers=1, hidden=4)
+    src = build_vocab([("a", "b")], config.source_vocab_cap)
+    tgt = build_vocab([("x", "y")], config.target_vocab_cap)
+    params = init_params(config, len(src), len(tgt), np.random.default_rng(0))
+    save_model(Seq2SeqModel(config, src, tgt, params), model_dir / "model.tfnmt")
 
 
 class TestConfig:
@@ -277,6 +290,50 @@ class TestConfigValidation:
         assert "Traceback" not in err
         # rejected before any input was read or any output written
         assert not (tmp_path / "run").exists()
+
+
+class TestLineForLine:
+    """Each input line gives one output line; a blank one gives a blank one."""
+
+    @pytest.mark.parametrize("system", ["smt", "nmt"])
+    def test_blank_line_gives_blank_line(self, tmp_path, monkeypatch, system):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        small_smt_model(tmp_path / "run" / "smt")
+        small_nmt_model(tmp_path / "run" / "nmt")
+        (tmp_path / "in.txt").write_text("a b\n\nb\n", encoding="utf-8")
+        sets = ["--set", "translate.input=in.txt", "--set", f"translate.system={system}"]
+        assert run(["translate", "--config", cfg] + sets) == 0
+        text = (tmp_path / "run" / "hypotheses.txt").read_text(encoding="utf-8")
+        lines = text.split("\n")
+        assert len(lines) == 4 and lines[1] == lines[3] == ""
+        if system == "smt":
+            assert text == "x y\n\ny\n"
+
+    def test_translate_then_evaluate(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        small_smt_model(tmp_path / "run" / "smt")
+        (tmp_path / "in.txt").write_text("a\n\nb\n", encoding="utf-8")
+        (tmp_path / "ref.txt").write_text("x\nz\ny\n", encoding="utf-8")
+        assert run(["translate", "--config", cfg, "--set", "translate.input=in.txt"]) == 0
+        assert run(["evaluate", "--config", cfg, "--set", "evaluate.references=ref.txt"]) == 0
+
+    @pytest.mark.parametrize("translation", ["a||", "||"])
+    def test_empty_candidate_names_the_input_line(self, tmp_path, monkeypatch, translation):
+        from termforge import pipeline
+        from termforge.errors import MarkupError
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        small_smt_model(tmp_path / "run" / "smt")
+        (tmp_path / "in.txt").write_text(
+            f'a\n<n translation="{translation}">b</n>\n', encoding="utf-8"
+        )
+        with pytest.raises(
+            MarkupError, match=rf"^{re.escape(str(tmp_path / 'in.txt'))}: line 2: empty candidate"
+        ):
+            pipeline.run_translate(load_config(cfg, ["translate.input=in.txt"]))
 
 
 class TestModelFiles:

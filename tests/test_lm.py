@@ -4,10 +4,13 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
 from termforge.errors import EmptyCorpusError, ModelFormatError
-from termforge.lm import BOS, EOS, UNK, load_arpa, save_arpa, train_lm
+from termforge.align import PhraseOption, PhraseTable
+from termforge.lm import BOS, EOS, UNK, NgramLanguageModel, load_arpa, save_arpa, train_lm
+from termforge.smt import BeamConfig, LogLinearWeights, decode_nbest
 
 
 def fixture_sentences(seed=5, n=60, vocab_size=8, max_len=7):
@@ -63,6 +66,163 @@ class TestCondLogprobAgainstReference:
         assert long_contexts > 0
         if order > 1:
             assert oov_contexts > 0
+
+
+# Hand-written models.  In the trigram one, "x y" has a back-off weight and
+# no trigram extends it; "p q r" is a trigram whose context "p q" is no
+# bigram and has no back-off weight, and no bigram starts with "p".  In the
+# 4-gram one, <s> has a back-off weight and starts no n-gram; "p q r s" is
+# the only n-gram above order 1 that starts with "p", so neither its prefix
+# "p q" nor the suffix "q r" of its context is an n-gram or has a weight.
+HAND_ARPAS = [
+    """\\data\\
+ngram 1=8
+ngram 2=3
+ngram 3=2
+
+\\1-grams:
+-99\t<s>\t-0.5
+-1.0\t</s>
+-1.5\t<unk>
+-0.7\tx\t-0.2
+-0.8\ty\t-0.3
+-0.9\tp
+-1.1\tq\t-0.4
+-1.2\tr
+
+\\2-grams:
+-0.3\t<s> x\t-0.1
+-0.4\tx y\t-0.6
+-0.5\tq r
+
+\\3-grams:
+-0.2\t<s> x y
+-0.1\tp q r
+
+\\end\\
+""",
+    """\\data\\
+ngram 1=7
+ngram 2=2
+ngram 3=0
+ngram 4=1
+
+\\1-grams:
+-99\t<s>\t-0.5
+-1.0\t</s>
+-1.5\t<unk>
+-0.9\tp
+-1.1\tq
+-1.2\tr\t-0.2
+-0.6\ts\t-0.7
+
+\\2-grams:
+-0.3\tr s
+-0.4\ts </s>
+
+\\3-grams:
+
+\\4-grams:
+-0.1\tp q r s
+
+\\end\\
+""",
+]
+
+
+@pytest.fixture(scope="module")
+def hand_models(tmp_path_factory):
+    models = []
+    for i, text in enumerate(HAND_ARPAS):
+        path = tmp_path_factory.mktemp("arpa") / f"hand{i}.arpa"
+        path.write_text(text, encoding="utf-8")
+        models.append(load_arpa(path))
+    return models
+
+
+def lm_models(hand_models):
+    """Trained models of orders 1 to 4, and the hand-written ones."""
+    models = [
+        train_lm(fixture_sentences(seed=order, n=40, vocab_size=6), order=order)
+        for order in (1, 2, 3, 4)
+    ]
+    return models + hand_models
+
+
+def reference_phrase(model, phrase, history):
+    """A phrase's LM term as the search adds it: its words' reference
+    log-probs added from 0.0 in order; ``history`` grows by the phrase."""
+    total = 0.0
+    for word in phrase:
+        total += reference_cond_logprob(model, word, history)
+        history.append(word)
+    return total
+
+
+class TestStateTables:
+    def test_hand_written_arpa_bit_equal(self, hand_models):
+        ln10 = math.log(10.0)
+        assert hand_models[0].cond_logprob("r", ["p", "q"]) == -0.1 * ln10
+        assert hand_models[1].cond_logprob("s", ["p", "q", "r"]) == -0.1 * ln10
+        assert hand_models[1].cond_logprob("p", [BOS]) == -0.5 * ln10 + -0.9 * ln10
+        for model in hand_models:
+            words = sorted(model.vocab) + ["oov"]
+            contexts = level = [()]
+            for _ in range(model.order):
+                level = [(w,) + c for c in level for w in words]
+                contexts = contexts + level
+            for context in contexts:
+                for word in words:
+                    want = reference_cond_logprob(model, word, context).hex()
+                    assert model.cond_logprob(word, context).hex() == want
+
+    def test_phrase_walk_bit_equal(self, hand_models):
+        """Stepping through a phrase from a context's state gives the
+        reference phrase term, and ends in the state of the longer context."""
+        rng = random.Random(11)
+        for model in lm_models(hand_models):
+            tables = model.tables
+            words = sorted(model.vocab) + ["oov"]
+            for _ in range(300):
+                history = rng.choices(words, k=rng.randint(0, 4))
+                if rng.random() < 0.5:
+                    history = [BOS] + history
+                state = tables.state(history)
+                phrase = rng.choices(words, k=rng.randint(1, 4))
+                total = 0.0
+                for word in phrase:
+                    logprob, state = tables.step(state, tables.ids.get(word, tables.unk))
+                    total += logprob
+                want = reference_phrase(model, phrase, history)
+                assert total.hex() == want.hex()
+                assert state == tables.state(history)
+
+    def test_search_lm_term_bit_equal(self, hand_models):
+        """The LM feature of every n-best result is the reference sum of its
+        phrase terms and end-of-sentence event, from the root's 0.0."""
+        rng = random.Random(12)
+        weights = LogLinearWeights(np.array([1.0, 0.5, 0.5, 0.5, 1.0, 0.1, 0.2]))
+        for model in lm_models(hand_models):
+            targets = sorted(model.prediction_set) + ["oov", BOS]
+            table = PhraseTable({
+                (f"s{i}",): [
+                    PhraseOption(tuple(rng.choices(targets, k=rng.randint(1, 3))),
+                                 (rng.uniform(0.1, 1.0),) * 4)
+                    for _ in range(3)
+                ]
+                for i in range(4)
+            })
+            source = tuple(rng.choices([f"s{i}" for i in range(4)], k=4))
+            results = decode_nbest(source, table, model, weights,
+                                   BeamConfig(stack_size=1000, distortion_limit=4), n=20)
+            assert len(results) > 1
+            for result in results:
+                history = [BOS]
+                total = 0.0 + 0.0  # the root's step
+                for phrase in result.trace:
+                    total += reference_phrase(model, phrase.target, history)
+                total += reference_cond_logprob(model, EOS, history)
+                assert result.features[4].hex() == total.hex()
 
 
 class TestNormalization:
@@ -121,14 +281,19 @@ class TestTrainLm:
 
     def test_full_order_hit_ignores_lower_orders(self):
         # When the trained 3-gram exists, its stored value is used directly:
-        # corrupting every lower-order entry must not change the score.
+        # a model built from tables with every lower-order entry corrupted
+        # must give the same score.
         sents = [("a", "b", "c")] * 4 + [("a", "b", "d")]
         model = train_lm(sents, order=3)
-        before = model.cond_logprob("c", ["a", "b"])
-        for gram in list(model.logprob):
-            if len(gram) < 3:
-                model.logprob[gram] = -50.0
-        assert model.cond_logprob("c", ["a", "b"]) == before
+        corrupted = NgramLanguageModel(
+            order=3,
+            logprob={g: -50.0 if len(g) < 3 else v for g, v in model.logprob.items()},
+            backoff=model.backoff,
+            vocab=model.vocab,
+            prediction_set=model.prediction_set,
+        )
+        assert corrupted.cond_logprob("c", ["b"]) != model.cond_logprob("c", ["b"])
+        assert corrupted.cond_logprob("c", ["a", "b"]) == model.cond_logprob("c", ["a", "b"])
 
 
 class TestScore:
@@ -233,6 +398,20 @@ class TestArpa:
             match=rf"{re.escape(str(path))}: line {lineno}: bad probability.*non-finite",
         ):
             load_arpa(path)
+
+
+def test_word_without_unigram_names_file_and_line(tmp_path):
+    path = tmp_path / "model.arpa"
+    save_arpa(train_lm([("a", "b")], order=2), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lineno = lines.index("\\2-grams:") + 2
+    lines.insert(lineno - 1, "-0.5\ta zz")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(
+        ModelFormatError,
+        match=rf"{re.escape(str(path))}: line {lineno}: 'zz' has no 1-gram line",
+    ):
+        load_arpa(path)
 
 
 @pytest.mark.parametrize("word", [UNK, EOS])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -766,6 +770,49 @@ class TestSearchAgainstReference:
         assert tied > 0  # exact score ties were exercised
 
 
+HASH_SEED_SCRIPT = """
+import json, random
+from termforge.align import PhraseOption, PhraseTable
+from termforge.lm import train_lm
+from termforge.smt import BeamConfig, LogLinearWeights, decode_nbest
+
+rng = random.Random(5)
+src = [f"s{i}" for i in range(6)]
+tgt = [f"t{i}" for i in range(8)] + ["<s>"]
+lm = train_lm([tuple(rng.choices(tgt[:-1], k=rng.randint(1, 6))) for _ in range(40)], order=3)
+entries = {}
+for i, word in enumerate(src):
+    entries[(word,)] = [
+        PhraseOption(tuple(rng.choices(tgt + ["oov"], k=rng.randint(1, 2))),
+                     (rng.choice((0.25, 0.5, 1.0)),) * 4)
+        for _ in range(3)
+    ]
+    if i:
+        entries[(src[i - 1], word)] = [PhraseOption((rng.choice(tgt),), (0.5,) * 4)]
+table = PhraseTable(entries)
+out = []
+for _ in range(8):
+    source = tuple(rng.choices(src, k=rng.randint(1, 6)))
+    for r in decode_nbest(source, table, lm, LogLinearWeights.default(),
+                          BeamConfig(stack_size=3, distortion_limit=2), n=10):
+        out.append([r.tokens, r.score.hex(), [f.hex() for f in r.features.tolist()]])
+print(json.dumps(out))
+"""
+
+
+def test_decode_is_independent_of_the_hash_seed():
+    """Tokens, scores and features are the same under two hash seeds."""
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed}, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert len(json.loads(runs[0])) > 8
+    assert runs[0] == runs[1]
+
+
 class TestInjectionGuarantees:
     def test_randomized_span_semantics(self):
         rng = random.Random(404)
@@ -826,7 +873,6 @@ class TestNbest:
         """A stack size below one records no floor; the pruned pass keeps
         what ``sorted(...)[:stack_size]`` keeps and the relaxed pass
         translates the sentence."""
-        assert smt._push_floor([], stack, 1.0) == -math.inf
         rng = random.Random(8)
         src_vocab, table, lm = random_setup(rng)
         tokens = tuple(src_vocab[:3])
@@ -853,10 +899,24 @@ class TestPushFloor:
         assert result.tokens == ("x", "z")
 
     def test_floor_is_the_size_th_best_first_score(self):
-        heap = []
-        floors = [smt._push_floor(heap, 3, score) for score in (2.0, 5.0, 1.0, 4.0, 0.5)]
-        assert floors == [-math.inf, -math.inf, 1.0, 2.0, 2.0]
-        assert sorted(heap) == [2.0, 4.0, 5.0]
+        """Completions of "a" arrive with the first scores log 0.2, 0.5,
+        0.1, 0.4 and 0.05.  Serving a list of 3, the floor is the 3rd best
+        score so far once 3 have arrived: log 0.1, then log 0.2, which only
+        the last misses.  Serving a list of 1, it is the best so far."""
+        probs = (0.2, 0.5, 0.1, 0.4, 0.05)
+        table = PhraseTable({("a",): [
+            PhraseOption((f"t{i}",), (p, 1.0, 1.0, 1.0)) for i, p in enumerate(probs)
+        ]})
+        lm = train_lm([("t0",)], order=1)
+        weights = LogLinearWeights(np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
+        def kept(nbest):
+            finals = smt._search(AnnotatedInput(("a",)), table, lm, weights, WIDE, nbest)
+            return sorted(finals)
+
+        assert kept(5) == [(f"t{i}",) for i in range(5)]
+        assert kept(3) == [("t0",), ("t1",), ("t2",), ("t3",)]
+        assert kept(1) == [("t0",), ("t1",)]
 
 
 def random_pool(rng, sentences=6, hyps=5):
