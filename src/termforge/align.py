@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -346,6 +347,8 @@ def save_phrase_table(ptable: PhraseTable, path) -> None:
 
 
 def load_phrase_table(path) -> PhraseTable:
+    """Read the lines :func:`save_phrase_table` writes.  Each word is one
+    shared string, however many phrases hold it."""
     entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
@@ -353,8 +356,11 @@ def load_phrase_table(path) -> PhraseTable:
         parts = line.split(" ||| ")
         if len(parts) != 3:
             raise ModelFormatError(f"{path}: line {lineno}: expected 3 '|||' fields")
-        src = tuple(parts[0].split())
-        tgt = tuple(parts[1].split())
+        src = tuple(map(sys.intern, parts[0].split()))
+        tgt = tuple(map(sys.intern, parts[1].split()))
+        if not src or not tgt:
+            side = "source" if not src else "target"
+            raise ModelFormatError(f"{path}: line {lineno}: empty {side} phrase")
         try:
             feats = tuple(finite_float(x) for x in parts[2].split())
         except ValueError as exc:

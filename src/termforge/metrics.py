@@ -35,6 +35,11 @@ class MetricScore:
     segment_count: int
 
 
+# the reported metrics in report order, each as (its title in the text
+# report, its MetricScore field and results TSV name)
+REPORTED = (("BLEU", "bleu"), ("METEOR", "meteor"), ("chrF3", "chrf3"))
+
+
 def _check_lengths(hypotheses, references):
     if len(hypotheses) != len(references):
         raise ValueError(
@@ -224,9 +229,8 @@ def format_report(results: dict[str, dict[str, MetricScore]]) -> str:
         [len(s) for s in results] + [len(e) for e in eval_sets] + [10]
     )
     blocks = []
-    for metric in ("BLEU", "METEOR", "chrF3"):
-        attr = {"BLEU": "bleu", "METEOR": "meteor", "chrF3": "chrf3"}[metric]
-        lines = [metric]
+    for title, attr in REPORTED:
+        lines = [title]
         header = " " * width + "".join(f"{e:>{width + 2}}" for e in eval_sets)
         lines.append(header)
         for system, per_system in results.items():
@@ -247,10 +251,7 @@ def format_report_tsv(results: dict[str, dict[str, MetricScore]]) -> str:
     lines = []
     for system, per_system in results.items():
         for eval_set, score in per_system.items():
-            for metric, value in (
-                ("bleu", score.bleu),
-                ("meteor", score.meteor),
-                ("chrf3", score.chrf3),
-            ):
-                lines.append(f"{system}\t{eval_set}\t{metric}\t{value:.6f}")
+            for _, name in REPORTED:
+                value = getattr(score, name)
+                lines.append(f"{system}\t{eval_set}\t{name}\t{value:.6f}")
     return "\n".join(lines) + "\n"

@@ -308,16 +308,13 @@ def run_inject(cfg: PipelineConfig) -> None:
     )
     mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
     lexicon = corpus.load_lexicon(cfg.input_path("lexicon.path"))
+    domain = inject.VocabVector()  # uniform ranking reads no domain
     if ranking == inject.COSINE:
         dev = _load_split(cfg, "dev")
         domain = inject.domain_vector(
             [tok for s, t in dev.pairs for tok in (*s, *t)]
         )
-        ranked = inject.rank_candidates(domain, lexicon, inject.COSINE)
-    else:
-        ranked = inject.rank_candidates(
-            inject.VocabVector(), lexicon, inject.UNIFORM
-        )
+    ranked = inject.rank_candidates(domain, lexicon, ranking)
     eval_corpus = _load_split(cfg, "eval")
     lines = [
         smt.format_markup(inject.annotate(src, ranked, mode))
@@ -425,9 +422,7 @@ def run_report(cfg: PipelineConfig) -> str:
     results = {
         system: {
             evalset: metrics.MetricScore(
-                bleu=vals.get("bleu", 0.0),
-                chrf3=vals.get("chrf3", 0.0),
-                meteor=vals.get("meteor", 0.0),
+                **{name: vals.get(name, 0.0) for _, name in metrics.REPORTED},
                 segment_count=0,
             )
             for evalset, vals in per_system.items()

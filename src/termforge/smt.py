@@ -18,39 +18,41 @@ distortion window, and a ``termforge.smt`` warning says so.  If that pass
 finds nothing either, as when no sequence of options covers the input,
 ``SearchError`` names the source tokens.
 
-The search loop does scalar work only.  A stack maps a recombination key
-(coverage bitmask, LM context, last phrase end) to an entry, the tuple
-(score, parent entry, option, LM log-prob of the step).  The entry is the
-search state: its back-pointer points at its parent's entry, the root is
-``(0.0, None, None, 0.0)``, and a completed output is an end-of-sentence
-entry whose option is ``None``.  The options are kept in start
-order, and for each last phrase end the window of options starting within
-the distortion limit is listed once per decode, with each option's
-coverage mask, weighted phrase and word-penalty score and distortion cost;
-an extension tests the mask (which also rejects covered starts) and adds
-that part, the weighted LM term and the distortion cost.  The LM terms
-come from memos that live for one search: one dict per distinct phrase
-target, context -> (log-prob, new context), which each option holds
-directly, and context -> end-of-sentence log-prob.  A miss steps through
-the target's word ids from the LM state of the context (see
+The search loop does scalar work only.  A stack maps a recombination key to
+an entry, the tuple (score, parent entry, option, LM log-prob of the step).
+The entry is the search state: its back-pointer points at its parent's
+entry, and the root is ``(0.0, None, None, 0.0)``.  Stack k < n keys the
+hypotheses covering k source words by (coverage bitmask, LM context, last
+phrase end); stack n keys the completed outputs by their tokens, each entry
+the end-of-sentence step (option ``None``) after the last phrase's.  The
+options are kept in start order, and for each last phrase end the window of
+options starting within the distortion limit is listed once per decode,
+with each option's coverage mask, weighted phrase and word-penalty score
+and distortion cost; an extension tests the mask (which also rejects
+covered starts) and adds that part, the weighted LM term and the distortion
+cost.  The LM terms come from memos that live for one search: one dict per
+distinct target, context -> (log-prob, new context), which each option
+holds directly; the end of sentence is the target ``(EOS,)``.  A miss steps
+through the target's word ids from the LM state of the context (see
 ``termforge.lm``), by one more memo, state and word id -> (log-prob, state
 after the word); only its misses walk the model's tables.  Contexts stay
 strings in the recombination key, so a stack, sorted on (-score, key),
-keeps its tie order.  The 7-dim feature vector of a returned result is
-rebuilt from its back-trace, adding each step's terms in search order.
-Completed hypotheses have one order, score descending and then tokens
-ascending: ``decode`` returns the head of ``decode_nbest``'s list.
+keeps its tie order.  A returned result's trace is the options of its
+back-trace, and its 7-dim feature vector is rebuilt from them, adding each
+step's terms in search order.  Completed hypotheses have one order, score
+descending and then tokens ascending: ``decode`` returns the head of
+``decode_nbest``'s list.
 
 Histogram pruning keeps its exact result with less work.  The search is
 told the list length it serves (1 for ``decode``, ``n`` for
-``decode_nbest``), and each stack and the completed outputs keep a floor:
-the ``size``-th best first-insert score among their keys, where ``size``
-is the stack size or the list length.  A key's score only rises, so a
-completion or stack insert scoring strictly below the floor could never
-make the cut and is skipped before any bookkeeping; ties pass, so the
-(score, key) tie order is untouched.  A stack is filtered by its floor
-before it is sorted.  The LM term of every extension is still looked up
-before its floor test, so the memos fill exactly as without floors.
+``decode_nbest``), and each stack keeps a floor: the bound-th best
+first-insert score among its keys, where the bound is the stack size, or
+the list length on stack n.  A key's score only rises, so an insert scoring
+strictly below its stack's floor could never make the cut and is skipped
+before any bookkeeping; ties pass, so the (score, key) tie order is
+untouched.  A stack is filtered by its floor before it is sorted.  The LM
+terms of every extension, end of sentence included, are looked up before
+its floor test, so the memos fill exactly as without floors.
 
 MERT (Och 2003) searches each dev sentence once per weight vector: the
 n-best lists that measure the dev BLEU of an iteration's weights are the
@@ -258,11 +260,16 @@ class BeamConfig:
     distortion_limit: int = 6
 
 
-@dataclass
-class TracedPhrase:
-    source_span: tuple[int, int]
+@dataclass(frozen=True)
+class TranslationOption:
+    """Source span ``[start, end)`` translated as ``target``, with the log of
+    its four phrase features.  ``build_options`` lists the options of an
+    input, and a result's trace is the options its derivation chose."""
+
+    start: int
+    end: int
     target: Tokens
-    log_features: tuple[float, float, float, float]
+    log_feats: tuple[float, float, float, float]
 
 
 @dataclass
@@ -270,50 +277,44 @@ class DecodeResult:
     tokens: Tokens
     score: float
     features: np.ndarray  # accumulated 7-dim feature vector
-    trace: list[TracedPhrase]
-
-
-@dataclass(frozen=True)
-class _Option:
-    start: int
-    end: int
-    target: Tokens
-    log_feats: tuple[float, float, float, float]
+    trace: list[TranslationOption]  # in search order
 
 
 def _log_feats(features) -> tuple[float, float, float, float]:
     return tuple(math.log(min(max(float(p), PROB_FLOOR), 1.0)) for p in features)
 
 
-def _span_option(span: Span, cand: SpanCandidate) -> _Option:
+def _span_option(span: Span, cand: SpanCandidate) -> TranslationOption:
     # candidate probability enters the forward-phrase slot; the reverse
     # phrase feature is neutral and both lexical slots mirror the probability
-    return _Option(
+    return TranslationOption(
         span.start, span.end, tuple(cand.tokens),
         _log_feats((cand.prob, 1.0, cand.prob, cand.prob)),
     )
 
 
-def _overlaps(option: _Option, span: Span) -> bool:
+def _overlaps(option: TranslationOption, span: Span) -> bool:
     return option.start < span.end and span.start < option.end
 
 
-def _covers(option: _Option, span: Span) -> bool:
+def _covers(option: TranslationOption, span: Span) -> bool:
     return option.start <= span.start and option.end >= span.end
 
 
 def build_options(
     annotated: AnnotatedInput, table: PhraseTable
-) -> list[_Option]:
+) -> list[TranslationOption]:
     """Translation options for one input after injection-mode filtering,
     including verbatim pass-through for otherwise uncovered tokens."""
     tokens = annotated.tokens
-    options: list[_Option] = []
+    options: list[TranslationOption] = []
     max_len = table.max_phrase_len
     for i in range(len(tokens)):
         for j in range(i + 1, min(i + max_len, len(tokens)) + 1):
             for opt in table.options(tokens[i:j]):
-                options.append(_Option(i, j, opt.target, _log_feats(opt.features)))
+                options.append(
+                    TranslationOption(i, j, opt.target, _log_feats(opt.features))
+                )
 
     for span in annotated.spans:
         if span.mode == EXCLUSIVE:
@@ -335,11 +336,13 @@ def build_options(
     for pos, tok in enumerate(tokens):
         if pos not in covered:
             # OOV pass-through: copy the source token at no feature cost
-            options.append(_Option(pos, pos + 1, (tok,), (0.0, 0.0, 0.0, 0.0)))
+            options.append(
+                TranslationOption(pos, pos + 1, (tok,), (0.0, 0.0, 0.0, 0.0))
+            )
     return options
 
 
-def _mask(option: _Option) -> int:
+def _mask(option: TranslationOption) -> int:
     return ((1 << (option.end - option.start)) - 1) << option.start
 
 
@@ -351,9 +354,9 @@ def _search(
     beam: BeamConfig,
     nbest: int,
 ) -> dict[Tokens, tuple]:
-    """Coverage-stack beam search.  Returns the end-of-sentence entry of
-    each completed output by target, a superset of the ``nbest`` first in
-    ``_rank`` order."""
+    """Coverage-stack beam search.  Returns stack ``n``: the end-of-sentence
+    entry of each completed output by target, a superset of the ``nbest``
+    first in ``_rank`` order."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
@@ -361,25 +364,34 @@ def _search(
     keep = lm.order - 1
     tables = lm.tables
     lm_step, n_words, word_ids, unk = tables.step, tables.n_words, tables.ids, tables.unk
-    eos_id = word_ids[EOS]
-    # LM memos for this decode: per distinct phrase target, context ->
-    # (log-prob, new context); context -> end-of-sentence log-prob; the LM
-    # state of each context; and state * n_words + word id -> (log-prob,
-    # state after the word)
+    # LM memos for this decode: per distinct phrase target, ``(EOS,)``
+    # included, context -> (log-prob, new context); the LM state of each
+    # context; and state * n_words + word id -> (log-prob, state after the
+    # word)
     phrase_lm: dict[Tokens, dict[tuple[str, ...], tuple[float, tuple[str, ...]]]] = {}
-    eos_lm: dict[tuple[str, ...], float] = {}
     ctx_states = {(BOS,): tables.state((BOS,))}
     steps: dict[int, tuple[float, int]] = {}
 
-    def eos_logprob(ctx: tuple[str, ...]) -> float:
-        eos = eos_lm.get(ctx)
-        if eos is None:
-            eos = eos_lm[ctx] = lm_step(ctx_states[ctx], eos_id)[0]
-        return eos
+    def lm_miss(memo, ctx, target, ids):  # step ``ids`` from the state of ``ctx``
+        state = ctx_states[ctx]
+        lm_delta = 0.0
+        for word in ids:
+            step_key = state * n_words + word
+            step = steps.get(step_key)
+            if step is None:
+                step = steps[step_key] = lm_step(state, word)
+            lm_delta += step[0]
+            state = step[1]
+        new_ctx = (ctx + target)[-keep:] if keep else ()
+        ctx_states[new_ctx] = state
+        lm_entry = memo[ctx] = (lm_delta, new_ctx)
+        return lm_entry
 
+    eos_target, eos_ids = (EOS,), (word_ids[EOS],)
+    eos_memo = phrase_lm.setdefault(eos_target, {})
     root = (0.0, None, None, 0.0)
     if n == 0:
-        eos = eos_logprob((BOS,))
+        eos = lm_miss(eos_memo, (BOS,), eos_target, eos_ids)[0]
         return {(): (w_lm * eos, root, None, eos)}
 
     # the options in start order, each with its coverage mask, weighted
@@ -412,17 +424,13 @@ def _search(
         ])
 
     size = beam.stack_size
-    finals: dict[Tokens, tuple] = {}
-    final_heap: list[float] = []
-    final_floor = -math.inf
-    # a stack maps (coverage, LM context, last end) to its entry (score,
-    # parent entry, option, LM log-prob of the step); the entry is the
-    # search state, and its parent chain is the back-trace.  A heap holds
-    # the first-insert scores of at most ``size`` (``nbest`` for finals)
-    # keys, and its floor is the least of them once it is full.
+    # stacks of entries as in the module docstring; the heap of stack j holds
+    # the first-insert scores of at most ``bounds[j]`` keys, and its floor is
+    # the least of them once it is full
     stacks: list[dict] = [{} for _ in range(n + 1)]
     heaps: list[list[float]] = [[] for _ in range(n + 1)]
     floors = [-math.inf] * (n + 1)
+    bounds = [size] * n + [nbest]
     stacks[0][(0, (BOS,), 0)] = root
 
     for k in range(n):
@@ -437,62 +445,41 @@ def _search(
             for mask, static, dist_cost, memo, opt, length, ids in windows[last]:
                 if coverage & mask:
                     continue
-                lm_entry = memo.get(ctx)
-                if lm_entry is None:
-                    state = ctx_states[ctx]
-                    lm_delta = 0.0
-                    for word in ids:
-                        step_key = state * n_words + word
-                        step = steps.get(step_key)
-                        if step is None:
-                            step = steps[step_key] = lm_step(state, word)
-                        lm_delta += step[0]
-                        state = step[1]
-                    new_ctx = (ctx + opt.target)[-keep:] if keep else ()
-                    ctx_states[new_ctx] = state
-                    lm_entry = memo[ctx] = (lm_delta, new_ctx)
-                lm_delta, new_ctx = lm_entry
+                lm_delta, new_ctx = memo.get(ctx) or lm_miss(memo, ctx, opt.target, ids)
                 new_score = score + (static + w_lm * lm_delta - dist_cost)
                 j = k + length
-                if j == n:
-                    eos = eos_logprob(new_ctx)
-                    done_score = new_score + w_lm * eos
-                    if done_score < final_floor:
-                        continue
+                if j < n:
+                    insert = new_score
+                else:
+                    eos = (
+                        eos_memo.get(new_ctx)
+                        or lm_miss(eos_memo, new_ctx, eos_target, eos_ids)
+                    )[0]
+                    insert = new_score + w_lm * eos
+                if insert < floors[j]:
+                    continue
+                if j < n:
+                    key = (coverage | mask, new_ctx, opt.end)
+                else:
                     if prefix is None:
                         prefix = _target_tokens(entry)
-                    output = prefix + opt.target
-                    old = finals.get(output)
-                    if old is None:
-                        if len(final_heap) < nbest:
-                            heapq.heappush(final_heap, done_score)
-                            if len(final_heap) == nbest:
-                                final_floor = final_heap[0]
-                        elif final_heap and done_score > final_heap[0]:
-                            heapq.heapreplace(final_heap, done_score)
-                            final_floor = final_heap[0]
-                    elif done_score <= old[0]:
-                        continue
-                    finals[output] = (
-                        done_score, (new_score, entry, opt, lm_delta), None, eos,
-                    )
-                elif new_score >= floors[j]:
-                    stack = stacks[j]
-                    key = (coverage | mask, new_ctx, opt.end)
-                    old = stack.get(key)
-                    if old is None:
-                        heap = heaps[j]
-                        if len(heap) < size:
-                            heapq.heappush(heap, new_score)
-                            if len(heap) == size:
-                                floors[j] = heap[0]
-                        elif heap and new_score > heap[0]:
-                            heapq.heapreplace(heap, new_score)
+                    key = prefix + opt.target
+                stack = stacks[j]
+                old = stack.get(key)
+                if old is None:
+                    heap = heaps[j]
+                    if len(heap) < bounds[j]:
+                        heapq.heappush(heap, insert)
+                        if len(heap) == bounds[j]:
                             floors[j] = heap[0]
-                    elif new_score <= old[0]:
-                        continue
-                    stack[key] = (new_score, entry, opt, lm_delta)
-    return finals
+                    elif heap and insert > heap[0]:
+                        heapq.heapreplace(heap, insert)
+                        floors[j] = heap[0]
+                elif insert <= old[0]:
+                    continue
+                step = (new_score, entry, opt, lm_delta)
+                stack[key] = step if j < n else (insert, step, None, eos)
+    return stacks[n]
 
 
 def _target_tokens(entry: tuple) -> Tokens:
@@ -506,14 +493,15 @@ def _target_tokens(entry: tuple) -> Tokens:
 
 def _to_result(entry: tuple) -> DecodeResult:
     """Rebuild the 7-dim feature vector by adding each step's terms from the
-    root to the end-of-sentence event, slot by slot."""
+    root to the end-of-sentence event, slot by slot.  The trace is the
+    chosen options themselves."""
     path: list[tuple] = []
     node = entry
     while node is not None:
         path.append(node)
         node = node[1]
     features = [0.0] * len(FEATURE_NAMES)
-    trace: list[TracedPhrase] = []
+    trace: list[TranslationOption] = []
     tokens: list[str] = []
     last_end = 0
     for _, _, opt, lm_delta in reversed(path):
@@ -523,15 +511,10 @@ def _to_result(entry: tuple) -> DecodeResult:
             features[5] -= len(opt.target)
             features[6] -= abs(opt.start - last_end)
             last_end = opt.end
-            trace.append(TracedPhrase((opt.start, opt.end), opt.target, opt.log_feats))
+            trace.append(opt)
             tokens.extend(opt.target)
         features[4] += lm_delta
-    return DecodeResult(
-        tokens=tuple(tokens),
-        score=entry[0],
-        features=np.array(features),
-        trace=trace,
-    )
+    return DecodeResult(tuple(tokens), entry[0], np.array(features), trace)
 
 
 def _as_annotated(source) -> AnnotatedInput:
@@ -541,8 +524,8 @@ def _as_annotated(source) -> AnnotatedInput:
 
 
 def _search_complete(annotated, table, lm, weights, beam, nbest):
-    finals = _search(annotated, table, lm, weights, beam, nbest)
-    if not finals:
+    completed = _search(annotated, table, lm, weights, beam, nbest)
+    if not completed:
         # aggressive pruning can strand the search on dead ends
         relaxed = BeamConfig(
             stack_size=max(beam.stack_size * 10, 1000),
@@ -553,15 +536,15 @@ def _search_complete(annotated, table, lm, weights, beam, nbest):
             "sentence; searching again with stack size %d",
             len(annotated.tokens), relaxed.stack_size,
         )
-        finals = _search(annotated, table, lm, weights, relaxed, nbest)
-        if not finals:
+        completed = _search(annotated, table, lm, weights, relaxed, nbest)
+        if not completed:
             raise SearchError(
                 f"no sequence of translation options covering "
                 f"{' '.join(annotated.tokens)!r} survived a search with stack "
                 f"size {relaxed.stack_size}",
                 annotated.tokens,
             )
-    return finals
+    return completed
 
 
 def _rank(item: tuple[Tokens, tuple]) -> tuple[float, Tokens]:
@@ -584,8 +567,8 @@ def decode(
     decoder never fails on OOV input.  The result is the head of
     ``decode_nbest``'s list.
     """
-    finals = _search_complete(_as_annotated(source), table, lm, weights, beam, 1)
-    return _to_result(min(finals.items(), key=_rank)[1])
+    completed = _search_complete(_as_annotated(source), table, lm, weights, beam, 1)
+    return _to_result(min(completed.items(), key=_rank)[1])
 
 
 def decode_nbest(
@@ -599,8 +582,8 @@ def decode_nbest(
     """The ``n`` best distinct outputs, in ``_rank`` order."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    finals = _search_complete(_as_annotated(source), table, lm, weights, beam, n)
-    ranked = sorted(finals.items(), key=_rank)
+    completed = _search_complete(_as_annotated(source), table, lm, weights, beam, n)
+    ranked = sorted(completed.items(), key=_rank)
     return [_to_result(entry) for _, entry in ranked[:n]]
 
 
@@ -713,8 +696,8 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     """Coordinate ascent on pool BLEU, taking the steepest dimension per
     pass (first-improvement greedy is prone to knife-edge optima).  The
     lines are priced once per pass: every dimension's search shares the
-    pass's ``w . f``."""
-    pools = [np.array(feats) for feats in pools]
+    pass's ``w . f``.  ``pools`` holds one stacked feature array per
+    sentence."""
     weights = start.copy()
     dots = _pool_dots(pools, weights)
     best = _pool_bleu(stats, dots)
@@ -785,9 +768,9 @@ def mert_tune(
     if nbest < 1:
         raise ValueError(f"nbest must be >= 1, got {nbest}")
     rng = np.random.default_rng(seed)
-    pools: list[list[np.ndarray]] = [[] for _ in dev.pairs]
-    stats: list[list] = [[] for _ in dev.pairs]
-    seen: list[set[Tokens]] = [set() for _ in dev.pairs]
+    # per dev sentence, each pooled output -> (features, BLEU statistics),
+    # in the order the outputs joined the pool
+    pools: list[dict[Tokens, tuple]] = [{} for _ in dev.pairs]
 
     current = init.values.copy()
     best_weights, best_real = current, float("-inf")
@@ -807,22 +790,21 @@ def mert_tune(
         # vectors that looked good on the pool but decode poorly thereby
         # contribute the counterexamples that correct the next line search
         grew = False
-        for s_idx, ((_, ref), nbest_list) in enumerate(zip(dev.pairs, nbest_lists)):
+        for pool, (_, ref), nbest_list in zip(pools, dev.pairs, nbest_lists):
             for tokens, features in nbest_list:
-                if tokens in seen[s_idx]:
-                    continue
-                seen[s_idx].add(tokens)
-                pools[s_idx].append(features)
-                stats[s_idx].append(bleu_stats(tokens, ref))
-                grew = True
+                if tokens not in pool:
+                    pool[tokens] = (features, bleu_stats(tokens, ref))
+                    grew = True
         if not grew and iteration > 0:
             break
+        feats = [np.array([f for f, _ in pool.values()]) for pool in pools]
+        stats = [[st for _, st in pool.values()] for pool in pools]
         starts = [current.copy(), best_weights.copy()]
         for _ in range(restarts):
             starts.append(rng.uniform(-1.0, 1.0, len(FEATURE_NAMES)))
         best_w, best_score = None, float("-inf")
         for start in starts:
-            w, score = _optimize_on_pool(pools, stats, start)
+            w, score = _optimize_on_pool(feats, stats, start)
             if score > best_score + 1e-12:
                 best_w, best_score = w, score
         current = best_w

@@ -231,12 +231,12 @@ def test_criterion_04_decoder_injection_and_exactness():
             cand_targets = {tuple(c.tokens) for c in candidates}
             covering = [
                 tp for tp in result.trace
-                if tp.source_span[0] <= start and tp.source_span[1] >= end
+                if tp.start <= start and tp.end >= end
             ]
             assert len(covering) == 1, (trial, result.trace)
             phrase = covering[0]
             if mode == EXCLUSIVE:
-                assert phrase.source_span == (start, end)
+                assert (phrase.start, phrase.end) == (start, end)
                 assert tuple(phrase.target) in cand_targets, trial
             else:  # constraint: chosen phrase contains a candidate contiguously
                 joined = phrase.target

@@ -315,6 +315,30 @@ class TestPhraseTableIO:
         with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: bad feature"):
             load_phrase_table(path)
 
+    @pytest.mark.parametrize("line, side", [
+        ("a |||  ||| 0.5 0.5 0.5 0.5", "target"),
+        (" ||| y ||| 0.5 0.5 0.5 0.5", "source"),
+    ])
+    def test_empty_phrase_names_file_and_line(self, tmp_path, line, side):
+        # an empty target would delete its source words from the output
+        path = tmp_path / "pt"
+        path.write_text(f"a ||| x ||| 0.5 1 1 1\n{line}\n", encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=rf"{re.escape(str(path))}: line 2: empty {side}"
+        ):
+            load_phrase_table(path)
+
+    def test_each_word_is_one_string(self, tmp_path):
+        path = tmp_path / "pt"
+        path.write_text(
+            "orbit ||| orbita ||| 1 1 1 1\nthe orbit ||| la orbita ||| 1 1 1 1\n",
+            encoding="utf-8",
+        )
+        entries = load_phrase_table(path).entries
+        keys = {len(src): src for src in entries}
+        assert keys[1][0] is keys[2][1]
+        assert entries[("orbit",)][0].target[0] is entries[("the", "orbit")][0].target[1]
+
 
 # Reference implementations: plain scans over the links and the table.
 # The array-backed versions in termforge.align must match them exactly,

@@ -39,6 +39,7 @@ from termforge.smt import (
     LogLinearWeights,
     Span,
     SpanCandidate,
+    TranslationOption,
     _line_search_dim,
     _mask,
     _optimize_on_pool,
@@ -261,7 +262,7 @@ class TestDecode:
         result = decode(("a", "b"), table, lm, LogLinearWeights.default())
         assert result.tokens == ("x", "y")
         assert len(result.trace) == 1
-        assert result.trace[0].source_span == (0, 2)
+        assert (result.trace[0].start, result.trace[0].end) == (0, 2)
 
     def test_exclusive_span_forces_candidate(self):
         annotated = AnnotatedInput(
@@ -332,7 +333,7 @@ class TestDecode:
             LogLinearWeights.default(),
         )
         positions = sorted(
-            p for span in result.trace for p in range(*span.source_span)
+            p for span in result.trace for p in range(span.start, span.end)
         )
         assert positions == [0, 1, 2]
 
@@ -517,17 +518,32 @@ class TestRebuiltFeatures:
         assert len(results) > 10
         for r in results:
             for k in range(4):
-                assert r.features[k] == sum(t.log_features[k] for t in r.trace)
+                assert r.features[k] == sum(t.log_feats[k] for t in r.trace)
             assert r.features[5] == -len(r.tokens)
             last_end, distortion = 0, 0
             for t in r.trace:
-                distortion -= abs(t.source_span[0] - last_end)
-                last_end = t.source_span[1]
+                distortion -= abs(t.start - last_end)
+                last_end = t.end
             assert r.features[6] == distortion
             assert r.features[4] == pytest.approx(lm.score(r.tokens), abs=1e-9)
             assert r.score == pytest.approx(
                 float(self.WEIGHTS.values @ r.features), abs=1e-9
             )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_trace_is_built_options(self, mode):
+        annotated = AnnotatedInput(
+            ("disorders", "of", "orbit"),
+            [Span(1, 3, [SpanCandidate(("der", "orbita"), 0.7)], mode)],
+        )
+        table = toy_table()
+        options = build_options(annotated, table)
+        results = decode_nbest(annotated, table, toy_lm(), self.WEIGHTS, WIDE, n=50)
+        assert len(results) > 1
+        for r in results:
+            assert all(isinstance(t, TranslationOption) for t in r.trace)
+            assert all(t in options for t in r.trace)
+            assert sum((t.target for t in r.trace), ()) == r.tokens
 
 
 @dataclass(slots=True)
@@ -542,7 +558,7 @@ class _Hypothesis:
     lm_ctx: tuple[str, ...]
     last_end: int
     backptr: "_Hypothesis | None"
-    option: _Option | None
+    option: TranslationOption | None
     lm_delta: float
 
 
@@ -572,7 +588,9 @@ def reference_search(
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
     n = len(annotated.tokens)
     # per start: (option, coverage mask, weighted phrase and word-penalty part)
-    options_by_start: list[list[tuple[_Option, int, float]]] = [[] for _ in range(n)]
+    options_by_start: list[list[tuple[TranslationOption, int, float]]] = [
+        [] for _ in range(n)
+    ]
     for opt in build_options(annotated, table):
         lf = opt.log_feats
         static = (
