@@ -551,3 +551,105 @@ class TestAgainstReference:
             assert set(got) == set(want)
             for key, (fwd, rev) in want.items():
                 assert got[key] == (max(fwd, PROB_FLOOR), max(rev, PROB_FLOOR))
+
+
+# Whole-table oracle: extract_phrases, its per-word factors and
+# save_phrase_table as they were before extraction was reworked.  The
+# written table must keep its bytes: every feature, every option order.
+
+
+def oracle_word_factors(src, tgt, links, table):
+    by_tgt = [[] for _ in tgt]
+    by_src = [[] for _ in src]
+    for i, j in links:
+        by_tgt[j].append(table.prob(tgt[j], src[i]))
+        by_src[i].append(table.inv_prob(src[i], tgt[j]))
+    fwd = [
+        sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
+        for ps, t in zip(by_tgt, tgt)
+    ]
+    rev = [sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
+    return fwd, rev
+
+
+def oracle_extract_phrases(corpus, alignments, table, max_phrase_len=7):
+    pair_counts = defaultdict(int)
+    src_counts = defaultdict(int)
+    tgt_counts = defaultdict(int)
+    lex_fwd = {}
+    lex_rev = {}
+
+    for (src, tgt), links in zip(corpus.pairs, alignments):
+        boxes = reference_consistent_phrases(len(src), len(tgt), links, max_phrase_len)
+        fwd_factors, rev_factors = oracle_word_factors(src, tgt, links, table)
+        for (i1, i2), (j1, j2) in boxes:
+            s_phrase = tuple(src[i1:i2])
+            t_phrase = tuple(tgt[j1:j2])
+            key = (s_phrase, t_phrase)
+            pair_counts[key] += 1
+            src_counts[s_phrase] += 1
+            tgt_counts[t_phrase] += 1
+            fwd = math.prod(fwd_factors[j1:j2])
+            rev = math.prod(rev_factors[i1:i2])
+            lex_fwd[key] = max(lex_fwd.get(key, 0.0), fwd)
+            lex_rev[key] = max(lex_rev.get(key, 0.0), rev)
+
+    entries = defaultdict(list)
+    for (s_phrase, t_phrase), count in sorted(pair_counts.items()):
+        key = (s_phrase, t_phrase)
+        phi_fwd = count / src_counts[s_phrase]
+        phi_rev = count / tgt_counts[t_phrase]
+        features = (
+            max(phi_fwd, PROB_FLOOR),
+            max(phi_rev, PROB_FLOOR),
+            max(lex_fwd[key], PROB_FLOOR),
+            max(lex_rev[key], PROB_FLOOR),
+        )
+        entries[s_phrase].append(PhraseOption(t_phrase, features))
+    for options in entries.values():
+        options.sort(key=lambda o: (-o.features[0], o.target))
+    return PhraseTable(dict(entries))
+
+
+def oracle_phrase_table_text(ptable):
+    out = []
+    for src in sorted(ptable.entries):
+        for opt in ptable.entries[src]:
+            feats = " ".join(repr(float(v)) for v in opt.features)
+            out.append(f"{' '.join(src)} ||| {' '.join(opt.target)} ||| {feats}\n")
+    return "".join(out)
+
+
+class TestWholeTableOracle:
+    def check(self, corpus, alignments, table, max_len, tmp_path):
+        got = extract_phrases(corpus, alignments, table, max_len)
+        want = oracle_extract_phrases(corpus, alignments, table, max_len)
+        assert list(got.entries) == sorted(got.entries)
+        assert got.max_phrase_len == want.max_phrase_len
+        path = tmp_path / "phrase-table"
+        save_phrase_table(got, path)
+        assert path.read_bytes() == oracle_phrase_table_text(want).encode("utf-8")
+
+    def test_random_links_tied_table_and_unknown_words(self, tmp_path):
+        rng = random.Random(11)
+        for trial in range(60):
+            table = tied_table(rng) if trial % 2 else word_table(rng, rng.random)
+            pairs, alignments = [], []
+            for _ in range(rng.randint(1, 12)):
+                # s6 / t6 are unknown to the table; few words, so phrase
+                # pairs repeat across sentences and within one
+                m, n = rng.randint(1, 8), rng.randint(1, 8)
+                pairs.append((
+                    tuple(f"s{rng.randrange(3 if trial % 3 else 7)}" for _ in range(m)),
+                    tuple(f"t{rng.randrange(3 if trial % 3 else 7)}" for _ in range(n)),
+                ))
+                alignments.append(random_links(rng, m, n))
+            self.check(ParallelCorpus(pairs), alignments, table, rng.randint(1, 5), tmp_path)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_trained_and_aligned_corpora(self, seed, tmp_path):
+        corpus = random_corpus(seed, n_pairs=40, vocab=6, max_len=7)
+        table = ibm1_em(corpus, 4)
+        alignments = [viterbi_align(table, pair) for pair in corpus.pairs]
+        for max_len in (1, 3, 7):
+            self.check(corpus, alignments, table, max_len, tmp_path)

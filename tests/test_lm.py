@@ -424,3 +424,175 @@ def test_arpa_without_fallback_unigram_is_rejected(tmp_path, word):
     path.write_text("".join(kept), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: no {word} unigram"):
         load_arpa(path)
+
+
+# Whole-model oracle: train_lm and save_arpa as they were before their
+# counting and writing were reworked.  Every log-prob and back-off weight
+# must keep its bits, and the written file its bytes.
+
+
+def oracle_discount(values):
+    n1 = n2 = 0
+    for v in values:
+        if v == 1:
+            n1 += 1
+        elif v == 2:
+            n2 += 1
+    if n1 + 2 * n2 == 0:
+        return 0.5
+    return min(max(n1 / (n1 + 2 * n2), 1e-3), 1.0 - 1e-3)
+
+
+def oracle_train_lm(sentences, order=5):
+    from collections import Counter, defaultdict
+
+    counts = [Counter() for _ in range(order + 1)]
+    n_sents = 0
+    for sent in sentences:
+        n_sents += 1
+        seq = (BOS,) + tuple(sent) + (EOS,)
+        for n in range(1, order + 1):
+            for i in range(len(seq) - n + 1):
+                counts[n][seq[i:i + n]] += 1
+    assert n_sents
+
+    words = {g[0] for g in counts[1]} - {BOS, EOS}
+    prediction_set = frozenset(words | {EOS, UNK})
+    uniform = 1.0 / len(prediction_set)
+
+    continuation = [Counter() for _ in range(order)]
+    for n in range(2, order + 1):
+        for gram in counts[n]:
+            continuation[n - 1][gram[1:]] += 1
+
+    def numerator(n, gram):
+        if n == order or gram[0] == BOS:
+            return counts[n][gram]
+        return continuation[n][gram]
+
+    by_context = [defaultdict(list) for _ in range(order + 1)]
+    for n in range(1, order + 1):
+        for gram in counts[n]:
+            if n == 1 and gram[0] == BOS:
+                continue
+            by_context[n][gram[:-1]].append(gram[-1])
+
+    discounts = [0.0] * (order + 1)
+    for n in range(1, order + 1):
+        nums = [
+            numerator(n, ctx + (w,))
+            for ctx, ws in by_context[n].items()
+            for w in ws
+        ]
+        discounts[n] = oracle_discount(v for v in nums if v > 0)
+
+    prob = {}
+    backoff = {}
+    d1 = discounts[1]
+    followers1 = by_context[1][()]
+    denom1 = sum(numerator(1, (w,)) for w in followers1)
+    if denom1 > 0:
+        types1 = sum(1 for w in followers1 if numerator(1, (w,)) > 0)
+        lam1 = d1 * types1 / denom1
+    else:
+        lam1 = 1.0
+    for w in sorted(prediction_set):
+        num = numerator(1, (w,)) if (w,) in counts[1] else 0
+        base = max(num - d1, 0.0) / denom1 if denom1 > 0 else 0.0
+        prob[(w,)] = math.log(base + lam1 * uniform)
+
+    for n in range(2, order + 1):
+        dn = discounts[n]
+        for context, followers in by_context[n].items():
+            denom = sum(numerator(n, context + (w,)) for w in followers)
+            if denom <= 0:
+                backoff[context] = 0.0
+                continue
+            types = sum(1 for w in followers if numerator(n, context + (w,)) > 0)
+            lam = dn * types / denom
+            for w in followers:
+                num = numerator(n, context + (w,))
+                base = max(num - dn, 0.0) / denom
+                lower = math.exp(prob[context[1:] + (w,)])
+                prob[context + (w,)] = math.log(base + lam * lower)
+            backoff[context] = math.log(lam)
+
+    return NgramLanguageModel(
+        order=order,
+        logprob=prob,
+        backoff=backoff,
+        vocab=frozenset(words | {BOS, EOS, UNK}),
+        prediction_set=prediction_set,
+    )
+
+
+def oracle_arpa_text(model):
+    log10 = math.log(10.0)
+    grams_by_order = [[] for _ in range(model.order + 1)]
+    for gram in model.logprob:
+        grams_by_order[len(gram)].append(gram)
+    out = ["\\data\\\n"]
+    for n in range(1, model.order + 1):
+        count = len(grams_by_order[n]) + (1 if n == 1 else 0)
+        out.append(f"ngram {n}={count}\n")
+    out.append("\n")
+    for n in range(1, model.order + 1):
+        out.append(f"\\{n}-grams:\n")
+        entries = sorted(grams_by_order[n])
+        if n == 1:
+            entries = [(BOS,)] + entries
+        for gram in entries:
+            if n == 1 and gram == (BOS,):
+                lp10 = -99.0
+            else:
+                lp10 = model.logprob[gram] / log10
+            line = f"{lp10!r}\t{' '.join(gram)}"
+            bow = model.backoff.get(gram)
+            if bow is not None and n < model.order:
+                line += f"\t{bow / log10!r}"
+            out.append(line + "\n")
+        out.append("\n")
+    out.append("\\end\\\n")
+    return "".join(out)
+
+
+def oracle_corpora():
+    """Seeded corpora with empty sentences, sentences shorter than the
+    order, repeated sentences and a one-word vocabulary."""
+    yield "one word", [("a",), ("a", "a"), (), ("a", "a", "a", "a", "a", "a")]
+    yield "only empty", [(), ()]
+    yield "repeats", [("a", "b", "c")] * 4 + [("c", "b")] * 3
+    for seed in range(6):
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(rng.choice([1, 2, 5, 12]))]
+        sents = []
+        for _ in range(rng.randint(1, 40)):
+            if sents and rng.random() < 0.15:
+                sents.append(rng.choice(sents))  # a repeat
+            else:
+                sents.append(tuple(rng.choices(vocab, k=rng.randint(0, 9))))
+        yield f"seed {seed}", sents
+
+
+class TestKneserNeyOracle:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_bit_equal_tables_and_bytes(self, order, tmp_path):
+        for name, sents in oracle_corpora():
+            got = train_lm(iter(sents), order=order)
+            want = oracle_train_lm(sents, order=order)
+            assert got.order == want.order
+            assert got.vocab == want.vocab, name
+            assert got.prediction_set == want.prediction_set, name
+            for table in ("logprob", "backoff"):
+                g, w = getattr(got, table), getattr(want, table)
+                assert g.keys() == w.keys(), (name, table)
+                assert {k: v.hex() for k, v in g.items()} == {
+                    k: v.hex() for k, v in w.items()
+                }, (name, table)
+            path = tmp_path / "model.arpa"
+            save_arpa(got, path)
+            assert path.read_bytes() == oracle_arpa_text(want).encode("utf-8"), name
+            # the writer on a loaded model, whose tables came from text
+            loaded = load_arpa(path)
+            save_arpa(loaded, path)
+            assert path.read_bytes() == oracle_arpa_text(loaded).encode("utf-8"), name
