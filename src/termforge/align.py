@@ -3,13 +3,18 @@
 EM runs over integer-encoded sentence pairs on a dense table; the E-step
 is one flat array pass over the corpus in :mod:`termforge._kernels`.  A
 null source token (index 0) absorbs target words with no lexical
-counterpart.  Viterbi links come from one table gather per sentence pair
-and an argmax per direction; grow-diag-final symmetrization, the only
-one, combines the two directions and keeps the covered source and target
-words in sets.  Phrase extraction grows each source span one word at a
-time over per-word link bounds, and a phrase's lexical weights are
-products of per-word factors from the word table, taken once per sentence
-pair.  A phrase table's length limit is its longest source phrase.
+counterpart.  Viterbi links come from one table gather per sentence pair,
+null row and a zero column first, and one argmax per direction, whose
+first-maximum rule is both directions' tie rule; grow-diag-final
+symmetrization, the only one, combines the two directions, keeps the
+covered source and target words in sets and probes only the links next
+to a union link it could still adopt.  Phrase extraction grows each
+source span one word at a time over per-word link bounds and tests a box
+by counting its links; a phrase's lexical weights are products of
+per-word factors read from the word table once per sentence pair.  Each
+phrase pair keeps one record, the source side of an instance is taken
+once per source span, and the table is assembled one source phrase at a
+time.  A phrase table's length limit is its longest source phrase.
 """
 
 from __future__ import annotations
@@ -118,25 +123,26 @@ def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
 def _directional_links(table: TranslationTable, pair) -> tuple[set, set]:
     """Argmax links in both directions from the single trained table.
 
-    One gather takes t(t|s) for every position pair.  The first maximum
-    wins in each direction; a target position links only when its best
-    source beats the null token (ties go to null), and a source position
-    only when its best target has p > 0.  Unknown source words read the
-    null row; unknown target words take no link.
+    One gather takes t(t|s) for every position pair into a block whose
+    first row is the null token and whose first column is zeros.  The
+    first maximum wins in each direction, so a target position links only
+    when its best source beats the null token (ties go to null), and a
+    source position only when its best target has p > 0.  Unknown source
+    words read the null row; unknown target words take no link.
     """
     src, tgt = pair
-    src_ids = [table._src_index.get(w, 0) for w in src]
-    cols = [j for j, w in enumerate(tgt) if w in table._tgt_index]
-    if not src_ids or not cols:
+    src_index, tgt_index = table._src_index, table._tgt_index
+    rows = [0] + [src_index.get(w, 0) for w in src]
+    cols = [j for j, w in enumerate(tgt) if w in tgt_index]
+    if len(rows) == 1 or not cols:
         return set(), set()
-    tgt_ids = [table._tgt_index[tgt[j]] for j in cols]
-    probs = table.table[np.ix_(src_ids, tgt_ids)]
-    best_src = probs.argmax(axis=0).tolist()
-    beats_null = probs.max(axis=0) > table.table[0, tgt_ids]
-    forward = {(best_src[k], cols[k]) for k in np.flatnonzero(beats_null).tolist()}
-    best_tgt = probs.argmax(axis=1).tolist()
-    positive = probs.max(axis=1) > 0.0
-    reverse = {(i, cols[best_tgt[i]]) for i in np.flatnonzero(positive).tolist()}
+    tgt_ids = [tgt_index[tgt[j]] for j in cols]
+    probs = np.zeros((len(rows), len(cols) + 1))
+    probs[:, 1:] = table.table[np.array(rows)[:, None], tgt_ids]
+    best_src = probs[:, 1:].argmax(axis=0).tolist()
+    forward = {(b - 1, j) for b, j in zip(best_src, cols) if b}
+    best_tgt = probs[1:].argmax(axis=1).tolist()
+    reverse = {(i, cols[b - 1]) for i, b in enumerate(best_tgt) if b}
     return forward, reverse
 
 
@@ -149,16 +155,20 @@ def _grow_diag(forward, reverse):
     Each pass visits the links in row-major order, links added ahead of
     the visit included, and adopts a neighbouring union link when its
     source or target word is still uncovered.  The links still to visit
-    in a pass wait in a heap, in that order.
+    in a pass wait in a heap, in that order.  A pass visits only links
+    next to a pending union link, and drops the pending links whose two
+    words are covered: they can never be adopted.
     """
     links = set(forward & reverse)
     pending = (forward | reverse) - links
     src_used = {i for i, _ in links}
     tgt_used = {j for _, j in links}
     grew = True
-    while grew and pending:
+    while grew:
         grew = False
-        queue = sorted(links)
+        pending = {c for c in pending if c[0] not in src_used or c[1] not in tgt_used}
+        frontier = {(i + di, j + dj) for i, j in pending for di, dj in _NEIGHBORS}
+        queue = sorted(links & frontier)
         while queue:
             here = heapq.heappop(queue)
             for di, dj in _NEIGHBORS:
@@ -171,7 +181,7 @@ def _grow_diag(forward, reverse):
                     src_used.add(cand[0])
                     tgt_used.add(cand[1])
                     grew = True
-                    if cand > here:
+                    if cand > here and cand in frontier:
                         heapq.heappush(queue, cand)
     # final step: adopt remaining union links touching an uncovered word
     for cand in sorted(pending):
@@ -194,7 +204,7 @@ def viterbi_align(
     return _grow_diag(*_directional_links(table, pair))
 
 
-@dataclass
+@dataclass(slots=True)
 class PhraseOption:
     target: Tokens
     features: tuple[float, float, float, float]  # phi_fwd, phi_rev, lex_fwd, lex_rev
@@ -224,37 +234,59 @@ def _consistent_phrases(src_len, tgt_len, links, max_len):
     For each start ``i1`` the source span grows one word at a time; the
     target box spans the min/max linked target of its source words, and
     it is consistent when every target word inside links only to sources
-    inside the span.  Unaligned target words at the box edges extend it.
+    inside the span: when the box's target columns hold as many links as
+    the span's source words.  Unaligned target words at the box edges
+    extend it.  The boxes of one source span come together and share one
+    span tuple.
     """
-    src_lo, src_hi = [tgt_len] * src_len, [-1] * src_len
-    tgt_lo, tgt_hi = [src_len] * tgt_len, [-1] * tgt_len
+    rows = [None] * src_len  # per source word: [lowest j, highest j + 1, links]
+    col_links = [0] * (tgt_len + 1)  # becomes: links in target columns < j
     for i, j in links:
-        src_lo[i], src_hi[i] = min(src_lo[i], j), max(src_hi[i], j)
-        tgt_lo[j], tgt_hi[j] = min(tgt_lo[j], i), max(tgt_hi[j], i)
+        row = rows[i]
+        if row is None:
+            rows[i] = [j, j + 1, 1]
+        else:
+            if j < row[0]:
+                row[0] = j
+            if j >= row[1]:
+                row[1] = j + 1
+            row[2] += 1
+        col_links[j + 1] += 1
+    aligned = [n > 0 for n in col_links[1:]]
+    for j in range(tgt_len):
+        col_links[j + 1] += col_links[j]
     out = []
     for i1 in range(src_len):
         j_min, j_max = tgt_len, 0  # target box [j_min, j_max)
-        for i2 in range(i1 + 1, min(i1 + max_len, src_len) + 1):
-            if src_hi[i2 - 1] >= 0:
-                j_min = min(j_min, src_lo[i2 - 1])
-                j_max = max(j_max, src_hi[i2 - 1] + 1)
-            if j_max == 0:
+        span_links = 0
+        i2 = i1
+        for row in rows[i1:i1 + max_len]:
+            i2 += 1
+            if row is not None:
+                lo, hi, n = row
+                if lo < j_min:
+                    j_min = lo
+                if hi > j_max:
+                    j_max = hi
+                span_links += n
+            elif not span_links:
                 continue  # no links yet
             if j_max - j_min > max_len:
                 break  # the box only widens as the span grows
-            if min(tgt_lo[j_min:j_max]) < i1 or max(tgt_hi[j_min:j_max]) >= i2:
+            if col_links[j_max] - col_links[j_min] != span_links:
                 continue
             # extend over unaligned target boundary words
+            span = (i1, i2)
             lo = j_min
             while j_max - lo <= max_len:
                 hi = j_max
                 while hi - lo <= max_len:
-                    out.append(((i1, i2), (lo, hi)))
+                    out.append((span, (lo, hi)))
                     hi += 1
-                    if hi > tgt_len or tgt_hi[hi - 1] >= 0:
+                    if hi > tgt_len or aligned[hi - 1]:
                         break
                 lo -= 1
-                if lo < 0 or tgt_hi[lo] >= 0:
+                if lo < 0 or aligned[lo]:
                     break
     return out
 
@@ -269,16 +301,26 @@ def _word_factors(src, tgt, links, table):
     has none.  A source word's reverse factor is the mean inverse
     probability over its links, or 1.0: the inverse direction has no null
     target (Model 1 places null on the source side only).  Each mean sums
-    in the iteration order of ``links``.
+    in the iteration order of ``links``.  The probabilities are read from
+    ``table.table`` and ``table.inverse`` by word index; a word the table
+    does not know has probability 0.0, as in :meth:`TranslationTable.prob`.
     """
+    probs, inverse = table.table, table.inverse
+    src_ids = [table._src_index.get(w) for w in src]
+    tgt_ids = [table._tgt_index.get(w) for w in tgt]
     by_tgt = [[] for _ in tgt]
     by_src = [[] for _ in src]
     for i, j in links:
-        by_tgt[j].append(table.prob(tgt[j], src[i]))
-        by_src[i].append(table.inv_prob(src[i], tgt[j]))
+        s, t = src_ids[i], tgt_ids[j]
+        known = s is not None and t is not None
+        by_tgt[j].append(probs.item(s, t) if known else 0.0)
+        by_src[i].append(inverse.item(s, t) if known else 0.0)
+    null = table._src_index.get(NULL_TOKEN)
     fwd = [
-        sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
-        for ps, t in zip(by_tgt, tgt)
+        sum(ps) / len(ps) if ps
+        else probs.item(null, t) if null is not None and t is not None
+        else 0.0
+        for ps, t in zip(by_tgt, tgt_ids)
     ]
     rev = [sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
     return fwd, rev
@@ -296,45 +338,63 @@ def extract_phrases(
     extracted instances; lexical weights come from the word table and keep
     the maximum over a pair's instances.  All features are floored at
     ``PROB_FLOOR``.
+
+    Each phrase pair keeps one record, grouped under its source phrase:
+    its instance count and its two maximum lexical weights.  The source
+    side of an instance (the phrase, its reverse lexical weight, its
+    records) is taken once per source span, for all the span's target
+    boxes.  The table is assembled one source phrase at a time, in sorted
+    order; a source phrase's count is the sum over its records, and its
+    records are dropped as its options are built.
     """
     if len(alignments) != len(corpus.pairs):
         raise ValueError("alignments must cover the corpus pair-for-pair")
-    pair_counts: dict[tuple[Tokens, Tokens], int] = defaultdict(int)
-    src_counts: dict[Tokens, int] = defaultdict(int)
+    # source phrase -> target phrase -> [instances, max lex_fwd, max lex_rev]
+    stats: dict[Tokens, dict[Tokens, list]] = {}
     tgt_counts: dict[Tokens, int] = defaultdict(int)
-    lex_fwd: dict[tuple[Tokens, Tokens], float] = {}
-    lex_rev: dict[tuple[Tokens, Tokens], float] = {}
 
     for (src, tgt), links in zip(corpus.pairs, alignments):
-        boxes = _consistent_phrases(len(src), len(tgt), links, max_phrase_len)
+        src, tgt = tuple(src), tuple(tgt)  # so that a slice is a phrase
         fwd_factors, rev_factors = _word_factors(src, tgt, links, table)
-        for (i1, i2), (j1, j2) in boxes:
-            s_phrase = tuple(src[i1:i2])
-            t_phrase = tuple(tgt[j1:j2])
-            key = (s_phrase, t_phrase)
-            pair_counts[key] += 1
-            src_counts[s_phrase] += 1
-            tgt_counts[t_phrase] += 1
+        span = None
+        for box_span, (j1, j2) in _consistent_phrases(
+            len(src), len(tgt), links, max_phrase_len
+        ):
+            if box_span is not span:
+                span = box_span
+                s_phrase = src[span[0]:span[1]]
+                rev = math.prod(rev_factors[span[0]:span[1]])
+                targets = stats.get(s_phrase)
+                if targets is None:
+                    targets = stats[s_phrase] = {}
+            t_phrase = tgt[j1:j2]
             fwd = math.prod(fwd_factors[j1:j2])
-            rev = math.prod(rev_factors[i1:i2])
-            lex_fwd[key] = max(lex_fwd.get(key, 0.0), fwd)
-            lex_rev[key] = max(lex_rev.get(key, 0.0), rev)
+            tgt_counts[t_phrase] += 1
+            record = targets.get(t_phrase)
+            if record is None:
+                record = targets[t_phrase] = [0, 0.0, 0.0]
+            record[0] += 1
+            if fwd > record[1]:
+                record[1] = fwd
+            if rev > record[2]:
+                record[2] = rev
 
-    entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
-    for (s_phrase, t_phrase), count in sorted(pair_counts.items()):
-        key = (s_phrase, t_phrase)
-        phi_fwd = count / src_counts[s_phrase]
-        phi_rev = count / tgt_counts[t_phrase]
-        features = (
-            max(phi_fwd, PROB_FLOOR),
-            max(phi_rev, PROB_FLOOR),
-            max(lex_fwd[key], PROB_FLOOR),
-            max(lex_rev[key], PROB_FLOOR),
-        )
-        entries[s_phrase].append(PhraseOption(t_phrase, features))
-    for options in entries.values():
+    entries: dict[Tokens, list[PhraseOption]] = {}
+    for s_phrase in sorted(stats):
+        targets = stats.pop(s_phrase)
+        total = sum(record[0] for record in targets.values())
+        options = [
+            PhraseOption(t_phrase, (
+                max(count / total, PROB_FLOOR),
+                max(count / tgt_counts[t_phrase], PROB_FLOOR),
+                max(lex_fwd, PROB_FLOOR),
+                max(lex_rev, PROB_FLOOR),
+            ))
+            for t_phrase, (count, lex_fwd, lex_rev) in targets.items()
+        ]
         options.sort(key=lambda o: (-o.features[0], o.target))
-    return PhraseTable(dict(entries))
+        entries[s_phrase] = options
+    return PhraseTable(entries)
 
 
 def save_phrase_table(ptable: PhraseTable, path) -> None:

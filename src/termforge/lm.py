@@ -4,7 +4,9 @@ Per-context distributions sum to one by construction: the discounted mass
 at each order is exactly the interpolation weight handed to the next order
 down, and the unigram level interpolates with a uniform distribution over
 the prediction set (vocabulary + end-of-sentence + unknown), so unknown
-tokens always receive finite probability.
+tokens always receive finite probability.  Training counts each order in
+one ``Counter`` pass over shifted copies of the padded sentences and takes
+each n-gram's KN numerator once (see :func:`train_lm`).
 
 Queries run on integer ids and context states (Heafield 2011).  From the
 ``logprob`` and ``backoff`` tables a model derives, once and on its first
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, defaultdict
+from itertools import chain
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -180,17 +183,37 @@ class NgramLanguageModel:
         return total
 
 
-def _discount(values: Iterable[int]) -> float:
+def _discount(numerators: Iterable[int]) -> float:
     """Absolute discount from count-of-counts, clamped inside (0, 1)."""
-    n1 = n2 = 0
-    for v in values:
-        if v == 1:
-            n1 += 1
-        elif v == 2:
-            n2 += 1
+    count_of = Counter(numerators)
+    n1, n2 = count_of[1], count_of[2]
     if n1 + 2 * n2 == 0:
         return 0.5
     return min(max(n1 / (n1 + 2 * n2), 1e-3), 1.0 - 1e-3)
+
+
+def _ngram_counts(seqs: Sequence[tuple[str, ...]], n: int) -> Counter:
+    """How often each n-gram occurs in the padded sentences, keyed in the
+    order of first occurrence."""
+    return Counter(chain.from_iterable(
+        zip(*[seq[k:] for k in range(n)]) for seq in seqs
+    ))
+
+
+def _kn_numerators(
+    grams: Counter, longer: Counter | None
+) -> dict[tuple[str, ...], int]:
+    """The KN numerator of each gram, keyed in counting order: its raw count
+    at the top order (no ``longer`` grams) and for a gram anchored at
+    ``<s>``, which nothing can precede, else its number of distinct left
+    extensions among the ``longer`` grams (its continuation count)."""
+    if longer is None:
+        return grams
+    continuation = Counter(gram[1:] for gram in longer)
+    return {
+        gram: count if gram[0] == BOS else continuation[gram]
+        for gram, count in grams.items()
+    }
 
 
 def train_lm(sentences: Iterable[Sequence[str]], order: int = 5) -> NgramLanguageModel:
@@ -199,88 +222,62 @@ def train_lm(sentences: Iterable[Sequence[str]], order: int = 5) -> NgramLanguag
     Sentences shorter than the order simply contribute no high-order grams;
     scoring backs off to whatever orders exist, so small corpora degrade
     gracefully instead of failing.
+
+    Each order is counted in one ``Counter`` pass over zipped, shifted
+    copies of the padded sentences.  Orders are then estimated bottom-up,
+    and each n-gram's KN numerator (:func:`_kn_numerators`) is taken once.
+    Every numerator is at least 1, since a gram that does not start with
+    ``<s>`` has a left neighbour in its sentence; so every context has a
+    positive denominator and every follower counts as a type.  The counts
+    of an order are dropped once its numerators are taken.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    counts: list[Counter] = [Counter() for _ in range(order + 1)]  # index = n
-    n_sents = 0
-    for sent in sentences:
-        n_sents += 1
-        seq = (BOS,) + tuple(sent) + (EOS,)
-        for n in range(1, order + 1):
-            for i in range(len(seq) - n + 1):
-                counts[n][seq[i:i + n]] += 1
-    if n_sents == 0:
+    seqs = [(BOS,) + tuple(sent) + (EOS,) for sent in sentences]
+    if not seqs:
         raise EmptyCorpusError("cannot train a language model on an empty corpus")
+    # counts[n] holds the n-grams for n = 1..order; None past the top order
+    counts = [None, *(_ngram_counts(seqs, n) for n in range(1, order + 1)), None]
+    del seqs
 
-    words = {g[0] for g in counts[1]} - {BOS, EOS}
+    nums = _kn_numerators(counts[1], counts[2])
+    counts[1] = None
+    del nums[(BOS,)]  # <s> is context-only, never a predicted event
+    words = {gram[0] for gram in nums} - {EOS}
     prediction_set = frozenset(words | {EOS, UNK})
     uniform = 1.0 / len(prediction_set)
-
-    # Continuation counts (distinct left extensions) drive every order below
-    # the top one, except grams anchored at <s>, which keep raw counts since
-    # nothing can precede a sentence start.
-    continuation: list[Counter] = [Counter() for _ in range(order)]
-    for n in range(2, order + 1):
-        for gram in counts[n]:
-            continuation[n - 1][gram[1:]] += 1
-
-    def numerator(n: int, gram: tuple[str, ...]) -> int:
-        if n == order or gram[0] == BOS:
-            return counts[n][gram]
-        return continuation[n][gram]
-
-    by_context: list[dict[tuple[str, ...], list[str]]] = [
-        defaultdict(list) for _ in range(order + 1)
-    ]
-    for n in range(1, order + 1):
-        for gram in counts[n]:
-            if n == 1 and gram[0] == BOS:
-                continue  # <s> is context-only, never a predicted event
-            by_context[n][gram[:-1]].append(gram[-1])
-
-    discounts = [0.0] * (order + 1)
-    for n in range(1, order + 1):
-        nums = [
-            numerator(n, ctx + (w,))
-            for ctx, ws in by_context[n].items()
-            for w in ws
-        ]
-        discounts[n] = _discount(v for v in nums if v > 0)
 
     prob: dict[tuple[str, ...], float] = {}
     backoff: dict[tuple[str, ...], float] = {}
 
     # Unigram level, interpolated with the uniform distribution.
-    d1 = discounts[1]
-    followers1 = by_context[1][()]
-    denom1 = sum(numerator(1, (w,)) for w in followers1)
-    if denom1 > 0:
-        types1 = sum(1 for w in followers1 if numerator(1, (w,)) > 0)
-        lam1 = d1 * types1 / denom1
-    else:
-        lam1 = 1.0
+    d1 = _discount(nums.values())
+    denom1 = sum(nums.values())
+    lam1 = d1 * len(nums) / denom1
     for w in sorted(prediction_set):
-        num = numerator(1, (w,)) if (w,) in counts[1] else 0
-        base = max(num - d1, 0.0) / denom1 if denom1 > 0 else 0.0
+        num = nums.get((w,), 0)
+        base = max(num - d1, 0.0) / denom1
         prob[(w,)] = math.log(base + lam1 * uniform)
 
     # Higher orders, bottom-up so lower-order probabilities are available.
+    # A numerator exceeds the discount, so no discounted count is clamped.
+    exp, log = math.exp, math.log
     for n in range(2, order + 1):
-        dn = discounts[n]
-        for context, followers in by_context[n].items():
-            denom = sum(numerator(n, context + (w,)) for w in followers)
-            if denom <= 0:
-                backoff[context] = 0.0
-                continue
-            types = sum(1 for w in followers if numerator(n, context + (w,)) > 0)
-            lam = dn * types / denom
-            for w in followers:
-                num = numerator(n, context + (w,))
-                base = max(num - dn, 0.0) / denom
-                lower = math.exp(prob[context[1:] + (w,)])
-                prob[context + (w,)] = math.log(base + lam * lower)
-            backoff[context] = math.log(lam)
+        nums = _kn_numerators(counts[n], counts[n + 1])
+        counts[n] = None
+        dn = _discount(nums.values())
+        by_context: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = (
+            defaultdict(list)
+        )
+        for gram, num in nums.items():
+            by_context[gram[:-1]].append((gram, num))
+        del nums
+        for context, followers in by_context.items():
+            denom = sum([num for _, num in followers])
+            lam = dn * len(followers) / denom
+            for gram, num in followers:
+                prob[gram] = log((num - dn) / denom + lam * exp(prob[gram[1:]]))
+            backoff[context] = log(lam)
 
     vocab = frozenset(words | {BOS, EOS, UNK})
     return NgramLanguageModel(

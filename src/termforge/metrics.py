@@ -29,9 +29,10 @@ METEOR_THETA = 3.0
 
 @dataclass
 class MetricScore:
-    bleu: float
-    chrf3: float
-    meteor: float
+    # None only in a report read back from a results file that lacks it
+    bleu: float | None
+    chrf3: float | None
+    meteor: float | None
     segment_count: int
 
 
@@ -217,7 +218,8 @@ def score_all(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> M
 
 def format_report(results: dict[str, dict[str, MetricScore]]) -> str:
     """Matrix-shaped text report: one block per metric, systems as rows and
-    evaluation sets as columns."""
+    evaluation sets as columns; ``/`` marks a missing evaluation set or
+    metric value."""
     if not results:
         raise ValueError("no results to report")
     eval_sets: list[str] = []
@@ -237,7 +239,8 @@ def format_report(results: dict[str, dict[str, MetricScore]]) -> str:
             row = f"{system:<{width}}"
             for eval_set in eval_sets:
                 score = per_system.get(eval_set)
-                cell = "/" if score is None else f"{getattr(score, attr):.2f}"
+                value = None if score is None else getattr(score, attr)
+                cell = "/" if value is None else f"{value:.2f}"
                 row += f"{cell:>{width + 2}}"
             lines.append(row)
         blocks.append("\n".join(lines))

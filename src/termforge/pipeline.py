@@ -404,8 +404,11 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
 
 
 def run_report(cfg: PipelineConfig) -> str:
-    """Assemble the matrix report from the accumulated results TSV."""
+    """Assemble the matrix report from the accumulated results TSV.  A
+    metric the file lacks for a system and evaluation set prints as ``/``;
+    a metric name the report does not know is an error."""
     results_path = cfg.input_path("evaluate.results")
+    known = [name for _, name in metrics.REPORTED]
     table: dict[str, dict[str, dict[str, float]]] = {}
     for lineno, line in enumerate(read_lines(results_path), start=1):
         if not line.strip():
@@ -418,12 +421,16 @@ def run_report(cfg: PipelineConfig) -> str:
                 f"{results_path}: line {lineno}: expected "
                 f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
             ) from None
+        if metric not in known:
+            raise ModelFormatError(
+                f"{results_path}: line {lineno}: unknown metric {metric!r}, "
+                f"expected one of {', '.join(known)}"
+            )
         table.setdefault(system, {}).setdefault(evalset, {})[metric] = number
     results = {
         system: {
             evalset: metrics.MetricScore(
-                **{name: vals.get(name, 0.0) for _, name in metrics.REPORTED},
-                segment_count=0,
+                **{name: vals.get(name) for name in known}, segment_count=0
             )
             for evalset, vals in per_system.items()
         }

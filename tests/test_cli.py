@@ -525,6 +525,29 @@ class TestReport:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "report.txt").exists()
 
+    def test_unknown_metric_names_file_and_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        results = tmp_path / "run" / "results.tsv"
+        results.parent.mkdir()
+        results.write_text("smt\ticdtoy\tbleu\t12.5\nsmt\ticdtoy\tter\t0.5\n", encoding="utf-8")
+        assert run(["report", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert f"{results}: line 2: unknown metric 'ter'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "report.txt").exists()
+
+    def test_missing_metric_prints_as_missing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        results = tmp_path / "run" / "results.tsv"
+        results.parent.mkdir()
+        results.write_text("smt\ticdtoy\tbleu\t12.5\n", encoding="utf-8")
+        assert run(["report", "--config", cfg]) == 0
+        blocks = (tmp_path / "run" / "report.txt").read_text(encoding="utf-8").split("\n\n")
+        rows = {block.splitlines()[0]: block.splitlines()[2].split() for block in blocks}
+        assert rows == {"BLEU": ["smt", "12.50"], "METEOR": ["smt", "/"], "chrF3": ["smt", "/"]}
+
 
 class TestTranslateBpe:
     @pytest.mark.parametrize(
