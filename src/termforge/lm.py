@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter, defaultdict
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .corpus import finite_float
