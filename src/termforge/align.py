@@ -3,12 +3,12 @@
 EM runs over integer-encoded sentence pairs on a dense table; the E-step
 is one flat array pass over the corpus in :mod:`termforge._kernels`.  A
 null source token (index 0) absorbs target words with no lexical
-counterpart.  Viterbi links come from one table gather per sentence pair,
-null row and a zero column first, and one argmax per direction, whose
-first-maximum rule is both directions' tie rule; grow-diag-final
-symmetrization, the only one, combines the two directions, keeps the
-covered source and target words in sets and probes only the links next
-to a union link it could still adopt.  Phrase extraction grows each
+counterpart.  Viterbi links come from one table gather per sentence pair
+into a block led by the null row and a zero column, so that one argmax
+per direction, taking the first maximum, also applies both tie rules;
+grow-diag-final symmetrization, the only one, combines the two
+directions, keeps the covered source and target words in sets and probes
+only the links next to a union link it could still adopt.  Phrase extraction grows each
 source span one word at a time over per-word link bounds and tests a box
 by counting its links; a phrase's lexical weights are products of
 per-word factors read from the word table once per sentence pair.  Each
