@@ -369,7 +369,7 @@ def load_arpa(path) -> NgramLanguageModel:
             gram = tuple(words)
         try:
             value = finite_float(parts[0])
-            if not (section == 1 and gram == (BOS,) and value <= -99.0):
+            if gram != (BOS,):  # <s> is never predicted: no 1-gram log-prob
                 logprob[gram] = value * _LOG10
             if len(parts) >= 3 and parts[2]:
                 backoff[gram] = finite_float(parts[2]) * _LOG10

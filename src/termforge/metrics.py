@@ -50,23 +50,31 @@ def _check_lengths(hypotheses, references):
         raise ValueError("need at least one segment")
 
 
-def _ngram_counts(tokens: Segment, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
-def bleu_stats(hypothesis: Segment, reference: Segment) -> tuple[list, list, int, int]:
-    """Sufficient statistics for one segment: clipped matches and totals per
-    order, plus hypothesis/reference lengths.  Exposed for weight tuning."""
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
+def ngram_counts(tokens: Segment) -> Counter:
+    """Every n-gram of orders 1 to ``BLEU_ORDER`` in ``tokens``, counted in
+    one ``Counter`` keyed by the n-gram tuple (its length is its order)."""
+    counts = Counter()
     for n in range(1, BLEU_ORDER + 1):
-        hyp_ngrams = _ngram_counts(hypothesis, n)
-        ref_ngrams = _ngram_counts(reference, n)
-        total[n - 1] = sum(hyp_ngrams.values())
-        correct[n - 1] = sum(
-            min(count, ref_ngrams.get(gram, 0)) for gram, count in hyp_ngrams.items()
-        )
-    return correct, total, len(hypothesis), len(reference)
+        counts.update(zip(*(tokens[i:] for i in range(n))))
+    return counts
+
+
+def bleu_stats(
+    hypothesis: Segment, reference: Segment, reference_counts: Counter | None = None
+) -> tuple[list, list, int, int]:
+    """Sufficient statistics for one segment: clipped matches and totals per
+    order, plus hypothesis/reference lengths.  Exposed for weight tuning,
+    which scores many hypotheses against one reference and so passes
+    ``reference_counts``, the reference's ``ngram_counts`` taken once."""
+    if reference_counts is None:
+        reference_counts = ngram_counts(reference)
+    hyp_counts = ngram_counts(hypothesis)
+    correct = [0] * BLEU_ORDER
+    for gram in hyp_counts.keys() & reference_counts.keys():
+        correct[len(gram) - 1] += min(hyp_counts[gram], reference_counts[gram])
+    hyp_len = len(hypothesis)
+    total = [max(hyp_len - n, 0) for n in range(BLEU_ORDER)]
+    return correct, total, hyp_len, len(reference)
 
 
 def sum_bleu_stats(

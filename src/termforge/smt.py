@@ -56,10 +56,16 @@ its floor test, so the memos fill exactly as without floors.
 
 MERT (Och 2003) searches each dev sentence once per weight vector: the
 n-best lists that measure the dev BLEU of an iteration's weights are the
-lists the next iteration adds to the pool.  A line-search pass prices every
-pool line once, and all seven dimensions of the pass share those dot
-products.  A dev sentence whose top score is an exact tie counts at its
-worst tied output, so MERT cannot gain dev BLEU from the tie-break.
+lists the next iteration adds to the pool.  Each dev reference's n-grams
+are counted once per tuning run, and every BLEU statistic MERT takes reads
+those counts.  An iteration runs one coordinate ascent per distinct start:
+the current and the best weights are the same vector at the first
+iteration and after every one that improved dev BLEU, and the ascent is a
+pure function of its start.  A line-search pass prices every pool line
+once, with one ``dot`` per line, and all seven dimensions of the pass
+share those dot products.  A dev sentence whose top score is an exact tie
+counts at its worst tied output, so MERT cannot gain dev BLEU from the
+tie-break.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ from .corpus import ParallelCorpus, Tokens, contains_contiguous, finite_float, t
 from .errors import MarkupError, ModelFormatError, SearchError
 from .files import atomic_open, read_lines
 from .lm import EOS, BOS, NgramLanguageModel
-from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, sum_bleu_stats
+from .metrics import BLEU_ORDER, bleu_from_stats, bleu_stats, ngram_counts, sum_bleu_stats
 
 FEATURE_NAMES = (
     "phrase_fwd",
@@ -129,7 +135,8 @@ def save_weights(weights: LogLinearWeights, path) -> None:
 
 
 def load_weights(path) -> LogLinearWeights:
-    """Read ``name value`` lines; every name in FEATURE_NAMES must appear."""
+    """Read ``name value`` lines; every name in FEATURE_NAMES must appear,
+    once, and no other name."""
     mapping = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
@@ -141,6 +148,12 @@ def load_weights(path) -> LogLinearWeights:
                 f"{path}: line {lineno}: expected 'name value', got {line!r}"
             )
         name, value = fields
+        if name not in FEATURE_NAMES:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: unknown weight name {name!r}"
+            )
+        if name in mapping:
+            raise ModelFormatError(f"{path}: line {lineno}: repeated weight {name!r}")
         try:
             weight = finite_float(value)
         except ValueError:
@@ -599,15 +612,15 @@ def _upper_envelope(lines: list[tuple[float, float, int]]):
     ``lines`` holds (slope, intercept, id); returns [(x_from, id)] segments
     ordered by x.  Ids are stable under ties so the search is deterministic.
     """
-    lines = sorted(lines)
-    # for equal slopes only the highest intercept can win
-    dedup: list[tuple[float, float, int]] = []
-    for b, a, idx in lines:
-        if dedup and dedup[-1][0] == b:
-            if a <= dedup[-1][1]:
-                continue
-            dedup.pop()
-        dedup.append((b, a, idx))
+    # for equal slopes only the highest intercept can win, the smallest id
+    # of equals; only the winners are sorted
+    top: dict[float, tuple[float, float, int]] = {}
+    for line in lines:
+        kept = top.get(line[0])
+        if (kept is None or line[1] > kept[1]
+                or (line[1] == kept[1] and line[2] < kept[2])):
+            top[line[0]] = line
+    dedup = sorted(top.values())
     hull: list[tuple[float, float, int]] = []
     breaks: list[float] = []
     for b, a, idx in dedup:
@@ -629,8 +642,11 @@ def _upper_envelope(lines: list[tuple[float, float, int]]):
 
 
 def _pool_dots(pools, weights) -> list[np.ndarray]:
-    """``w . f`` for every line of every sentence's pool."""
-    return [np.array([np.dot(weights, f) for f in feats]) for feats in pools]
+    """``w . f`` for every line of every sentence's pool, one ``dot`` per
+    line: a stacked matrix product sums in another order, so it is not
+    bit-equal."""
+    return [np.fromiter(map(weights.dot, feats), np.float64, len(feats))
+            for feats in pools]
 
 
 def _line_search_dim(pools, stats, weights, dim, dots):
@@ -696,15 +712,18 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     """Coordinate ascent on pool BLEU, taking the steepest dimension per
     pass (first-improvement greedy is prone to knife-edge optima).  The
     lines are priced once per pass: every dimension's search shares the
-    pass's ``w . f``.  ``pools`` holds one stacked feature array per
-    sentence."""
+    pass's ``w . f``.  ``pools`` holds each sentence's feature vectors as a
+    list of 1-D arrays, which ``_pool_dots`` prices one ``dot`` each; the
+    line searches read their slopes from one array per sentence, stacked
+    once here."""
+    stacked = [np.array(feats) for feats in pools]
     weights = start.copy()
     dots = _pool_dots(pools, weights)
     best = _pool_bleu(stats, dots)
     for _ in range(max_passes):
         best_dim, best_x, best_score = None, None, best
         for dim in range(len(FEATURE_NAMES)):
-            x, score = _line_search_dim(pools, stats, weights, dim, dots)
+            x, score = _line_search_dim(stacked, stats, weights, dim, dots)
             if score > best_score + 1e-9:
                 best_dim, best_x, best_score = dim, x, score
         if best_dim is None:
@@ -718,20 +737,24 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     return weights, _pool_bleu(stats, _pool_dots(pools, weights))
 
 
-def _search_dev(dev, table, lm, weights, beam, nbest):
+def _search_dev(dev, table, lm, weights, beam, nbest, ref_counts=None):
     """Search every dev sentence once under ``weights``.
 
     Returns the ``nbest``-best lists as (tokens, features) pairs, the dev
     BLEU, and the number of sentences whose list ties exactly on the top
     score.  A tied sentence counts at its worst top entry (fewest clipped
     n-gram matches, the earliest of equals), so no tie rule can raise the
-    dev BLEU that MERT maximizes.
+    dev BLEU that MERT maximizes.  ``ref_counts`` holds the ``ngram_counts``
+    of each dev reference; ``mert_tune`` takes them once for all its
+    calls, and they are taken here when not given.
     """
+    if ref_counts is None:
+        ref_counts = [ngram_counts(ref) for _, ref in dev.pairs]
     w = LogLinearWeights(weights)
     nbest_lists, sentence_stats, tied = [], [], 0
-    for src, ref in dev.pairs:
+    for (src, ref), counts in zip(dev.pairs, ref_counts):
         results = decode_nbest(src, table, lm, w, beam, nbest)
-        top = [bleu_stats(r.tokens, ref) for r in results
+        top = [bleu_stats(r.tokens, ref, counts) for r in results
                if r.score == results[0].score]
         sentence_stats.append(min(top, key=lambda st: sum(st[0])))
         tied += len(top) > 1
@@ -760,7 +783,11 @@ def mert_tune(
     is the dev BLEU of what ``decode`` outputs.  Each dev sentence is
     searched once per weight vector: the n-best lists that measure the BLEU
     of an iteration's weights are the lists the next iteration adds to the
-    pool.  Each measurement is logged at info level (iteration 0 is
+    pool.  Each dev reference's n-grams are counted once, here, for every
+    BLEU statistic taken against it.  Each iteration ascends once from each
+    distinct start among the current weights, the best weights and the
+    ``restarts`` random vectors, which are drawn whether or not they repeat
+    a start.  Each measurement is logged at info level (iteration 0 is
     ``init``).
     """
     if not dev.pairs:
@@ -768,6 +795,7 @@ def mert_tune(
     if nbest < 1:
         raise ValueError(f"nbest must be >= 1, got {nbest}")
     rng = np.random.default_rng(seed)
+    ref_counts = [ngram_counts(ref) for _, ref in dev.pairs]
     # per dev sentence, each pooled output -> (features, BLEU statistics),
     # in the order the outputs joined the pool
     pools: list[dict[Tokens, tuple]] = [{} for _ in dev.pairs]
@@ -775,7 +803,9 @@ def mert_tune(
     current = init.values.copy()
     best_weights, best_real = current, float("-inf")
     for iteration in range(iterations + 1):
-        nbest_lists, real, tied = _search_dev(dev, table, lm, current, beam, nbest)
+        nbest_lists, real, tied = _search_dev(
+            dev, table, lm, current, beam, nbest, ref_counts
+        )
         log.info(
             "MERT iteration %d: dev BLEU %.2f, %d of %d dev sentences tied "
             "on the top score, pool of %d hypotheses",
@@ -790,20 +820,28 @@ def mert_tune(
         # vectors that looked good on the pool but decode poorly thereby
         # contribute the counterexamples that correct the next line search
         grew = False
-        for pool, (_, ref), nbest_list in zip(pools, dev.pairs, nbest_lists):
+        for pool, (_, ref), counts, nbest_list in zip(
+            pools, dev.pairs, ref_counts, nbest_lists
+        ):
             for tokens, features in nbest_list:
                 if tokens not in pool:
-                    pool[tokens] = (features, bleu_stats(tokens, ref))
+                    pool[tokens] = (features, bleu_stats(tokens, ref, counts))
                     grew = True
         if not grew and iteration > 0:
             break
-        feats = [np.array([f for f, _ in pool.values()]) for pool in pools]
+        feats = [[f for f, _ in pool.values()] for pool in pools]
         stats = [[st for _, st in pool.values()] for pool in pools]
-        starts = [current.copy(), best_weights.copy()]
+        starts = [current, best_weights]
         for _ in range(restarts):
             starts.append(rng.uniform(-1.0, 1.0, len(FEATURE_NAMES)))
         best_w, best_score = None, float("-inf")
+        # the ascent is a pure function of its start: a repeat would return
+        # an equal score, which the strict test below never takes
+        tried = set()
         for start in starts:
+            if start.tobytes() in tried:
+                continue
+            tried.add(start.tobytes())
             w, score = _optimize_on_pool(feats, stats, start)
             if score > best_score + 1e-12:
                 best_w, best_score = w, score

@@ -400,6 +400,32 @@ class TestArpa:
             load_arpa(path)
 
 
+@pytest.mark.parametrize("bos_logprob", ["-1.0", "-99.0"])
+def test_bos_unigram_is_never_stored(tmp_path, bos_logprob):
+    # <s> is never predicted, so a 1-gram log-prob on its line, placeholder
+    # or not, is dropped on loading and written back once as the placeholder
+    path = tmp_path / "model.arpa"
+    path.write_text(
+        "\\data\\\nngram 1=4\n\n\\1-grams:\n"
+        f"{bos_logprob}\t<s>\n-0.5\ta\n-0.7\t</s>\n-0.9\t<unk>\n\n\\end\\\n",
+        encoding="utf-8",
+    )
+    model = load_arpa(path)
+    assert (BOS,) not in model.logprob
+    again_path = tmp_path / "again.arpa"
+    save_arpa(model, again_path)
+    lines = again_path.read_text(encoding="utf-8").splitlines()
+    assert "ngram 1=4" in lines
+    assert [line for line in lines if line.endswith("\t<s>")] == ["-99.0\t<s>"]
+    again = load_arpa(again_path)
+    for word, value in [("a", -0.5), ("</s>", -0.7), ("<unk>", -0.9), ("zz", -0.9),
+                        (BOS, -0.9)]:
+        for context in ([], [BOS], ["a"]):
+            want = value * math.log(10.0)
+            assert model.cond_logprob(word, context) == want
+            assert again.cond_logprob(word, context) == want
+
+
 def test_word_without_unigram_names_file_and_line(tmp_path):
     path = tmp_path / "model.arpa"
     save_arpa(train_lm([("a", "b")], order=2), path)

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+from termforge import metrics
 from termforge.metrics import (
+    BLEU_ORDER,
     MetricScore,
     bleu,
     bleu_from_stats,
@@ -76,6 +78,54 @@ class TestBleu:
         assert bleu([hyps[i] for i in perm], [refs[i] for i in perm]) == pytest.approx(
             direct
         )
+
+
+def _reference_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def reference_bleu_stats(hypothesis, reference):
+    """``bleu_stats`` as it was before it took reference counts: one
+    ``Counter`` per order and side."""
+    correct = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
+    for n in range(1, BLEU_ORDER + 1):
+        hyp_ngrams = _reference_ngram_counts(hypothesis, n)
+        ref_ngrams = _reference_ngram_counts(reference, n)
+        total[n - 1] = sum(hyp_ngrams.values())
+        correct[n - 1] = sum(
+            min(count, ref_ngrams.get(gram, 0)) for gram, count in hyp_ngrams.items()
+        )
+    return correct, total, len(hypothesis), len(reference)
+
+
+def oracle_segment_pairs(seed=0):
+    """Hypothesis/reference pairs: empty sides, lengths 1-3 (orders with no
+    n-grams), few-word vocabularies (repeated tokens and n-grams) and long
+    segments."""
+    rng = random.Random(seed)
+    pairs = [((), ()), ((), ("a",)), (("a",), ()), (("a", "a", "a"), ("a", "a"))]
+    for _ in range(400):
+        words = [f"w{i}" for i in range(rng.choice([1, 2, 3, 8, 40]))]
+        lengths = [rng.choice([0, 1, 2, 3, rng.randint(4, 12), rng.randint(30, 80)])
+                   for _ in range(2)]
+        hyp, ref = (tuple(rng.choices(words, k=k)) for k in lengths)
+        pairs.append((hyp, ref))
+        pairs.append((hyp, hyp[: rng.randint(0, len(hyp))]))
+    return pairs
+
+
+class TestBleuStatsOracle:
+    def test_equals_one_counter_per_order(self):
+        for hyp, ref in oracle_segment_pairs():
+            assert bleu_stats(hyp, ref) == reference_bleu_stats(hyp, ref), (hyp, ref)
+
+    def test_precomputed_reference_counts(self):
+        for hyp, ref in oracle_segment_pairs(seed=1):
+            counts = metrics.ngram_counts(ref)
+            assert bleu_stats(hyp, ref, counts) == reference_bleu_stats(hyp, ref)
+            # the counts are read, never changed
+            assert counts == metrics.ngram_counts(ref)
 
 
 def oracle_chrf(hyps, refs, max_n=6, beta=3.0):

@@ -183,6 +183,23 @@ class TestWeightsIO:
         with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}: {message}"):
             load_weights(path)
 
+    @pytest.mark.parametrize(
+        "extra_line, message",
+        [
+            ("lm 7.0", "line 8: repeated weight 'lm'"),
+            ("distortoin 9.0", "line 8: unknown weight name 'distortoin'"),
+        ],
+    )
+    def test_repeated_or_unknown_name_names_file_and_line(
+        self, tmp_path, extra_line, message
+    ):
+        path = tmp_path / "weights.txt"
+        save_weights(LogLinearWeights.default(), path)
+        with path.open("a", encoding="utf-8") as f:
+            f.write(extra_line + "\n")
+        with pytest.raises(ModelFormatError, match=f"{re.escape(str(path))}: {message}"):
+            load_weights(path)
+
     def test_missing_feature_names_file_and_feature(self, tmp_path):
         path = tmp_path / "weights.txt"
         save_weights(LogLinearWeights.default(), path)
@@ -978,6 +995,48 @@ class TestLineSearch:
                     )
 
 
+def reference_upper_envelope(lines):
+    """``_upper_envelope`` as it was before only the top line of each slope
+    was sorted: every line sorted on (slope, intercept, id)."""
+    lines = sorted(lines)
+    dedup = []
+    for b, a, idx in lines:
+        if dedup and dedup[-1][0] == b:
+            if a <= dedup[-1][1]:
+                continue
+            dedup.pop()
+        dedup.append((b, a, idx))
+    hull, breaks = [], []
+    for b, a, idx in dedup:
+        while hull:
+            b0, a0, _ = hull[-1]
+            x = (a0 - a) / (b - b0)
+            if breaks and x <= breaks[-1]:
+                hull.pop()
+                breaks.pop()
+            else:
+                breaks.append(x)
+                hull.append((b, a, idx))
+                break
+        if not hull:
+            hull.append((b, a, idx))
+    return [(float("-inf") if i == 0 else breaks[i - 1], idx)
+            for i, (_, _, idx) in enumerate(hull)]
+
+
+class TestUpperEnvelope:
+    def test_bit_equal_to_sorting_every_line(self):
+        rng = random.Random(4)
+        for _ in range(500):
+            n = rng.randint(1, 60)
+            # few distinct slopes and intercepts, signed zeros among them:
+            # equal slopes, equal lines and ties at breakpoints are common
+            values = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, rng.uniform(-3.0, 3.0)]
+            lines = [(rng.choice(values), rng.choice(values), idx) for idx in range(n)]
+            rng.shuffle(lines)
+            assert _upper_envelope(lines) == reference_upper_envelope(lines), lines
+
+
 def sign_corruption_task(seed=0):
     """Dev task where a negated LM weight picks anti-fluent outputs."""
     rng = random.Random(seed)
@@ -1331,6 +1390,43 @@ class TestMertAgainstReference:
             want_w, want_bleu = reference_optimize_on_pool(pools, stats, weights)
             assert np.array_equal(got_w, want_w)
             assert got_bleu == want_bleu
+
+
+class TestMertStarts:
+    @pytest.mark.parametrize("restarts, iterations", [(0, 1), (0, 2), (1, 1), (1, 2)])
+    def test_one_ascent_per_distinct_start(self, restarts, iterations, monkeypatch):
+        # an iteration's starts are the current weights, the best weights so
+        # far and the random restarts; at iteration 0 the first two are
+        # both init, so the reference ascends from init twice
+        dev, table, lm = sign_corruption_task()
+        init = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, -2.0, 0.0, 0.5]))
+
+        def recording(calls, ascent):
+            def record(pools, stats, start, *args):
+                # the pool only grows, so its size names the iteration
+                calls.append((sum(map(len, pools)), start.tobytes()))
+                return ascent(pools, stats, start, *args)
+            return record
+
+        want_calls, got_calls = [], []
+        monkeypatch.setitem(
+            globals(), "reference_optimize_on_pool",
+            recording(want_calls, reference_optimize_on_pool),
+        )
+        monkeypatch.setattr(
+            smt, "_optimize_on_pool", recording(got_calls, smt._optimize_on_pool)
+        )
+        want = reference_mert_tune(
+            dev, table, lm, init, restarts=restarts, iterations=iterations
+        )
+        got = mert_tune(dev, table, lm, init, restarts=restarts, iterations=iterations)
+        assert np.array_equal(got.values, want.values)
+        distinct = []
+        for call in want_calls:
+            if call not in distinct:
+                distinct.append(call)
+        assert got_calls == distinct
+        assert len(got_calls) < len(want_calls)
 
 
 class TestMertTune:
