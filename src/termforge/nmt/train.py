@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 
@@ -171,16 +170,7 @@ def fine_tune(
     if not encoded:
         raise EmptyCorpusError("no usable pairs in the development set")
     rng = np.random.default_rng(config.seed)
-    run_cfg = dataclasses.replace(
-        model.config,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        decay_factor=config.decay_factor,
-        clip_norm=config.clip_norm,
-        seed=config.seed,
-    )
-    _run_epochs(adapted, encoded, run_cfg, rng)
+    _run_epochs(adapted, encoded, config, rng)
     return adapted
 
 

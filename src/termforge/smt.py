@@ -12,11 +12,13 @@ Annotated spans alter the option set before search starts:
 
 With an unbounded stack the search is exact dynamic programming over
 (coverage, LM context, last phrase end), which is what the equivalence
-tests against a brute-force decoder rely on.  When pruning leaves no
-complete hypothesis, the sentence is searched again with a wider stack and
-distortion window, and a ``termforge.smt`` warning says so.  If that pass
-finds nothing either, as when no sequence of options covers the input,
-``SearchError`` names the source tokens.
+tests against a brute-force decoder rely on.  An input that no sequence of
+options covers raises ``SearchError`` before any search.  Pruning never
+strands the search: beside stack k a spine slot holds the best hypothesis
+that covers exactly [0, k), ends at k and can still be completed, made by
+extending such a hypothesis at its end (distortion 0).  When the cut of
+stack k expands no hypothesis of that shape, the slot's is expanded too, so
+the last stack is never empty; an unbounded cut always holds the slot's key.
 
 The search loop does scalar work only.  A stack maps a recombination key to
 an entry, the tuple (score, parent entry, option, LM log-prob of the step).
@@ -272,6 +274,12 @@ class BeamConfig:
     stack_size: int = 100
     distortion_limit: int = 6
 
+    def __post_init__(self):
+        if self.stack_size < 1:
+            raise ValueError(f"stack_size must be >= 1, got {self.stack_size}")
+        if self.distortion_limit < 0:
+            raise ValueError(f"distortion_limit must be >= 0, got {self.distortion_limit}")
+
 
 @dataclass(frozen=True)
 class TranslationOption:
@@ -369,7 +377,8 @@ def _search(
 ) -> dict[Tokens, tuple]:
     """Coverage-stack beam search.  Returns stack ``n``: the end-of-sentence
     entry of each completed output by target, a superset of the ``nbest``
-    first in ``_rank`` order."""
+    first in ``_rank`` order, never empty.  Raises ``SearchError`` when no
+    sequence of options covers the input."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
@@ -421,6 +430,16 @@ def _search(
         scored.append(
             (opt, _mask(opt), static, phrase_lm.setdefault(opt.target, {}), ids)
         )
+    # tileable[i]: some sequence of options covers [i, n) exactly; in
+    # reverse start order every later start is settled first
+    tileable = [False] * n + [True]
+    for opt, _, _, _, _ in reversed(scored):
+        if tileable[opt.end]:
+            tileable[opt.start] = True
+    if not tileable[0]:
+        source = " ".join(annotated.tokens)
+        raise SearchError(f"no sequence of translation options covers {source!r}",
+                          annotated.tokens)
     starts = [opt.start for opt, _, _, _, _ in scored]
     limit = beam.distortion_limit
     # per last phrase end: the options starting within the distortion limit,
@@ -445,6 +464,9 @@ def _search(
     floors = [-math.inf] * (n + 1)
     bounds = [size] * n + [nbest]
     stacks[0][(0, (BOS,), 0)] = root
+    # spine[k]: the least (-score, key, entry) covering exactly [0, k) and
+    # ending at k, with [k, n) tileable, made by extending such an entry
+    spine = [None] * n
 
     for k in range(n):
         floor = floors[k]
@@ -452,8 +474,14 @@ def _search(
             (-entry[0], key, entry)
             for key, entry in stacks[k].items() if entry[0] >= floor
         ])[:size]
+        full = (1 << k) - 1
+        if spine[k] is not None and not any(
+            key[2] == k and key[0] == full for _, key, _ in ranked
+        ):
+            ranked.append(spine[k])
         for _, (coverage, ctx, last), entry in ranked:
             score = entry[0]
+            on_spine = last == k and coverage == full
             prefix = None
             for mask, static, dist_cost, memo, opt, length, ids in windows[last]:
                 if coverage & mask:
@@ -463,6 +491,10 @@ def _search(
                 j = k + length
                 if j < n:
                     insert = new_score
+                    if on_spine and opt.start == k and tileable[j]:
+                        key = (coverage | mask, new_ctx, j)
+                        if spine[j] is None or (-new_score, key) < spine[j][:2]:
+                            spine[j] = (-new_score, key, (new_score, entry, opt, lm_delta))
                 else:
                     eos = (
                         eos_memo.get(new_ctx)
@@ -485,7 +517,7 @@ def _search(
                         heapq.heappush(heap, insert)
                         if len(heap) == bounds[j]:
                             floors[j] = heap[0]
-                    elif heap and insert > heap[0]:
+                    elif insert > heap[0]:
                         heapq.heapreplace(heap, insert)
                         floors[j] = heap[0]
                 elif insert <= old[0]:
@@ -536,30 +568,6 @@ def _as_annotated(source) -> AnnotatedInput:
     return AnnotatedInput(tuple(source), [])
 
 
-def _search_complete(annotated, table, lm, weights, beam, nbest):
-    completed = _search(annotated, table, lm, weights, beam, nbest)
-    if not completed:
-        # aggressive pruning can strand the search on dead ends
-        relaxed = BeamConfig(
-            stack_size=max(beam.stack_size * 10, 1000),
-            distortion_limit=max(beam.distortion_limit, len(annotated.tokens)),
-        )
-        log.warning(
-            "pruned search found no complete translation of a %d-token "
-            "sentence; searching again with stack size %d",
-            len(annotated.tokens), relaxed.stack_size,
-        )
-        completed = _search(annotated, table, lm, weights, relaxed, nbest)
-        if not completed:
-            raise SearchError(
-                f"no sequence of translation options covering "
-                f"{' '.join(annotated.tokens)!r} survived a search with stack "
-                f"size {relaxed.stack_size}",
-                annotated.tokens,
-            )
-    return completed
-
-
 def _rank(item: tuple[Tokens, tuple]) -> tuple[float, Tokens]:
     """The order of completed hypotheses: score descending, then tokens
     ascending, so exact score ties are broken by the output alone."""
@@ -580,7 +588,7 @@ def decode(
     decoder never fails on OOV input.  The result is the head of
     ``decode_nbest``'s list.
     """
-    completed = _search_complete(_as_annotated(source), table, lm, weights, beam, 1)
+    completed = _search(_as_annotated(source), table, lm, weights, beam, 1)
     return _to_result(min(completed.items(), key=_rank)[1])
 
 
@@ -595,7 +603,7 @@ def decode_nbest(
     """The ``n`` best distinct outputs, in ``_rank`` order."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    completed = _search_complete(_as_annotated(source), table, lm, weights, beam, n)
+    completed = _search(_as_annotated(source), table, lm, weights, beam, n)
     ranked = sorted(completed.items(), key=_rank)
     return [_to_result(entry) for _, entry in ranked[:n]]
 

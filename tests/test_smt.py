@@ -368,9 +368,10 @@ class TestDecode:
 
 
 class TestRelaxedFallback:
-    """With a one-hypothesis stack and distortion limit 1, the pruned
-    search keeps only "b" (its option far outscores "a"'s), after which
-    position 0 is out of reach; the decoder must search again."""
+    """With a one-hypothesis stack and distortion limit 1, the cut of stack
+    1 keeps only "b" (its option far outscores "a"'s), after which position
+    0 is out of reach.  The spine entry "a", expanded beside that cut, lets
+    the one search complete inside the limit, and nothing is logged."""
 
     @staticmethod
     def stranding_setup():
@@ -383,17 +384,17 @@ class TestRelaxedFallback:
         )
         return table, toy_lm([("x", "y", "z")]), LogLinearWeights.default()
 
-    def test_fallback_logs_one_warning(self, caplog):
+    def test_stranding_cut_completes_within_limit(self, caplog):
         table, lm, weights = self.stranding_setup()
         beam = BeamConfig(stack_size=1, distortion_limit=1)
-        with caplog.at_level("WARNING", logger="termforge.smt"):
+        with caplog.at_level("DEBUG", logger="termforge.smt"):
             result = decode(("a", "b", "c"), table, lm, weights, beam)
-        assert sorted(result.tokens) == ["x", "y", "z"]
-        records = [r for r in caplog.records if r.name == "termforge.smt"]
-        assert len(records) == 1
-        assert records[0].levelname == "WARNING"
-        assert "3-token" in records[0].getMessage()
-        assert "stack size 1000" in records[0].getMessage()
+        assert result.tokens == ("x", "y", "z")
+        last_end = 0
+        for opt in result.trace:
+            assert abs(opt.start - last_end) <= 1
+            last_end = opt.end
+        assert not [r for r in caplog.records if r.name == "termforge.smt"]
 
     def test_normal_path_logs_nothing(self, caplog):
         table, lm, weights = self.stranding_setup()
@@ -405,8 +406,8 @@ class TestRelaxedFallback:
 
 class TestUncoverableInput:
     """Every token of "a b c" has an option, so none passes through, but no
-    sequence of options covers the input: the pruned and the relaxed pass
-    both find nothing."""
+    sequence of options covers the input, which the search reports before
+    it starts."""
 
     @staticmethod
     def uncoverable_setup():
@@ -599,7 +600,11 @@ def reference_search(
     """The stack search as it was before stack entries became tuples and the
     LM memo was split by target: every entry a ``_Hypothesis`` (the class and
     ``_target_tokens`` above are the decoder's own before it kept its stack
-    entries as the search states), one ``(context, target)`` memo."""
+    entries as the search states), one ``(context, target)`` memo.  It keeps
+    the decoder's spine rule: beside stack k, the best hypothesis that covers
+    exactly [0, k), ends at k, has a tileable rest and was made by extending
+    such a hypothesis at its end; it is expanded after the cut when the cut
+    holds no hypothesis that covers exactly [0, k) and ends at k."""
     annotated.validate()
     w = weights.values.tolist()
     w_lm, w_wp, w_dist = w[4], w[5], w[6]
@@ -635,14 +640,25 @@ def reference_search(
 
     full = (1 << n) - 1
     limit = beam.distortion_limit
+    # tileable[i]: the options can cover [i, n) left to right
+    tileable = [False] * (n + 1)
+    tileable[n] = True
+    for start in reversed(range(n)):
+        tileable[start] = any(tileable[opt.end] for opt, _, _ in options_by_start[start])
     finals: dict[Tokens, _Hypothesis] = {}
     stacks: list[dict] = [{} for _ in range(n + 1)]
     stacks[0][(0, (BOS,), 0)] = init
+    spine: list[tuple | None] = [None] * n  # (key, hypothesis)
 
     for k in range(n):
         ranked = sorted(
             stacks[k].items(), key=lambda kv: (-kv[1].score, kv[0])
         )[: beam.stack_size]
+        prefix_k = (1 << k) - 1
+        if spine[k] is not None and not any(
+            hyp.coverage == prefix_k and hyp.last_end == k for _, hyp in ranked
+        ):
+            ranked.append(spine[k])
         for _, hyp in ranked:
             coverage, ctx = hyp.coverage, hyp.lm_ctx
             last, score = hyp.last_end, hyp.score
@@ -685,8 +701,16 @@ def reference_search(
                                 None, eos,
                             )
                     else:
-                        stack = stacks[k + opt.end - opt.start]
                         key = (new_coverage, new_ctx, opt.end)
+                        if (coverage == prefix_k and last == k == start
+                                and tileable[opt.end]):
+                            held = spine[opt.end]
+                            if held is None or (-new_score, key) < (-held[1].score, held[0]):
+                                spine[opt.end] = (key, _Hypothesis(
+                                    new_score, new_coverage, new_ctx, opt.end, hyp,
+                                    opt, lm_delta,
+                                ))
+                        stack = stacks[k + opt.end - opt.start]
                         old = stack.get(key)
                         if old is None or new_score > old.score:
                             stack[key] = _Hypothesis(
@@ -805,6 +829,102 @@ class TestSearchAgainstReference:
         assert tied > 0  # exact score ties were exercised
 
 
+def coverable(annotated, table) -> bool:
+    """Whether some set of disjoint built options covers the input, by
+    trying every option at the first uncovered position."""
+    options = build_options(annotated, table)
+    n = len(annotated.tokens)
+
+    def cover(pos):
+        return pos == n or any(
+            cover(opt.end) for opt in options if opt.start == pos
+        )
+
+    return cover(0)
+
+
+class TestNoDeadEnds:
+    """Pruning never strands the search: at every stack size and distortion
+    limit, an input that the options can cover decodes, its derivation keeps
+    every jump inside the limit, and it is the reference search's output,
+    also where some rests of the input cannot be covered; any other input
+    raises ``SearchError``."""
+
+    def test_every_coverable_input_decodes_within_the_limit(self, monkeypatch):
+        rng = random.Random(2024)
+        decoded = refused = 0
+        for trial in range(40):
+            if trial % 2:
+                src_vocab, table, lm = coarse_setup(rng)
+            else:
+                src_vocab, table, lm = random_setup(rng)
+            weights = LogLinearWeights(np.array(
+                [rng.uniform(0.2, 1.0) for _ in range(5)] + [0.1, 0.4]
+            ))
+            tokens = tuple(rng.choices(src_vocab, k=rng.randint(1, 7)))
+            if trial % 4 == 3:
+                # words inside two-word phrases lose their one-word options,
+                # so a run of the vocabulary such as "s1 s2 s3" under "s1 s2"
+                # and "s2 s3" cannot be covered
+                for pair in [src for src in table.entries if len(src) == 2]:
+                    for word in pair:
+                        table.entries.pop((word,), None)
+                start = rng.randrange(len(src_vocab) - 2)
+                tokens = tuple(src_vocab[start:start + rng.randint(3, 5)])
+            tgt_words = sorted({t for opts in table.entries.values()
+                                for o in opts for t in o.target})
+            for annotated in annotated_variants(rng, tokens, tgt_words):
+                for stack in (1, 2, 3):
+                    for limit in range(4):
+                        beam = BeamConfig(stack_size=stack, distortion_limit=limit)
+                        if not coverable(annotated, table):
+                            with pytest.raises(SearchError):
+                                decode(annotated, table, lm, weights, beam)
+                            refused += 1
+                            continue
+                        result = decode(annotated, table, lm, weights, beam)
+                        last_end = 0
+                        for opt in result.trace:
+                            assert abs(opt.start - last_end) <= limit, (trial, limit)
+                            last_end = opt.end
+                        with monkeypatch.context() as patch:
+                            patch.setattr(smt, "_search", reference_search_any_n)
+                            want = decode(annotated, table, lm, weights, beam)
+                        assert result.trace == want.trace
+                        assert result.score == want.score
+                        decoded += 1
+        assert decoded and refused
+
+    def test_no_spine_slot_where_the_rest_cannot_be_covered(self):
+        """"c" has no option but "b c d", so an entry covering "a b" leaves a
+        rest that no option sequence covers and gets no spine slot.  Such a
+        dead end, expanded beside stack 2's cut, would fill later stacks with
+        dead entries that push live ones out of their cuts; at stack 2 the
+        search then missed its best output."""
+
+        def options(*pairs):
+            return [PhraseOption((t,), (p,) * 4) for t, p in pairs]
+
+        table = PhraseTable({
+            ("a",): options(("A0", 0.4), ("A1", 0.8)),
+            ("b",): options(("B0", 0.8)),
+            ("b", "c", "d"): options(("BCD0", 0.2)),
+            ("d",): options(("D0", 0.5), ("D1", 0.6)),
+            ("d", "e"): options(("DE0", 0.7), ("DE1", 0.05)),
+            ("e",): options(("E0", 0.55), ("E1", 0.3)),
+        })
+        lm = train_lm([
+            ("D1", "DE1"), ("A0", "A1", "D0", "E1"), ("DE0", "D1", "BCD0", "E0"),
+            ("E0",), ("A0", "E0", "DE1"), ("DE1", "D0"),
+        ], order=2)
+        weights = LogLinearWeights(np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+        tokens = ("a", "b", "c", "d", "e", "f")
+        wide = decode(tokens, table, lm, weights, BeamConfig(2000, 3))
+        pruned = decode(tokens, table, lm, weights, BeamConfig(2, 3))
+        assert wide.tokens == ("A1", "BCD0", "f", "E0")
+        assert (pruned.tokens, pruned.score) == (wide.tokens, wide.score)
+
+
 HASH_SEED_SCRIPT = """
 import json, random
 from termforge.align import PhraseOption, PhraseTable
@@ -904,19 +1024,13 @@ class TestNbest:
                          LogLinearWeights.default(), WIDE, n=n)
 
     @pytest.mark.parametrize("stack", [0, -1])
-    def test_stack_below_one_keeps_the_fallback(self, stack, caplog):
-        """A stack size below one records no floor; the pruned pass keeps
-        what ``sorted(...)[:stack_size]`` keeps and the relaxed pass
-        translates the sentence."""
-        rng = random.Random(8)
-        src_vocab, table, lm = random_setup(rng)
-        tokens = tuple(src_vocab[:3])
-        beam = BeamConfig(stack_size=stack, distortion_limit=3)
-        want = decode(tokens, table, lm, LogLinearWeights.default(), WIDE)
-        with caplog.at_level("WARNING", logger="termforge.smt"):
-            got = decode(tokens, table, lm, LogLinearWeights.default(), beam)
-        assert got.tokens == want.tokens
-        assert "stack size 1000" in caplog.records[0].getMessage()
+    def test_stack_below_one_is_rejected(self, stack):
+        with pytest.raises(ValueError, match="^stack_size must be >= 1"):
+            BeamConfig(stack_size=stack)
+
+    def test_negative_distortion_limit_is_rejected(self):
+        with pytest.raises(ValueError, match="^distortion_limit must be >= 0"):
+            BeamConfig(distortion_limit=-1)
 
 
 class TestPushFloor:
