@@ -10,6 +10,8 @@ sums are taken in the order of the plain loop over pairs, target positions
 and source positions, and the counts equal that loop's bit for bit (the
 loop is the reference in ``tests/test_kernels.py``).  The whole corpus is
 one call on purpose: splitting it into chunks would change that order.
+The layout of the cells depends only on the corpus, so EM builds it once
+per run (:func:`estep_index`) and every iteration reuses it.
 """
 
 import numpy as np
@@ -18,13 +20,13 @@ import numpy as np
 USE_NUMBA = False
 
 
-def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts):
-    """Accumulate one EM iteration's expected counts; returns log-likelihood.
+def estep_index(src_flat, src_off, tgt_flat, tgt_off, n_tgt):
+    """The cells one E-step visits, which depend only on the corpus.
 
-    Sentences arrive flattened (``*_flat``) with offset arrays (``*_off``).
-    ``counts`` is a zeroed array of the table's shape, added to in place;
-    source index 0 is the null token, already present in every source
-    sentence.
+    Returns ``(cells, pos, reps)``: each cell's flat index ``s * n_tgt +
+    t`` into a table of ``n_tgt`` columns, each cell's target position,
+    and each target position's source length (null included).  EM builds
+    this once per run and passes it to every :func:`ibm1_estep`.
     """
     src_len = np.diff(src_off)
     tgt_len = np.diff(tgt_off)
@@ -36,15 +38,28 @@ def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts):
     cells = np.arange(int(reps.sum()))
     cells -= np.repeat(block_start - first_src, reps)
     cells = src_flat[cells]
-    cells *= table.shape[1]
+    cells *= n_tgt
     cells += np.repeat(tgt_flat, reps)
     pos = np.repeat(np.arange(reps.size), reps)
+    return cells, pos, reps
 
+
+def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts, *, index=None):
+    """Accumulate one EM iteration's expected counts; returns log-likelihood.
+
+    Sentences arrive flattened (``*_flat``) with offset arrays (``*_off``).
+    ``counts`` is a zeroed array of the table's shape, added to in place;
+    source index 0 is the null token, already present in every source
+    sentence.  ``index`` is :func:`estep_index` of these arrays and the
+    table's column count; without it the step builds its own.
+    """
+    if index is None:
+        index = estep_index(src_flat, src_off, tgt_flat, tgt_off, table.shape[1])
+    cells, pos, reps = index
     vals = table.reshape(-1)[cells]
     denom = np.bincount(pos, weights=vals, minlength=reps.size)
     loglik = float(np.log(denom / reps).sum())
     vals /= denom[pos]
-    del pos  # freed before the count bincount allocates its output
     counts += np.bincount(cells, weights=vals, minlength=table.size).reshape(
         counts.shape
     )

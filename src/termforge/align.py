@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import flatten_encoded, ibm1_estep
+from ._kernels import estep_index, flatten_encoded, ibm1_estep
 from .corpus import ParallelCorpus, Tokens, finite_float
 from .errors import EmptyCorpusError, ModelFormatError
 from .files import atomic_open, read_lines
@@ -100,9 +100,14 @@ def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
     table = np.full((n_src, n_tgt), 1.0 / n_tgt)
     history: list[float] = []
     counts = np.zeros_like(table)
+    # built after the table and counts, which outlive it, so that the
+    # memory it frees on return can go back to the system, not stay under them
+    index = estep_index(src_flat, src_off, tgt_flat, tgt_off, n_tgt)
     for _ in range(iterations):
         counts[:] = 0.0
-        loglik = ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts)
+        loglik = ibm1_estep(
+            src_flat, src_off, tgt_flat, tgt_off, table, counts, index=index
+        )
         history.append(float(loglik))
         row_sums = counts.sum(axis=1, keepdims=True)
         np.divide(counts, row_sums, out=table, where=row_sums > 0)

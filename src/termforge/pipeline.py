@@ -109,7 +109,13 @@ def run_stats(cfg: PipelineConfig) -> str:
 
 
 def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
-    """Word alignment, phrase extraction, language model, default weights."""
+    """Word alignment, phrase extraction, language model, default weights.
+
+    One model is alive at a time.  EM, Viterbi alignment and phrase
+    extraction run first; then the word table and the alignments are
+    dropped, and the phrase table is written and dropped.  Only then is
+    the language model trained and written, and the default weights last.
+    """
     iterations = _at_least(cfg, "smt.em_iterations", 8, 1)
     max_phrase_len = _at_least(cfg, "smt.max_phrase_len", 7, 1)
     order = _at_least(cfg, "smt.lm_order", 5, 1)
@@ -119,13 +125,16 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     table = align.ibm1_em(train, iterations)
     alignments = [align.viterbi_align(table, pair) for pair in train.pairs]
     ptable = align.extract_phrases(train, alignments, table, max_phrase_len)
-    model = lm.train_lm(train.target_sentences, order=order)
+    del table, alignments
+    entries = len(ptable)
     align.save_phrase_table(ptable, os.path.join(model_dir, "phrase-table.txt"))
+    del ptable
+    model = lm.train_lm(train.target_sentences, order=order)
     lm.save_arpa(model, os.path.join(model_dir, "lm.arpa"))
     smt.save_weights(
         smt.LogLinearWeights.default(), os.path.join(model_dir, "weights.txt")
     )
-    log.info("train-smt: %d phrase entries -> %s", len(ptable), model_dir)
+    log.info("train-smt: %d phrase entries -> %s", entries, model_dir)
 
 
 # slot name -> ((path, sha256 of the file), parsed model); one slot per
@@ -347,8 +356,12 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
             try:
                 annotated = smt.parse_markup(line, mode=mode)
                 return smt.decode(annotated, ptable, model, weights, beam).tokens
-            except (MarkupError, SearchError) as exc:
-                raise type(exc)(f"{input_path}: line {lineno}: {exc}") from None
+            except MarkupError as exc:
+                raise MarkupError(f"{input_path}: line {lineno}: {exc}") from None
+            except SearchError as exc:
+                raise SearchError(
+                    f"{input_path}: line {lineno}: {exc}", exc.tokens
+                ) from None
 
     else:
         model_name = cfg.get("translate.model", "model.tfnmt")

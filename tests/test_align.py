@@ -303,6 +303,15 @@ class TestPhraseTableIO:
         with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: line 2: expected 3"):
             load_phrase_table(path)
 
+    @pytest.mark.parametrize("feats", ["0.5 1 1", "0.5 1 1 1 1"])
+    def test_wrong_feature_count_names_file_and_line(self, tmp_path, feats):
+        path = tmp_path / "pt"
+        path.write_text(f"a ||| x ||| 0.5 1 1 1\nb ||| y ||| {feats}\n", encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=rf"{re.escape(str(path))}: line 2: expected 4 features"
+        ):
+            load_phrase_table(path)
+
     def test_non_numeric_feature_names_file_and_line(self, tmp_path):
         path = tmp_path / "pt"
         path.write_text("a ||| x ||| 0.5 1 1 1\nb ||| y ||| 0.5 one 1 1\n", encoding="utf-8")

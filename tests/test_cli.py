@@ -83,6 +83,22 @@ def small_smt_model(model_dir):
     save_weights(LogLinearWeights.default(), model_dir / "weights.txt")
 
 
+def uncoverable_smt_model(model_dir):
+    """:func:`small_smt_model` with a table where every token has an
+    option, but no sequence of options covers "a b c"."""
+    from termforge.align import PhraseOption, PhraseTable, save_phrase_table
+
+    small_smt_model(model_dir)
+    feats = (0.5, 0.5, 0.5, 0.5)
+    save_phrase_table(
+        PhraseTable({
+            ("a", "b"): [PhraseOption(("x",), feats)],
+            ("b", "c"): [PhraseOption(("y",), feats)],
+        }),
+        model_dir / "phrase-table.txt",
+    )
+
+
 def small_nmt_model(model_dir):
     """An untrained one-layer word model over the words of the SMT one."""
     from termforge.nmt import Seq2SeqModel, TrainConfig, build_vocab, save_model
@@ -368,21 +384,9 @@ class TestModelFiles:
     def test_uncoverable_input_names_the_input_line(
         self, tmp_path, monkeypatch, capsys
     ):
-        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
-
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
-        model_dir = tmp_path / "run" / "smt"
-        small_smt_model(model_dir)
-        # every token has an option, but no sequence of options covers "a b c"
-        feats = (0.5, 0.5, 0.5, 0.5)
-        save_phrase_table(
-            PhraseTable({
-                ("a", "b"): [PhraseOption(("x",), feats)],
-                ("b", "c"): [PhraseOption(("y",), feats)],
-            }),
-            model_dir / "phrase-table.txt",
-        )
+        uncoverable_smt_model(tmp_path / "run" / "smt")
         (tmp_path / "in.txt").write_text("a b\na b c\n", encoding="utf-8")
         sets = ["--set", "translate.input=in.txt"]
         assert run(["translate", "--config", cfg] + sets) == 1
@@ -392,26 +396,30 @@ class TestModelFiles:
         assert "Traceback" not in err
         assert not (tmp_path / "run" / "hypotheses.txt").exists()
 
+    def test_uncoverable_input_error_keeps_the_tokens(self, tmp_path, monkeypatch):
+        from termforge import pipeline
+        from termforge.errors import SearchError
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        uncoverable_smt_model(tmp_path / "run" / "smt")
+        (tmp_path / "in.txt").write_text("a b\na b c\n", encoding="utf-8")
+        with pytest.raises(
+            SearchError, match=rf"^{re.escape(str(tmp_path / 'in.txt'))}: line 2: .*'a b c'"
+        ) as info:
+            pipeline.run_translate(load_config(cfg, ["translate.input=in.txt"]))
+        assert info.value.tokens == ("a", "b", "c")
+
     # the second dev file starts with a blank line, which the corpus drops
     @pytest.mark.parametrize("src, tgt", [("a b\na b c\n", "x\nx y\n"),
                                           ("\na b c\n", "\nx y\n")])
     def test_uncoverable_dev_sentence_names_the_dev_line(
         self, tmp_path, monkeypatch, capsys, src, tgt
     ):
-        from termforge.align import PhraseOption, PhraseTable, save_phrase_table
-
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
         model_dir = tmp_path / "run" / "smt"
-        small_smt_model(model_dir)
-        feats = (0.5, 0.5, 0.5, 0.5)
-        save_phrase_table(
-            PhraseTable({
-                ("a", "b"): [PhraseOption(("x",), feats)],
-                ("b", "c"): [PhraseOption(("y",), feats)],
-            }),
-            model_dir / "phrase-table.txt",
-        )
+        uncoverable_smt_model(model_dir)
         weights = (model_dir / "weights.txt").read_bytes()
         (tmp_path / "dev.src").write_text(src, encoding="utf-8")
         (tmp_path / "dev.tgt").write_text(tgt, encoding="utf-8")

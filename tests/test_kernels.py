@@ -1,8 +1,13 @@
-"""The flat E-step must equal the plain loop over pairs bit for bit."""
+"""The flat E-step must equal the plain loop over pairs bit for bit, and
+EM over the once-built cell index must equal EM without it."""
+
+import random
 
 import numpy as np
 
 from termforge._kernels import USE_NUMBA, flatten_encoded, ibm1_estep
+from termforge.align import NULL_TOKEN, ibm1_em
+from termforge.corpus import ParallelCorpus
 
 
 def reference_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts):
@@ -56,6 +61,59 @@ def test_estep_matches_loop_bitwise():
         ll_got = ibm1_estep(sf, so, tf, to, table, got)
         assert np.array_equal(got, want)
         assert abs(ll_got - ll_want) < 1e-9
+
+
+def em_without_index(corpus, iterations):
+    """The EM loop of :func:`ibm1_em`, with an E-step that builds its own
+    cells on every call."""
+    src_vocab = [NULL_TOKEN] + sorted(corpus.vocab("source"))
+    tgt_vocab = sorted(corpus.vocab("target"))
+    src_index = {w: i for i, w in enumerate(src_vocab)}
+    tgt_index = {w: i for i, w in enumerate(tgt_vocab)}
+    pairs = [(s, t) for s, t in corpus.pairs if t]
+    sf, so = flatten_encoded([[0] + [src_index[w] for w in s] for s, _ in pairs])
+    tf, to = flatten_encoded([[tgt_index[w] for w in t] for _, t in pairs])
+    table = np.full((len(src_vocab), len(tgt_vocab)), 1.0 / len(tgt_vocab))
+    history = []
+    for _ in range(iterations):
+        counts = np.zeros_like(table)
+        history.append(ibm1_estep(sf, so, tf, to, table, counts))
+        row_sums = counts.sum(axis=1, keepdims=True)
+        np.divide(counts, row_sums, out=table, where=row_sums > 0)
+    col_sums = counts.sum(axis=0, keepdims=True)
+    np.divide(counts, col_sums, out=counts, where=col_sums > 0)
+    return table, counts, history
+
+
+def random_pairs(seed, n_pairs=30, vocab=12, max_len=9):
+    """Pairs of 0..max_len tokens; about one in five targets is empty, so
+    some source words occur only beside an empty target."""
+    rng = random.Random(seed)
+
+    def sent(prefix, lo):
+        length = rng.randint(lo, max_len)
+        return tuple(f"{prefix}{rng.randrange(vocab)}" for _ in range(length))
+
+    pairs = [
+        (sent("s", 0), sent("t", 1) if rng.random() < 0.8 else ())
+        for _ in range(n_pairs)
+    ]
+    pairs.append((("lone",), ()))
+    return ParallelCorpus(pairs)
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_em_with_the_index_equals_em_without_it():
+    for seed in range(8):
+        corpus = random_pairs(seed)
+        got = ibm1_em(corpus, 4)
+        table, inverse, history = em_without_index(corpus, 4)
+        assert hexes(got.table) == hexes(table)
+        assert hexes(got.inverse) == hexes(inverse)
+        assert hexes(got.log_likelihood_history) == hexes(history)
 
 
 def test_flatten_encoded_roundtrip():
