@@ -232,10 +232,19 @@ def _parse_config(path, block) -> TrainConfig:
 
 
 def _parse_vocab(path, header, key) -> Vocab:
+    """The vocabulary under ``key``, which must list the reserved symbols
+    first, at their fixed ids, and no token twice, as :func:`build_vocab`
+    writes it; anything else raises :class:`ModelFormatError`."""
     itos = header[key]
     if not isinstance(itos, list) or not all(isinstance(tok, str) for tok in itos):
         raise ModelFormatError(f"{path}: {key} is not a list of strings")
-    return Vocab(itos)
+    if tuple(itos[:len(RESERVED)]) != RESERVED:
+        raise ModelFormatError(f"{path}: {key} does not start with {' '.join(RESERVED)}")
+    vocab = Vocab(itos)
+    if len(vocab.stoi) != len(itos):
+        repeated = next(tok for i, tok in enumerate(itos) if vocab.stoi[tok] != i)
+        raise ModelFormatError(f"{path}: {key} repeats token {repeated!r}")
+    return vocab
 
 
 def _parse_bpe(path, header, key) -> BpeModel | None:

@@ -24,22 +24,6 @@ class AttentionTrace:
         return self.weights.shape[0]
 
 
-@dataclass
-class _Beam:
-    """One hypothesis: its tokens and score, and the row of its decoder
-    state in the arrays of the step that produced it."""
-
-    tokens: list[int]
-    logprob: float
-    attn_rows: list[np.ndarray]
-    row: int = 0
-    finished: bool = False
-
-    def norm_score(self) -> float:
-        length = max(len(self.tokens) - 1, 1)  # exclude the BOS seed
-        return self.logprob / length
-
-
 def translate(
     model: Seq2SeqModel,
     tokens,
@@ -54,14 +38,22 @@ def translate(
     unk symbol for downstream replacement.  The end-of-sentence token is
     blocked at the first position, so a translation is never empty.
 
-    Each target position is one batched step: the K unfinished hypotheses
-    gather their layer states, attentional vectors and last tokens into
-    (K, n) arrays by row, take one ``decoder_step`` against the encoder
-    states repeated K times, and score all expansions with one (K, V)
-    output product and a row-wise log-softmax.  Each row's ``beam_width``
-    best tokens become candidates, ordered by (-score, token id) in beam
-    order with finished hypotheses carried over unchanged, so the search
-    is the same as stepping every hypothesis on its own.
+    A hypothesis is a plain tuple (negated score, tokens, attention
+    pointer, row, finished): ``row`` is its decoder state's row in the
+    arrays of the step that produced it, and the pointer is (that step's
+    attention array, row, parent's pointer), so attention rows are
+    gathered once, for the winner.  Each target position is one batched
+    step: the K unfinished hypotheses gather their layer states and
+    attentional vectors by row (skipped when the rows are already
+    ``0..K-1``), take one ``decoder_step`` against the encoder states
+    repeated K times, and score all expansions with one (K, V) output
+    product, a row-wise log-softmax and one stable argsort.  Each row's
+    ``beam_width`` best tokens become candidates, ordered by (-score,
+    token id) and then beam order, with finished hypotheses carried over
+    unchanged, so the search is the same as stepping every hypothesis on
+    its own.  Scores are kept negated for that order; negation is exact,
+    so every score keeps its bits.  The winner has the highest (normalized
+    score, tokens).
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
@@ -72,64 +64,79 @@ def translate(
         return (), AttentionTrace(np.zeros((0, 0))), 0.0
 
     params = model.params
+    dec_E, out_W, out_b = params["dec_E"], params["out_W"], params["out_b"]
     src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
     enc_top, enc_finals, _ = encode(model, src_ids)
-    enc_by_k = {1: enc_top}
+    # K -> (encoder states repeated K times, (K, 1) column of row numbers)
+    by_k = {}
     h_layers = [h for h, _ in enc_finals]
     c_layers = [c for _, c in enc_finals]
     hbar = np.zeros((1, model.config.hidden))
-    beams = [_Beam(tokens=[BOS_ID], logprob=0.0, attn_rows=[])]
+    hyps = [(-0.0, [BOS_ID], None, 0, False)]
     for step in range(2 * len(tokens) + 5):
-        live = [b for b in beams if not b.finished]
+        live = [hyp for hyp in hyps if not hyp[4]]
         if not live:
             break
         k = len(live)
-        rows = [b.row for b in live]
-        if k not in enc_by_k:
-            enc_by_k[k] = np.repeat(enc_top, k, axis=1)
-        emb = params["dec_E"][[b.tokens[-1] for b in live]]
-        x_in = np.concatenate([emb, hbar[rows]], axis=1)
-        h_layers = [h[rows] for h in h_layers]
-        c_layers = [c[rows] for c in c_layers]
-        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, enc_by_k[k])
-        logits = hbar @ params["out_W"] + params["out_b"]
+        if k not in by_k:
+            by_k[k] = (np.repeat(enc_top, k, axis=1), np.arange(k)[:, None])
+        enc_k, row_column = by_k[k]
+        rows = [hyp[3] for hyp in live]
+        if len(hbar) != k or rows != list(range(k)):
+            index = np.array(rows)
+            hbar = hbar.take(index, axis=0)
+            h_layers = [h.take(index, axis=0) for h in h_layers]
+            c_layers = [c.take(index, axis=0) for c in c_layers]
+        emb = dec_E.take([hyp[1][-1] for hyp in live], axis=0)
+        hbar, attn = decoder_step(
+            model, np.concatenate([emb, hbar], axis=1), h_layers, c_layers, enc_k
+        )
+        logits = hbar @ out_W
+        logits += out_b
         logits -= logits.max(axis=1, keepdims=True)
         logprobs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         if step == 0:
             logprobs[:, EOS_ID] = -np.inf
-        order = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_width]
-        top = np.take_along_axis(logprobs, order, axis=1)
-        # (score, token id, parent, row); finished hypotheses carry token -1
-        candidates: list[tuple[float, int, _Beam, int]] = []
+        order = (-logprobs).argsort(axis=1, kind="stable")[:, :beam_width]
+        top_ids = order.tolist()
+        top_lps = logprobs[row_column, order].tolist()
+        # (negated score, token id, parent's place in the beam, parent,
+        # row): unique by the first three, so ties fall to beam order;
+        # finished hypotheses carry token -1
+        candidates = []
         r = 0
-        for beam in beams:
-            if beam.finished:
-                candidates.append((beam.logprob, -1, beam, -1))
+        for i, hyp in enumerate(hyps):
+            if hyp[4]:
+                candidates.append((hyp[0], -1, i, hyp, -1))
                 continue
-            for tok_id, lp in zip(order[r].tolist(), top[r].tolist()):
-                candidates.append((beam.logprob + lp, tok_id, beam, r))
+            neg = hyp[0]
+            for tok_id, lp in zip(top_ids[r], top_lps[r]):
+                candidates.append((neg - lp, tok_id, i, hyp, r))
             r += 1
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = [
-            parent if tok_id < 0 else _Beam(
-                tokens=parent.tokens + [tok_id],
-                logprob=score,
-                attn_rows=parent.attn_rows + [attn[row]],
-                row=row,
-                finished=tok_id == EOS_ID,
-            )
-            for score, tok_id, parent, row in candidates[:beam_width]
+        candidates.sort()
+        hyps = [
+            parent if tok_id < 0 else
+            (neg, parent[1] + [tok_id], (attn, row, parent[2]), row, tok_id == EOS_ID)
+            for neg, tok_id, _, parent, row in candidates[:beam_width]
         ]
-    best = max(beams, key=lambda b: (b.norm_score(), tuple(b.tokens)))
-    out_ids = best.tokens[1:]
-    attn_rows = best.attn_rows
+
+    def normalized(hyp):  # the BOS seed does not count towards the length
+        return -hyp[0] / max(len(hyp[1]) - 1, 1)
+
+    best = max(hyps, key=lambda hyp: (normalized(hyp), hyp[1]))
+    out_ids, pointer = best[1][1:], best[2]
     if out_ids and out_ids[-1] == EOS_ID:
         out_ids = out_ids[:-1]
-        attn_rows = attn_rows[:-1]
+        pointer = pointer[2]
+    attn_rows = []
+    while pointer is not None:
+        step_attn, row, pointer = pointer
+        attn_rows.append(step_attn[row])
+    attn_rows.reverse()
     trace = AttentionTrace(
         np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
     )
-    return model.tgt_vocab.decode(out_ids), trace, best.norm_score()
+    return model.tgt_vocab.decode(out_ids), trace, normalized(best)
 
 
 def replace_unk(

@@ -8,12 +8,12 @@ Given the same configuration and seed, reruns produce byte-identical
 artifacts.  Each stage handles its items (sentence pairs to align, lines
 to translate) one after another, in input order, in one thread.
 
-Stages run in one process share parsed SMT models: the phrase table and
-the language model are parsed once and reused while their files' contents
-(by sha256) stay the same, so ``tune`` followed by several ``translate``
-calls parses each file once.  A changed file is parsed again.  Settings
-that a trained model already fixes are read from the model, not from the
-config: the phrase-length limit is the phrase table's longest source
+Stages run in one process share parsed models: the phrase table, the
+language model and the NMT model are parsed once and reused while their
+files' contents (by sha256) stay the same, so ``tune`` followed by
+several ``translate`` calls parses each file once.  A changed file is
+parsed again.  Settings that a trained model already fixes are read from
+the model, not from the config: the phrase-length limit is the phrase table's longest source
 phrase, and an NMT model is subword-level exactly when it holds BPE
 merges.
 """
@@ -365,7 +365,10 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
 
     else:
         model_name = cfg.get("translate.model", "model.tfnmt")
-        model = nmt.load_model(os.path.join(cfg.path("model.nmt.dir"), model_name))
+        model = _parse_once(
+            "nmt-model", nmt.load_model,
+            os.path.join(cfg.path("model.nmt.dir"), model_name),
+        )
         lexicon = None
         lex_path = cfg.get("translate.replace_unk_lexicon")
         if lex_path is not None:

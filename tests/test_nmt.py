@@ -892,6 +892,142 @@ class TestTranslate:
         assert out == () and trace.steps == 0
 
 
+@dataclasses.dataclass
+class _ReferenceBeam:
+    tokens: list
+    logprob: float
+    attn_rows: list
+    row: int = 0
+    finished: bool = False
+
+    def norm_score(self):
+        return self.logprob / max(len(self.tokens) - 1, 1)
+
+
+def reference_translate(model, tokens, beam_width=5):
+    """``translate`` as it was written with one object per hypothesis and
+    each hypothesis holding its own list of attention rows: the bit-exact
+    oracle for the array-and-back-pointer search."""
+    from termforge.bpe import apply_bpe
+    from termforge.nmt.model import BOS_ID, EOS_ID
+
+    if model.src_bpe is not None:
+        tokens = apply_bpe(model.src_bpe, tuple(tokens))
+    tokens = tuple(tokens)
+    if not tokens:
+        return (), AttentionTrace(np.zeros((0, 0))), 0.0
+    params = model.params
+    src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
+    enc_top, enc_finals, _ = encode(model, src_ids)
+    enc_by_k = {1: enc_top}
+    h_layers = [h for h, _ in enc_finals]
+    c_layers = [c for _, c in enc_finals]
+    hbar = np.zeros((1, model.config.hidden))
+    beams = [_ReferenceBeam(tokens=[BOS_ID], logprob=0.0, attn_rows=[])]
+    for step in range(2 * len(tokens) + 5):
+        live = [b for b in beams if not b.finished]
+        if not live:
+            break
+        k = len(live)
+        rows = [b.row for b in live]
+        if k not in enc_by_k:
+            enc_by_k[k] = np.repeat(enc_top, k, axis=1)
+        emb = params["dec_E"][[b.tokens[-1] for b in live]]
+        x_in = np.concatenate([emb, hbar[rows]], axis=1)
+        h_layers = [h[rows] for h in h_layers]
+        c_layers = [c[rows] for c in c_layers]
+        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, enc_by_k[k])
+        logits = hbar @ params["out_W"] + params["out_b"]
+        logits -= logits.max(axis=1, keepdims=True)
+        logprobs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        if step == 0:
+            logprobs[:, EOS_ID] = -np.inf
+        order = np.argsort(-logprobs, axis=1, kind="stable")[:, :beam_width]
+        top = np.take_along_axis(logprobs, order, axis=1)
+        candidates = []
+        r = 0
+        for beam in beams:
+            if beam.finished:
+                candidates.append((beam.logprob, -1, beam, -1))
+                continue
+            for tok_id, lp in zip(order[r].tolist(), top[r].tolist()):
+                candidates.append((beam.logprob + lp, tok_id, beam, r))
+            r += 1
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = [
+            parent if tok_id < 0 else _ReferenceBeam(
+                tokens=parent.tokens + [tok_id],
+                logprob=score,
+                attn_rows=parent.attn_rows + [attn[row]],
+                row=row,
+                finished=tok_id == EOS_ID,
+            )
+            for score, tok_id, parent, row in candidates[:beam_width]
+        ]
+    best = max(beams, key=lambda b: (b.norm_score(), tuple(b.tokens)))
+    out_ids = best.tokens[1:]
+    attn_rows = best.attn_rows
+    if out_ids and out_ids[-1] == EOS_ID:
+        out_ids = out_ids[:-1]
+        attn_rows = attn_rows[:-1]
+    trace = AttentionTrace(
+        np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
+    )
+    return model.tgt_vocab.decode(out_ids), trace, best.norm_score()
+
+
+def constant_output_model(out_b):
+    """An untrained word model whose output layer ignores the decoder
+    state, so every step scores the tokens alike: repeated biases give
+    exactly tied scores, and one far above the rest a log-probability of
+    exactly 0."""
+    model = tiny_model(layers=2, hidden=6, seed=11)[0]
+    model.params["out_W"][:] = 0.0
+    model.params["out_b"][:] = out_b
+    return model
+
+
+@pytest.fixture(scope="module")
+def oracle_translators():
+    """A trained word model, a trained BPE model, an untrained word model
+    (whose hypotheses run to the length limit) and two constant-output
+    models, each with inputs that include an unknown token."""
+    corpus = copy_corpus(n_pairs=20, seed=2)
+    word = train(corpus, TrainConfig(layers=2, hidden=16, batch_size=4, dropout=0.0,
+                                     epochs=60, learning_rate=2.0, seed=9))
+    bpe = learn_bpe({w: 5 for s, _ in corpus.pairs for w in s}, num_merges=6)
+    subword = train(corpus, TrainConfig(layers=2, hidden=16, batch_size=4, dropout=0.0,
+                                        epochs=40, learning_rate=2.0, seed=5),
+                    src_bpe=bpe, tgt_bpe=bpe)
+    inputs = [src for src, _ in corpus.pairs[:6]] + [("sym3", "unseen", "sym1")]
+    untrained = tiny_model(layers=2, hidden=6, seed=11)[0]
+    short = [("a", "b", "c"), ("c", "c", "a", "b"), ("b",), ("d", "a")]
+    return {
+        "word": (word, inputs),
+        "bpe": (subword, inputs),
+        "untrained": (untrained, short),
+        "tied": (constant_output_model([1.0, 1.0, 0.0, -2.0, 1.0, 1.0, -2.0]), short),
+        "saturated": (constant_output_model([0.0, 0.0, 0.0, 0.0, 0.0, 800.0, 0.0]), short),
+    }
+
+
+class TestTranslateOracle:
+    @pytest.mark.parametrize("kind", ["word", "bpe", "untrained", "tied", "saturated"])
+    @pytest.mark.parametrize("beam_width", [1, 2, 3, 5, "wide"])
+    def test_bit_equal_to_reference(self, oracle_translators, kind, beam_width):
+        model, inputs = oracle_translators[kind]
+        if beam_width == "wide":
+            beam_width = len(model.tgt_vocab) + 2
+        for src in inputs:
+            out, trace, score = translate(model, src, beam_width=beam_width)
+            ref_out, ref_trace, ref_score = reference_translate(
+                model, src, beam_width=beam_width
+            )
+            assert out == ref_out, src
+            assert score == ref_score and score.hex() == ref_score.hex(), src
+            assert np.array_equal(trace.weights, ref_trace.weights), src
+
+
 class TestReplaceUnk:
     def test_paper_style_fixture(self):
         source = ("other", "bacterial", "diseases")
@@ -1037,6 +1173,14 @@ class TestCheckpoint:
              "tgt_bpe is neither null nor string-pair merges"),
             (b'"src_bpe": null', b'"src_bpe": ' + _MERGES,
              "src_bpe and tgt_bpe must both be null or both hold merges"),
+            # vocabularies that keep their length and so match the tensors
+            (b'"tgt_vocab": ["<pad>", "<unk>", "<s>", "</s>"',
+             b'"tgt_vocab": ["</s>", "<unk>", "<s>", "<pad>"',
+             "tgt_vocab does not start with <pad> <unk> <s> </s>"),
+            (b'"src_vocab": ["<pad>", "<unk>", "<s>", "</s>", "a"',
+             b'"src_vocab": ["<pad>", "<unk>", "<s>", "</s>", "<unk>"',
+             "src_vocab repeats token '<unk>'"),
+            (b'"x", "y", "z"]', b'"x", "y", "x"]', "tgt_vocab repeats token 'x'"),
         ],
     )
     def test_malformed_header_names_the_file(self, tmp_path, old, new, message):

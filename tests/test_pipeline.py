@@ -1,10 +1,10 @@
-"""Reuse of parsed SMT models across pipeline stages in one process."""
+"""Reuse of parsed SMT and NMT models across pipeline stages in one process."""
 
 import os
 
 import pytest
 
-from termforge import align, lm, pipeline
+from termforge import align, lm, nmt, pipeline
 from termforge.config import PipelineConfig
 from termforge.fixtures import write_fixture_files
 
@@ -106,6 +106,47 @@ def test_cold_and_warm_translate_write_identical_hypotheses(
     monkeypatch.setattr(lm, "load_arpa", no_parse)
     warm = pipeline.run_translate(
         config(trained, **{"translate.output": str(warm_out)})
+    )
+    assert warm == cold
+    assert warm_out.read_bytes() == cold_out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def trained_nmt(tmp_path_factory):
+    """A small word-level NMT model trained for one epoch on the fixture
+    corpora, plus an input."""
+    root = tmp_path_factory.mktemp("pipeline-nmt")
+    write_fixture_files(str(root / "data"), seed=42)
+    settings = {
+        "corpus.train.source": "data/generic.src",
+        "corpus.train.target": "data/generic.tgt",
+        "model.nmt.dir": "nmt",
+        "nmt.layers": "1",
+        "nmt.hidden": "8",
+        "nmt.epochs": "1",
+        "translate.system": "nmt",
+        "translate.beam": "2",
+        "translate.input": "data/icdtoy-eval.src",
+    }
+    pipeline.run_train_nmt(PipelineConfig(settings, base_dir=str(root)))
+    return root, settings
+
+
+def test_cold_and_warm_nmt_translate_write_identical_hypotheses(
+    trained_nmt, tmp_path, monkeypatch
+):
+    pipeline._PARSED.clear()
+    cold_out, warm_out = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    cold = pipeline.run_translate(
+        config(trained_nmt, **{"translate.output": str(cold_out)})
+    )
+
+    def no_parse(*args):
+        raise AssertionError("a warm memo must not parse again")
+
+    monkeypatch.setattr(nmt, "load_model", no_parse)
+    warm = pipeline.run_translate(
+        config(trained_nmt, **{"translate.output": str(warm_out)})
     )
     assert warm == cold
     assert warm_out.read_bytes() == cold_out.read_bytes()
