@@ -3,6 +3,8 @@
 Everything downstream (alignment, LM and NMT training, evaluation) consumes
 the tokenized pairs produced here, so normalization is deterministic and
 fixed: lowercased, whitespace split, leading/trailing punctuation detached.
+A lexicon maps each source term to its entry; its scored ``Candidate``s are
+also what the SMT decoder's annotated spans hold.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class ParallelCorpus:
 
 @dataclass
 class Candidate:
-    """One target translation option for a lexicon entry."""
+    """One target translation option for a lexicon entry or an annotated
+    input span.  ``score`` is a probability in [0, 1]; a lexicon row may
+    leave it out (``None``, read as 1.0), a span always holds a float."""
 
     tokens: Tokens
     score: float | None = None
@@ -92,20 +96,23 @@ class LexiconEntry:
 
 @dataclass
 class Lexicon:
-    """Bilingual term entries, the external-knowledge carrier."""
+    """Bilingual term entries by source term, the external-knowledge
+    carrier; ``max_term_len`` is the length of the longest source term, so
+    lookups stop there."""
 
-    entries: list[LexiconEntry] = field(default_factory=list)
+    entries: dict[Tokens, LexiconEntry] = field(default_factory=dict)
+    max_term_len: int = field(init=False)
+
+    def __post_init__(self):
+        self.max_term_len = max(map(len, self.entries), default=0)
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def by_source(self) -> dict[Tokens, LexiconEntry]:
-        return {e.source_term: e for e in self.entries}
-
     def best_candidate(self, source_term: Tokens) -> Candidate | None:
         """Highest-scoring candidate for a source term (missing score = 1.0,
         ties resolved by listing order)."""
-        entry = self.by_source().get(source_term)
+        entry = self.entries.get(source_term)
         if entry is None or not entry.candidates:
             return None
         best = entry.candidates[0]
@@ -212,13 +219,13 @@ def load_lexicon(path) -> Lexicon:
             entry.candidates.append(Candidate(target, score))
             if entry.abstract is None:
                 entry.abstract = abstract
-    return Lexicon(list(entries.values()))
+    return Lexicon(entries)
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
     """Write a lexicon back to the TSV format accepted by :func:`load_lexicon`."""
     with atomic_open(path) as f:
-        for entry in lexicon.entries:
+        for entry in lexicon.entries.values():
             for cand in entry.candidates:
                 cols = [" ".join(entry.source_term), " ".join(cand.tokens)]
                 if cand.score is not None or entry.abstract is not None:

@@ -185,16 +185,14 @@ def build_fixture_set(
     # external-knowledge lexicon for the injection path: domain-A terms with
     # a domain-correct candidate and the generic straight-style candidate,
     # plus abstracts for cosine ranking
-    entries = []
+    entries = {}
     for (sx, tx), (sy, ty) in term_pool_a[:dev_terms]:
         correct = styled_target(tx, ty, domain_a_style)
         abstract_domain = f"{sx} {sy} term of the {vocab_a[0][0]} domain"
-        entries.append(
-            LexiconEntry(
-                (sx, sy),
-                [Candidate(correct, None), Candidate((tx, ty), None)],
-                abstract=abstract_domain,
-            )
+        entries[(sx, sy)] = LexiconEntry(
+            (sx, sy),
+            [Candidate(correct, None), Candidate((tx, ty), None)],
+            abstract=abstract_domain,
         )
     lexicon = Lexicon(entries)
     return FixtureSet(

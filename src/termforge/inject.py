@@ -3,7 +3,8 @@
 Candidate scores come either uniformly (1.0 everywhere) or from the cosine
 similarity between a domain vocabulary vector and each candidate's abstract
 text, both as L2-normalized term-frequency bags.  Ranked candidates land in
-decoder spans via longest-match scanning.
+decoder spans via longest-match scanning, as ``Candidate``s whose score is
+the injection probability (a missing score becomes 1.0).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .corpus import Candidate, Lexicon, LexiconEntry, tokenize
-from .smt import AnnotatedInput, EXCLUSIVE, Span, SpanCandidate
+from .smt import AnnotatedInput, EXCLUSIVE, Span
 
 UNIFORM = "uniform"
 COSINE = "cosine"
@@ -73,20 +74,18 @@ def rank_candidates(
     """
     if mode not in (UNIFORM, COSINE):
         raise ValueError(f"unknown ranking mode {mode!r}")
-    entries = []
-    for entry in lexicon.entries:
+    entries = {}
+    for source_term, entry in lexicon.entries.items():
         if mode == UNIFORM:
             score = 1.0
         elif entry.abstract is None:
             score = 0.0
         else:
             score = cosine_score(domain_vocab, VocabVector.from_text(entry.abstract))
-        entries.append(
-            LexiconEntry(
-                entry.source_term,
-                [Candidate(c.tokens, score) for c in entry.candidates],
-                entry.abstract,
-            )
+        entries[source_term] = LexiconEntry(
+            source_term,
+            [Candidate(c.tokens, score) for c in entry.candidates],
+            entry.abstract,
         )
     return Lexicon(entries)
 
@@ -102,23 +101,19 @@ def annotate(
     spans come out non-overlapping and in ascending order.
     """
     tokens = tuple(source)
-    by_source = lexicon.by_source()
-    max_len = max((len(term) for term in by_source), default=0)
+    entries, max_len = lexicon.entries, lexicon.max_term_len
     spans: list[Span] = []
     i = 0
     while i < len(tokens):
-        matched = None
         for k in range(min(max_len, len(tokens) - i), 0, -1):
-            entry = by_source.get(tokens[i:i + k])
+            entry = entries.get(tokens[i:i + k])
             if entry is not None:
-                matched = (k, entry)
                 break
-        if matched is None:
+        else:
             i += 1
             continue
-        k, entry = matched
         candidates = [
-            SpanCandidate(c.tokens, 1.0 if c.score is None else c.score)
+            Candidate(c.tokens, 1.0 if c.score is None else c.score)
             for c in entry.candidates
         ]
         spans.append(Span(i, i + k, candidates, mode))

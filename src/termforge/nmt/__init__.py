@@ -19,10 +19,9 @@ from .model import (
 )
 from .network import encode, loss_and_grads
 from .train import dataset_loss, fine_tune, gradient_check, train
-from .translate import AttentionTrace, replace_unk, translate
+from .translate import replace_unk, translate
 
 __all__ = [
-    "AttentionTrace",
     "BOS",
     "BOS_ID",
     "EOS",

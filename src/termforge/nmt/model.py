@@ -5,13 +5,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..bpe import BpeModel
+from ..corpus import word_frequencies
 from ..errors import ModelFormatError
 from ..files import atomic_open
 
@@ -90,9 +90,7 @@ def build_vocab(sequences: Iterable[Sequence[str]], cap: int) -> Vocab:
     included in the cap); frequency ties break lexicographically."""
     if cap < len(RESERVED):
         raise ValueError(f"cap must be >= {len(RESERVED)}")
-    freq: Counter = Counter()
-    for seq in sequences:
-        freq.update(seq)
+    freq = word_frequencies(sequences)
     for sym in RESERVED:
         freq.pop(sym, None)
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))

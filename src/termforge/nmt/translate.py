@@ -1,8 +1,12 @@
-"""Beam-search translation, attention traces, and unknown-word replacement."""
+"""Beam-search translation and unknown-word replacement.
+
+``translate`` returns the attention of its output as a plain (steps x
+source) array: one row per emitted target token, one column per source
+position in model space (subwords for BPE models).  ``replace_unk`` reads
+that array to find the source token behind each unknown.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,23 +16,11 @@ from .model import BOS_ID, EOS_ID, UNK, Seq2SeqModel
 from .network import decoder_step, encode
 
 
-@dataclass
-class AttentionTrace:
-    """Attention weights: one row per emitted target token, one column per
-    source position (model space, i.e. subwords for BPE models)."""
-
-    weights: np.ndarray
-
-    @property
-    def steps(self) -> int:
-        return self.weights.shape[0]
-
-
 def translate(
     model: Seq2SeqModel,
     tokens,
     beam_width: int = 5,
-) -> tuple[tuple[str, ...], AttentionTrace, float]:
+) -> tuple[tuple[str, ...], np.ndarray, float]:
     """Length-normalized beam search until end-of-sentence, for at most
     ``2 * len(tokens) + 5`` target positions.
 
@@ -37,6 +29,8 @@ def translate(
     still carry continuation markers.  Predicted unknowns surface as the
     unk symbol for downstream replacement.  The end-of-sentence token is
     blocked at the first position, so a translation is never empty.
+    Returns the tokens, their (steps x source) attention array and the
+    normalized score.
 
     A hypothesis is a plain tuple (negated score, tokens, attention
     pointer, row, finished): ``row`` is its decoder state's row in the
@@ -61,7 +55,7 @@ def translate(
         tokens = apply_bpe(model.src_bpe, tuple(tokens))
     tokens = tuple(tokens)
     if not tokens:
-        return (), AttentionTrace(np.zeros((0, 0))), 0.0
+        return (), np.zeros((0, 0)), 0.0
 
     params = model.params
     dec_E, out_W, out_b = params["dec_E"], params["out_W"], params["out_b"]
@@ -133,29 +127,28 @@ def translate(
         step_attn, row, pointer = pointer
         attn_rows.append(step_attn[row])
     attn_rows.reverse()
-    trace = AttentionTrace(
-        np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
-    )
-    return model.tgt_vocab.decode(out_ids), trace, normalized(best)
+    attention = np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
+    return model.tgt_vocab.decode(out_ids), attention, normalized(best)
 
 
 def replace_unk(
     output_tokens,
-    trace: AttentionTrace,
+    attention: np.ndarray,
     source_tokens,
     lexicon: Lexicon | None = None,
 ) -> tuple[str, ...]:
     """Replace each unk by the lexicon translation of its highest-attention
     source token, falling back to copying the source token itself.
+    ``attention`` is ``translate``'s (steps x source) array for the output.
 
     Attention argmax ties resolve to the lowest source index.  A lexicon
     entry may be multi-token; its tokens splice in place of the unk.
     """
     output_tokens = tuple(output_tokens)
     source_tokens = tuple(source_tokens)
-    if trace.weights.shape[0] != len(output_tokens):
+    if attention.shape[0] != len(output_tokens):
         raise ValueError(
-            f"trace has {trace.weights.shape[0]} rows for "
+            f"attention has {attention.shape[0]} rows for "
             f"{len(output_tokens)} output tokens"
         )
     out: list[str] = []
@@ -163,7 +156,7 @@ def replace_unk(
         if tok != UNK:
             out.append(tok)
             continue
-        src_pos = int(np.argmax(trace.weights[j]))
+        src_pos = int(np.argmax(attention[j]))
         src_tok = source_tokens[src_pos]
         replacement = None
         if lexicon is not None:

@@ -376,9 +376,9 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
 
         def translate_line(lineno, line):
             tokens = corpus.tokenize(line)
-            out, trace, _ = nmt.translate(model, tokens, beam_width=beam_width)
+            out, attention, _ = nmt.translate(model, tokens, beam_width=beam_width)
             if model.tgt_bpe is None:
-                return nmt.replace_unk(out, trace, tokens, lexicon)
+                return nmt.replace_unk(out, attention, tokens, lexicon)
             return bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
 
     outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]

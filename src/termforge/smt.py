@@ -83,7 +83,9 @@ from typing import Sequence
 import numpy as np
 
 from .align import PROB_FLOOR, PhraseTable
-from .corpus import ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize
+from .corpus import (
+    Candidate, ParallelCorpus, Tokens, contains_contiguous, finite_float, tokenize,
+)
 from .errors import MarkupError, ModelFormatError, SearchError
 from .files import atomic_open, read_lines
 from .lm import EOS, BOS, NgramLanguageModel
@@ -170,16 +172,13 @@ def load_weights(path) -> LogLinearWeights:
 
 
 @dataclass
-class SpanCandidate:
-    tokens: Tokens
-    prob: float = 1.0
-
-
-@dataclass
 class Span:
+    """Source tokens ``[start, end)`` with the translations injected for
+    them; each candidate's score is its injection probability."""
+
     start: int
     end: int
-    candidates: list[SpanCandidate]
+    candidates: list[Candidate]
     mode: str = EXCLUSIVE
 
 
@@ -216,6 +215,8 @@ def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
 
     Both ``a||b`` and ``a || b`` separator spellings are accepted.  The given
     injection mode applies to every span (the markup itself carries none).
+    Each ``prob`` must lie in [0, 1], as a lexicon score must; without
+    ``prob`` every candidate enters at 1.0.
     """
     tokens: list[str] = []
     spans: list[Span] = []
@@ -236,6 +237,9 @@ def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
                 probs = [finite_float(p) for p in prob_strs]
             except ValueError as exc:
                 raise MarkupError(f"bad probability: {exc}") from None
+            for prob in probs:
+                if not 0.0 <= prob <= 1.0:
+                    raise MarkupError(f"probability {prob} outside [0, 1]")
         else:
             probs = [1.0] * len(translations)
         span_tokens = tokenize(match.group(3))
@@ -244,7 +248,7 @@ def parse_markup(line: str, mode: str = EXCLUSIVE) -> AnnotatedInput:
         start = len(tokens)
         tokens.extend(span_tokens)
         candidates = [
-            SpanCandidate(words, prob) for words, prob in zip(translations, probs)
+            Candidate(words, prob) for words, prob in zip(translations, probs)
         ]
         spans.append(Span(start, len(tokens), candidates, mode))
         pos = match.end()
@@ -261,7 +265,7 @@ def format_markup(annotated: AnnotatedInput) -> str:
     for span in sorted(annotated.spans, key=lambda s: s.start):
         parts.extend(annotated.tokens[pos:span.start])
         translations = "||".join(" ".join(c.tokens) for c in span.candidates)
-        probs = " || ".join(str(float(c.prob)) for c in span.candidates)
+        probs = " || ".join(str(float(c.score)) for c in span.candidates)
         text = " ".join(annotated.tokens[span.start:span.end])
         parts.append(f'<n translation="{translations}" prob="{probs}">{text}</n>')
         pos = span.end
@@ -305,12 +309,12 @@ def _log_feats(features) -> tuple[float, float, float, float]:
     return tuple(math.log(min(max(float(p), PROB_FLOOR), 1.0)) for p in features)
 
 
-def _span_option(span: Span, cand: SpanCandidate) -> TranslationOption:
+def _span_option(span: Span, cand: Candidate) -> TranslationOption:
     # candidate probability enters the forward-phrase slot; the reverse
     # phrase feature is neutral and both lexical slots mirror the probability
     return TranslationOption(
         span.start, span.end, tuple(cand.tokens),
-        _log_feats((cand.prob, 1.0, cand.prob, cand.prob)),
+        _log_feats((cand.score, 1.0, cand.score, cand.score)),
     )
 
 

@@ -26,7 +26,6 @@ from termforge.inject import VocabVector, cosine_score, domain_vector
 from termforge.lm import train_lm
 from termforge.metrics import bleu, bleu_stats, chrf3
 from termforge.nmt import (
-    AttentionTrace,
     TrainConfig,
     UNK,
     fine_tune,
@@ -46,7 +45,6 @@ from termforge.smt import (
     BeamConfig,
     LogLinearWeights,
     Span,
-    SpanCandidate,
     decode,
     mert_tune,
 )
@@ -217,14 +215,14 @@ def test_criterion_04_decoder_injection_and_exactness():
                 plain = decode(tokens, table, lm_model, weights, wide)
                 annotated = AnnotatedInput(
                     tokens,
-                    [Span(start, start + 1, [SpanCandidate(opt.target, p)], mode)],
+                    [Span(start, start + 1, [Candidate(opt.target, p)], mode)],
                 )
                 injected = decode(annotated, table, lm_model, weights, wide)
                 assert injected.tokens == plain.tokens, trial
                 continue
             candidates = [
-                SpanCandidate((f"c{trial}a",), rng.uniform(0.1, 1.0)),
-                SpanCandidate((f"c{trial}b", f"c{trial}c"), rng.uniform(0.1, 1.0)),
+                Candidate((f"c{trial}a",), rng.uniform(0.1, 1.0)),
+                Candidate((f"c{trial}b", f"c{trial}c"), rng.uniform(0.1, 1.0)),
             ][: rng.randint(1, 2)]
             annotated = AnnotatedInput(tokens, [Span(start, end, candidates, mode)])
             result = decode(annotated, table, lm_model, weights, wide)
@@ -410,10 +408,10 @@ def test_criterion_06_nmt_correctness():
         trained = train(corpus, copy_cfg)
         exact = 0
         for src, tgt in copy_pairs:
-            out, trace, _ = translate(trained, src, beam_width=1)
+            out, attention, _ = translate(trained, src, beam_width=1)
             exact += out == tgt
-            if trace.steps:  # attention rows are distributions
-                assert np.allclose(trace.weights.sum(axis=1), 1.0, atol=1e-5)
+            if len(attention):  # attention rows are distributions
+                assert np.allclose(attention.sum(axis=1), 1.0, atol=1e-5)
         assert exact >= 45
 
 
@@ -552,25 +550,22 @@ def test_criterion_09_cosine_ranking():
 def test_criterion_10_unk_replacement():
     with timer("10 unk replacement", 1.0):
         # the bacterial-diseases style fixture
-        lexicon = Lexicon(
-            [LexiconEntry(("bacterial",), [Candidate(("bakterielle",), 0.9)])]
-        )
-        trace = AttentionTrace(
-            np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.1, 0.2, 0.7]])
-        )
+        entry = LexiconEntry(("bacterial",), [Candidate(("bakterielle",), 0.9)])
+        lexicon = Lexicon({entry.source_term: entry})
+        attention = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.1, 0.2, 0.7]])
         assert replace_unk(
-            ("sonstige", UNK, "krankheiten"), trace,
+            ("sonstige", UNK, "krankheiten"), attention,
             ("other", "bacterial", "diseases"), lexicon,
         ) == ("sonstige", "bakterielle", "krankheiten")
 
         rng = np.random.default_rng(10)
         lex = Lexicon(
-            [
-                LexiconEntry((f"s{i}",), [Candidate((f"trans{i}",), 1.0)])
+            {
+                (f"s{i}",): LexiconEntry((f"s{i}",), [Candidate((f"trans{i}",), 1.0)])
                 for i in range(0, 12, 2)
-            ]
+            }
         )
-        lookup = lex.by_source()
+        lookup = lex.entries
         for _ in range(100):
             n_src = int(rng.integers(1, 9))
             source = tuple(f"s{int(rng.integers(0, 12))}" for _ in range(n_src))
@@ -581,7 +576,7 @@ def test_criterion_10_unk_replacement():
             )
             weights = rng.random((n_out, n_src))
             weights /= weights.sum(axis=1, keepdims=True)
-            got = replace_unk(output, AttentionTrace(weights), source, lex)
+            got = replace_unk(output, weights, source, lex)
             expected = []
             for j, tok in enumerate(output):
                 if tok != UNK:

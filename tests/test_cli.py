@@ -351,6 +351,25 @@ class TestLineForLine:
         ):
             pipeline.run_translate(load_config(cfg, ["translate.input=in.txt"]))
 
+    @pytest.mark.parametrize("prob", ["1.5", "-0.1"])
+    def test_prob_outside_unit_interval_names_the_input_line(
+        self, tmp_path, monkeypatch, prob
+    ):
+        from termforge import pipeline
+        from termforge.errors import MarkupError
+
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        small_smt_model(tmp_path / "run" / "smt")
+        (tmp_path / "in.txt").write_text(
+            f'a\n<n translation="x||y" prob="0.5||{prob}">b</n>\n', encoding="utf-8"
+        )
+        where = re.escape(f"{tmp_path / 'in.txt'}: line 2: ")
+        with pytest.raises(
+            MarkupError, match=rf"^{where}probability {prob} outside \[0, 1\]$"
+        ):
+            pipeline.run_translate(load_config(cfg, ["translate.input=in.txt"]))
+
 
 class TestModelFiles:
     def test_corrupted_weights_name_the_file(self, tmp_path, monkeypatch, capsys):
@@ -586,7 +605,7 @@ class TestTranslateBpe:
         (tmp_path / "in.txt").write_text("heart low\n", encoding="utf-8")
 
         def fake_translate(model, tokens, beam_width=5):
-            return pieces, nmt.AttentionTrace(np.zeros((len(pieces), 2))), 0.0
+            return pieces, np.zeros((len(pieces), 2)), 0.0
 
         monkeypatch.setattr(nmt, "translate", fake_translate)
         cfg = PipelineConfig(

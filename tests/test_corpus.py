@@ -95,7 +95,7 @@ class TestLoadLexicon:
         )
         lex = load_lexicon(path)
         assert len(lex) == 1
-        entry = lex.entries[0]
+        entry = lex.entries[("orbit",)]
         assert entry.source_term == ("orbit",)
         assert [c.score for c in entry.candidates] == [0.872, 0.512]
 
@@ -123,39 +123,36 @@ class TestLoadLexicon:
             ["orbit\torbita\t0.9\tthe eye socket in the skull"],
         )
         lex = load_lexicon(path)
-        assert lex.entries[0].abstract == "the eye socket in the skull"
+        assert lex.entries[("orbit",)].abstract == "the eye socket in the skull"
 
     def test_roundtrip(self, tmp_path):
-        lex = Lexicon(
-            [
-                LexiconEntry(
-                    ("orbit",),
-                    [Candidate(("orbita",), 0.872), Candidate(("umlaufbahn",), 0.512)],
-                    abstract="eye socket",
-                ),
-                LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
-            ]
-        )
+        entries = [
+            LexiconEntry(
+                ("orbit",),
+                [Candidate(("orbita",), 0.872), Candidate(("umlaufbahn",), 0.512)],
+                abstract="eye socket",
+            ),
+            LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
+        ]
+        lex = Lexicon({e.source_term: e for e in entries})
         path = tmp_path / "out.tsv"
         save_lexicon(lex, path)
         again = load_lexicon(path)
-        assert again.entries[0].source_term == ("orbit",)
-        assert [c.tokens for c in again.entries[0].candidates] == [
+        first, second = again.entries.values()
+        assert first.source_term == ("orbit",)
+        assert [c.tokens for c in first.candidates] == [
             ("orbita",),
             ("umlaufbahn",),
         ]
-        assert again.entries[0].abstract == "eye socket"
-        assert again.entries[1].candidates[0].score is None
+        assert first.abstract == "eye socket"
+        assert second.candidates[0].score is None
 
     def test_best_candidate_prefers_score(self):
-        lex = Lexicon(
-            [
-                LexiconEntry(
-                    ("orbit",),
-                    [Candidate(("umlaufbahn",), 0.512), Candidate(("orbita",), 0.872)],
-                )
-            ]
+        entry = LexiconEntry(
+            ("orbit",),
+            [Candidate(("umlaufbahn",), 0.512), Candidate(("orbita",), 0.872)],
         )
+        lex = Lexicon({entry.source_term: entry})
         assert lex.best_candidate(("orbit",)).tokens == ("orbita",)
 
 

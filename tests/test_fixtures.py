@@ -48,10 +48,10 @@ class TestFixtureSet:
 
     def test_lexicon_covers_dev_terms_with_abstracts(self):
         fx = build_fixture_set(seed=8)
-        sources = {e.source_term for e in fx.lexicon.entries}
+        sources = {e.source_term for e in fx.lexicon.entries.values()}
         for src, _ in fx.domain_a.dev.pairs:
             assert src in sources
-        assert all(e.abstract for e in fx.lexicon.entries)
+        assert all(e.abstract for e in fx.lexicon.entries.values())
 
 
 class TestWriteFixtureFiles:
@@ -61,7 +61,7 @@ class TestWriteFixtureFiles:
         fx = build_fixture_set(seed=11)
         assert generic.pairs == fx.generic.pairs
         lexicon = load_lexicon(paths["lexicon.tsv"])
-        assert lexicon.entries == fx.lexicon.entries
+        assert list(lexicon.entries.values()) == list(fx.lexicon.entries.values())
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         write_fixture_files(tmp_path / "fx", seed=12)

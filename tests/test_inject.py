@@ -86,60 +86,59 @@ class TestCosineScore:
         assert medical > astro
 
 
+def lexicon_of(*entries):
+    # a later entry for the same source term replaces an earlier one
+    return Lexicon({e.source_term: e for e in entries})
+
+
 def orbit_lexicon():
-    return Lexicon(
-        [
-            LexiconEntry(
-                ("orbit",), [Candidate(("orbita",), None)], MEDICAL_ABSTRACT
-            ),
-            LexiconEntry(
-                ("orbit",), [Candidate(("umlaufbahn",), None)], None
-            ),
-        ]
+    return lexicon_of(
+        LexiconEntry(
+            ("orbit",), [Candidate(("orbita",), None)], MEDICAL_ABSTRACT
+        ),
+        LexiconEntry(
+            ("orbit",), [Candidate(("umlaufbahn",), None)], None
+        ),
     )
 
 
 class TestRankCandidates:
     def lexicon(self):
-        return Lexicon(
-            [
-                LexiconEntry(
-                    ("orbit",),
-                    [Candidate(("orbita",), 0.3), Candidate(("umlaufbahn",), None)],
-                    MEDICAL_ABSTRACT,
-                ),
-                LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
-            ]
+        return lexicon_of(
+            LexiconEntry(
+                ("orbit",),
+                [Candidate(("orbita",), 0.3), Candidate(("umlaufbahn",), None)],
+                MEDICAL_ABSTRACT,
+            ),
+            LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
         )
 
     def test_uniform_sets_all_to_one(self):
         ranked = rank_candidates(VocabVector(), self.lexicon(), UNIFORM)
-        for entry in ranked.entries:
+        for entry in ranked.entries.values():
             for cand in entry.candidates:
                 assert cand.score == 1.0
 
     def test_cosine_without_abstract_scores_zero(self):
         domain = domain_vector(MEDICAL_DOMAIN_TERMS)
         ranked = rank_candidates(domain, self.lexicon(), COSINE)
-        burn = ranked.by_source()[("burn",)]
+        burn = ranked.entries[("burn",)]
         assert burn.candidates[0].score == 0.0
 
     def test_cosine_matches_hand_computed_dot_product(self):
         # two-token domain, one-token overlap with the abstract "a a b"
         domain = VocabVector.from_tokens(["a", "c"])
-        lex = Lexicon(
-            [LexiconEntry(("x",), [Candidate(("y",), None)], "a a b")]
-        )
+        lex = lexicon_of(LexiconEntry(("x",), [Candidate(("y",), None)], "a a b"))
         ranked = rank_candidates(domain, lex, COSINE)
         # abstract tf: a=2, b=1 -> normalized a=2/sqrt(5), b=1/sqrt(5)
         # domain: a=c=1/sqrt(2); dot = (1/sqrt(2)) * (2/sqrt(5))
         want = (1 / 2**0.5) * (2 / 5**0.5)
-        assert ranked.entries[0].candidates[0].score == pytest.approx(want, abs=1e-12)
+        assert ranked.entries[("x",)].candidates[0].score == pytest.approx(want, abs=1e-12)
 
     def test_input_lexicon_unchanged(self):
         lex = self.lexicon()
         rank_candidates(VocabVector(), lex, UNIFORM)
-        assert lex.entries[0].candidates[0].score == 0.3
+        assert lex.entries[("orbit",)].candidates[0].score == 0.3
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -148,24 +147,22 @@ class TestRankCandidates:
 
 class TestAnnotate:
     def lexicon(self):
-        return Lexicon(
-            [
-                LexiconEntry(
-                    ("orbit",),
-                    [Candidate(("orbita",), 0.872), Candidate(("umlaufbahn",), 0.512)],
-                ),
-                LexiconEntry(("blood",), [Candidate(("blut",), 0.9)]),
-                LexiconEntry(
-                    ("blood", "vessels"), [Candidate(("blutgefäßen",), 0.8)]
-                ),
-            ]
+        return lexicon_of(
+            LexiconEntry(
+                ("orbit",),
+                [Candidate(("orbita",), 0.872), Candidate(("umlaufbahn",), 0.512)],
+            ),
+            LexiconEntry(("blood",), [Candidate(("blut",), 0.9)]),
+            LexiconEntry(
+                ("blood", "vessels"), [Candidate(("blutgefäßen",), 0.8)]
+            ),
         )
 
     def test_single_match_with_two_candidates(self):
         annotated = annotate(("disorders", "of", "orbit"), self.lexicon())
         (span,) = annotated.spans
         assert (span.start, span.end) == (2, 3)
-        assert [(c.tokens, c.prob) for c in span.candidates] == [
+        assert [(c.tokens, c.score) for c in span.candidates] == [
             (("orbita",), 0.872),
             (("umlaufbahn",), 0.512),
         ]
@@ -211,4 +208,57 @@ class TestAnnotate:
 
     def test_missing_scores_become_certainty(self):
         annotated = annotate(("orbit",), orbit_lexicon())
-        assert all(c.prob == 1.0 for c in annotated.spans[0].candidates)
+        assert all(c.score == 1.0 for c in annotated.spans[0].candidates)
+
+    def test_matches_brute_force_scan(self):
+        """Random lexicons over a four-word vocabulary (terms of 1-4
+        tokens, so prefixes are shared; some sources listed twice, the later
+        entry winning) against a scan that tries every listed entry at every
+        position, left to right, longest match first."""
+
+        def scan(tokens, entries):
+            spans, i = [], 0
+            while i < len(tokens):
+                best = None
+                for entry in entries:
+                    term = entry.source_term
+                    if tokens[i:i + len(term)] == term and (
+                        best is None or len(term) >= len(best.source_term)
+                    ):
+                        best = entry
+                if best is None:
+                    i += 1
+                    continue
+                end = i + len(best.source_term)
+                scores = [1.0 if c.score is None else c.score for c in best.candidates]
+                spans.append((i, end, [c.tokens for c in best.candidates], scores))
+                i = end
+            return spans
+
+        rng = random.Random(24)
+        vocab = ["a", "b", "c", "d"]
+        for _ in range(300):
+            entries = []
+            for k in range(rng.randint(0, 8)):
+                if entries and rng.random() < 0.2:
+                    source = rng.choice(entries).source_term
+                else:
+                    source = tuple(rng.choices(vocab, k=rng.randint(1, 4)))
+                candidates = [
+                    Candidate((f"t{k}_{j}",), rng.choice((None, rng.random())))
+                    for j in range(rng.randint(1, 3))
+                ]
+                entries.append(LexiconEntry(source, candidates))
+            lexicon = lexicon_of(*entries)
+            for _ in range(10):
+                tokens = tuple(rng.choices(vocab + ["z"], k=rng.randint(0, 12)))
+                mode = rng.choice((EXCLUSIVE, CONSTRAINT))
+                annotated = annotate(tokens, lexicon, mode)
+                assert annotated.tokens == tokens
+                got = [
+                    (s.start, s.end, [c.tokens for c in s.candidates],
+                     [c.score for c in s.candidates])
+                    for s in annotated.spans
+                ]
+                assert got == scan(tokens, entries), (entries, tokens)
+                assert all(s.mode == mode for s in annotated.spans)

@@ -15,7 +15,6 @@ from termforge.bpe import learn_bpe
 from termforge.corpus import Candidate, Lexicon, LexiconEntry, ParallelCorpus
 from termforge.errors import ModelFormatError, TrainingDivergedError
 from termforge.nmt import (
-    AttentionTrace,
     Seq2SeqModel,
     TrainConfig,
     UNK,
@@ -707,11 +706,11 @@ class TestTraining:
                           epochs=1, seed=0)
         model = train(corpus, cfg, src_bpe=bpe, tgt_bpe=bpe)
         assert model.src_bpe is bpe and model.tgt_bpe is bpe
-        out, trace, _ = translate(model, corpus.pairs[0][0], beam_width=1)
+        out, attention, _ = translate(model, corpus.pairs[0][0], beam_width=1)
         # attention columns cover the subword-segmented source
         from termforge.bpe import apply_bpe
 
-        assert trace.weights.shape[1] == len(apply_bpe(bpe, corpus.pairs[0][0]))
+        assert attention.shape[1] == len(apply_bpe(bpe, corpus.pairs[0][0]))
 
 
 class TestFineTune:
@@ -819,7 +818,7 @@ def reference_beam(model, tokens, beam_width=5, max_len=None, min_len=1):
     if out_ids and out_ids[-1] == EOS_ID:
         out_ids, rows = out_ids[:-1], rows[:-1]
     weights = np.vstack(rows) if rows else np.zeros((0, len(tokens)))
-    return model.tgt_vocab.decode(out_ids), AttentionTrace(weights), norm(best)
+    return model.tgt_vocab.decode(out_ids), weights, norm(best)
 
 
 class TestTranslate:
@@ -832,11 +831,11 @@ class TestTranslate:
     def test_attention_rows_sum_to_one(self):
         model, corpus = self.trained()
         for src, _ in corpus.pairs[:5]:
-            _, trace, _ = translate(model, src, beam_width=3)
-            if trace.steps:
-                sums = trace.weights.sum(axis=1)
+            _, attention, _ = translate(model, src, beam_width=3)
+            if len(attention):
+                sums = attention.sum(axis=1)
                 assert np.allclose(sums, 1.0, atol=1e-5)
-                assert np.all(trace.weights >= 0.0)
+                assert np.all(attention >= 0.0)
 
     def test_beam_one_equals_explicit_greedy(self):
         model, corpus = self.trained()
@@ -877,19 +876,19 @@ class TestTranslate:
         for beam_width in (1, 3, 5):
             for src, _ in corpus.pairs[:8]:
                 case = (beam_width, src)
-                out, trace, score = translate(model, src, beam_width=beam_width)
-                ref_out, ref_trace, ref_score = reference_beam(
+                out, attention, score = translate(model, src, beam_width=beam_width)
+                ref_out, ref_attention, ref_score = reference_beam(
                     model, src, beam_width=beam_width
                 )
                 assert out == ref_out, case
                 assert abs(score - ref_score) <= 1e-9, case
-                assert trace.weights.shape == ref_trace.weights.shape, case
-                assert np.allclose(trace.weights, ref_trace.weights), case
+                assert attention.shape == ref_attention.shape, case
+                assert np.allclose(attention, ref_attention), case
 
     def test_empty_input(self):
         model, _ = self.trained()
-        out, trace, score = translate(model, (), beam_width=2)
-        assert out == () and trace.steps == 0
+        out, attention, score = translate(model, (), beam_width=2)
+        assert out == () and len(attention) == 0
 
 
 @dataclasses.dataclass
@@ -915,7 +914,7 @@ def reference_translate(model, tokens, beam_width=5):
         tokens = apply_bpe(model.src_bpe, tuple(tokens))
     tokens = tuple(tokens)
     if not tokens:
-        return (), AttentionTrace(np.zeros((0, 0))), 0.0
+        return (), np.zeros((0, 0)), 0.0
     params = model.params
     src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
     enc_top, enc_finals, _ = encode(model, src_ids)
@@ -970,10 +969,8 @@ def reference_translate(model, tokens, beam_width=5):
     if out_ids and out_ids[-1] == EOS_ID:
         out_ids = out_ids[:-1]
         attn_rows = attn_rows[:-1]
-    trace = AttentionTrace(
-        np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
-    )
-    return model.tgt_vocab.decode(out_ids), trace, best.norm_score()
+    attention = np.vstack(attn_rows) if attn_rows else np.zeros((0, len(tokens)))
+    return model.tgt_vocab.decode(out_ids), attention, best.norm_score()
 
 
 def constant_output_model(out_b):
@@ -1019,32 +1016,29 @@ class TestTranslateOracle:
         if beam_width == "wide":
             beam_width = len(model.tgt_vocab) + 2
         for src in inputs:
-            out, trace, score = translate(model, src, beam_width=beam_width)
-            ref_out, ref_trace, ref_score = reference_translate(
+            out, attention, score = translate(model, src, beam_width=beam_width)
+            ref_out, ref_attention, ref_score = reference_translate(
                 model, src, beam_width=beam_width
             )
             assert out == ref_out, src
             assert score == ref_score and score.hex() == ref_score.hex(), src
-            assert np.array_equal(trace.weights, ref_trace.weights), src
+            assert np.array_equal(attention, ref_attention), src
 
 
 class TestReplaceUnk:
     def test_paper_style_fixture(self):
         source = ("other", "bacterial", "diseases")
         output = ("sonstige", UNK, "krankheiten")
-        trace = AttentionTrace(
-            np.array(
-                [
-                    [0.7, 0.2, 0.1],
-                    [0.1, 0.8, 0.1],  # unk attends to "bacterial"
-                    [0.1, 0.2, 0.7],
-                ]
-            )
+        attention = np.array(
+            [
+                [0.7, 0.2, 0.1],
+                [0.1, 0.8, 0.1],  # unk attends to "bacterial"
+                [0.1, 0.2, 0.7],
+            ]
         )
-        lexicon = Lexicon(
-            [LexiconEntry(("bacterial",), [Candidate(("bakterielle",), 0.9)])]
-        )
-        assert replace_unk(output, trace, source, lexicon) == (
+        entry = LexiconEntry(("bacterial",), [Candidate(("bakterielle",), 0.9)])
+        lexicon = Lexicon({entry.source_term: entry})
+        assert replace_unk(output, attention, source, lexicon) == (
             "sonstige",
             "bakterielle",
             "krankheiten",
@@ -1052,28 +1046,28 @@ class TestReplaceUnk:
 
     def test_source_copy_fallback(self):
         output = (UNK,)
-        trace = AttentionTrace(np.array([[0.2, 0.5, 0.3]]))
-        assert replace_unk(output, trace, ("a", "orbit", "b"), None) == ("orbit",)
-        assert replace_unk(output, trace, ("a", "orbit", "b"), Lexicon([])) == (
+        attention = np.array([[0.2, 0.5, 0.3]])
+        assert replace_unk(output, attention, ("a", "orbit", "b"), None) == ("orbit",)
+        assert replace_unk(output, attention, ("a", "orbit", "b"), Lexicon({})) == (
             "orbit",
         )
 
     def test_no_unk_identity(self):
         output = ("x", "y")
-        trace = AttentionTrace(np.ones((2, 3)) / 3)
-        assert replace_unk(output, trace, ("a", "b", "c"), None) == output
+        attention = np.ones((2, 3)) / 3
+        assert replace_unk(output, attention, ("a", "b", "c"), None) == output
 
     def test_argmax_tie_lowest_index(self):
-        trace = AttentionTrace(np.array([[0.5, 0.5]]))
-        assert replace_unk((UNK,), trace, ("left", "right"), None) == ("left",)
+        attention = np.array([[0.5, 0.5]])
+        assert replace_unk((UNK,), attention, ("left", "right"), None) == ("left",)
 
     def test_randomized_argmax_property(self):
         rng = np.random.default_rng(17)
         lexicon = Lexicon(
-            [
-                LexiconEntry((f"s{i}",), [Candidate((f"t{i}",), 1.0)])
+            {
+                (f"s{i}",): LexiconEntry((f"s{i}",), [Candidate((f"t{i}",), 1.0)])
                 for i in range(0, 10, 2)  # entries for even source words only
-            ]
+            }
         )
         for _ in range(100):
             n_src = int(rng.integers(1, 10))
@@ -1085,14 +1079,14 @@ class TestReplaceUnk:
             )
             weights = rng.random((n_out, n_src))
             weights /= weights.sum(axis=1, keepdims=True)
-            result = replace_unk(output, AttentionTrace(weights), source, lexicon)
+            result = replace_unk(output, weights, source, lexicon)
             expected = []
             for j, tok in enumerate(output):
                 if tok != UNK:
                     expected.append(tok)
                     continue
                 src_tok = source[int(np.argmax(weights[j]))]
-                entry = lexicon.by_source().get((src_tok,))
+                entry = lexicon.entries.get((src_tok,))
                 expected.extend(
                     entry.candidates[0].tokens if entry else (src_tok,)
                 )
@@ -1100,7 +1094,7 @@ class TestReplaceUnk:
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            replace_unk(("a",), AttentionTrace(np.zeros((2, 2))), ("s", "s2"), None)
+            replace_unk(("a",), np.zeros((2, 2)), ("s", "s2"), None)
 
 
 # a well-formed BPE block for header edits

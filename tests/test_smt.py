@@ -17,7 +17,7 @@ import pytest
 
 from termforge import smt
 from termforge.align import PhraseOption, PhraseTable
-from termforge.corpus import ParallelCorpus, Tokens
+from termforge.corpus import Candidate, ParallelCorpus, Tokens
 from termforge.errors import MarkupError, ModelFormatError, SearchError
 from termforge.lm import BOS, EOS, NgramLanguageModel, train_lm
 from termforge.metrics import (
@@ -38,7 +38,6 @@ from termforge.smt import (
     DecodeResult,
     LogLinearWeights,
     Span,
-    SpanCandidate,
     TranslationOption,
     _line_search_dim,
     _mask,
@@ -93,7 +92,7 @@ class TestMarkup:
         assert annotated.tokens == ("disorders", "of", "orbit")
         (span,) = annotated.spans
         assert (span.start, span.end, span.mode) == (2, 3, INCLUSIVE)
-        assert [(c.tokens, c.prob) for c in span.candidates] == [
+        assert [(c.tokens, c.score) for c in span.candidates] == [
             (("orbita",), 0.872),
             (("umlaufbahn",), 0.512),
         ]
@@ -105,7 +104,7 @@ class TestMarkup:
 
     def test_prob_defaults_to_one(self):
         annotated = parse_markup('<n translation="orbita">orbit</n>')
-        assert annotated.spans[0].candidates[0].prob == 1.0
+        assert annotated.spans[0].candidates[0].score == 1.0
 
     def test_roundtrip_identity(self):
         annotated = AnnotatedInput(
@@ -114,8 +113,8 @@ class TestMarkup:
                 Span(
                     2,
                     3,
-                    [SpanCandidate(("orbita",), 0.872),
-                     SpanCandidate(("umlaufbahn",), 0.512)],
+                    [Candidate(("orbita",), 0.872),
+                     Candidate(("umlaufbahn",), 0.512)],
                     EXCLUSIVE,
                 )
             ],
@@ -132,12 +131,22 @@ class TestMarkup:
         with pytest.raises(MarkupError, match="non-finite"):
             parse_markup(f'<n translation="a||b" prob="0.5||{prob}">x</n>')
 
+    @pytest.mark.parametrize("prob", ["1.5", "-0.1", "1.0000001", "-1e-300"])
+    def test_prob_outside_unit_interval_rejected(self, prob):
+        with pytest.raises(MarkupError, match=rf"probability {float(prob)} outside \[0, 1\]"):
+            parse_markup(f'<n translation="a||b" prob="0.5||{prob}">x</n>')
+
+    @pytest.mark.parametrize("prob", ["0", "0.0", "-0.0", "1", "1.0"])
+    def test_prob_bounds_accepted(self, prob):
+        annotated = parse_markup(f'<n translation="a" prob="{prob}">x</n>')
+        assert annotated.spans[0].candidates[0].score == float(prob)
+
     def test_overlapping_spans_rejected(self):
         bad = AnnotatedInput(
             ("a", "b"),
             [
-                Span(0, 2, [SpanCandidate(("x",), 1.0)]),
-                Span(1, 2, [SpanCandidate(("y",), 1.0)]),
+                Span(0, 2, [Candidate(("x",), 1.0)]),
+                Span(1, 2, [Candidate(("y",), 1.0)]),
             ],
         )
         with pytest.raises(MarkupError):
@@ -284,7 +293,7 @@ class TestDecode:
     def test_exclusive_span_forces_candidate(self):
         annotated = AnnotatedInput(
             ("disorders", "of", "orbit"),
-            [Span(2, 3, [SpanCandidate(("orbita",), 1.0)], EXCLUSIVE)],
+            [Span(2, 3, [Candidate(("orbita",), 1.0)], EXCLUSIVE)],
         )
         result = decode(annotated, toy_table(), toy_lm(), LogLinearWeights.default())
         assert result.tokens == ("störungen", "der", "orbita")
@@ -300,7 +309,7 @@ class TestDecode:
     def test_constraint_span_output_contains_translation(self):
         annotated = AnnotatedInput(
             ("disorders", "of", "orbit"),
-            [Span(2, 3, [SpanCandidate(("orbita",), 1.0)], CONSTRAINT)],
+            [Span(2, 3, [Candidate(("orbita",), 1.0)], CONSTRAINT)],
         )
         result = decode(annotated, toy_table(), toy_lm(), LogLinearWeights.default())
         joined = " ".join(result.tokens)
@@ -325,7 +334,7 @@ class TestDecode:
         )
         annotated = AnnotatedInput(
             ("disorders", "of", "orbit"),
-            [Span(2, 3, [SpanCandidate(("umlaufbahn",), 0.8)], INCLUSIVE)],
+            [Span(2, 3, [Candidate(("umlaufbahn",), 0.8)], INCLUSIVE)],
         )
         injected = decode(annotated, table_dup, toy_lm(), LogLinearWeights.default())
         assert injected.tokens == plain_dup.tokens
@@ -527,7 +536,7 @@ class TestRebuiltFeatures:
 
     @pytest.mark.parametrize("spans", [
         [],
-        [Span(2, 3, [SpanCandidate(("orbita",), 0.7)], INCLUSIVE)],
+        [Span(2, 3, [Candidate(("orbita",), 0.7)], INCLUSIVE)],
     ])
     def test_features_agree_with_trace_lm_and_score(self, spans):
         lm = toy_lm()
@@ -552,7 +561,7 @@ class TestRebuiltFeatures:
     def test_trace_is_built_options(self, mode):
         annotated = AnnotatedInput(
             ("disorders", "of", "orbit"),
-            [Span(1, 3, [SpanCandidate(("der", "orbita"), 0.7)], mode)],
+            [Span(1, 3, [Candidate(("der", "orbita"), 0.7)], mode)],
         )
         table = toy_table()
         options = build_options(annotated, table)
@@ -770,8 +779,8 @@ def annotated_variants(rng, tokens, tgt_words):
         start = rng.randrange(len(tokens))
         end = rng.randint(start + 1, min(len(tokens), start + 2))
         candidates = [
-            SpanCandidate(tuple(rng.sample(tgt_words, k=rng.randint(1, 2))),
-                          rng.choice((0.5, 1.0)))
+            Candidate(tuple(rng.sample(tgt_words, k=rng.randint(1, 2))),
+                      rng.choice((0.5, 1.0)))
             for _ in range(rng.randint(1, 2))
         ]
         variants.append(AnnotatedInput(tokens, [Span(start, end, candidates, mode)]))
@@ -977,7 +986,7 @@ class TestInjectionGuarantees:
             start = rng.randrange(len(tokens))
             end = rng.randint(start + 1, min(len(tokens), start + 2))
             candidates = [
-                SpanCandidate((f"c{trial}_{k}",), rng.uniform(0.1, 1.0))
+                Candidate((f"c{trial}_{k}",), rng.uniform(0.1, 1.0))
                 for k in range(rng.randint(1, 2))
             ]
             mode = rng.choice([EXCLUSIVE, CONSTRAINT])

@@ -4,14 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termforge.align import PhraseOption, PhraseTable
-from termforge.corpus import contains_contiguous
+from termforge.corpus import Candidate, contains_contiguous
 from termforge.smt import (
     CONSTRAINT,
     EXCLUSIVE,
     MODES,
     AnnotatedInput,
     Span,
-    SpanCandidate,
     _span_option,
     build_options,
     format_markup,
@@ -42,7 +41,7 @@ def annotated_inputs(draw, words, candidate_words, modes, probs):
             tokens += draw(phrases(words, 3))
             candidates = draw(
                 st.lists(
-                    st.builds(SpanCandidate, phrases(candidate_words), probs),
+                    st.builds(Candidate, phrases(candidate_words), probs),
                     min_size=1,
                     max_size=3,
                 )
@@ -78,7 +77,7 @@ def tables(draw):
             WORDS,
             WORDS,
             st.just(mode),
-            st.floats(allow_nan=False, allow_infinity=False),
+            st.floats(0.0, 1.0),
         )
     )
 )
