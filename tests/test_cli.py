@@ -504,6 +504,63 @@ class TestEvaluate:
         assert [v for *_, v in rows[:3]] == [v for *_, v in rows[3:]]
         assert float(rows[0][3]) == 100.0
 
+    def test_merged_results_and_report_bytes(self, tmp_path, monkeypatch):
+        """Five evaluate calls over three systems' sets, the first pair
+        rescored last, then report: the exact bytes of both files.  The
+        report's columns are one system's sets after another's (icd ifrs,
+        then zz), not the sets in row order (icd zz ifrs)."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        (tmp_path / "ref.txt").write_text("a b c d\ne f g h\n", encoding="utf-8")
+        (tmp_path / "one.txt").write_text("a b x d\ne f g h\n", encoding="utf-8")
+        (tmp_path / "two.txt").write_text("a b c\ne y g h\n", encoding="utf-8")
+        (tmp_path / "three.txt").write_text("d c b a\ne f\n", encoding="utf-8")
+        for system, evalset, hyps in [
+            ("smt", "icd", "one.txt"),
+            ("nmt", "zz", "two.txt"),
+            ("smt", "ifrs", "three.txt"),
+            ("nmt", "icd", "one.txt"),
+            ("smt", "icd", "two.txt"),
+        ]:
+            assert run([
+                "evaluate", "--config", cfg,
+                "--set", "evaluate.references=ref.txt",
+                "--set", f"evaluate.hypotheses={hyps}",
+                "--set", f"evaluate.system={system}",
+                "--set", f"evaluate.evalset={evalset}",
+            ]) == 0
+        assert run(["report", "--config", cfg]) == 0
+        assert (tmp_path / "run" / "results.tsv").read_text(encoding="utf-8") == (
+            "smt\ticd\tbleu\t0.313674\n"
+            "smt\ticd\tmeteor\t71.202532\n"
+            "smt\ticd\tchrf3\t38.118410\n"
+            "nmt\tzz\tbleu\t0.313674\n"
+            "nmt\tzz\tmeteor\t71.202532\n"
+            "nmt\tzz\tchrf3\t38.118410\n"
+            "smt\tifrs\tbleu\t0.001347\n"
+            "smt\tifrs\tmeteor\t54.665242\n"
+            "smt\tifrs\tchrf3\t23.544521\n"
+            "nmt\ticd\tbleu\t61.796546\n"
+            "nmt\ticd\tmeteor\t84.056122\n"
+            "nmt\ticd\tchrf3\t63.541667\n"
+        )
+        assert (tmp_path / "run" / "report.txt").read_text(encoding="utf-8") == (
+            "BLEU\n"
+            "                   icd        ifrs          zz\n"
+            "smt               0.31        0.00           /\n"
+            "nmt              61.80           /        0.31\n"
+            "\n"
+            "METEOR\n"
+            "                   icd        ifrs          zz\n"
+            "smt              71.20       54.67           /\n"
+            "nmt              84.06           /       71.20\n"
+            "\n"
+            "chrF3\n"
+            "                   icd        ifrs          zz\n"
+            "smt              38.12       23.54           /\n"
+            "nmt              63.54           /       38.12\n"
+        )
+
 
     @pytest.mark.parametrize(
         "hyp, ref, message",
