@@ -11,41 +11,36 @@ from . import pipeline
 from .config import load_config
 from .errors import TermforgeError
 
-SUBCOMMANDS = {
-    "prepare": "generate/normalize the configured corpora and fixtures",
-    "stats": "corpus statistics and vocabulary overlap reports",
-    "train-smt": "word alignment, phrase table, and language model",
-    "train-nmt": "neural encoder-decoder training",
-    "tune": "MERT weight tuning on the development set",
-    "adapt": "domain adaptation: re-tune SMT weights, fine-tune NMT",
-    "inject": "rank external terminology and annotate the eval source",
-    "translate": "decode an input file with the chosen system",
-    "evaluate": "score hypotheses with BLEU/chrF3/METEOR",
-    "report": "assemble the matrix report from collected results",
-}
 
-
-def _score_line(score) -> str:
-    return (
+def _evaluate(cfg, force) -> None:
+    score = pipeline.run_evaluate(cfg)
+    sys.stdout.write(
         f"BLEU {score.bleu:.2f}  chrF3 {score.chrf3:.2f}  "
         f"METEOR {score.meteor:.2f}  ({score.segment_count} segments)\n"
     )
 
 
-# subcommand -> run(cfg, force); return values are not used
-RUN = {
-    "prepare": lambda cfg, force: pipeline.run_prepare(cfg),
-    "stats": lambda cfg, force: sys.stdout.write(pipeline.run_stats(cfg)),
-    "train-smt": lambda cfg, force: pipeline.run_train_smt(cfg, force=force),
-    "train-nmt": lambda cfg, force: pipeline.run_train_nmt(cfg, force=force),
-    "tune": lambda cfg, force: pipeline.run_tune(cfg),
-    "adapt": lambda cfg, force: pipeline.run_adapt(cfg),
-    "inject": lambda cfg, force: pipeline.run_inject(cfg),
-    "translate": lambda cfg, force: pipeline.run_translate(cfg),
-    "evaluate": lambda cfg, force: sys.stdout.write(
-        _score_line(pipeline.run_evaluate(cfg))
-    ),
-    "report": lambda cfg, force: sys.stdout.write(pipeline.run_report(cfg)),
+# subcommand -> (help text, run(cfg, force)); return values are not used
+COMMANDS = {
+    "prepare": ("generate/normalize the configured corpora and fixtures",
+                lambda cfg, force: pipeline.run_prepare(cfg)),
+    "stats": ("corpus statistics and vocabulary overlap reports",
+              lambda cfg, force: sys.stdout.write(pipeline.run_stats(cfg))),
+    "train-smt": ("word alignment, phrase table, and language model",
+                  lambda cfg, force: pipeline.run_train_smt(cfg, force=force)),
+    "train-nmt": ("neural encoder-decoder training",
+                  lambda cfg, force: pipeline.run_train_nmt(cfg, force=force)),
+    "tune": ("MERT weight tuning on the development set",
+             lambda cfg, force: pipeline.run_tune(cfg)),
+    "adapt": ("domain adaptation: re-tune SMT weights, fine-tune NMT",
+              lambda cfg, force: pipeline.run_adapt(cfg)),
+    "inject": ("rank external terminology and annotate the eval source",
+               lambda cfg, force: pipeline.run_inject(cfg)),
+    "translate": ("decode an input file with the chosen system",
+                  lambda cfg, force: pipeline.run_translate(cfg)),
+    "evaluate": ("score hypotheses with BLEU/chrF3/METEOR", _evaluate),
+    "report": ("assemble the matrix report from collected results",
+               lambda cfg, force: sys.stdout.write(pipeline.run_report(cfg))),
 }
 
 
@@ -55,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Terminology-aware machine translation workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in SUBCOMMANDS.items():
+    for name, (help_text, _) in COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="pipeline config file")
         cmd.add_argument(
@@ -91,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         overrides.append(f"seed={args.seed}")
     try:
         cfg = load_config(args.config, overrides)
-        RUN[args.command](cfg, args.force)
+        _, run = COMMANDS[args.command]
+        run(cfg, args.force)
     except OSError as exc:
         where = "" if exc.filename is None else f"{exc.filename}: "
         sys.stderr.write(f"termforge {args.command}: {where}{exc.strerror or exc}\n")

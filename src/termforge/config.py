@@ -1,8 +1,8 @@
 """Flat key-value pipeline configuration with dotted keys.
 
 The format is one ``key = value`` assignment per line with ``#`` comments,
-chosen so configs diff cleanly.  Command-line ``--set key=value`` overrides
-lay over the file contents.
+chosen so configs diff cleanly; a file sets each key at most once.
+Command-line ``--set key=value`` overrides lay over the file contents.
 """
 
 from __future__ import annotations
@@ -81,6 +81,8 @@ def load_config(path, overrides: list[str] | None = None) -> PipelineConfig:
             key, value = parse_assignment(line)
         except ConfigError as exc:
             raise ConfigError(f"{path}: line {lineno}: {exc}") from None
+        if key in values:
+            raise ConfigError(f"{path}: line {lineno}: repeated key {key!r}")
         values[key] = value
     for item in overrides or []:
         key, value = parse_assignment(item)

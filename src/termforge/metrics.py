@@ -1,10 +1,15 @@
-"""Translation quality metrics: BLEU, chrF3, METEOR-lite, and reports.
+"""Translation quality metrics: BLEU, chrF3, METEOR-lite, the results
+file and the report.
 
 All metrics are corpus-level over already-tokenized segments, return values
 in [0, 100], and are pure functions of their inputs.  METEOR-lite keeps the
 exact-match alignment, recall-weighted harmonic mean, and fragmentation
 penalty, but drops the stemming/synonym/paraphrase stages, so its absolute
 values are not comparable with the reference tooling.
+
+The results file (``results.tsv``) has one row
+``system<TAB>evalset<TAB>metric<TAB>value`` per score; this module is its
+one reader (:func:`load_results`) and its one writer (:func:`save_results`).
 """
 
 from __future__ import annotations
@@ -13,6 +18,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import ModelFormatError
+from .files import atomic_open, read_lines
 
 Segment = Sequence[str]
 
@@ -29,16 +37,18 @@ METEOR_THETA = 3.0
 
 @dataclass
 class MetricScore:
-    # None only in a report read back from a results file that lacks it
-    bleu: float | None
-    chrf3: float | None
-    meteor: float | None
+    bleu: float
+    chrf3: float
+    meteor: float
     segment_count: int
 
 
 # the reported metrics in report order, each as (its title in the text
 # report, its MetricScore field and results TSV name)
 REPORTED = (("BLEU", "bleu"), ("METEOR", "meteor"), ("chrF3", "chrf3"))
+
+# (system, evalset) -> {metric: value}, in the results file's row order
+Results = dict[tuple[str, str], dict[str, float]]
 
 
 def _check_lengths(hypotheses, references):
@@ -224,45 +234,64 @@ def score_all(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> M
     )
 
 
-def format_report(results: dict[str, dict[str, MetricScore]]) -> str:
-    """Matrix-shaped text report: one block per metric, systems as rows and
-    evaluation sets as columns; ``/`` marks a missing evaluation set or
-    metric value."""
+def load_results(path) -> Results:
+    """The scores of a results file.  Blank lines are skipped; a row that
+    is not four tab-separated fields ending in a number, or whose metric is
+    not reported, raises :class:`ModelFormatError` naming the file and
+    line."""
+    known = [name for _, name in REPORTED]
+    results: Results = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            system, evalset, metric, value = line.split("\t")
+            number = float(value)
+        except ValueError:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: expected "
+                f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
+            ) from None
+        if metric not in known:
+            raise ModelFormatError(
+                f"{path}: line {lineno}: unknown metric {metric!r}, "
+                f"expected one of {', '.join(known)}"
+            )
+        results.setdefault((system, evalset), {})[metric] = number
+    return results
+
+
+def save_results(results: Results, path) -> None:
+    """Write ``results`` as a results file, every value to six decimals."""
+    with atomic_open(path) as f:
+        for (system, evalset), scores in results.items():
+            for metric, value in scores.items():
+                f.write(f"{system}\t{evalset}\t{metric}\t{value:.6f}\n")
+
+
+def format_report(results: Results) -> str:
+    """Matrix-shaped text report: one block per metric, systems as rows in
+    order of first appearance and evaluation sets as columns, one system's
+    sets after another's; ``/`` marks a missing evaluation set or metric
+    value."""
     if not results:
         raise ValueError("no results to report")
-    eval_sets: list[str] = []
-    for per_system in results.values():
-        for name in per_system:
-            if name not in eval_sets:
-                eval_sets.append(name)
-    width = max(
-        [len(s) for s in results] + [len(e) for e in eval_sets] + [10]
-    )
+    sets_of: dict[str, list[str]] = {}
+    for system, eval_set in results:
+        sets_of.setdefault(system, []).append(eval_set)
+    eval_sets = list(dict.fromkeys(e for sets in sets_of.values() for e in sets))
+    width = max([len(s) for s in sets_of] + [len(e) for e in eval_sets] + [10])
     blocks = []
-    for title, attr in REPORTED:
+    for title, name in REPORTED:
         lines = [title]
         header = " " * width + "".join(f"{e:>{width + 2}}" for e in eval_sets)
         lines.append(header)
-        for system, per_system in results.items():
+        for system in sets_of:
             row = f"{system:<{width}}"
             for eval_set in eval_sets:
-                score = per_system.get(eval_set)
-                value = None if score is None else getattr(score, attr)
+                value = results.get((system, eval_set), {}).get(name)
                 cell = "/" if value is None else f"{value:.2f}"
                 row += f"{cell:>{width + 2}}"
             lines.append(row)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
-
-
-def format_report_tsv(results: dict[str, dict[str, MetricScore]]) -> str:
-    """Machine-readable export: ``system<TAB>evalset<TAB>metric<TAB>value``."""
-    if not results:
-        raise ValueError("no results to report")
-    lines = []
-    for system, per_system in results.items():
-        for eval_set, score in per_system.items():
-            for _, name in REPORTED:
-                value = getattr(score, name)
-                lines.append(f"{system}\t{eval_set}\t{name}\t{value:.6f}")
-    return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ import os
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError, MarkupError, ModelFormatError, SearchError
+from .errors import ConfigError, MarkupError, SearchError
 from .files import atomic_open, read_lines
 from .fixtures import write_fixture_files
 
@@ -399,19 +399,10 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
     score = metrics.score_all(pairs.source_sentences, pairs.target_sentences)
     system = cfg.get("evaluate.system", "system")
     evalset = cfg.get("evaluate.evalset", "eval")
-    rows = metrics.format_report_tsv({system: {evalset: score}}).splitlines()
     results_path = cfg.path("evaluate.results", "results.tsv")
-    existing = read_lines(results_path) if os.path.exists(results_path) else []
-    key = f"{system}\t{evalset}\t"
-    lines = []
-    for line in existing:
-        if not line.startswith(key):
-            lines.append(line)
-        elif rows:  # the first old row of this pair takes the new rows
-            lines.extend(rows)
-            rows = []
-    with atomic_open(results_path) as f:
-        f.write("\n".join(lines + rows) + "\n")
+    results = metrics.load_results(results_path) if os.path.exists(results_path) else {}
+    results[system, evalset] = {name: getattr(score, name) for _, name in metrics.REPORTED}
+    metrics.save_results(results, results_path)
     log.info(
         "evaluate: %s on %s -> BLEU %.2f chrF3 %.2f METEOR %.2f",
         system, evalset, score.bleu, score.chrf3, score.meteor,
@@ -420,39 +411,11 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
 
 
 def run_report(cfg: PipelineConfig) -> str:
-    """Assemble the matrix report from the accumulated results TSV.  A
-    metric the file lacks for a system and evaluation set prints as ``/``;
-    a metric name the report does not know is an error."""
-    results_path = cfg.input_path("evaluate.results")
-    known = [name for _, name in metrics.REPORTED]
-    table: dict[str, dict[str, dict[str, float]]] = {}
-    for lineno, line in enumerate(read_lines(results_path), start=1):
-        if not line.strip():
-            continue
-        try:
-            system, evalset, metric, value = line.split("\t")
-            number = float(value)
-        except ValueError:
-            raise ModelFormatError(
-                f"{results_path}: line {lineno}: expected "
-                f"system<TAB>evalset<TAB>metric<TAB>number, got {line!r}"
-            ) from None
-        if metric not in known:
-            raise ModelFormatError(
-                f"{results_path}: line {lineno}: unknown metric {metric!r}, "
-                f"expected one of {', '.join(known)}"
-            )
-        table.setdefault(system, {}).setdefault(evalset, {})[metric] = number
-    results = {
-        system: {
-            evalset: metrics.MetricScore(
-                **{name: vals.get(name) for name in known}, segment_count=0
-            )
-            for evalset, vals in per_system.items()
-        }
-        for system, per_system in table.items()
-    }
-    report = metrics.format_report(results)
+    """Assemble the matrix report from the accumulated results TSV (see
+    :func:`metrics.load_results`)."""
+    report = metrics.format_report(
+        metrics.load_results(cfg.input_path("evaluate.results"))
+    )
     with atomic_open(cfg.path("report.output", "report.txt")) as f:
         f.write(report)
     return report

@@ -134,6 +134,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="c.cfg: line 1"):
             load_config(path)
 
+    def test_repeated_key_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("a.b = 1\n# again\na.b = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"c.cfg: line 3: repeated key 'a.b'"):
+            load_config(path)
+        # an override still replaces the file's value
+        path.write_text("a.b = 1\n", encoding="utf-8")
+        assert load_config(path, overrides=["a.b=2", "a.b=3"]).get("a.b") == "3"
+
     def test_relative_paths_resolve_from_config_dir(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("data.dir = sub/data\n", encoding="utf-8")
@@ -561,6 +570,26 @@ class TestEvaluate:
             "nmt              63.54           /       38.12\n"
         )
 
+    def test_malformed_existing_row_leaves_results_unchanged(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        (tmp_path / "ref.txt").write_text("a b c d\n", encoding="utf-8")
+        results = tmp_path / "run" / "results.tsv"
+        results.parent.mkdir()
+        before = "nmt\ticdtoy\tbleu\t50.0\n\nnmt\ticdtoy\tmeteor\thigh\n"
+        results.write_text(before, encoding="utf-8")
+        assert run([
+            "evaluate", "--config", cfg,
+            "--set", "evaluate.references=ref.txt",
+            "--set", "evaluate.hypotheses=ref.txt",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"{results}: line 3: " in err
+        assert "Traceback" not in err
+        assert results.read_text(encoding="utf-8") == before
+
 
     @pytest.mark.parametrize(
         "hyp, ref, message",
@@ -675,6 +704,43 @@ class TestTranslateBpe:
             base_dir=str(tmp_path),
         )
         assert pipeline.run_translate(cfg) == [tuple(expected.split())]
+        assert (tmp_path / "out.txt").read_text() == expected + "\n"
+
+
+class TestTranslateReplaceUnk:
+    @pytest.mark.parametrize(
+        "lexicon, expected",
+        [
+            ("b\tzz\n", "zz"),
+            # the attended word is looked up as a one-token term only
+            ("a b\tzz\n", "b"),
+        ],
+    )
+    def test_unknown_takes_the_one_token_term_of_its_source_word(
+        self, tmp_path, monkeypatch, lexicon, expected
+    ):
+        from termforge import nmt, pipeline
+        from termforge.config import PipelineConfig
+
+        small_nmt_model(tmp_path)
+        (tmp_path / "in.txt").write_text("a b\n", encoding="utf-8")
+        (tmp_path / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
+
+        def fake_translate(model, tokens, beam_width=5):
+            return ("<unk>",), np.array([[0.0, 1.0]]), 0.0  # attends to "b"
+
+        monkeypatch.setattr(nmt, "translate", fake_translate)
+        cfg = PipelineConfig(
+            {
+                "translate.system": "nmt",
+                "model.nmt.dir": ".",
+                "translate.input": "in.txt",
+                "translate.output": "out.txt",
+                "translate.replace_unk_lexicon": "lexicon.tsv",
+            },
+            base_dir=str(tmp_path),
+        )
+        assert pipeline.run_translate(cfg) == [(expected,)]
         assert (tmp_path / "out.txt").read_text() == expected + "\n"
 
 

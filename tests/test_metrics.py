@@ -9,14 +9,14 @@ import pytest
 from termforge import metrics
 from termforge.metrics import (
     BLEU_ORDER,
-    MetricScore,
     bleu,
     bleu_from_stats,
     bleu_stats,
     chrf3,
     format_report,
-    format_report_tsv,
+    load_results,
     meteor_lite,
+    save_results,
     score_all,
 )
 
@@ -245,17 +245,18 @@ class TestMeteorLite:
 
 class TestReport:
     def one_score(self):
-        return MetricScore(bleu=12.5, chrf3=40.0, meteor=20.0, segment_count=3)
+        return {"bleu": 12.5, "meteor": 20.0, "chrf3": 40.0}
 
     def test_single_cell(self):
-        text = format_report({"smt": {"icd": self.one_score()}})
+        text = format_report({("smt", "icd"): self.one_score()})
         assert "BLEU" in text and "chrF3" in text and "METEOR" in text
         assert "12.50" in text and "40.00" in text
 
     def test_matrix_shape_and_missing_cells(self):
         results = {
-            "smt": {"icd": self.one_score(), "ifrs": self.one_score()},
-            "nmt": {"icd": self.one_score()},
+            ("smt", "icd"): self.one_score(),
+            ("smt", "ifrs"): self.one_score(),
+            ("nmt", "icd"): self.one_score(),
         }
         text = format_report(results)
         lines = text.splitlines()
@@ -264,11 +265,15 @@ class TestReport:
         assert "icd" in bleu_block[1] and "ifrs" in bleu_block[1]
         assert any(row.startswith("nmt") and "/" in row for row in bleu_block)
 
-    def test_tsv_export(self):
-        text = format_report_tsv({"smt": {"icd": self.one_score()}})
+    def test_tsv_export(self, tmp_path):
+        results = {("smt", "icd"): self.one_score()}
+        path = tmp_path / "results.tsv"
+        save_results(results, path)
+        text = path.read_text(encoding="utf-8")
         rows = [line.split("\t") for line in text.strip().splitlines()]
         assert ["smt", "icd", "bleu", "12.500000"] in rows
         assert ["smt", "icd", "chrf3", "40.000000"] in rows
+        assert load_results(path) == results
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
