@@ -89,7 +89,8 @@ def main(argv: list[str] | None = None) -> int:
         _, run = COMMANDS[args.command]
         run(cfg, args.force)
     except OSError as exc:
-        where = "" if exc.filename is None else f"{exc.filename}: "
+        name = exc.filename2 or exc.filename  # os.replace names its target second
+        where = "" if name is None else f"{name}: "
         sys.stderr.write(f"termforge {args.command}: {where}{exc.strerror or exc}\n")
         return 1
     except TermforgeError as exc:

@@ -15,7 +15,8 @@ several ``translate`` calls parses each file once.  A changed file is
 parsed again.  Settings that a trained model already fixes are read from
 the model, not from the config: the phrase-length limit is the phrase table's longest source
 phrase, and an NMT model is subword-level exactly when it holds BPE
-merges.
+merges.  Every other setting, default and bound included, is declared in
+:data:`termforge.config.KEYS` and checked when the config is loaded.
 """
 
 from __future__ import annotations
@@ -27,36 +28,18 @@ import os
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError, MarkupError, SearchError
+from .errors import ConfigError, MarkupError, ModelFormatError, SearchError
 from .files import atomic_open, read_lines
 from .fixtures import write_fixture_files
 
 log = logging.getLogger("termforge.pipeline")
 
 
-def _choice(cfg: PipelineConfig, key: str, default: str, choices) -> str:
-    """The value of ``key``, which must be one of ``choices``."""
-    value = cfg.get(key, default)
-    if value not in choices:
-        raise ConfigError(
-            f"{key} must be one of {', '.join(choices)}, got {value!r}"
-        )
-    return value
-
-
-def _at_least(cfg: PipelineConfig, key: str, default: int, minimum: int) -> int:
-    """The integer value of ``key``, which must be ``>= minimum``."""
-    value = cfg.get_int(key, default)
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}, got {value}")
-    return value
-
-
 def _load_split(cfg: PipelineConfig, split: str) -> corpus.ParallelCorpus:
     return corpus.load_parallel(
         cfg.input_path(f"corpus.{split}.source"),
         cfg.input_path(f"corpus.{split}.target"),
-        name=cfg.get(f"corpus.{split}.name", split),
+        name=cfg[f"corpus.{split}.name"],
     )
 
 
@@ -80,12 +63,8 @@ def run_prepare(cfg: PipelineConfig) -> None:
     terminology lexicon there (idempotent: identical seeds rewrite the same
     bytes).
     """
-    fixtures_dir = cfg.get("fixtures.dir")
-    if fixtures_dir is None:
-        raise ConfigError("prepare needs fixtures.dir")
-    paths = write_fixture_files(
-        cfg.path("fixtures.dir"), seed=cfg.get_int("fixtures.seed", cfg.seed)
-    )
+    fixtures_dir, seed = cfg.path("fixtures.dir"), cfg["fixtures.seed"]
+    paths = write_fixture_files(fixtures_dir, seed=cfg["seed"] if seed is None else seed)
     log.info("prepare: wrote %d fixture files to %s", len(paths), fixtures_dir)
 
 
@@ -95,7 +74,7 @@ def run_stats(cfg: PipelineConfig) -> str:
     sections = [corpus.format_stats([corpus.corpus_stats(train)])]
     overlaps = []
     for split in ("dev", "eval"):
-        if cfg.get(f"corpus.{split}.source") is None:
+        if cfg[f"corpus.{split}.source"] is None:
             continue
         split_corpus = _load_split(cfg, split)
         sections.append(corpus.format_stats([corpus.corpus_stats(split_corpus)]))
@@ -103,7 +82,7 @@ def run_stats(cfg: PipelineConfig) -> str:
     if overlaps:
         sections.append(corpus.format_overlap(overlaps))
     report = "\n".join(sections)
-    with atomic_open(cfg.path("stats.output", "stats.txt")) as f:
+    with atomic_open(cfg.path("stats.output")) as f:
         f.write(report)
     return report
 
@@ -116,20 +95,17 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     dropped, and the phrase table is written and dropped.  Only then is
     the language model trained and written, and the default weights last.
     """
-    iterations = _at_least(cfg, "smt.em_iterations", 8, 1)
-    max_phrase_len = _at_least(cfg, "smt.max_phrase_len", 7, 1)
-    order = _at_least(cfg, "smt.lm_order", 5, 1)
-    model_dir = cfg.path("model.smt.dir", "smt-model")
+    model_dir = cfg.path("model.smt.dir")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
-    table = align.ibm1_em(train, iterations)
+    table = align.ibm1_em(train, cfg["smt.em_iterations"])
     alignments = [align.viterbi_align(table, pair) for pair in train.pairs]
-    ptable = align.extract_phrases(train, alignments, table, max_phrase_len)
+    ptable = align.extract_phrases(train, alignments, table, cfg["smt.max_phrase_len"])
     del table, alignments
     entries = len(ptable)
     align.save_phrase_table(ptable, os.path.join(model_dir, "phrase-table.txt"))
     del ptable
-    model = lm.train_lm(train.target_sentences, order=order)
+    model = lm.train_lm(train.target_sentences, order=cfg["smt.lm_order"])
     lm.save_arpa(model, os.path.join(model_dir, "lm.arpa"))
     smt.save_weights(
         smt.LogLinearWeights.default(), os.path.join(model_dir, "weights.txt")
@@ -170,7 +146,7 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
     unchanged files share the same objects, which callers must treat as
     read-only.  The weights are read on every call.
     """
-    model_dir = cfg.path("model.smt.dir", "smt-model")
+    model_dir = cfg.path("model.smt.dir")
     ptable = _parse_once(
         "phrase-table", align.load_phrase_table,
         os.path.join(model_dir, "phrase-table.txt"),
@@ -182,17 +158,12 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
 
 def _beam(cfg: PipelineConfig) -> smt.BeamConfig:
     return smt.BeamConfig(
-        stack_size=_at_least(cfg, "smt.stack_size", 100, 1),
-        distortion_limit=_at_least(cfg, "smt.distortion_limit", 6, 0),
+        stack_size=cfg["smt.stack_size"], distortion_limit=cfg["smt.distortion_limit"]
     )
 
 
 def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     """MERT on the configured development set; overwrites the weights file."""
-    beam = _beam(cfg)
-    restarts = _at_least(cfg, "smt.mert.restarts", 3, 0)
-    iterations = _at_least(cfg, "smt.mert.iterations", 4, 0)
-    nbest = _at_least(cfg, "smt.mert.nbest", 100, 1)
     model_dir, ptable, model, weights = _smt_artifacts(cfg)
     dev = _load_split(cfg, "dev")
     try:
@@ -201,11 +172,11 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
             ptable,
             model,
             weights,
-            restarts=restarts,
-            iterations=iterations,
-            nbest=nbest,
-            seed=cfg.seed,
-            beam=beam,
+            restarts=cfg["smt.mert.restarts"],
+            iterations=cfg["smt.mert.iterations"],
+            nbest=cfg["smt.mert.nbest"],
+            seed=cfg["seed"],
+            beam=_beam(cfg),
         )
     except SearchError as exc:
         # dev sentences are searched in order, so the first line holding
@@ -220,102 +191,70 @@ def run_tune(cfg: PipelineConfig, weights_out: str = "weights.txt") -> None:
     log.info("tune: wrote %s", weights_out)
 
 
-# TrainConfig fields that fine-tuning reads from nmt.adapt.* keys
-_ADAPT_FIELDS = ("epochs", "batch_size", "learning_rate")
-
-
 def _nmt_config(cfg: PipelineConfig, adapt: bool = False) -> nmt.TrainConfig:
     """The NMT training settings, or with ``adapt`` the fine-tuning ones
-    (``nmt.adapt.*`` over ``nmt.*``).  A value out of range raises a
-    ConfigError naming its key.
+    (``nmt.adapt.*`` over ``nmt.*``).
 
     Gradient clipping, the learning-rate decay and the vocabulary caps
     keep their :class:`nmt.TrainConfig` defaults; fine-tuning never decays
     its rate, and it keeps the dropout of the model it starts from.
     """
+    prefix = "nmt.adapt." if adapt else "nmt."
     config = nmt.TrainConfig(
-        layers=cfg.get_int("nmt.layers", 2),
-        hidden=cfg.get_int("nmt.hidden", 64),
-        batch_size=cfg.get_int("nmt.batch_size", 16),
-        dropout=cfg.get_float("nmt.dropout", 0.3),
-        epochs=cfg.get_int("nmt.epochs", 13),
-        learning_rate=cfg.get_float("nmt.learning_rate", 1.0),
-        seed=cfg.seed,
+        layers=cfg["nmt.layers"],
+        hidden=cfg["nmt.hidden"],
+        batch_size=cfg[prefix + "batch_size"],
+        dropout=cfg["nmt.dropout"],
+        epochs=cfg[prefix + "epochs"],
+        learning_rate=cfg[prefix + "learning_rate"],
+        seed=cfg["seed"],
     )
-    if adapt:
-        config = dataclasses.replace(
-            config,
-            epochs=cfg.get_int("nmt.adapt.epochs", 35),
-            batch_size=cfg.get_int("nmt.adapt.batch_size", 2),
-            learning_rate=cfg.get_float("nmt.adapt.learning_rate", 1.0),
-            decay_factor=1.0,
-        )
-    try:
-        config.validate()
-    except ValueError as exc:
-        field = str(exc).split()[0]  # validate names the field first
-        prefix = "nmt.adapt." if adapt and field in _ADAPT_FIELDS else "nmt."
-        raise ConfigError(f"{prefix}{exc}") from None
-    return config
+    return dataclasses.replace(config, decay_factor=1.0) if adapt else config
 
 
 def run_train_nmt(cfg: PipelineConfig, force: bool = False) -> None:
     """Train the neural model, learning subword merges first when asked."""
-    segmentation = _choice(cfg, "nmt.segmentation", "word", ("word", "bpe"))
-    config = _nmt_config(cfg)
-    merges = _at_least(cfg, "bpe.num_merges", 1000, 0)
-    model_dir = cfg.path("model.nmt.dir", "nmt-model")
+    model_dir = cfg.path("model.nmt.dir")
     _guard_model_dir(model_dir, force)
     train_corpus = _load_split(cfg, "train")
     src_bpe = tgt_bpe = None
-    if segmentation == "bpe":
+    if cfg["nmt.segmentation"] == "bpe":
         src_bpe = bpe.learn_bpe(
-            corpus.word_frequencies(train_corpus.source_sentences), merges
+            corpus.word_frequencies(train_corpus.source_sentences), cfg["bpe.num_merges"]
         )
         tgt_bpe = bpe.learn_bpe(
-            corpus.word_frequencies(train_corpus.target_sentences), merges
+            corpus.word_frequencies(train_corpus.target_sentences), cfg["bpe.num_merges"]
         )
-    model = nmt.train(train_corpus, config, src_bpe=src_bpe, tgt_bpe=tgt_bpe)
+    model = nmt.train(train_corpus, _nmt_config(cfg), src_bpe=src_bpe, tgt_bpe=tgt_bpe)
     nmt.save_model(model, os.path.join(model_dir, "model.tfnmt"))
-    log.info("train-nmt: saved %s model to %s", segmentation, model_dir)
+    log.info("train-nmt: saved %s model to %s", cfg["nmt.segmentation"], model_dir)
 
 
 def run_adapt(cfg: PipelineConfig) -> None:
-    """Domain adaptation for both systems from the configured dev terms:
-    re-run MERT for the SMT weights and fine-tune the neural weights."""
-    did = False
-    nmt_path = ft_config = None
-    if cfg.get("model.nmt.dir") is not None:
-        ft_config = _nmt_config(cfg, adapt=True)
-        candidate = os.path.join(cfg.path("model.nmt.dir"), "model.tfnmt")
-        if os.path.exists(candidate):
-            nmt_path = candidate
-    smt_dir = cfg.get("model.smt.dir")
-    if smt_dir is not None and os.path.exists(
-        os.path.join(cfg.path("model.smt.dir"), "phrase-table.txt")
-    ):
-        run_tune(cfg, weights_out="weights-adapted.txt")
-        did = True
-    if nmt_path is not None:
-        model = nmt.load_model(nmt_path)
-        dev = _load_split(cfg, "dev")
-        adapted = nmt.fine_tune(model, dev, ft_config)
-        nmt.save_model(
-            adapted, os.path.join(cfg.path("model.nmt.dir"), "model-adapted.tfnmt")
+    """Domain adaptation, from the configured dev terms, of each system
+    whose model directory holds a trained model: re-run MERT for the SMT
+    weights and fine-tune the neural weights."""
+    smt_dir, nmt_dir = cfg.path("model.smt.dir"), cfg.path("model.nmt.dir")
+    has_smt = os.path.exists(os.path.join(smt_dir, "phrase-table.txt"))
+    nmt_path = os.path.join(nmt_dir, "model.tfnmt")
+    has_nmt = os.path.exists(nmt_path)
+    if not (has_smt or has_nmt):
+        raise ConfigError(
+            f"adapt: no trained SMT model in {smt_dir} and no NMT model in {nmt_dir}"
         )
-        did = True
-    if not did:
-        raise ConfigError("adapt: no trained SMT or NMT model found to adapt")
+    if has_smt:
+        run_tune(cfg, weights_out="weights-adapted.txt")
+    if has_nmt:
+        dev = _load_split(cfg, "dev")
+        adapted = nmt.fine_tune(nmt.load_model(nmt_path), dev, _nmt_config(cfg, adapt=True))
+        nmt.save_model(adapted, os.path.join(nmt_dir, "model-adapted.tfnmt"))
     log.info("adapt: done")
 
 
 def run_inject(cfg: PipelineConfig) -> None:
     """Rank the external lexicon and annotate the evaluation source with
     constraint spans; also writes the ranked lexicon for the NMT path."""
-    ranking = _choice(
-        cfg, "inject.ranking", inject.UNIFORM, (inject.UNIFORM, inject.COSINE)
-    )
-    mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
+    ranking, mode = cfg["inject.ranking"], cfg["inject.mode"]
     lexicon = corpus.load_lexicon(cfg.input_path("lexicon.path"))
     domain = inject.VocabVector()  # uniform ranking reads no domain
     if ranking == inject.COSINE:
@@ -329,25 +268,22 @@ def run_inject(cfg: PipelineConfig) -> None:
         smt.format_markup(inject.annotate(src, ranked, mode))
         for src, _ in eval_corpus.pairs
     ]
-    with atomic_open(cfg.path("inject.output", "annotated.txt")) as f:
+    with atomic_open(cfg.path("inject.output")) as f:
         f.write("\n".join(lines) + "\n")
-    corpus.save_lexicon(ranked, cfg.path("inject.lexicon_output", "lexicon-ranked.tsv"))
+    corpus.save_lexicon(ranked, cfg.path("inject.lexicon_output"))
     log.info("inject: annotated %d lines (%s, %s)", len(lines), mode, ranking)
 
 
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system, one output
     line per input line: a blank line gives a blank line."""
-    system = _choice(cfg, "translate.system", "smt", ("smt", "nmt"))
-    mode = _choice(cfg, "inject.mode", smt.EXCLUSIVE, smt.MODES)
-    beam_width = _at_least(cfg, "translate.beam", 5, 1)
-    beam = _beam(cfg) if system == "smt" else None
+    system, mode = cfg["translate.system"], cfg["inject.mode"]
     input_path = cfg.input_path("translate.input")
     lines = read_lines(input_path)
 
     if system == "smt":
-        weights_name = cfg.get("translate.weights", "weights.txt")
-        weights_path = os.path.join(cfg.path("model.smt.dir", "smt-model"), weights_name)
+        beam, weights_name = _beam(cfg), cfg["translate.weights"]
+        weights_path = os.path.join(cfg.path("model.smt.dir"), weights_name)
         if not os.path.exists(weights_path):
             raise ConfigError(f"translate.weights: {weights_path} does not exist")
         _, ptable, model, weights = _smt_artifacts(cfg, weights_name)
@@ -364,14 +300,12 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
                 ) from None
 
     else:
-        model_name = cfg.get("translate.model", "model.tfnmt")
         model = _parse_once(
             "nmt-model", nmt.load_model,
-            os.path.join(cfg.path("model.nmt.dir"), model_name),
+            os.path.join(cfg.path("model.nmt.dir"), cfg["translate.model"]),
         )
-        lexicon = None
-        lex_path = cfg.get("translate.replace_unk_lexicon")
-        if lex_path is not None:
+        beam_width, lexicon = cfg["translate.beam"], None
+        if cfg["translate.replace_unk_lexicon"] is not None:
             lexicon = corpus.load_lexicon(cfg.input_path("translate.replace_unk_lexicon"))
 
         def translate_line(lineno, line):
@@ -383,7 +317,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
 
     outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
     text = "".join(" ".join(tokens) + "\n" for tokens in outputs)
-    with atomic_open(cfg.path("translate.output", "hypotheses.txt")) as f:
+    with atomic_open(cfg.path("translate.output")) as f:
         f.write(text)
     log.info("translate: %d lines via %s", len(outputs), system)
     return outputs
@@ -397,9 +331,8 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
         cfg.input_path("evaluate.hypotheses"), cfg.input_path("evaluate.references")
     )
     score = metrics.score_all(pairs.source_sentences, pairs.target_sentences)
-    system = cfg.get("evaluate.system", "system")
-    evalset = cfg.get("evaluate.evalset", "eval")
-    results_path = cfg.path("evaluate.results", "results.tsv")
+    system, evalset = cfg["evaluate.system"], cfg["evaluate.evalset"]
+    results_path = cfg.path("evaluate.results")
     results = metrics.load_results(results_path) if os.path.exists(results_path) else {}
     results[system, evalset] = {name: getattr(score, name) for _, name in metrics.REPORTED}
     metrics.save_results(results, results_path)
@@ -413,9 +346,11 @@ def run_evaluate(cfg: PipelineConfig) -> metrics.MetricScore:
 def run_report(cfg: PipelineConfig) -> str:
     """Assemble the matrix report from the accumulated results TSV (see
     :func:`metrics.load_results`)."""
-    report = metrics.format_report(
-        metrics.load_results(cfg.input_path("evaluate.results"))
-    )
-    with atomic_open(cfg.path("report.output", "report.txt")) as f:
+    results_path = cfg.input_path("evaluate.results")
+    results = metrics.load_results(results_path)
+    if not results:
+        raise ModelFormatError(f"{results_path}: no results to report")
+    report = metrics.format_report(results)
+    with atomic_open(cfg.path("report.output")) as f:
         f.write(report)
     return report

@@ -114,19 +114,46 @@ def small_nmt_model(model_dir):
 class TestConfig:
     def test_parse_and_overrides(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("# comment\na.b = 1\nname = x y\n", encoding="utf-8")
-        cfg = load_config(path, overrides=["a.b=2", "new.key=3"])
-        assert cfg.get_int("a.b", 0) == 2
-        assert cfg.get("name") == "x y"
-        assert cfg.get_int("new.key", 0) == 3
+        path.write_text(
+            "# comment\nsmt.stack_size = 1\nevaluate.system = x y\n", encoding="utf-8"
+        )
+        cfg = load_config(path, overrides=["smt.stack_size=2", "translate.beam=3"])
+        assert cfg["smt.stack_size"] == 2
+        assert cfg["evaluate.system"] == "x y"
+        assert cfg["translate.beam"] == 3
 
     def test_typed_getters(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("rate = 0.5\n", encoding="utf-8")
+        path.write_text("nmt.dropout = 0.5\n", encoding="utf-8")
         cfg = load_config(path)
-        assert cfg.get_float("rate", 0.0) == 0.5
+        assert cfg["nmt.dropout"] == 0.5
+        # an unset key has its declared default
+        assert cfg["nmt.learning_rate"] == 1.0 and cfg["translate.system"] == "smt"
+        assert cfg["model.smt.dir"] == str(tmp_path / "smt-model")
         with pytest.raises(ConfigError):
-            cfg.get_int("rate", 0)
+            load_config(path, overrides=["nmt.layers=0.5"])
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("smt.stack_sise = 3", "unknown key 'smt.stack_sise'"),
+            ("smt.stack_size = ten", "smt.stack_size must be an integer, got 'ten'"),
+            ("smt.stack_size = 0", "smt.stack_size must be >= 1, got '0'"),
+            ("nmt.dropout = 1", "nmt.dropout must be in [0, 1), got '1'"),
+            ("inject.mode = bogus", "inject.mode must be one of exclusive, "),
+            ("evaluate.system = a\tb", "evaluate.system must be a non-empty name"),
+            ("model.smt.dir =", "model.smt.dir must be a non-empty path"),
+        ],
+    )
+    def test_bad_file_line_names_file_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"seed = 1\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"c.cfg: line 3: {message}")):
+            load_config(path)
+        # an override is checked the same way, and named as one
+        path.write_text("seed = 1\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=re.escape(f"--set: {message}")):
+            load_config(path, overrides=[line])
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -136,18 +163,18 @@ class TestConfig:
 
     def test_repeated_key_names_file_line_and_key(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("a.b = 1\n# again\na.b = 2\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"c.cfg: line 3: repeated key 'a.b'"):
+        path.write_text("seed = 1\n# again\nseed = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"c.cfg: line 3: repeated key 'seed'"):
             load_config(path)
         # an override still replaces the file's value
-        path.write_text("a.b = 1\n", encoding="utf-8")
-        assert load_config(path, overrides=["a.b=2", "a.b=3"]).get("a.b") == "3"
+        path.write_text("seed = 1\n", encoding="utf-8")
+        assert load_config(path, overrides=["seed=2", "seed=3"])["seed"] == 3
 
     def test_relative_paths_resolve_from_config_dir(self, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text("data.dir = sub/data\n", encoding="utf-8")
+        path.write_text("corpus.train.source = sub/data\n", encoding="utf-8")
         cfg = load_config(path)
-        assert cfg.path("data.dir") == str(tmp_path / "sub" / "data")
+        assert cfg.path("corpus.train.source") == str(tmp_path / "sub" / "data")
 
     def test_parse_assignment_rejects_empty_key(self):
         with pytest.raises(ConfigError):
@@ -301,6 +328,15 @@ class TestConfigValidation:
             ("translate", "inject.mode=bogus", "inject.mode"),
             ("train-nmt", "nmt.learning_rate=nan", "nmt.learning_rate"),
             ("adapt", "nmt.adapt.learning_rate=0", "nmt.adapt.learning_rate"),
+            # a key, or a value, that no stage reads is checked all the same
+            ("tune", "smt.stack_sise=3", "unknown key 'smt.stack_sise'"),
+            ("tune", "smt.stack_size=ten", "smt.stack_size must be an integer"),
+            ("train-nmt", "nmt.clip_norm=1", "unknown key 'nmt.clip_norm'"),
+            ("evaluate", "evaluate.system=a\tb", "evaluate.system"),
+            ("prepare", "threads=4", "threads must be one of 1, got '4'"),
+            ("train-smt", "nmt.dropout=1", "nmt.dropout"),
+            # numpy's generators take no negative seed
+            ("train-nmt", "seed=-1", "seed must be >= 0"),
         ],
     )
     def test_bad_value_names_key_before_work(
@@ -619,6 +655,18 @@ class TestEvaluate:
 
 
 class TestReport:
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    def test_no_rows_names_the_file(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        results = tmp_path / "run" / "results.tsv"
+        results.parent.mkdir()
+        results.write_text(text, encoding="utf-8")
+        assert run(["report", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"termforge report: {results}: no results to report\n"
+        assert not (tmp_path / "run" / "report.txt").exists()
+
     @pytest.mark.parametrize(
         "bad_row", ["smt\ticdtoy\tbleu", "smt\ticdtoy\tbleu\thigh"]
     )
@@ -789,6 +837,18 @@ class TestUnreadableInput:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err == f"termforge stats: {tmp_path / 'corpus'}: Is a directory\n"
+
+    def test_directory_as_output_is_named(self, tmp_path, monkeypatch, capsys):
+        """A failed replace names the output, not the temp file it wrote."""
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        assert run(["prepare", "--config", cfg]) == 0
+        (tmp_path / "out").mkdir()
+        argv = ["stats", "--config", cfg, "--set", "stats.output=out"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"termforge stats: {tmp_path / 'out'}: Is a directory\n"
+        assert list(tmp_path.rglob(".tmp-*")) == []
 
     @pytest.mark.parametrize("sep", ["\x85", "\u2028"])
     def test_unicode_break_is_not_a_line_end(self, tmp_path, monkeypatch, sep):
