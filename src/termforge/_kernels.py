@@ -44,17 +44,16 @@ def estep_index(src_flat, src_off, tgt_flat, tgt_off, n_tgt):
     return cells, pos, reps
 
 
-def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts, *, index=None):
+def ibm1_estep(src_flat, src_off, tgt_flat, tgt_off, table, counts, *, index):
     """Accumulate one EM iteration's expected counts; returns log-likelihood.
 
     Sentences arrive flattened (``*_flat``) with offset arrays (``*_off``).
     ``counts`` is a zeroed array of the table's shape, added to in place;
     source index 0 is the null token, already present in every source
     sentence.  ``index`` is :func:`estep_index` of these arrays and the
-    table's column count; without it the step builds its own.
+    table's column count, which the caller builds once per run; the step
+    reads the corpus only through it.
     """
-    if index is None:
-        index = estep_index(src_flat, src_off, tgt_flat, tgt_off, table.shape[1])
     cells, pos, reps = index
     vals = table.reshape(-1)[cells]
     denom = np.bincount(pos, weights=vals, minlength=reps.size)

@@ -65,13 +65,6 @@ class TranslationTable:
             return 0.0
         return float(self.table[si, ti])
 
-    def inv_prob(self, source_word: str, target_word: str) -> float:
-        si = self._src_index.get(source_word)
-        ti = self._tgt_index.get(target_word)
-        if si is None or ti is None:
-            return 0.0
-        return float(self.inverse[si, ti])
-
 
 def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
     """Train IBM Model 1 by EM from a uniform start.
@@ -413,7 +406,8 @@ def save_phrase_table(ptable: PhraseTable, path) -> None:
 
 def load_phrase_table(path) -> PhraseTable:
     """Read the lines :func:`save_phrase_table` writes.  Each word is one
-    shared string, however many phrases hold it."""
+    shared string, however many phrases hold it.  A table with no entries
+    is never written, so an empty or blank file is malformed."""
     entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
@@ -435,4 +429,6 @@ def load_phrase_table(path) -> PhraseTable:
         if len(feats) != 4:
             raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
         entries[src].append(PhraseOption(tgt, feats))
+    if not entries:
+        raise ModelFormatError(f"{path}: no phrase entries")
     return PhraseTable(dict(entries))

@@ -1,4 +1,9 @@
-"""Byte-pair-encoding subword segmentation: learning, applying, reversing."""
+"""Byte-pair-encoding subword segmentation: learning, applying, reversing.
+
+Every non-final piece of a word carries the continuation marker ``@@``
+(:data:`MARKER`), the convention of Sennrich et al. (2016) and subword-nmt;
+the marker is fixed, so a model is its merge list alone.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from typing import Mapping, Sequence
 from .errors import EmptyCorpusError
 
 END_OF_WORD = "</w>"
-DEFAULT_MARKER = "@@"
+MARKER = "@@"
 
 
 @dataclass
@@ -17,7 +22,6 @@ class BpeModel:
     """Ordered merge list; rank 0 is the first (most frequent) merge."""
 
     merges: list[tuple[str, str]]
-    marker: str = DEFAULT_MARKER
     _cache: dict[str, tuple[str, ...]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -47,9 +51,7 @@ def _merge_word(symbols: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, .
     return tuple(out)
 
 
-def learn_bpe(
-    freqs: Mapping[str, int], num_merges: int, marker: str = DEFAULT_MARKER
-) -> BpeModel:
+def learn_bpe(freqs: Mapping[str, int], num_merges: int) -> BpeModel:
     """Learn merges from a word-frequency map.
 
     Each word is a character sequence plus an end-of-word symbol; every merge
@@ -71,7 +73,7 @@ def learn_bpe(
         best = min(p for p, c in counts.items() if c == best_count)
         merges.append(best)
         vocab = {_merge_word(sym, best): f for sym, f in vocab.items()}
-    return BpeModel(merges, marker=marker)
+    return BpeModel(merges)
 
 
 def _segment_word(model: BpeModel, word: str) -> tuple[str, ...]:
@@ -96,7 +98,7 @@ def _segment_word(model: BpeModel, word: str) -> tuple[str, ...]:
     elif pieces[-1].endswith(END_OF_WORD):
         pieces[-1] = pieces[-1][: -len(END_OF_WORD)]
     out = tuple(
-        piece + model.marker if i < len(pieces) - 1 else piece
+        piece + MARKER if i < len(pieces) - 1 else piece
         for i, piece in enumerate(pieces)
     )
     model._cache[word] = out
@@ -114,7 +116,7 @@ def apply_bpe(model: BpeModel, tokens: Sequence[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def decode_bpe(subwords: Sequence[str], marker: str = DEFAULT_MARKER) -> tuple[str, ...]:
+def decode_bpe(subwords: Sequence[str]) -> tuple[str, ...]:
     """Invert :func:`apply_bpe` by joining marker-suffixed pieces.
 
     Trailing continuation pieces join into a final word without their
@@ -124,8 +126,8 @@ def decode_bpe(subwords: Sequence[str], marker: str = DEFAULT_MARKER) -> tuple[s
     out: list[str] = []
     pending = ""
     for sub in subwords:
-        if sub.endswith(marker):
-            pending += sub[: -len(marker)]
+        if sub.endswith(MARKER):
+            pending += sub[: -len(MARKER)]
         else:
             out.append(pending + sub)
             pending = ""

@@ -20,6 +20,8 @@ from .corpus import Candidate, Lexicon, LexiconEntry, ParallelCorpus, save_lexic
 from .files import atomic_open
 
 FUNCTION_WORDS = [("the", "die"), ("of", "der"), ("and", "und"), ("with", "mit")]
+VOCAB_SIZE = 14  # content words per domain
+EVAL_ROUNDS = 2  # permutation rounds of evaluation term pairs
 
 
 @dataclass
@@ -71,9 +73,7 @@ def _compound(tgt_x: str, tgt_y: str) -> str:
 
 def build_fixture_set(
     seed: int = 42,
-    vocab_size: int = 14,
     dev_rounds: int = 3,
-    eval_rounds: int = 2,
     separate_repeats: int = 3,
     compound_repeats: int = 1,
     domain_a_style: str = "reorder",
@@ -91,22 +91,22 @@ def build_fixture_set(
     vocabulary caps.
 
     Pair pools are permutation rounds (``dev_rounds`` for development,
-    ``eval_rounds`` for evaluation), giving every content word the same
-    count profile; singleton noise translations give the phrase table the
-    junk tail real tables have, without which inverted feature weights
-    would look viable during tuning.
+    ``EVAL_ROUNDS`` for evaluation) over ``VOCAB_SIZE`` words per domain,
+    giving every content word the same count profile; singleton noise
+    translations give the phrase table the junk tail real tables have,
+    without which inverted feature weights would look viable during tuning.
     """
     if domain_a_style not in ("reorder", "compound"):
         raise ValueError(f"unknown domain_a_style {domain_a_style!r}")
     rng = random.Random(seed)
-    vocab_a = _vocab("meda", vocab_size)
-    vocab_b = _vocab("finb", vocab_size)
-    per_round = vocab_size // 2
+    vocab_a = _vocab("meda", VOCAB_SIZE)
+    vocab_b = _vocab("finb", VOCAB_SIZE)
+    per_round = VOCAB_SIZE // 2
     dev_terms = dev_rounds * per_round
-    eval_terms = eval_rounds * per_round
+    eval_terms = EVAL_ROUNDS * per_round
 
-    term_pool_a = _term_pairs(vocab_a, rng, dev_rounds + eval_rounds)
-    term_pool_b = _term_pairs(vocab_b, rng, dev_rounds + eval_rounds)
+    term_pool_a = _term_pairs(vocab_a, rng, dev_rounds + EVAL_ROUNDS)
+    term_pool_b = _term_pairs(vocab_b, rng, dev_rounds + EVAL_ROUNDS)
 
     generic_pairs = []
 
@@ -200,12 +200,12 @@ def build_fixture_set(
     )
 
 
-def write_fixture_files(root, seed: int = 42, **kwargs) -> dict[str, str]:
+def write_fixture_files(root, seed: int = 42) -> dict[str, str]:
     """Write the fixture set as plain corpus/lexicon files under ``root``.
 
     Returns a name -> path map for the pipeline configuration.
     """
-    fixtures = build_fixture_set(seed=seed, **kwargs)
+    fixtures = build_fixture_set(seed=seed)
     paths: dict[str, str] = {}
 
     def write_corpus(corpus, stem):

@@ -1,16 +1,18 @@
 """Rank external translation candidates by domain fit and annotate inputs.
 
-Candidate scores come either uniformly (1.0 everywhere) or from the cosine
-similarity between a domain vocabulary vector and each candidate's abstract
-text, both as L2-normalized term-frequency bags.  Ranked candidates land in
-decoder spans via longest-match scanning, as ``Candidate``s whose score is
-the injection probability (a missing score becomes 1.0).
+Candidate scores come either uniformly (1.0 everywhere, when no domain
+vector is given) or from the cosine similarity between a domain vocabulary
+vector and each candidate's abstract text.  Vectors are plain
+``dict[str, float]`` L2-normalized term-frequency bags (:func:`tf_vector`).
+Ranked candidates land in decoder spans via longest-match scanning, as
+``Candidate``s whose score is the injection probability (a missing score
+becomes 1.0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .corpus import Candidate, Lexicon, LexiconEntry, tokenize
@@ -20,68 +22,53 @@ UNIFORM = "uniform"
 COSINE = "cosine"
 
 
-@dataclass
-class VocabVector:
-    """Sparse L2-normalized term-frequency vector."""
-
-    weights: dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[str]) -> "VocabVector":
-        raw: dict[str, float] = {}
-        for tok in tokens:
-            raw[tok] = raw.get(tok, 0.0) + 1.0
-        norm = math.sqrt(sum(v * v for v in raw.values()))
-        if norm > 0:
-            raw = {k: v / norm for k, v in raw.items()}
-        return cls(raw)
-
-    @classmethod
-    def from_text(cls, text: str) -> "VocabVector":
-        return cls.from_tokens(tokenize(text))
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(v * v for v in self.weights.values()))
+def tf_vector(tokens: Iterable[str]) -> dict[str, float]:
+    """L2-normalized term-frequency vector of ``tokens``; empty for none."""
+    counts = Counter(tokens)
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    return {tok: c / norm for tok, c in counts.items()}
 
 
-def cosine_score(x: VocabVector, y: VocabVector) -> float:
+def _norm(x: dict[str, float]) -> float:
+    return math.sqrt(sum(v * v for v in x.values()))
+
+
+def cosine_score(x: dict[str, float], y: dict[str, float]) -> float:
     """cos(x, y) = x.y / (|x| |y|); empty vectors score 0."""
-    if not x.weights or not y.weights:
+    if not x or not y:
         return 0.0
-    if len(x.weights) > len(y.weights):
+    if len(x) > len(y):
         x, y = y, x
-    dot = sum(w * y.weights.get(tok, 0.0) for tok, w in x.weights.items())
-    denom = x.norm * y.norm
+    dot = sum(w * y.get(tok, 0.0) for tok, w in x.items())
+    denom = _norm(x) * _norm(y)
     if denom == 0.0:
         return 0.0
     return min(max(dot / denom, 0.0), 1.0)
 
 
-def domain_vector(terms: Iterable[str]) -> VocabVector:
+def domain_vector(terms: Iterable[str]) -> dict[str, float]:
     """Domain vocabulary vector from a list of term texts."""
-    return VocabVector.from_tokens(tok for term in terms for tok in tokenize(term))
+    return tf_vector(tok for term in terms for tok in tokenize(term))
 
 
 def rank_candidates(
-    domain_vocab: VocabVector, lexicon: Lexicon, mode: str = UNIFORM
+    lexicon: Lexicon, domain: dict[str, float] | None = None
 ) -> Lexicon:
-    """Return a new lexicon with candidate scores set by the ranking mode.
+    """Return a new lexicon with candidate scores set by domain fit.
 
-    ``uniform`` sets every score to 1.0; ``cosine`` scores each candidate by
-    the similarity of its entry's abstract to the domain vocabulary, with
-    score 0 for entries lacking an abstract.
+    Without a ``domain`` vector every score is 1.0 (uniform ranking);
+    with one, each candidate scores the cosine similarity of its entry's
+    abstract to the domain, and 0 for an entry lacking an abstract.  An
+    empty domain vector is still a domain: every candidate scores 0.
     """
-    if mode not in (UNIFORM, COSINE):
-        raise ValueError(f"unknown ranking mode {mode!r}")
     entries = {}
     for source_term, entry in lexicon.entries.items():
-        if mode == UNIFORM:
+        if domain is None:
             score = 1.0
         elif entry.abstract is None:
             score = 0.0
         else:
-            score = cosine_score(domain_vocab, VocabVector.from_text(entry.abstract))
+            score = cosine_score(domain, tf_vector(tokenize(entry.abstract)))
         entries[source_term] = LexiconEntry(
             source_term,
             [Candidate(c.tokens, score) for c in entry.candidates],

@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .corpus import finite_float
 from .errors import ModelFormatError
 from .files import atomic_open, read_lines
 
@@ -236,9 +237,9 @@ def score_all(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> M
 
 def load_results(path) -> Results:
     """The scores of a results file.  Blank lines are skipped; a row that
-    is not four tab-separated fields ending in a number, or whose metric is
-    not reported, raises :class:`ModelFormatError` naming the file and
-    line."""
+    is not four tab-separated fields ending in a finite number, or whose
+    metric is not reported, raises :class:`ModelFormatError` naming the
+    file and line."""
     known = [name for _, name in REPORTED]
     results: Results = {}
     for lineno, line in enumerate(read_lines(path), start=1):
@@ -246,7 +247,7 @@ def load_results(path) -> Results:
             continue
         try:
             system, evalset, metric, value = line.split("\t")
-            number = float(value)
+            number = finite_float(value)
         except ValueError:
             raise ModelFormatError(
                 f"{path}: line {lineno}: expected "

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..bpe import BpeModel
+from ..bpe import MARKER, BpeModel
 from ..corpus import word_frequencies
 from ..errors import ModelFormatError
 from ..files import atomic_open
@@ -159,11 +159,11 @@ def save_model(model: Seq2SeqModel, path) -> None:
         "tgt_vocab": model.tgt_vocab.itos,
         "src_bpe": None if model.src_bpe is None else {
             "merges": [list(p) for p in model.src_bpe.merges],
-            "marker": model.src_bpe.marker,
+            "marker": MARKER,
         },
         "tgt_bpe": None if model.tgt_bpe is None else {
             "merges": [list(p) for p in model.tgt_bpe.merges],
-            "marker": model.tgt_bpe.marker,
+            "marker": MARKER,
         },
         "tensors": [
             {"name": name, "shape": list(model.params[name].shape)}
@@ -251,16 +251,16 @@ def _parse_bpe(path, header, key) -> BpeModel | None:
         return None
     if not (
         isinstance(blob, dict) and blob.keys() == {"merges", "marker"}
-        and isinstance(blob["marker"], str) and blob["marker"]
+        and blob["marker"] == MARKER
         and isinstance(blob["merges"], list)
         and all(isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(part, str) for part in pair)
                 for pair in blob["merges"])
     ):
         raise ModelFormatError(
-            f"{path}: {key} is neither null nor string-pair merges with a marker"
+            f"{path}: {key} is neither null nor string-pair merges with marker {MARKER!r}"
         )
-    return BpeModel([tuple(pair) for pair in blob["merges"]], marker=blob["marker"])
+    return BpeModel([tuple(pair) for pair in blob["merges"]])
 
 
 def load_model(path) -> Seq2SeqModel:

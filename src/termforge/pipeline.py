@@ -256,13 +256,13 @@ def run_inject(cfg: PipelineConfig) -> None:
     constraint spans; also writes the ranked lexicon for the NMT path."""
     ranking, mode = cfg["inject.ranking"], cfg["inject.mode"]
     lexicon = corpus.load_lexicon(cfg.input_path("lexicon.path"))
-    domain = inject.VocabVector()  # uniform ranking reads no domain
+    domain = None  # uniform ranking reads no domain
     if ranking == inject.COSINE:
         dev = _load_split(cfg, "dev")
         domain = inject.domain_vector(
             [tok for s, t in dev.pairs for tok in (*s, *t)]
         )
-    ranked = inject.rank_candidates(domain, lexicon, ranking)
+    ranked = inject.rank_candidates(lexicon, domain)
     eval_corpus = _load_split(cfg, "eval")
     lines = [
         smt.format_markup(inject.annotate(src, ranked, mode))
@@ -313,7 +313,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
             out, attention, _ = nmt.translate(model, tokens, beam_width=beam_width)
             if model.tgt_bpe is None:
                 return nmt.replace_unk(out, attention, tokens, lexicon)
-            return bpe.decode_bpe(out, marker=model.tgt_bpe.marker)
+            return bpe.decode_bpe(out)
 
     outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
     text = "".join(" ".join(tokens) + "\n" for tokens in outputs)

@@ -720,19 +720,22 @@ def _pool_bleu(stats, dots):
     return bleu_from_stats(*sum_bleu_stats(chosen))
 
 
-def _optimize_on_pool(pools, stats, start, max_passes=8):
-    """Coordinate ascent on pool BLEU, taking the steepest dimension per
-    pass (first-improvement greedy is prone to knife-edge optima).  The
-    lines are priced once per pass: every dimension's search shares the
-    pass's ``w . f``.  ``pools`` holds each sentence's feature vectors as a
-    list of 1-D arrays, which ``_pool_dots`` prices one ``dot`` each; the
-    line searches read their slopes from one array per sentence, stacked
-    once here."""
+_ASCENT_PASSES = 8
+
+
+def _optimize_on_pool(pools, stats, start):
+    """Coordinate ascent on pool BLEU, taking the steepest dimension in
+    each of at most ``_ASCENT_PASSES`` passes (first-improvement greedy is
+    prone to knife-edge optima).  The lines are priced once per pass:
+    every dimension's search shares the pass's ``w . f``.  ``pools``
+    holds each sentence's feature vectors as a list of 1-D arrays, which
+    ``_pool_dots`` prices one ``dot`` each; the line searches read their
+    slopes from one array per sentence, stacked once here."""
     stacked = [np.array(feats) for feats in pools]
     weights = start.copy()
     dots = _pool_dots(pools, weights)
     best = _pool_bleu(stats, dots)
-    for _ in range(max_passes):
+    for _ in range(_ASCENT_PASSES):
         best_dim, best_x, best_score = None, None, best
         for dim in range(len(FEATURE_NAMES)):
             x, score = _line_search_dim(stacked, stats, weights, dim, dots)
@@ -749,7 +752,7 @@ def _optimize_on_pool(pools, stats, start, max_passes=8):
     return weights, _pool_bleu(stats, _pool_dots(pools, weights))
 
 
-def _search_dev(dev, table, lm, weights, beam, nbest, ref_counts=None):
+def _search_dev(dev, table, lm, weights, beam, nbest, ref_counts):
     """Search every dev sentence once under ``weights``.
 
     Returns the ``nbest``-best lists as (tokens, features) pairs, the dev
@@ -758,10 +761,8 @@ def _search_dev(dev, table, lm, weights, beam, nbest, ref_counts=None):
     n-gram matches, the earliest of equals), so no tie rule can raise the
     dev BLEU that MERT maximizes.  ``ref_counts`` holds the ``ngram_counts``
     of each dev reference; ``mert_tune`` takes them once for all its
-    calls, and they are taken here when not given.
+    calls.
     """
-    if ref_counts is None:
-        ref_counts = [ngram_counts(ref) for _, ref in dev.pairs]
     w = LogLinearWeights(weights)
     nbest_lists, sentence_stats, tied = [], [], 0
     for (src, ref), counts in zip(dev.pairs, ref_counts):

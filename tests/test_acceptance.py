@@ -19,10 +19,11 @@ from termforge.corpus import (
     Lexicon,
     LexiconEntry,
     ParallelCorpus,
+    tokenize,
     word_frequencies,
 )
 from termforge.fixtures import build_fixture_set
-from termforge.inject import VocabVector, cosine_score, domain_vector
+from termforge.inject import cosine_score, domain_vector, tf_vector
 from termforge.lm import train_lm
 from termforge.metrics import bleu, bleu_stats, chrf3
 from termforge.nmt import (
@@ -519,7 +520,7 @@ def test_criterion_09_cosine_ranking():
         rng = random.Random(9)
 
         def rand_vec():
-            return VocabVector.from_tokens(
+            return tf_vector(
                 [f"v{rng.randrange(25)}" for _ in range(rng.randint(1, 8))]
             )
 
@@ -527,7 +528,7 @@ def test_criterion_09_cosine_ranking():
             x, y = rand_vec(), rand_vec()
             assert abs(cosine_score(x, y) - cosine_score(y, x)) < 1e-9
             scale = rng.uniform(0.1, 100.0)
-            scaled = VocabVector({k: v * scale for k, v in x.weights.items()})
+            scaled = {k: v * scale for k, v in x.items()}
             assert abs(cosine_score(scaled, y) - cosine_score(x, y)) < 1e-9
             assert 0.0 <= cosine_score(x, y) <= 1.0
 
@@ -543,8 +544,8 @@ def test_criterion_09_cosine_ranking():
             ["diseases of the eye and skull", "disorders of eye socket"]
         )
         assert cosine_score(
-            domain, VocabVector.from_text(medical_abstract)
-        ) > cosine_score(domain, VocabVector.from_text(astro_abstract))
+            domain, tf_vector(tokenize(medical_abstract))
+        ) > cosine_score(domain, tf_vector(tokenize(astro_abstract)))
 
 
 def test_criterion_10_unk_replacement():

@@ -443,6 +443,17 @@ def reference_consistent_phrases(src_len, tgt_len, links, max_len):
     return out
 
 
+def inv_prob(table, source_word, target_word):
+    """The inverse direction's probability of a word pair, read from
+    ``table.inverse`` through the table's word indexes; 0.0 for an unseen
+    word."""
+    si = table._src_index.get(source_word)
+    ti = table._tgt_index.get(target_word)
+    if si is None or ti is None:
+        return 0.0
+    return float(table.inverse[si, ti])
+
+
 def reference_lexical_weight(src_phrase, tgt_phrase, span_links, table, inverse=False):
     """Koehn lexical weight of one phrase instance over its internal links."""
     weight = 1.0
@@ -450,7 +461,7 @@ def reference_lexical_weight(src_phrase, tgt_phrase, span_links, table, inverse=
         for i, s in enumerate(src_phrase):
             aligned = [j for (ii, j) in span_links if ii == i]
             if aligned:
-                total = sum(table.inv_prob(s, tgt_phrase[j]) for j in aligned)
+                total = sum(inv_prob(table, s, tgt_phrase[j]) for j in aligned)
                 weight *= total / len(aligned)
         return weight
     for j, t in enumerate(tgt_phrase):
@@ -572,7 +583,7 @@ def oracle_word_factors(src, tgt, links, table):
     by_src = [[] for _ in src]
     for i, j in links:
         by_tgt[j].append(table.prob(tgt[j], src[i]))
-        by_src[i].append(table.inv_prob(src[i], tgt[j]))
+        by_src[i].append(inv_prob(table, src[i], tgt[j]))
     fwd = [
         sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
         for ps, t in zip(by_tgt, tgt)

@@ -431,6 +431,21 @@ class TestModelFiles:
         assert "line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_phrase_table_is_named(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        model_dir = tmp_path / "run" / "smt"
+        small_smt_model(model_dir)
+        (model_dir / "phrase-table.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "in.txt").write_text("a\n", encoding="utf-8")
+        sets = ["--set", "translate.input=in.txt"]
+        assert run(["translate", "--config", cfg] + sets) == 1
+        err = capsys.readouterr().err
+        assert f"{model_dir / 'phrase-table.txt'}: no phrase entries" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run" / "hypotheses.txt").exists()
+
     def test_bad_markup_names_the_input_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path)
@@ -614,17 +629,19 @@ class TestEvaluate:
         (tmp_path / "ref.txt").write_text("a b c d\n", encoding="utf-8")
         results = tmp_path / "run" / "results.tsv"
         results.parent.mkdir()
-        before = "nmt\ticdtoy\tbleu\t50.0\n\nnmt\ticdtoy\tmeteor\thigh\n"
-        results.write_text(before, encoding="utf-8")
-        assert run([
-            "evaluate", "--config", cfg,
-            "--set", "evaluate.references=ref.txt",
-            "--set", "evaluate.hypotheses=ref.txt",
-        ]) == 1
-        err = capsys.readouterr().err
-        assert f"{results}: line 3: " in err
-        assert "Traceback" not in err
-        assert results.read_text(encoding="utf-8") == before
+        # a value that is not a number, or not a finite one
+        for value in ("high", "nan", "inf", "-inf"):
+            before = f"nmt\ticdtoy\tbleu\t50.0\n\nnmt\ticdtoy\tmeteor\t{value}\n"
+            results.write_text(before, encoding="utf-8")
+            assert run([
+                "evaluate", "--config", cfg,
+                "--set", "evaluate.references=ref.txt",
+                "--set", "evaluate.hypotheses=ref.txt",
+            ]) == 1
+            err = capsys.readouterr().err
+            assert f"{results}: line 3: " in err, value
+            assert "Traceback" not in err
+            assert results.read_text(encoding="utf-8") == before
 
 
     @pytest.mark.parametrize(

@@ -1,18 +1,17 @@
 """Cosine candidate ranking and annotated-input construction."""
 
+import math
 import random
 
 import pytest
 
-from termforge.corpus import Candidate, Lexicon, LexiconEntry
+from termforge.corpus import Candidate, Lexicon, LexiconEntry, tokenize
 from termforge.inject import (
-    COSINE,
-    UNIFORM,
-    VocabVector,
     annotate,
     cosine_score,
     domain_vector,
     rank_candidates,
+    tf_vector,
 )
 from termforge.smt import CONSTRAINT, EXCLUSIVE, format_markup, parse_markup
 
@@ -32,23 +31,24 @@ MEDICAL_DOMAIN_TERMS = [
 
 
 def random_vector(rng, size=8, vocab=30):
-    return VocabVector.from_tokens(
+    return tf_vector(
         [f"v{rng.randrange(vocab)}" for _ in range(rng.randint(1, size))]
     )
 
 
 class TestCosineScore:
     def test_identical_vectors(self):
-        x = VocabVector.from_tokens(["a", "b", "b"])
+        x = tf_vector(["a", "b", "b"])
         assert cosine_score(x, x) == pytest.approx(1.0)
 
     def test_disjoint_supports(self):
-        x = VocabVector.from_tokens(["a"])
-        y = VocabVector.from_tokens(["b"])
+        x = tf_vector(["a"])
+        y = tf_vector(["b"])
         assert cosine_score(x, y) == 0.0
 
     def test_empty_vector(self):
-        assert cosine_score(VocabVector(), VocabVector.from_tokens(["a"])) == 0.0
+        assert tf_vector([]) == {}
+        assert cosine_score({}, tf_vector(["a"])) == 0.0
 
     def test_symmetry_random(self):
         rng = random.Random(3)
@@ -61,13 +61,11 @@ class TestCosineScore:
         rng = random.Random(5)
         for _ in range(200):
             tokens = [f"v{rng.randrange(10)}" for _ in range(rng.randint(1, 8))]
-            x = VocabVector.from_tokens(tokens)
-            scaled = VocabVector(
-                {k: v * rng.uniform(0.5, 100.0) for k, v in x.weights.items()}
-            )
+            x = tf_vector(tokens)
+            scaled = {k: v * rng.uniform(0.5, 100.0) for k, v in x.items()}
             # scaling all raw weights by one constant leaves cosine unchanged
             c = rng.uniform(0.1, 50.0)
-            uniform_scaled = VocabVector({k: v * c for k, v in x.weights.items()})
+            uniform_scaled = {k: v * c for k, v in x.items()}
             y = random_vector(rng, vocab=10)
             assert cosine_score(uniform_scaled, y) == pytest.approx(
                 cosine_score(x, y), abs=1e-9
@@ -77,12 +75,13 @@ class TestCosineScore:
         rng = random.Random(7)
         for _ in range(100):
             vec = random_vector(rng)
-            assert vec.norm == pytest.approx(1.0, abs=1e-9)
+            norm = math.sqrt(sum(v * v for v in vec.values()))
+            assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_orbita_beats_umlaufbahn_for_medical_domain(self):
         domain = domain_vector(MEDICAL_DOMAIN_TERMS)
-        medical = cosine_score(domain, VocabVector.from_text(MEDICAL_ABSTRACT))
-        astro = cosine_score(domain, VocabVector.from_text(ASTRONOMY_ABSTRACT))
+        medical = cosine_score(domain, tf_vector(tokenize(MEDICAL_ABSTRACT)))
+        astro = cosine_score(domain, tf_vector(tokenize(ASTRONOMY_ABSTRACT)))
         assert medical > astro
 
 
@@ -114,22 +113,22 @@ class TestRankCandidates:
         )
 
     def test_uniform_sets_all_to_one(self):
-        ranked = rank_candidates(VocabVector(), self.lexicon(), UNIFORM)
+        ranked = rank_candidates(self.lexicon())
         for entry in ranked.entries.values():
             for cand in entry.candidates:
                 assert cand.score == 1.0
 
     def test_cosine_without_abstract_scores_zero(self):
         domain = domain_vector(MEDICAL_DOMAIN_TERMS)
-        ranked = rank_candidates(domain, self.lexicon(), COSINE)
+        ranked = rank_candidates(self.lexicon(), domain)
         burn = ranked.entries[("burn",)]
         assert burn.candidates[0].score == 0.0
 
     def test_cosine_matches_hand_computed_dot_product(self):
         # two-token domain, one-token overlap with the abstract "a a b"
-        domain = VocabVector.from_tokens(["a", "c"])
+        domain = tf_vector(["a", "c"])
         lex = lexicon_of(LexiconEntry(("x",), [Candidate(("y",), None)], "a a b"))
-        ranked = rank_candidates(domain, lex, COSINE)
+        ranked = rank_candidates(lex, domain)
         # abstract tf: a=2, b=1 -> normalized a=2/sqrt(5), b=1/sqrt(5)
         # domain: a=c=1/sqrt(2); dot = (1/sqrt(2)) * (2/sqrt(5))
         want = (1 / 2**0.5) * (2 / 5**0.5)
@@ -137,12 +136,15 @@ class TestRankCandidates:
 
     def test_input_lexicon_unchanged(self):
         lex = self.lexicon()
-        rank_candidates(VocabVector(), lex, UNIFORM)
+        rank_candidates(lex)
         assert lex.entries[("orbit",)].candidates[0].score == 0.3
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            rank_candidates(VocabVector(), self.lexicon(), "bogus")
+    def test_empty_domain_scores_zero_not_uniform(self):
+        # an empty domain vector is still cosine ranking: no overlap, score 0
+        ranked = rank_candidates(self.lexicon(), {})
+        for entry in ranked.entries.values():
+            for cand in entry.candidates:
+                assert cand.score == 0.0
 
 
 class TestAnnotate:

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from termforge._kernels import USE_NUMBA, flatten_encoded, ibm1_estep
+from termforge._kernels import USE_NUMBA, estep_index, flatten_encoded, ibm1_estep
 from termforge.align import NULL_TOKEN, ibm1_em
 from termforge.corpus import ParallelCorpus
 
@@ -58,14 +58,15 @@ def test_estep_matches_loop_bitwise():
         want = np.zeros_like(table)
         got = np.zeros_like(table)
         ll_want = reference_estep(sf, so, tf, to, table, want)
-        ll_got = ibm1_estep(sf, so, tf, to, table, got)
+        index = estep_index(sf, so, tf, to, table.shape[1])
+        ll_got = ibm1_estep(sf, so, tf, to, table, got, index=index)
         assert np.array_equal(got, want)
         assert abs(ll_got - ll_want) < 1e-9
 
 
 def em_without_index(corpus, iterations):
-    """The EM loop of :func:`ibm1_em`, with an E-step that builds its own
-    cells on every call."""
+    """The EM loop of :func:`ibm1_em`, with a fresh cell index built for
+    every E-step call."""
     src_vocab = [NULL_TOKEN] + sorted(corpus.vocab("source"))
     tgt_vocab = sorted(corpus.vocab("target"))
     src_index = {w: i for i, w in enumerate(src_vocab)}
@@ -77,7 +78,8 @@ def em_without_index(corpus, iterations):
     history = []
     for _ in range(iterations):
         counts = np.zeros_like(table)
-        history.append(ibm1_estep(sf, so, tf, to, table, counts))
+        index = estep_index(sf, so, tf, to, table.shape[1])
+        history.append(ibm1_estep(sf, so, tf, to, table, counts, index=index))
         row_sums = counts.sum(axis=1, keepdims=True)
         np.divide(counts, row_sums, out=table, where=row_sums > 0)
     col_sums = counts.sum(axis=0, keepdims=True)

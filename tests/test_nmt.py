@@ -1165,6 +1165,9 @@ class TestCheckpoint:
              "src_bpe is neither null nor string-pair merges"),
             (b'"tgt_bpe": null', b'"tgt_bpe": {"merges": [["a"]], "marker": "@@"}',
              "tgt_bpe is neither null nor string-pair merges"),
+            # the marker is fixed: a header written with another is malformed
+            (b'"src_bpe": null', b'"src_bpe": ' + _MERGES.replace(b'"@@"', b'"##"'),
+             "src_bpe is neither null nor string-pair merges with marker '@@'"),
             (b'"src_bpe": null', b'"src_bpe": ' + _MERGES,
              "src_bpe and tgt_bpe must both be null or both hold merges"),
             # vocabularies that keep their length and so match the tensors

@@ -25,6 +25,7 @@ from termforge.metrics import (
     bleu,
     bleu_from_stats,
     bleu_stats,
+    ngram_counts,
     sum_bleu_stats,
 )
 from termforge.smt import (
@@ -1437,10 +1438,11 @@ class TestMertAgainstReference:
         # so is also the worst tied output
         dev, table, lm = sign_corruption_task(seed=0)
         beam = BeamConfig()
+        ref_counts = [ngram_counts(ref) for _, ref in dev.pairs]
         rng = np.random.default_rng(nbest)
         for values in [np.zeros(7), np.eye(7)[6], rng.uniform(-1, 1, 7)]:
             nbest_lists, dev_bleu, _ = smt._search_dev(
-                dev, table, lm, values, beam, nbest
+                dev, table, lm, values, beam, nbest, ref_counts
             )
             assert dev_bleu == reference_corpus_bleu_decoding(
                 dev, table, lm, LogLinearWeights(values), beam
@@ -1466,7 +1468,10 @@ class TestMertAgainstReference:
         beam = BeamConfig()
         free, penalized = np.ones(7), np.ones(7)
         free[6] = 0.0
-        nbest_lists, dev_bleu, tied = smt._search_dev(dev, table, lm, free, beam, 10)
+        ref_counts = [ngram_counts(ref) for _, ref in dev.pairs]
+        nbest_lists, dev_bleu, tied = smt._search_dev(
+            dev, table, lm, free, beam, 10, ref_counts
+        )
         assert [tokens for tokens, _ in nbest_lists[0]] == [smaller, larger]
         assert tied == 1
         assert dev_bleu == bleu([worse], [ref]) < bleu([ref], [ref])
@@ -1476,7 +1481,9 @@ class TestMertAgainstReference:
         assert dev_bleu <= decoded
         assert (dev_bleu < decoded) == (not ref_is_larger)
         # a distortion weight breaks the tie in favour of the monotone order
-        _, dev_bleu, tied = smt._search_dev(dev, table, lm, penalized, beam, 10)
+        _, dev_bleu, tied = smt._search_dev(
+            dev, table, lm, penalized, beam, 10, ref_counts
+        )
         assert tied == 0
         assert dev_bleu == reference_corpus_bleu_decoding(
             dev, table, lm, LogLinearWeights(penalized), beam
