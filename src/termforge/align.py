@@ -14,7 +14,9 @@ by counting its links; a phrase's lexical weights are products of
 per-word factors read from the word table once per sentence pair.  Each
 phrase pair keeps one record, the source side of an instance is taken
 once per source span, and the table is assembled one source phrase at a
-time.  A phrase table's length limit is its longest source phrase.
+time.  A phrase table's length limit is its longest source phrase.  A
+loaded phrase table checks every line at load and builds a source
+phrase's options on the phrase's first lookup.
 """
 
 from __future__ import annotations
@@ -208,22 +210,41 @@ class PhraseOption:
     features: tuple[float, float, float, float]  # phi_fwd, phi_rev, lex_fwd, lex_rev
 
 
-@dataclass
 class PhraseTable:
     """Scored options per source phrase; ``max_phrase_len`` is the length
-    of the longest source phrase, so lookups stop there."""
+    of the longest source phrase, so lookups stop there.
 
-    entries: dict[Tokens, list[PhraseOption]]
-    max_phrase_len: int = field(init=False)
+    ``entries`` maps each source phrase to its options, or, in a table
+    that :func:`load_phrase_table` returns, to its checked lines, not yet
+    parsed.  :meth:`options` builds a phrase's options from its lines the
+    first time the phrase is looked up and keeps them, and reading
+    :attr:`entries` builds whatever is left.  So a loaded table fills its
+    own cache as lookups arrive; callers treat it as read-only.
+    """
 
-    def __post_init__(self):
-        self.max_phrase_len = max(map(len, self.entries), default=0)
+    def __init__(self, entries: dict[Tokens, list]):
+        self._entries = entries
+        self._all_built = False
+        self.max_phrase_len = max(map(len, entries), default=0)
+
+    @property
+    def entries(self) -> dict[Tokens, list[PhraseOption]]:
+        if not self._all_built:  # a scan per read would make loops quadratic
+            for src, opts in self._entries.items():
+                if opts and isinstance(opts[0], str):
+                    self._entries[src] = _build_options(opts)
+            self._all_built = True
+        return self._entries
 
     def options(self, source_phrase: Tokens) -> list[PhraseOption]:
-        return self.entries.get(tuple(source_phrase), [])
+        source_phrase = tuple(source_phrase)
+        opts = self._entries.get(source_phrase, [])
+        if opts and isinstance(opts[0], str):
+            opts = self._entries[source_phrase] = _build_options(opts)
+        return opts
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._entries)
 
 
 def _consistent_phrases(src_len, tgt_len, links, max_len):
@@ -397,38 +418,72 @@ def extract_phrases(
 
 def save_phrase_table(ptable: PhraseTable, path) -> None:
     """Moses-style lines: ``source ||| target ||| f1 f2 f3 f4``."""
+    entries = ptable.entries
     with atomic_open(path) as f:
-        for src in sorted(ptable.entries):
-            for opt in ptable.entries[src]:
+        for src in sorted(entries):
+            for opt in entries[src]:
                 feats = " ".join(repr(float(v)) for v in opt.features)
                 f.write(f"{' '.join(src)} ||| {' '.join(opt.target)} ||| {feats}\n")
 
 
+def _parse_line(line: str) -> tuple[list[str], list[str], tuple[float, ...]]:
+    """The source words, target words and features of one line that
+    :func:`save_phrase_table` writes.  A malformed line raises a
+    ValueError that says what is wrong."""
+    parts = line.split(" ||| ")
+    if len(parts) != 3:
+        raise ValueError("expected 3 '|||' fields")
+    src, tgt, fields = parts[0].split(), parts[1].split(), parts[2].split()
+    if not src or not tgt:
+        raise ValueError(f"empty {'target' if src else 'source'} phrase")
+    try:  # the lean form of finite_float, which every line of a load pays
+        feats = tuple(map(float, fields))
+        if not all(map(math.isfinite, feats)):
+            raise ValueError
+    except ValueError:
+        # finite_float rejects exactly these values and names the first
+        try:
+            for text in fields:
+                finite_float(text)
+        except ValueError as exc:
+            raise ValueError(f"bad feature value: {exc}") from None
+    if len(feats) != 4:
+        raise ValueError("expected 4 features")
+    return src, tgt, feats
+
+
+def _build_options(lines: list[str]) -> list[PhraseOption]:
+    """The options of one source phrase, from its checked lines."""
+    return [
+        PhraseOption(tuple(map(sys.intern, tgt)), feats)
+        for _, tgt, feats in map(_parse_line, lines)
+    ]
+
+
 def load_phrase_table(path) -> PhraseTable:
-    """Read the lines :func:`save_phrase_table` writes.  Each word is one
-    shared string, however many phrases hold it.  A table with no entries
-    is never written, so an empty or blank file is malformed."""
-    entries: dict[Tokens, list[PhraseOption]] = defaultdict(list)
+    """Read the lines :func:`save_phrase_table` writes.
+
+    Every line is checked here, and the first malformed one raises
+    :class:`ModelFormatError` naming the file and the line, whether or not
+    any input ever needs its source phrase.  The lines are kept unparsed,
+    indexed by source phrase, and the returned table builds a phrase's
+    options on its first lookup (see :class:`PhraseTable`).  Each word is
+    one shared string, however many phrases hold it.  A table with no
+    entries is never written, so an empty or blank file is malformed."""
+    index: dict[Tokens, list[str]] = {}
     for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
-        parts = line.split(" ||| ")
-        if len(parts) != 3:
-            raise ModelFormatError(f"{path}: line {lineno}: expected 3 '|||' fields")
-        src = tuple(map(sys.intern, parts[0].split()))
-        tgt = tuple(map(sys.intern, parts[1].split()))
-        if not src or not tgt:
-            side = "source" if not src else "target"
-            raise ModelFormatError(f"{path}: line {lineno}: empty {side} phrase")
         try:
-            feats = tuple(finite_float(x) for x in parts[2].split())
+            src = _parse_line(line)[0]
         except ValueError as exc:
-            raise ModelFormatError(
-                f"{path}: line {lineno}: bad feature value: {exc}"
-            ) from None
-        if len(feats) != 4:
-            raise ModelFormatError(f"{path}: line {lineno}: expected 4 features")
-        entries[src].append(PhraseOption(tgt, feats))
-    if not entries:
+            raise ModelFormatError(f"{path}: line {lineno}: {exc}") from None
+        src = tuple(map(sys.intern, src))
+        lines = index.get(src)
+        if lines is None:
+            index[src] = [line]
+        else:
+            lines.append(line)
+    if not index:
         raise ModelFormatError(f"{path}: no phrase entries")
-    return PhraseTable(dict(entries))
+    return PhraseTable(index)

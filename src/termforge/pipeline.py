@@ -123,7 +123,9 @@ def _parse_once(slot: str, loader, path: str):
     when the file's bytes are unchanged.
 
     The digest is taken before parsing, so a file replaced while it is
-    parsed is parsed again by the next call.
+    parsed is parsed again by the next call.  A shared phrase table keeps
+    filling its own cache of built options as its callers look phrases up
+    (see :class:`align.PhraseTable`); that changes none of its answers.
     """
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -144,7 +146,10 @@ def _smt_artifacts(cfg: PipelineConfig, weights_name: str = "weights.txt"):
     The phrase table and LM are parsed once per process for given file
     contents (see :func:`_parse_once`): tune and every translate call on
     unchanged files share the same objects, which callers must treat as
-    read-only.  The weights are read on every call.
+    read-only.  The phrase table was checked line by line when loaded and
+    builds each source phrase's options on its first lookup, so a call
+    pays only for the phrases no earlier call looked up.  The weights are
+    read on every call.
     """
     model_dir = cfg.path("model.smt.dir")
     ptable = _parse_once(

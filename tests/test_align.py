@@ -337,6 +337,76 @@ class TestPhraseTableIO:
         ):
             load_phrase_table(path)
 
+    def test_lookups_build_the_options_of_an_eager_parse(self, tmp_path):
+        corpus = random_corpus(47, n_pairs=20)
+        word_table = ibm1_em(corpus, 4)
+        aligns = [viterbi_align(word_table, p) for p in corpus.pairs]
+        ptable = extract_phrases(corpus, aligns, word_table)
+        path = tmp_path / "phrase-table"
+        save_phrase_table(ptable, path)
+        eager = defaultdict(list)  # every line parsed, in file order
+        for line in path.read_text(encoding="utf-8").splitlines():
+            src, tgt, feats = line.split(" ||| ")
+            eager[tuple(src.split())].append(
+                (tuple(tgt.split()), [float(x).hex() for x in feats.split()])
+            )
+        assert any(len(options) > 1 for options in eager.values())
+        again = load_phrase_table(path)
+        assert len(again) == len(ptable) == len(eager)
+        assert again.max_phrase_len == ptable.max_phrase_len
+        for src in sorted(eager, reverse=True):
+            got = again.options(src)
+            assert [(o.target, [f.hex() for f in o.features]) for o in got] == eager[src]
+            assert again.options(list(src)) is got
+        assert again.options(("never", "seen")) == []
+        assert again.options(max(eager, key=len) + ("x",)) == []
+        # lookups change neither
+        assert len(again) == len(ptable)
+        assert again.max_phrase_len == ptable.max_phrase_len
+
+    @pytest.mark.parametrize("line, message", [
+        ("zz ||| q ||| 0.5 one 1 1", "bad feature value"),
+        ("zz ||| q ||| 0.5 1 nan 1", "bad feature value"),
+        ("zz ||| q ||| 0.5 1 1", "expected 4 features"),
+        ("zz |||  ||| 0.5 1 1 1", "empty target"),
+    ])
+    def test_bad_line_of_a_phrase_never_looked_up_fails_the_load(
+        self, tmp_path, line, message
+    ):
+        path = tmp_path / "pt"
+        path.write_text(
+            f"a ||| x ||| 0.5 1 1 1\nb ||| y ||| 0.5 1 1 1\n{line}\n", encoding="utf-8"
+        )
+        with pytest.raises(
+            ModelFormatError, match=rf"{re.escape(str(path))}: line 3: {message}"
+        ):
+            load_phrase_table(path)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        path = tmp_path / "pt"
+        path.write_text(
+            "a ||| x ||| 0.5 1 1 1\nb ||| y ||| 0.5 1 1 oops\n"
+            "c ||| z ||| 0.5 1 1 1\nd ||| w\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(
+            ModelFormatError, match=rf"{re.escape(str(path))}: line 2: bad feature value"
+        ):
+            load_phrase_table(path)
+
+    @pytest.mark.parametrize("feats, reason", [
+        ("nan one 1 1", "non-finite value 'nan'"),
+        ("one nan 1 1", "could not convert string to float: 'one'"),
+        ("1 inf 1e999 1", "non-finite value 'inf'"),
+    ])
+    def test_first_bad_value_of_a_line_is_named(self, tmp_path, feats, reason):
+        path = tmp_path / "pt"
+        path.write_text(f"a ||| x ||| {feats}\n", encoding="utf-8")
+        with pytest.raises(
+            ModelFormatError, match=rf"line 1: bad feature value: {re.escape(reason)}$"
+        ):
+            load_phrase_table(path)
+
     def test_each_word_is_one_string(self, tmp_path):
         path = tmp_path / "pt"
         path.write_text(

@@ -62,7 +62,6 @@ class TestCosineScore:
         for _ in range(200):
             tokens = [f"v{rng.randrange(10)}" for _ in range(rng.randint(1, 8))]
             x = tf_vector(tokens)
-            scaled = {k: v * rng.uniform(0.5, 100.0) for k, v in x.items()}
             # scaling all raw weights by one constant leaves cosine unchanged
             c = rng.uniform(0.1, 50.0)
             uniform_scaled = {k: v * c for k, v in x.items()}

@@ -111,6 +111,38 @@ def test_cold_and_warm_translate_write_identical_hypotheses(
     assert warm_out.read_bytes() == cold_out.read_bytes()
 
 
+def test_translate_after_tune_writes_the_bytes_of_translate_alone(trained, tmp_path):
+    """The shared phrase table builds a phrase's options on its first
+    lookup, so after ``tune`` it holds options a lone ``translate`` would
+    build itself; the order it filled in must not show in the output."""
+    root, _ = trained
+    model_dir = tmp_path / "smt"
+    model_dir.mkdir()
+    for file in ("phrase-table.txt", "lm.arpa", "weights.txt"):
+        (model_dir / file).write_bytes((root / "smt" / file).read_bytes())
+    alone, after_tune = tmp_path / "alone.txt", tmp_path / "after-tune.txt"
+    settings = {
+        "model.smt.dir": str(model_dir),
+        "corpus.dev.source": "data/icdtoy-dev.src",
+        "corpus.dev.target": "data/icdtoy-dev.tgt",
+        "smt.mert.restarts": "0",
+        "smt.mert.iterations": "1",
+        "smt.mert.nbest": "5",
+    }
+
+    pipeline._PARSED.clear()
+    pipeline.run_translate(config(trained, **settings, **{"translate.output": str(alone)}))
+    pipeline._PARSED.clear()
+    pipeline.run_tune(config(trained, **settings), weights_out="weights-tuned.txt")
+    _, ptable, _, _ = pipeline._smt_artifacts(config(trained, **settings))
+    built = sum(not isinstance(opts[0], str) for opts in ptable._entries.values())
+    assert 0 < built < len(ptable)
+    pipeline.run_translate(
+        config(trained, **settings, **{"translate.output": str(after_tune)})
+    )
+    assert after_tune.read_bytes() == alone.read_bytes()
+
+
 @pytest.fixture(scope="module")
 def trained_nmt(tmp_path_factory):
     """A small word-level NMT model trained for one epoch on the fixture
