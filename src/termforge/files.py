@@ -21,6 +21,7 @@ def read_lines(path) -> list[str]:
         data = f.read()
     try:
         text = data.decode("utf-8")
+        del data  # the bytes are not needed while the text is split
     except UnicodeDecodeError as exc:
         # the lines before the bad byte, plus the one it starts or continues
         lineno = len(_split(data[:exc.start].decode("utf-8") + "?"))

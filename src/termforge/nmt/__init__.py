@@ -19,7 +19,7 @@ from .model import (
 )
 from .network import encode, loss_and_grads
 from .train import dataset_loss, fine_tune, gradient_check, train
-from .translate import replace_unk, translate
+from .translate import encode_sources, replace_unk, translate
 
 __all__ = [
     "BOS",
@@ -37,6 +37,7 @@ __all__ = [
     "build_vocab",
     "dataset_loss",
     "encode",
+    "encode_sources",
     "fine_tune",
     "gradient_check",
     "load_model",

@@ -175,9 +175,15 @@ def fine_tune(
 
 
 def dataset_loss(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
-    """Mean per-token cross-entropy without dropout (evaluation mode)."""
+    """Mean per-token cross-entropy without dropout (evaluation mode).
+
+    A corpus without a pair whose source and target are both non-empty
+    raises :class:`EmptyCorpusError`.
+    """
     pairs = _segment_pairs(corpus.pairs, model.src_bpe, model.tgt_bpe)
     encoded = _encode_pairs(pairs, model.src_vocab, model.tgt_vocab)
+    if not encoded:
+        raise EmptyCorpusError("no usable sentence pairs to score")
     total = 0.0
     tokens = 0.0
     for src_ids, tgt_ids in _make_batches(encoded, model.config.batch_size):

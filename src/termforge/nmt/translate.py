@@ -1,5 +1,7 @@
 """Beam-search translation and unknown-word replacement.
 
+``encode_sources`` runs the encoder once per group of equal-length sources;
+``translate`` starts its beam search from one source's entry.
 ``translate`` returns the attention of its output as a plain (steps x
 source) array: one row per emitted target token, one column per source
 position in model space (subwords for BPE models).  ``replace_unk`` reads
@@ -7,6 +9,8 @@ that array to find the source token behind each unknown.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,15 +20,60 @@ from .model import BOS_ID, EOS_ID, UNK, Seq2SeqModel
 from .network import decoder_step, encode
 
 
+class EncodedSource(NamedTuple):
+    """One source as the beam search starts from it: its tokens in model
+    space, the encoder's top states (Ts, 1, n) and each layer's final
+    (state, memory), both (1, n).  An empty source has no states."""
+
+    tokens: tuple[str, ...]
+    top: np.ndarray | None
+    finals: list[tuple[np.ndarray, np.ndarray]]
+
+
+def encode_sources(model: Seq2SeqModel, sources) -> list[EncodedSource]:
+    """Segment each source per the model and encode the sources with one
+    ``encode`` call per length in model space; returns one entry per
+    source, in input order.
+
+    Sources of one length form one batch, as training buckets them, so the
+    encoder needs no mask.  An entry's states are its row of that batch;
+    ``encode``'s caches are dropped.  A group of one is ``encode`` at B=1;
+    a row of a larger batch may differ from it in the last bits, because a
+    matrix product's rounding depends on its row count.  Empty sources are
+    not encoded.
+    """
+    if model.src_bpe is not None:
+        sources = [apply_bpe(model.src_bpe, tuple(tokens)) for tokens in sources]
+    sources = [tuple(tokens) for tokens in sources]
+    entries = [EncodedSource(tokens, None, []) for tokens in sources]
+    groups: dict[int, list[int]] = {}
+    for i, tokens in enumerate(sources):
+        if tokens:
+            groups.setdefault(len(tokens), []).append(i)
+    for rows in groups.values():
+        src_ids = np.array([model.src_vocab.encode(sources[i]) for i in rows], dtype=np.int64)
+        top, finals, _ = encode(model, src_ids)
+        for b, i in enumerate(rows):
+            entries[i] = EncodedSource(
+                sources[i], top[:, b:b + 1], [(h[b:b + 1], c[b:b + 1]) for h, c in finals]
+            )
+    return entries
+
+
 def translate(
     model: Seq2SeqModel,
     tokens,
     beam_width: int = 5,
+    encoded: EncodedSource | None = None,
 ) -> tuple[tuple[str, ...], np.ndarray, float]:
     """Length-normalized beam search until end-of-sentence, for at most
-    ``2 * len(tokens) + 5`` target positions.
+    ``2 * len + 5`` target positions, ``len`` counted in model space.
 
-    Input tokens are segmented per the model (BPE models receive subwords
+    The search starts from ``encoded``, the entry of ``tokens`` that
+    :func:`encode_sources` returned; ``tokens`` is then not read again.
+    Without an entry, ``tokens`` is encoded here through the same function
+    as a group of one, so a direct call runs the encoder at B=1.  Input
+    tokens are segmented per the model (BPE models receive subwords
     internally); the returned tokens are in model space, so BPE outputs
     still carry continuation markers.  Predicted unknowns surface as the
     unk symbol for downstream replacement.  The end-of-sentence token is
@@ -51,16 +100,14 @@ def translate(
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    if model.src_bpe is not None:
-        tokens = apply_bpe(model.src_bpe, tuple(tokens))
-    tokens = tuple(tokens)
+    if encoded is None:
+        (encoded,) = encode_sources(model, [tokens])
+    tokens, enc_top, enc_finals = encoded
     if not tokens:
         return (), np.zeros((0, 0)), 0.0
 
     params = model.params
     dec_E, out_W, out_b = params["dec_E"], params["out_W"], params["out_b"]
-    src_ids = np.array([model.src_vocab.encode(tokens)], dtype=np.int64)
-    enc_top, enc_finals, _ = encode(model, src_ids)
     # K -> (encoder states repeated K times, (K, 1) column of row numbers)
     by_k = {}
     h_layers = [h for h, _ in enc_finals]

@@ -6,7 +6,9 @@ read as UTF-8 lines ending at ``\n``, ``\r\n`` or ``\r``, and an
 undecodable byte raises :class:`InputError` naming the file and line.
 Given the same configuration and seed, reruns produce byte-identical
 artifacts.  Each stage handles its items (sentence pairs to align, lines
-to translate) one after another, in input order, in one thread.
+to translate) in input order, in one thread: one after another, except
+that NMT translation encodes the sources of a chunk of lines together, one
+batch per source length, before it searches each line in turn.
 
 Stages run in one process share parsed models: the phrase table, the
 language model and the NMT model are parsed once and reused while their
@@ -279,9 +281,18 @@ def run_inject(cfg: PipelineConfig) -> None:
     log.info("inject: annotated %d lines (%s, %s)", len(lines), mode, ranking)
 
 
+# input lines per nmt.encode_sources call: bounds the encoder states that
+# wait for their beam search on a large input
+_ENCODE_CHUNK = 256
+
+
 def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
     """Translate the configured input with the chosen system, one output
-    line per input line: a blank line gives a blank line."""
+    line per input line: a blank line gives a blank line.
+
+    The NMT system encodes each chunk of :data:`_ENCODE_CHUNK` lines with
+    one encoder pass per source length (see :func:`nmt.encode_sources`),
+    then runs one beam search per line from its entry."""
     system, mode = cfg["translate.system"], cfg["inject.mode"]
     input_path = cfg.input_path("translate.input")
     lines = read_lines(input_path)
@@ -304,6 +315,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
                     f"{input_path}: line {lineno}: {exc}", exc.tokens
                 ) from None
 
+        outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
     else:
         model = _parse_once(
             "nmt-model", nmt.load_model,
@@ -313,14 +325,19 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         if cfg["translate.replace_unk_lexicon"] is not None:
             lexicon = corpus.load_lexicon(cfg.input_path("translate.replace_unk_lexicon"))
 
-        def translate_line(lineno, line):
-            tokens = corpus.tokenize(line)
-            out, attention, _ = nmt.translate(model, tokens, beam_width=beam_width)
-            if model.tgt_bpe is None:
-                return nmt.replace_unk(out, attention, tokens, lexicon)
-            return bpe.decode_bpe(out)
+        sources = [corpus.tokenize(line) for line in lines]
+        outputs = []
+        for start in range(0, len(sources), _ENCODE_CHUNK):
+            chunk = sources[start:start + _ENCODE_CHUNK]
+            for tokens, entry in zip(chunk, nmt.encode_sources(model, chunk)):
+                out, attention, _ = nmt.translate(
+                    model, tokens, beam_width=beam_width, encoded=entry
+                )
+                if model.tgt_bpe is None:
+                    outputs.append(nmt.replace_unk(out, attention, tokens, lexicon))
+                else:
+                    outputs.append(bpe.decode_bpe(out))
 
-    outputs = [translate_line(lineno, line) for lineno, line in enumerate(lines, start=1)]
     text = "".join(" ".join(tokens) + "\n" for tokens in outputs)
     with atomic_open(cfg.path("translate.output")) as f:
         f.write(text)

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from termforge.bpe import learn_bpe
+from termforge.bpe import apply_bpe, learn_bpe
 from termforge.corpus import Candidate, Lexicon, LexiconEntry, ParallelCorpus
-from termforge.errors import ModelFormatError, TrainingDivergedError
+from termforge.errors import EmptyCorpusError, ModelFormatError, TrainingDivergedError
 from termforge.nmt import (
     Seq2SeqModel,
     TrainConfig,
@@ -21,6 +21,7 @@ from termforge.nmt import (
     Vocab,
     build_vocab,
     dataset_loss,
+    encode_sources,
     fine_tune,
     gradient_check,
     load_model,
@@ -764,6 +765,14 @@ class TestFineTune:
         assert not all(np.array_equal(at_zero[k], plain[k]) for k in at_zero)
 
 
+class TestDatasetLoss:
+    @pytest.mark.parametrize("pairs", [[], [((), ("x",))]], ids=["no-pairs", "empty-source"])
+    def test_no_usable_pair_raises(self, pairs):
+        model, _ = tiny_model()
+        with pytest.raises(EmptyCorpusError):
+            dataset_loss(model, ParallelCorpus(pairs))
+
+
 def reference_beam(model, tokens, beam_width=5, max_len=None, min_len=1):
     """Beam search that steps every hypothesis as its own B=1 decoder call,
     each holding copies of its layer states: the oracle for the batched
@@ -1023,6 +1032,110 @@ class TestTranslateOracle:
             assert out == ref_out, src
             assert score == ref_score and score.hex() == ref_score.hex(), src
             assert np.array_equal(attention, ref_attention), src
+
+
+def recording_encode(monkeypatch):
+    """Record the source ids of each ``encode`` call ``encode_sources`` makes."""
+    # the package's ``translate`` attribute is the function, not the module
+    translate_module = importlib.import_module("termforge.nmt.translate")
+    calls = []
+
+    def recorded(model, src_ids, rng=None):
+        calls.append(src_ids.copy())
+        return encode(model, src_ids, rng)
+
+    monkeypatch.setattr(translate_module, "encode", recorded)
+    return calls
+
+
+def groups_by_length(sources):
+    """Source indices grouped by length, each group in input order."""
+    groups = {}
+    for i, tokens in enumerate(sources):
+        groups.setdefault(len(tokens), []).append(i)
+    return groups
+
+
+class TestEncodeSources:
+    @pytest.mark.parametrize("kind", ["word", "bpe"])
+    def test_each_group_is_rows_of_one_encode_batch(self, oracle_translators, kind):
+        model, inputs = oracle_translators[kind]
+        sources = inputs + [tuple(reversed(src)) for src in inputs]
+        entries = encode_sources(model, sources)
+        groups = groups_by_length([entry.tokens for entry in entries])
+        assert any(len(rows) > 1 for rows in groups.values())
+        for rows in groups.values():
+            src_ids = np.array([model.src_vocab.encode(entries[i].tokens) for i in rows])
+            top, finals, _ = encode(model, src_ids)
+            for b, i in enumerate(rows):
+                entry = entries[i]
+                assert entry.top.shape == (top.shape[0], 1, model.config.hidden)
+                assert np.array_equal(entry.top, top[:, b:b + 1])
+                assert len(entry.finals) == model.config.layers
+                for (h, c), (group_h, group_c) in zip(entry.finals, finals):
+                    assert np.array_equal(h, group_h[b:b + 1])
+                    assert np.array_equal(c, group_c[b:b + 1])
+
+    @pytest.mark.parametrize("kind", ["word", "bpe"])
+    def test_group_of_one_is_encode_at_batch_one(self, oracle_translators, kind):
+        model, inputs = oracle_translators[kind]
+        for src in inputs:
+            (entry,) = encode_sources(model, [src])
+            top, finals, _ = encode(model, np.array([model.src_vocab.encode(entry.tokens)]))
+            assert np.array_equal(entry.top, top)
+            for (h, c), (ref_h, ref_c) in zip(entry.finals, finals, strict=True):
+                assert np.array_equal(h, ref_h) and np.array_equal(c, ref_c)
+
+    def test_entries_in_input_order(self, oracle_translators):
+        model, inputs = oracle_translators["bpe"]
+        sources = inputs + [tuple(reversed(src)) for src in inputs]
+        entries = encode_sources(model, sources)
+        assert [entry.tokens for entry in entries] == [
+            apply_bpe(model.src_bpe, src) for src in sources
+        ]
+        for src, entry in zip(sources, entries):
+            (alone,) = encode_sources(model, [src])
+            assert entry.tokens == alone.tokens
+            assert np.allclose(entry.top, alone.top, rtol=0, atol=1e-12)
+
+    def test_subword_model_groups_by_model_space_length(self, oracle_translators, monkeypatch):
+        model, inputs = oracle_translators["bpe"]
+        pieces = [apply_bpe(model.src_bpe, src) for src in inputs]
+        by_pieces, by_words = groups_by_length(pieces), groups_by_length(inputs)
+        assert sorted(by_pieces.values()) != sorted(by_words.values())
+        calls = recording_encode(monkeypatch)
+        encode_sources(model, inputs)
+        expected = [
+            np.array([model.src_vocab.encode(pieces[i]) for i in rows])
+            for rows in by_pieces.values()
+        ]
+        assert len(calls) == len(expected)
+        for got, want in zip(calls, expected):
+            assert np.array_equal(got, want)
+
+    def test_blank_sources_are_not_encoded(self, oracle_translators, monkeypatch):
+        model, inputs = oracle_translators["word"]
+        calls = recording_encode(monkeypatch)
+        assert encode_sources(model, []) == []
+        entries = encode_sources(model, [(), inputs[0], (), inputs[0]])
+        assert [ids.shape for ids in calls] == [(2, len(inputs[0]))]
+        for i in (0, 2):
+            assert entries[i].tokens == () and entries[i].top is None
+            out, attention, _ = translate(model, (), encoded=entries[i])
+            assert out == () and attention.shape == (0, 0)
+
+    @pytest.mark.parametrize("kind", ["word", "bpe", "untrained", "tied", "saturated"])
+    def test_grouped_search_gives_per_sentence_tokens(self, oracle_translators, kind):
+        model, inputs = oracle_translators[kind]
+        sources = inputs + [tuple(reversed(src)) for src in inputs]
+        entries = encode_sources(model, sources)
+        for beam_width in (1, 3, 5):
+            for src, entry in zip(sources, entries):
+                out, attention, score = translate(model, src, beam_width, encoded=entry)
+                ref_out, ref_attention, ref_score = translate(model, src, beam_width)
+                assert out == ref_out, (beam_width, src)
+                assert abs(score - ref_score) <= 1e-9, (beam_width, src)
+                assert np.allclose(attention, ref_attention), (beam_width, src)
 
 
 class TestReplaceUnk:

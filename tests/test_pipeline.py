@@ -1,10 +1,11 @@
-"""Reuse of parsed SMT and NMT models across pipeline stages in one process."""
+"""Reuse of parsed SMT and NMT models across pipeline stages in one process,
+and NMT translation from the encoder entries of each chunk of lines."""
 
 import os
 
 import pytest
 
-from termforge import align, lm, nmt, pipeline
+from termforge import align, corpus, lm, nmt, pipeline
 from termforge.config import PipelineConfig
 from termforge.fixtures import write_fixture_files
 
@@ -182,3 +183,38 @@ def test_cold_and_warm_nmt_translate_write_identical_hypotheses(
     )
     assert warm == cold
     assert warm_out.read_bytes() == cold_out.read_bytes()
+
+
+def test_nmt_lines_are_translate_from_the_entries_of_their_chunk(
+    trained_nmt, tmp_path, monkeypatch
+):
+    root, _ = trained_nmt
+    lines = (root / "data" / "icdtoy-eval.src").read_text(encoding="utf-8").splitlines()
+    lines = ["", *lines[:5], "", *lines[5:9]]
+    (tmp_path / "in.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    encode_sources, chunks = nmt.encode_sources, []
+
+    def recorded(model, sources):
+        chunks.append(len(sources))
+        return encode_sources(model, sources)
+
+    monkeypatch.setattr(nmt, "encode_sources", recorded)
+    monkeypatch.setattr(pipeline, "_ENCODE_CHUNK", 4)
+    outputs = pipeline.run_translate(config(trained_nmt, **{
+        "translate.input": str(tmp_path / "in.txt"),
+        "translate.output": str(tmp_path / "out.txt"),
+    }))
+    assert chunks == [4, 4, 3]
+    model = nmt.load_model(str(root / "nmt" / "model.tfnmt"))
+    sources = [corpus.tokenize(line) for line in lines]
+    expected = []
+    for start in range(0, len(sources), 4):
+        chunk = sources[start:start + 4]
+        for tokens, entry in zip(chunk, encode_sources(model, chunk)):
+            out, attention, _ = nmt.translate(model, tokens, 2, encoded=entry)
+            expected.append(nmt.replace_unk(out, attention, tokens))
+    assert outputs == expected
+    assert outputs[0] == outputs[6] == ()
+    assert all(outputs[i] for i in range(len(lines)) if i not in (0, 6))
+    written = (tmp_path / "out.txt").read_text(encoding="utf-8")
+    assert written == "".join(" ".join(out) + "\n" for out in expected)
