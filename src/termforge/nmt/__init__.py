@@ -18,7 +18,7 @@ from .model import (
     save_model,
 )
 from .network import encode, loss_and_grads
-from .train import dataset_loss, fine_tune, gradient_check, train
+from .train import fine_tune, train
 from .translate import encode_sources, replace_unk, translate
 
 __all__ = [
@@ -35,11 +35,9 @@ __all__ = [
     "UNK_ID",
     "Vocab",
     "build_vocab",
-    "dataset_loss",
     "encode",
     "encode_sources",
     "fine_tune",
-    "gradient_check",
     "load_model",
     "loss_and_grads",
     "replace_unk",

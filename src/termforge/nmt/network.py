@@ -13,10 +13,14 @@ The LSTM cell fuses its gate nonlinearities: one sigmoid pass over all 4n
 pre-activation columns, from which the input, forget and output gates are
 slices, and a tanh over the candidate slice.  The sigmoid is
 ``1/(1+exp(-z))`` element by element either way, so fusing changes no value.
-A step caches the fused gates, the candidate and the tanh of the new
+A step's cache holds the fused gates, the candidate and the tanh of the new
 memory, so the backward pass recomputes no nonlinearity.  It writes the four
 gate gradients into one (B, 4n) buffer ``dz`` and takes all three sigmoid
 derivatives with two in-place products over the whole buffer.
+
+:func:`encode` and :func:`decoder_step` append what their backward passes
+read to a ``caches`` list the caller passes and keep nothing without one;
+only :func:`loss_and_grads` with gradients passes lists.
 
 Everything is plain float64 numpy.  At these sizes (hidden 32, batches of
 16 or 2) a step is bound by the fixed cost of each numpy call, not by flops,
@@ -100,18 +104,18 @@ def _dropout_mask(rng, shape, rate):
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
+def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None, caches=None):
     """Run the encoder stack over a batch of equal-length sources.
 
-    Returns (top_states (Ts,B,n), per-layer final (state, memory), cache).
-    ``rng`` enables dropout between layers (training mode).
+    Returns (top_states (Ts,B,n), per-layer final (state, memory)).
+    ``rng`` enables dropout between layers (training mode).  Given a
+    ``caches`` list, each layer appends (inputs, step caches, dropout mask).
     """
     params = model.params
     cfg = model.config
     B, Ts = src_ids.shape
     n = cfg.hidden
     inputs = params["enc_E"][src_ids].transpose(1, 0, 2).copy()  # (Ts, B, n)
-    layer_caches = []
     finals = []
     with np.errstate(over="ignore"):  # saturated gates flush to 0/1
         for l in range(1, cfg.layers + 1):
@@ -125,18 +129,19 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None):
             for t in range(Ts):
                 h, c, cache = _layer_step(params, "enc", l, inputs[t], h, c)
                 states[t] = h
-                cell_caches.append(cache)
-            layer_caches.append((inputs, cell_caches, mask))
+                if caches is not None:
+                    cell_caches.append(cache)
+            if caches is not None:
+                caches.append((inputs, cell_caches, mask))
             finals.append((states[-1].copy(), c.copy()))
             inputs = states
-    return inputs, finals, (src_ids, layer_caches)
+    return inputs, finals
 
 
-def encode_backward(model, cache, d_top, d_finals, grads):
+def encode_backward(model, src_ids, layer_caches, d_top, d_finals, grads):
     """Backpropagate attention and decoder-init gradients through the encoder."""
     params = model.params
     cfg = model.config
-    src_ids, layer_caches = cache
     Ts = d_top.shape[0]
     d_states = d_top.copy()
     for l in range(cfg.layers, 0, -1):
@@ -195,7 +200,9 @@ def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None
     """One decoder step over the layer stack plus attention.
 
     ``x_in`` is [embedding; previous attentional vector].  Mutates
-    ``h_layers``/``c_layers`` in place and returns (hbar, attn_row).
+    ``h_layers``/``c_layers`` in place and returns (hbar, attn_row).  Given
+    a ``caches`` list, appends the step's caches for the backward pass in
+    :func:`loss_and_grads`.
     """
     params = model.params
     cfg = model.config
@@ -210,7 +217,8 @@ def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None
                 params, "dec", l, x, h_layers[l - 1], c_layers[l - 1]
             )
             h_layers[l - 1] = x
-            step_caches.append((cache, mask))
+            if caches is not None:
+                step_caches.append((cache, mask))
     # x is now the top layer's state
     hbar, attn, att_cache = _attention(params, x, enc_top)
     if caches is not None:
@@ -238,13 +246,14 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
         raise ValueError("batch contains no target tokens")
     rows = np.arange(B)
 
-    enc_top, enc_finals, enc_cache = encode(model, src_ids, rng=train_rng)
+    enc_caches = [] if with_grads else None
+    caches = [] if with_grads else None
+    enc_top, enc_finals = encode(model, src_ids, rng=train_rng, caches=enc_caches)
     h_layers = [h.copy() for h, _ in enc_finals]
     c_layers = [c.copy() for _, c in enc_finals]
     hbar = np.zeros((B, n))
 
     out_W = params["out_W"]
-    caches = []
     # each step's logits, turned in place into its softmax and, for the
     # backward pass, into the gradient on the logits
     probs = np.empty((Tt, B, out_W.shape[1]))
@@ -309,5 +318,5 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     np.add.at(grads["dec_E"], dec_in.T[::-1].reshape(-1), d_emb.reshape(-1, n))
 
     d_finals = list(zip(dh_time, dc_time))
-    encode_backward(model, enc_cache, d_enc_top, d_finals, grads)
+    encode_backward(model, src_ids, enc_caches, d_enc_top, d_finals, grads)
     return loss, grads, total_tokens

@@ -1,4 +1,4 @@
-"""Training loop, fine-tuning adaptation, and the finite-difference check."""
+"""Training loop and fine-tuning adaptation."""
 
 from __future__ import annotations
 
@@ -173,52 +173,3 @@ def fine_tune(
     _run_epochs(adapted, encoded, config, rng)
     return adapted
 
-
-def dataset_loss(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
-    """Mean per-token cross-entropy without dropout (evaluation mode).
-
-    A corpus without a pair whose source and target are both non-empty
-    raises :class:`EmptyCorpusError`.
-    """
-    pairs = _segment_pairs(corpus.pairs, model.src_bpe, model.tgt_bpe)
-    encoded = _encode_pairs(pairs, model.src_vocab, model.tgt_vocab)
-    if not encoded:
-        raise EmptyCorpusError("no usable sentence pairs to score")
-    total = 0.0
-    tokens = 0.0
-    for src_ids, tgt_ids in _make_batches(encoded, model.config.batch_size):
-        loss, _, count = loss_and_grads(model, src_ids, tgt_ids, with_grads=False)
-        total += loss * count
-        tokens += count
-    return total / tokens
-
-
-def gradient_check(
-    model: Seq2SeqModel,
-    batch: tuple[np.ndarray, np.ndarray],
-    epsilon: float = 1e-4,
-) -> float:
-    """Compare analytic gradients to central finite differences.
-
-    Checks every element of every parameter tensor; returns the maximum
-    relative error |analytic - numeric| / max(|analytic| + |numeric|, 1e-6).
-    Intended for tiny dimensions only.
-    """
-    src_ids, tgt_ids = batch
-    _, grads, _ = loss_and_grads(model, src_ids, tgt_ids)
-    worst = 0.0
-    for name, param in model.params.items():
-        grad = grads[name]
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for idx in range(flat.shape[0]):
-            original = flat[idx]
-            flat[idx] = original + epsilon
-            up, _, _ = loss_and_grads(model, src_ids, tgt_ids, with_grads=False)
-            flat[idx] = original - epsilon
-            down, _, _ = loss_and_grads(model, src_ids, tgt_ids, with_grads=False)
-            flat[idx] = original
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(gflat[idx]) + abs(numeric), 1e-6)
-            worst = max(worst, abs(gflat[idx] - numeric) / denom)
-    return worst

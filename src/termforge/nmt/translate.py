@@ -36,8 +36,8 @@ def encode_sources(model: Seq2SeqModel, sources) -> list[EncodedSource]:
     source, in input order.
 
     Sources of one length form one batch, as training buckets them, so the
-    encoder needs no mask.  An entry's states are its row of that batch;
-    ``encode``'s caches are dropped.  A group of one is ``encode`` at B=1;
+    encoder needs no mask.  An entry's states are its row of that batch,
+    and ``encode`` keeps no caches.  A group of one is ``encode`` at B=1;
     a row of a larger batch may differ from it in the last bits, because a
     matrix product's rounding depends on its row count.  Empty sources are
     not encoded.
@@ -52,7 +52,7 @@ def encode_sources(model: Seq2SeqModel, sources) -> list[EncodedSource]:
             groups.setdefault(len(tokens), []).append(i)
     for rows in groups.values():
         src_ids = np.array([model.src_vocab.encode(sources[i]) for i in rows], dtype=np.int64)
-        top, finals, _ = encode(model, src_ids)
+        top, finals = encode(model, src_ids)
         for b, i in enumerate(rows):
             entries[i] = EncodedSource(
                 sources[i], top[:, b:b + 1], [(h[b:b + 1], c[b:b + 1]) for h, c in finals]

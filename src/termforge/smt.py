@@ -728,17 +728,14 @@ def _optimize_on_pool(pools, stats, start):
     each of at most ``_ASCENT_PASSES`` passes (first-improvement greedy is
     prone to knife-edge optima).  The lines are priced once per pass:
     every dimension's search shares the pass's ``w . f``.  ``pools``
-    holds each sentence's feature vectors as a list of 1-D arrays, which
-    ``_pool_dots`` prices one ``dot`` each; the line searches read their
-    slopes from one array per sentence, stacked once here."""
-    stacked = [np.array(feats) for feats in pools]
+    holds each sentence's feature vectors as in ``_line_search_dim``."""
     weights = start.copy()
     dots = _pool_dots(pools, weights)
     best = _pool_bleu(stats, dots)
     for _ in range(_ASCENT_PASSES):
         best_dim, best_x, best_score = None, None, best
         for dim in range(len(FEATURE_NAMES)):
-            x, score = _line_search_dim(stacked, stats, weights, dim, dots)
+            x, score = _line_search_dim(pools, stats, weights, dim, dots)
             if score > best_score + 1e-9:
                 best_dim, best_x, best_score = dim, x, score
         if best_dim is None:
@@ -842,7 +839,8 @@ def mert_tune(
                     grew = True
         if not grew and iteration > 0:
             break
-        feats = [[f for f, _ in pool.values()] for pool in pools]
+        # one stacked array per sentence serves every start's ascent
+        feats = [np.array([f for f, _ in pool.values()]) for pool in pools]
         stats = [[st for _, st in pool.values()] for pool in pools]
         starts = [current, best_weights]
         for _ in range(restarts):

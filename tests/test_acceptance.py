@@ -30,7 +30,6 @@ from termforge.nmt import (
     TrainConfig,
     UNK,
     fine_tune,
-    gradient_check,
     replace_unk,
     train,
     translate,
@@ -49,6 +48,8 @@ from termforge.smt import (
     decode,
     mert_tune,
 )
+
+from nmt_oracles import gradient_check
 
 
 class timer:
@@ -375,7 +376,8 @@ def test_criterion_06_nmt_correctness():
         assert gradient_check(model, batch, epsilon=1e-4) < 1e-4
 
         # Eq-1 residual structure, checked with independent cell math
-        top, _, (_, layer_caches) = encode(model, batch[0])
+        layer_caches = []
+        top, _ = encode(model, batch[0], caches=layer_caches)
         for l in range(1, cfg.layers + 1):
             inputs, cell_caches, _ = layer_caches[l - 1]
             states = layer_caches[l][0] if l < cfg.layers else top
