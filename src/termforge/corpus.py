@@ -80,11 +80,10 @@ class ParallelCorpus:
 @dataclass
 class Candidate:
     """One target translation option for a lexicon entry or an annotated
-    input span.  ``score`` is a probability in [0, 1]; a lexicon row may
-    leave it out (``None``, read as 1.0), a span always holds a float."""
+    input span, with its probability ``score`` in [0, 1]."""
 
     tokens: Tokens
-    score: float | None = None
+    score: float
 
 
 @dataclass
@@ -110,18 +109,12 @@ class Lexicon:
         return len(self.entries)
 
     def best_candidate(self, source_term: Tokens) -> Candidate | None:
-        """Highest-scoring candidate for a source term (missing score = 1.0,
-        ties resolved by listing order)."""
+        """Highest-scoring candidate for a source term, ties resolved by
+        listing order."""
         entry = self.entries.get(source_term)
         if entry is None or not entry.candidates:
             return None
-        best = entry.candidates[0]
-        best_score = 1.0 if best.score is None else best.score
-        for cand in entry.candidates[1:]:
-            score = 1.0 if cand.score is None else cand.score
-            if score > best_score:
-                best, best_score = cand, score
-        return best
+        return max(entry.candidates, key=lambda cand: cand.score)
 
 
 @dataclass
@@ -184,6 +177,7 @@ def load_parallel(source_path, target_path, name: str | None = None) -> Parallel
 def load_lexicon(path) -> Lexicon:
     """Parse a lexicon TSV: ``source<TAB>target[<TAB>score][<TAB>abstract]``.
 
+    A row without a score (or with an empty score column) reads as 1.0.
     ``#``-prefixed lines are comments.  Rows sharing a source term merge into
     one entry with multiple candidates; the first abstract seen wins.
     """
@@ -201,7 +195,7 @@ def load_lexicon(path) -> Lexicon:
         target = tokenize(cols[1])
         if not source or not target:
             raise LexiconFormatError(f"{where}: empty source or target term")
-        score: float | None = None
+        score = 1.0
         if len(cols) >= 3 and cols[2].strip():
             try:
                 score = float(cols[2])
@@ -223,13 +217,13 @@ def load_lexicon(path) -> Lexicon:
 
 
 def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write a lexicon back to the TSV format accepted by :func:`load_lexicon`."""
+    """Write a lexicon back to the TSV format accepted by :func:`load_lexicon`,
+    every row with its score."""
     with atomic_open(path) as f:
         for entry in lexicon.entries.values():
             for cand in entry.candidates:
                 cols = [" ".join(entry.source_term), " ".join(cand.tokens)]
-                if cand.score is not None or entry.abstract is not None:
-                    cols.append("" if cand.score is None else str(cand.score))
+                cols.append(str(cand.score))
                 if entry.abstract is not None:
                     cols.append(entry.abstract)
                 f.write("\t".join(cols) + "\n")

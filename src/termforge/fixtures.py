@@ -191,7 +191,7 @@ def build_fixture_set(
         abstract_domain = f"{sx} {sy} term of the {vocab_a[0][0]} domain"
         entries[(sx, sy)] = LexiconEntry(
             (sx, sy),
-            [Candidate(correct, None), Candidate((tx, ty), None)],
+            [Candidate(correct, 1.0), Candidate((tx, ty), 1.0)],
             abstract=abstract_domain,
         )
     lexicon = Lexicon(entries)

@@ -5,8 +5,7 @@ vector is given) or from the cosine similarity between a domain vocabulary
 vector and each candidate's abstract text.  Vectors are plain
 ``dict[str, float]`` L2-normalized term-frequency bags (:func:`tf_vector`).
 Ranked candidates land in decoder spans via longest-match scanning, as
-``Candidate``s whose score is the injection probability (a missing score
-becomes 1.0).
+the entry's own ``Candidate``s, whose score is the injection probability.
 """
 
 from __future__ import annotations
@@ -99,10 +98,6 @@ def annotate(
         else:
             i += 1
             continue
-        candidates = [
-            Candidate(c.tokens, 1.0 if c.score is None else c.score)
-            for c in entry.candidates
-        ]
-        spans.append(Span(i, i + k, candidates, mode))
+        spans.append(Span(i, i + k, entry.candidates, mode))
         i += k
     return AnnotatedInput(tokens, spans)

@@ -71,14 +71,12 @@ def ngram_counts(tokens: Segment) -> Counter:
 
 
 def bleu_stats(
-    hypothesis: Segment, reference: Segment, reference_counts: Counter | None = None
+    hypothesis: Segment, reference: Segment, reference_counts: Counter
 ) -> tuple[list, list, int, int]:
     """Sufficient statistics for one segment: clipped matches and totals per
-    order, plus hypothesis/reference lengths.  Exposed for weight tuning,
-    which scores many hypotheses against one reference and so passes
-    ``reference_counts``, the reference's ``ngram_counts`` taken once."""
-    if reference_counts is None:
-        reference_counts = ngram_counts(reference)
+    order, plus hypothesis/reference lengths.  ``reference_counts`` is the
+    reference's :func:`ngram_counts`, which weight tuning takes once for the
+    many hypotheses it scores against one reference."""
     hyp_counts = ngram_counts(hypothesis)
     correct = [0] * BLEU_ORDER
     for gram in hyp_counts.keys() & reference_counts.keys():
@@ -128,7 +126,8 @@ def bleu(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> float:
     _check_lengths(hypotheses, references)
     return bleu_from_stats(
         *sum_bleu_stats(
-            bleu_stats(hyp, ref) for hyp, ref in zip(hypotheses, references)
+            bleu_stats(hyp, ref, ngram_counts(ref))
+            for hyp, ref in zip(hypotheses, references)
         )
     )
 
@@ -137,25 +136,21 @@ def _char_ngrams(text: str, n: int) -> Counter:
     return Counter(text[i:i + n] for i in range(len(text) - n + 1))
 
 
-def chrf3(
-    hypotheses: Sequence[Segment],
-    references: Sequence[Segment],
-    max_n: int = CHRF_ORDER,
-    beta: float = CHRF_BETA,
-) -> float:
-    """Character n-gram F-beta (recall weighted beta^2 times), in [0, 100].
+def chrf3(hypotheses: Sequence[Segment], references: Sequence[Segment]) -> float:
+    """Character n-gram F-beta for orders 1 to ``CHRF_ORDER`` and beta =
+    ``CHRF_BETA`` (recall weighted beta^2 times), in [0, 100].
 
     Whitespace is excluded from the n-grams; precision and recall are
     micro-averaged over the corpus per order, then averaged over orders.
     """
     _check_lengths(hypotheses, references)
-    hyp_counts = [0] * max_n
-    ref_counts = [0] * max_n
-    match_counts = [0] * max_n
+    hyp_counts = [0] * CHRF_ORDER
+    ref_counts = [0] * CHRF_ORDER
+    match_counts = [0] * CHRF_ORDER
     for hyp, ref in zip(hypotheses, references):
         hyp_text = "".join(hyp)
         ref_text = "".join(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, CHRF_ORDER + 1):
             hyp_ngrams = _char_ngrams(hyp_text, n)
             ref_ngrams = _char_ngrams(ref_text, n)
             hyp_counts[n - 1] += sum(hyp_ngrams.values())
@@ -163,7 +158,7 @@ def chrf3(
             match_counts[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
     precision = recall = 0.0
     effective = 0
-    for n in range(max_n):
+    for n in range(CHRF_ORDER):
         if hyp_counts[n] > 0 and ref_counts[n] > 0:
             precision += match_counts[n] / hyp_counts[n]
             recall += match_counts[n] / ref_counts[n]
@@ -174,7 +169,7 @@ def chrf3(
     recall /= effective
     if precision + recall == 0.0:
         return 0.0
-    beta_sq = beta * beta
+    beta_sq = CHRF_BETA * CHRF_BETA
     score = (1 + beta_sq) * precision * recall / (beta_sq * precision + recall)
     return 100.0 * score
 

@@ -177,9 +177,10 @@ def save_model(model: Seq2SeqModel, path) -> None:
             f.write(np.ascontiguousarray(model.params[name], dtype=np.float64).tobytes())
 
 
-def _check_tensors(path, specs, expected: dict[str, tuple[int, ...]]) -> None:
+def _check_tensors(path, specs, config: TrainConfig, n_src: int, n_tgt: int) -> None:
     """Raise :class:`ModelFormatError` if ``specs`` is not a list of
-    ``{name, shape}`` objects, or naming the first tensor (in name order)
+    ``{name, shape}`` objects, if it lists fewer than six tensors per layer
+    of the config, or naming the first tensor (in name order)
     that it lists differently from what the config and vocabularies give:
     missing, unexpected or of another shape."""
     if not isinstance(specs, list) or not all(
@@ -189,6 +190,13 @@ def _check_tensors(path, specs, expected: dict[str, tuple[int, ...]]) -> None:
         for spec in specs
     ):
         raise ModelFormatError(f"{path}: tensors is not a list of {{name, shape}} objects")
+    # checked before the expected shapes are built, one set per layer
+    if 6 * config.layers > len(specs):
+        raise ModelFormatError(
+            f"{path}: config field layers is {config.layers}, "
+            f"but {len(specs)} tensors are listed"
+        )
+    expected = param_shapes(config, n_src, n_tgt)
     listed = {spec["name"]: tuple(spec["shape"]) for spec in specs}
     for name in sorted(listed.keys() | expected.keys()):
         if name not in listed:
@@ -265,7 +273,9 @@ def _parse_bpe(path, header, key) -> BpeModel | None:
 
 def load_model(path) -> Seq2SeqModel:
     """Read a :func:`save_model` file; a malformed one raises
-    :class:`ModelFormatError` naming ``path``."""
+    :class:`ModelFormatError` naming ``path``.  The header's shapes need
+    only agree with its config, so the tensors are sliced from the rest of
+    the file, read once: the file's size bounds every allocation."""
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n").decode("utf-8", "replace")
         if magic != MAGIC:
@@ -288,20 +298,20 @@ def load_model(path) -> Seq2SeqModel:
             raise ModelFormatError(
                 f"{path}: src_bpe and tgt_bpe must both be null or both hold merges"
             )
-        _check_tensors(
-            path, header["tensors"], param_shapes(config, len(src_vocab), len(tgt_vocab))
-        )
-        params: dict[str, np.ndarray] = {}
-        for spec in header["tensors"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
-            if len(buf) != count * 8:
-                raise ModelFormatError(f"{path}: truncated tensor {spec['name']}")
-            params[spec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-        extra = len(f.read())
-        if extra:
-            raise ModelFormatError(f"{path}: {extra} bytes after the last tensor")
+        _check_tensors(path, header["tensors"], config, len(src_vocab), len(tgt_vocab))
+        data = f.read()
+    params: dict[str, np.ndarray] = {}
+    offset = 0
+    for spec in header["tensors"]:
+        shape = tuple(spec["shape"])
+        count = math.prod(shape)
+        if offset + count * 8 > len(data):
+            raise ModelFormatError(f"{path}: truncated tensor {spec['name']}")
+        tensor = np.frombuffer(data, np.float64, count, offset)
+        params[spec["name"]] = tensor.reshape(shape).copy()
+        offset += count * 8
+    if offset != len(data):
+        raise ModelFormatError(f"{path}: {len(data) - offset} bytes after the last tensor")
     return Seq2SeqModel(
         config=config,
         src_vocab=src_vocab,

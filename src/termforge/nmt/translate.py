@@ -61,25 +61,20 @@ def encode_sources(model: Seq2SeqModel, sources) -> list[EncodedSource]:
 
 
 def translate(
-    model: Seq2SeqModel,
-    tokens,
-    beam_width: int = 5,
-    encoded: EncodedSource | None = None,
+    model: Seq2SeqModel, encoded: EncodedSource, beam_width: int = 5
 ) -> tuple[tuple[str, ...], np.ndarray, float]:
     """Length-normalized beam search until end-of-sentence, for at most
     ``2 * len + 5`` target positions, ``len`` counted in model space.
 
-    The search starts from ``encoded``, the entry of ``tokens`` that
-    :func:`encode_sources` returned; ``tokens`` is then not read again.
-    Without an entry, ``tokens`` is encoded here through the same function
-    as a group of one, so a direct call runs the encoder at B=1.  Input
-    tokens are segmented per the model (BPE models receive subwords
-    internally); the returned tokens are in model space, so BPE outputs
-    still carry continuation markers.  Predicted unknowns surface as the
-    unk symbol for downstream replacement.  The end-of-sentence token is
-    blocked at the first position, so a translation is never empty.
-    Returns the tokens, their (steps x source) attention array and the
-    normalized score.
+    The search starts from ``encoded``, one source's entry from
+    :func:`encode_sources`; a single source's entry is
+    ``encode_sources(model, [tokens])[0]``, the encoder at B=1.  The
+    returned tokens are in model space, so BPE outputs still carry
+    continuation markers.  Predicted unknowns surface as the unk symbol
+    for downstream replacement.  The end-of-sentence token is blocked at
+    the first position, so a translation is never empty.  Returns the
+    tokens, their (steps x source) attention array and the normalized
+    score.
 
     A hypothesis is a plain tuple (negated score, tokens, attention
     pointer, row, finished): ``row`` is its decoder state's row in the
@@ -100,8 +95,6 @@ def translate(
     """
     if beam_width < 1:
         raise ValueError("beam_width must be >= 1")
-    if encoded is None:
-        (encoded,) = encode_sources(model, [tokens])
     tokens, enc_top, enc_finals = encoded
     if not tokens:
         return (), np.zeros((0, 0)), 0.0

@@ -330,9 +330,7 @@ def run_translate(cfg: PipelineConfig) -> list[tuple[str, ...]]:
         for start in range(0, len(sources), _ENCODE_CHUNK):
             chunk = sources[start:start + _ENCODE_CHUNK]
             for tokens, entry in zip(chunk, nmt.encode_sources(model, chunk)):
-                out, attention, _ = nmt.translate(
-                    model, tokens, beam_width=beam_width, encoded=entry
-                )
+                out, attention, _ = nmt.translate(model, entry, beam_width)
                 if model.tgt_bpe is None:
                     outputs.append(nmt.replace_unk(out, attention, tokens, lexicon))
                 else:

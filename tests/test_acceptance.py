@@ -25,10 +25,11 @@ from termforge.corpus import (
 from termforge.fixtures import build_fixture_set
 from termforge.inject import cosine_score, domain_vector, tf_vector
 from termforge.lm import train_lm
-from termforge.metrics import bleu, bleu_stats, chrf3
+from termforge.metrics import bleu, bleu_stats, chrf3, ngram_counts
 from termforge.nmt import (
     TrainConfig,
     UNK,
+    encode_sources,
     fine_tune,
     replace_unk,
     train,
@@ -79,7 +80,10 @@ def test_criterion_01_metric_oracles():
         segs = random_segments(1, 100)
         assert bleu(segs, segs) == pytest.approx(100.0)
         assert chrf3(segs, segs) == pytest.approx(100.0)
-        correct, total, _, _ = bleu_stats(("the", "the", "the"), ("the", "cat"))
+        ref = ("the", "cat")
+        correct, total, _, _ = bleu_stats(
+            ("the", "the", "the"), ref, ngram_counts(ref)
+        )
         assert (correct[0], total[0]) == (1, 3)  # modified precision 1/3 exactly
 
         def oracle_chrf(hyp, ref, max_n=6, beta=3.0):
@@ -411,7 +415,8 @@ def test_criterion_06_nmt_correctness():
         trained = train(corpus, copy_cfg)
         exact = 0
         for src, tgt in copy_pairs:
-            out, attention, _ = translate(trained, src, beam_width=1)
+            (entry,) = encode_sources(trained, [src])
+            out, attention, _ = translate(trained, entry, beam_width=1)
             exact += out == tgt
             if len(attention):  # attention rows are distributions
                 assert np.allclose(attention.sum(axis=1), 1.0, atol=1e-5)
@@ -453,7 +458,8 @@ def test_criterion_07_domain_adaptation_direction():
             def nmt_bleu(model, corpus):
                 hyps = []
                 for src, _ in corpus.pairs:
-                    out, _, _ = translate(model, src, beam_width=4)
+                    (entry,) = encode_sources(model, [src])
+                    out, _, _ = translate(model, entry, beam_width=4)
                     if model.tgt_bpe is not None:
                         out = decode_bpe(out)
                     hyps.append(out)
@@ -505,10 +511,12 @@ def test_criterion_08_subword_vs_word_mechanism():
             word_unks = bpe_unks = 0
             word_hyps, bpe_hyps, refs = [], [], []
             for src, ref in fx.domain_a.eval.pairs:
-                w_out, _, _ = translate(word_model, src, beam_width=4)
+                (w_entry,) = encode_sources(word_model, [src])
+                w_out, _, _ = translate(word_model, w_entry, beam_width=4)
                 word_unks += sum(t == UNK for t in w_out)
                 word_hyps.append(w_out)
-                b_out, _, _ = translate(bpe_model, src, beam_width=4)
+                (b_entry,) = encode_sources(bpe_model, [src])
+                b_out, _, _ = translate(bpe_model, b_entry, beam_width=4)
                 bpe_unks += sum(t == UNK for t in b_out)
                 bpe_hyps.append(decode_bpe(b_out))
                 refs.append(ref)

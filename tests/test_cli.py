@@ -755,7 +755,7 @@ class TestTranslateBpe:
         nmt.save_model(model, tmp_path / "model.tfnmt")
         (tmp_path / "in.txt").write_text("heart low\n", encoding="utf-8")
 
-        def fake_translate(model, tokens, beam_width=5, encoded=None):
+        def fake_translate(model, encoded, beam_width=5):
             return pieces, np.zeros((len(pieces), 2)), 0.0
 
         monkeypatch.setattr(nmt, "translate", fake_translate)
@@ -791,7 +791,7 @@ class TestTranslateReplaceUnk:
         (tmp_path / "in.txt").write_text("a b\n", encoding="utf-8")
         (tmp_path / "lexicon.tsv").write_text(lexicon, encoding="utf-8")
 
-        def fake_translate(model, tokens, beam_width=5, encoded=None):
+        def fake_translate(model, encoded, beam_width=5):
             return ("<unk>",), np.array([[0.0, 1.0]]), 0.0  # attends to "b"
 
         monkeypatch.setattr(nmt, "translate", fake_translate)

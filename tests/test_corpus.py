@@ -132,7 +132,7 @@ class TestLoadLexicon:
                 [Candidate(("orbita",), 0.872), Candidate(("umlaufbahn",), 0.512)],
                 abstract="eye socket",
             ),
-            LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
+            LexiconEntry(("burn",), [Candidate(("verbrennung",), 1.0)]),
         ]
         lex = Lexicon({e.source_term: e for e in entries})
         path = tmp_path / "out.tsv"
@@ -145,7 +145,7 @@ class TestLoadLexicon:
             ("umlaufbahn",),
         ]
         assert first.abstract == "eye socket"
-        assert second.candidates[0].score is None
+        assert second.candidates[0].score == 1.0
 
     def test_best_candidate_prefers_score(self):
         entry = LexiconEntry(

@@ -92,10 +92,10 @@ def lexicon_of(*entries):
 def orbit_lexicon():
     return lexicon_of(
         LexiconEntry(
-            ("orbit",), [Candidate(("orbita",), None)], MEDICAL_ABSTRACT
+            ("orbit",), [Candidate(("orbita",), 1.0)], MEDICAL_ABSTRACT
         ),
         LexiconEntry(
-            ("orbit",), [Candidate(("umlaufbahn",), None)], None
+            ("orbit",), [Candidate(("umlaufbahn",), 1.0)], None
         ),
     )
 
@@ -105,10 +105,10 @@ class TestRankCandidates:
         return lexicon_of(
             LexiconEntry(
                 ("orbit",),
-                [Candidate(("orbita",), 0.3), Candidate(("umlaufbahn",), None)],
+                [Candidate(("orbita",), 0.3), Candidate(("umlaufbahn",), 1.0)],
                 MEDICAL_ABSTRACT,
             ),
-            LexiconEntry(("burn",), [Candidate(("verbrennung",), None)]),
+            LexiconEntry(("burn",), [Candidate(("verbrennung",), 1.0)]),
         )
 
     def test_uniform_sets_all_to_one(self):
@@ -126,7 +126,7 @@ class TestRankCandidates:
     def test_cosine_matches_hand_computed_dot_product(self):
         # two-token domain, one-token overlap with the abstract "a a b"
         domain = tf_vector(["a", "c"])
-        lex = lexicon_of(LexiconEntry(("x",), [Candidate(("y",), None)], "a a b"))
+        lex = lexicon_of(LexiconEntry(("x",), [Candidate(("y",), 1.0)], "a a b"))
         ranked = rank_candidates(lex, domain)
         # abstract tf: a=2, b=1 -> normalized a=2/sqrt(5), b=1/sqrt(5)
         # domain: a=c=1/sqrt(2); dot = (1/sqrt(2)) * (2/sqrt(5))
@@ -231,7 +231,7 @@ class TestAnnotate:
                     i += 1
                     continue
                 end = i + len(best.source_term)
-                scores = [1.0 if c.score is None else c.score for c in best.candidates]
+                scores = [c.score for c in best.candidates]
                 spans.append((i, end, [c.tokens for c in best.candidates], scores))
                 i = end
             return spans
@@ -246,7 +246,7 @@ class TestAnnotate:
                 else:
                     source = tuple(rng.choices(vocab, k=rng.randint(1, 4)))
                 candidates = [
-                    Candidate((f"t{k}_{j}",), rng.choice((None, rng.random())))
+                    Candidate((f"t{k}_{j}",), rng.choice((1.0, rng.random())))
                     for j in range(rng.randint(1, 3))
                 ]
                 entries.append(LexiconEntry(source, candidates))

@@ -36,6 +36,12 @@ from termforge.nmt.train import _encode_pairs, _make_batches
 from nmt_oracles import dataset_loss, gradient_check
 
 
+def encode_one(model, tokens):
+    """``tokens``' entry from ``encode_sources`` as a group of one: the
+    encoder at B=1, the start of every single-sentence search below."""
+    return encode_sources(model, [tokens])[0]
+
+
 def tiny_model(layers=2, hidden=4, seed=7):
     cfg = TrainConfig(
         layers=layers, hidden=hidden, batch_size=2, dropout=0.0, epochs=0,
@@ -692,7 +698,7 @@ class TestSaturatedGates:
             loss, grads, _ = loss_and_grads(
                 model, src_ids, tgt_ids, train_rng=np.random.default_rng(0)
             )
-            out, _, _ = translate(model, ("a", "b", "c"), beam_width=3)
+            out, _, _ = translate(model, encode_one(model, ("a", "b", "c")), beam_width=3)
         assert np.isfinite(loss) and out
         assert all(np.isfinite(g).all() for g in grads.values())
 
@@ -720,7 +726,7 @@ class TestTraining:
         first5 = model.train_history[:5]
         assert all(b < a for a, b in zip(first5, first5[1:])), first5
         exact = sum(
-            translate(model, src, beam_width=1)[0] == tgt
+            translate(model, encode_one(model, src), beam_width=1)[0] == tgt
             for src, tgt in corpus.pairs
         )
         assert exact >= 45  # >= 90% of 50
@@ -757,7 +763,8 @@ class TestTraining:
                           epochs=1, seed=0)
         model = train(corpus, cfg, src_bpe=bpe, tgt_bpe=bpe)
         assert model.src_bpe is bpe and model.tgt_bpe is bpe
-        out, attention, _ = translate(model, corpus.pairs[0][0], beam_width=1)
+        src = corpus.pairs[0][0]
+        out, attention, _ = translate(model, encode_one(model, src), beam_width=1)
         # attention columns cover the subword-segmented source
         from termforge.bpe import apply_bpe
 
@@ -890,7 +897,7 @@ class TestTranslate:
     def test_attention_rows_sum_to_one(self):
         model, corpus = self.trained()
         for src, _ in corpus.pairs[:5]:
-            _, attention, _ = translate(model, src, beam_width=3)
+            _, attention, _ = translate(model, encode_one(model, src), beam_width=3)
             if len(attention):
                 sums = attention.sum(axis=1)
                 assert np.allclose(sums, 1.0, atol=1e-5)
@@ -902,7 +909,7 @@ class TestTranslate:
         from termforge.nmt.network import decoder_step
 
         for src, _ in corpus.pairs[:5]:
-            out, _, _ = translate(model, src, beam_width=1)
+            out, _, _ = translate(model, encode_one(model, src), beam_width=1)
             # explicit greedy loop
             src_ids = np.array([model.src_vocab.encode(src)])
             enc_top, finals = encode(model, src_ids)
@@ -926,8 +933,8 @@ class TestTranslate:
     def test_wider_beam_never_lowers_normalized_score(self):
         model, corpus = self.trained()
         for src, _ in corpus.pairs[:4]:
-            s1 = translate(model, src, beam_width=1)[2]
-            s5 = translate(model, src, beam_width=5)[2]
+            s1 = translate(model, encode_one(model, src), beam_width=1)[2]
+            s5 = translate(model, encode_one(model, src), beam_width=5)[2]
             assert s5 >= s1 - 1e-9
 
     def test_batched_beam_matches_reference(self):
@@ -935,7 +942,9 @@ class TestTranslate:
         for beam_width in (1, 3, 5):
             for src, _ in corpus.pairs[:8]:
                 case = (beam_width, src)
-                out, attention, score = translate(model, src, beam_width=beam_width)
+                out, attention, score = translate(
+                    model, encode_one(model, src), beam_width=beam_width
+                )
                 ref_out, ref_attention, ref_score = reference_beam(
                     model, src, beam_width=beam_width
                 )
@@ -946,7 +955,7 @@ class TestTranslate:
 
     def test_empty_input(self):
         model, _ = self.trained()
-        out, attention, score = translate(model, (), beam_width=2)
+        out, attention, score = translate(model, encode_one(model, ()), beam_width=2)
         assert out == () and len(attention) == 0
 
 
@@ -1075,7 +1084,9 @@ class TestTranslateOracle:
         if beam_width == "wide":
             beam_width = len(model.tgt_vocab) + 2
         for src in inputs:
-            out, attention, score = translate(model, src, beam_width=beam_width)
+            out, attention, score = translate(
+                model, encode_one(model, src), beam_width=beam_width
+            )
             ref_out, ref_attention, ref_score = reference_translate(
                 model, src, beam_width=beam_width
             )
@@ -1192,7 +1203,7 @@ class TestEncodeSources:
         assert [ids.shape for ids in calls] == [(2, len(inputs[0]))]
         for i in (0, 2):
             assert entries[i].tokens == () and entries[i].top is None
-            out, attention, _ = translate(model, (), encoded=entries[i])
+            out, attention, _ = translate(model, entries[i])
             assert out == () and attention.shape == (0, 0)
 
     @pytest.mark.parametrize("kind", ["word", "bpe", "untrained", "tied", "saturated"])
@@ -1202,8 +1213,10 @@ class TestEncodeSources:
         entries = encode_sources(model, sources)
         for beam_width in (1, 3, 5):
             for src, entry in zip(sources, entries):
-                out, attention, score = translate(model, src, beam_width, encoded=entry)
-                ref_out, ref_attention, ref_score = translate(model, src, beam_width)
+                out, attention, score = translate(model, entry, beam_width)
+                ref_out, ref_attention, ref_score = translate(
+                    model, encode_one(model, src), beam_width
+                )
                 assert out == ref_out, (beam_width, src)
                 assert abs(score - ref_score) <= 1e-9, (beam_width, src)
                 assert np.allclose(attention, ref_attention), (beam_width, src)
@@ -1303,7 +1316,8 @@ class TestCheckpoint:
         save_model(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         src = corpus.pairs[0][0]
-        assert translate(loaded, src, 2)[0] == translate(model, src, 2)[0]
+        assert (translate(loaded, encode_one(loaded, src), 2)[0]
+                == translate(model, encode_one(model, src), 2)[0])
 
     def test_header_as_previously_written_loads_equal(self, tmp_path):
         path = tmp_path / "model.tfnmt"
@@ -1386,8 +1400,13 @@ class TestCheckpoint:
                 b'"name": "out_W", "shape": [%d, %d]' % shape[::-1]),
              r"tensor out_W has shape \(7, 4\); the config needs \(4, 7\)"),
             (lambda data, shape: data + b"\0", "1 bytes after the last tensor"),
+            (lambda data, shape: data[:-1], "truncated tensor out_b"),
+            # more layers than the listed tensors could hold: refused before
+            # the expected shapes, one set per layer, are built
+            (lambda data, shape: data.replace(b'"layers": 1', b'"layers": 1' + b"0" * 20),
+             "config field layers is 1" + "0" * 20 + ", but 13 tensors are listed"),
         ],
-        ids=["layers", "out_W-shape", "trailing-byte"],
+        ids=["layers", "out_W-shape", "trailing-byte", "truncated", "layers-beyond-tensors"],
     )
     def test_tensors_must_match_the_config(self, tmp_path, edit, message):
         path = tmp_path / "model.tfnmt"

@@ -211,7 +211,7 @@ def test_nmt_lines_are_translate_from_the_entries_of_their_chunk(
     for start in range(0, len(sources), 4):
         chunk = sources[start:start + 4]
         for tokens, entry in zip(chunk, encode_sources(model, chunk)):
-            out, attention, _ = nmt.translate(model, tokens, 2, encoded=entry)
+            out, attention, _ = nmt.translate(model, entry, 2)
             expected.append(nmt.replace_unk(out, attention, tokens))
     assert outputs == expected
     assert outputs[0] == outputs[6] == ()

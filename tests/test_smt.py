@@ -1278,7 +1278,9 @@ def reference_corpus_bleu_decoding(dev, table, lm, weights, beam):
     hyps = [decode(src, table, lm, weights, beam).tokens for src, _ in dev.pairs]
     refs = [ref for _, ref in dev.pairs]
     return bleu_from_stats(
-        *sum_bleu_stats(bleu_stats(hyp, ref) for hyp, ref in zip(hyps, refs))
+        *sum_bleu_stats(
+            bleu_stats(hyp, ref, ngram_counts(ref)) for hyp, ref in zip(hyps, refs)
+        )
     )
 
 
@@ -1293,7 +1295,7 @@ def reference_worst_tie_bleu(dev, table, lm, weights, beam, nbest):
         for result in results:
             if result.score != results[0].score:
                 break
-            st = bleu_stats(result.tokens, ref)
+            st = bleu_stats(result.tokens, ref, ngram_counts(ref))
             if worst is None or sum(st[0]) < sum(worst[0]):
                 worst = st
         chosen.append(worst)
@@ -1338,7 +1340,9 @@ def reference_mert_tune(
                     continue
                 seen[s_idx].add(result.tokens)
                 pools[s_idx].append(result.features)
-                stats[s_idx].append(bleu_stats(result.tokens, ref))
+                stats[s_idx].append(
+                    bleu_stats(result.tokens, ref, ngram_counts(ref))
+                )
                 grew = True
         if not grew and iteration > 0:
             break
