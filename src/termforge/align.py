@@ -215,14 +215,16 @@ class PhraseTable:
     of the longest source phrase, so lookups stop there.
 
     ``entries`` maps each source phrase to its options, or, in a table
-    that :func:`load_phrase_table` returns, to its checked lines, not yet
-    parsed.  :meth:`options` builds a phrase's options from its lines the
-    first time the phrase is looked up and keeps them, and reading
-    :attr:`entries` builds whatever is left.  So a loaded table fills its
-    own cache as lookups arrive; callers treat it as read-only.
+    that :func:`load_phrase_table` or :func:`save_phrase_table` returns,
+    to its checked lines, not yet parsed: one string, the lines joined by
+    ``\n``, so an unbuilt phrase holds no container.  :meth:`options`
+    builds a phrase's options from its lines the first time the phrase is
+    looked up and keeps them, and reading :attr:`entries` builds whatever
+    is left.  So such a table fills its own cache as lookups arrive;
+    callers treat it as read-only.
     """
 
-    def __init__(self, entries: dict[Tokens, list]):
+    def __init__(self, entries: dict[Tokens, list[PhraseOption] | str]):
         self._entries = entries
         self._all_built = False
         self.max_phrase_len = max(map(len, entries), default=0)
@@ -231,7 +233,7 @@ class PhraseTable:
     def entries(self) -> dict[Tokens, list[PhraseOption]]:
         if not self._all_built:  # a scan per read would make loops quadratic
             for src, opts in self._entries.items():
-                if opts and isinstance(opts[0], str):
+                if isinstance(opts, str):
                     self._entries[src] = _build_options(opts)
             self._all_built = True
         return self._entries
@@ -239,7 +241,7 @@ class PhraseTable:
     def options(self, source_phrase: Tokens) -> list[PhraseOption]:
         source_phrase = tuple(source_phrase)
         opts = self._entries.get(source_phrase, [])
-        if opts and isinstance(opts[0], str):
+        if isinstance(opts, str):
             opts = self._entries[source_phrase] = _build_options(opts)
         return opts
 
@@ -416,14 +418,51 @@ def extract_phrases(
     return PhraseTable(entries)
 
 
-def save_phrase_table(ptable: PhraseTable, path) -> None:
-    """Moses-style lines: ``source ||| target ||| f1 f2 f3 f4``."""
+def save_phrase_table(ptable: PhraseTable, path) -> PhraseTable | None:
+    """Write Moses-style lines, ``source ||| target ||| f1 f2 f3 f4``, and
+    return the table :func:`load_phrase_table` reads back from the file,
+    or None when the loader rejects the file.
+
+    The returned table holds the lines just written, indexed by source
+    phrase in file order under ``ptable``'s own source tuples, so it
+    builds each phrase's options on first lookup from the text a load
+    would check.  An option whose features are not four numbers raises
+    ValueError and writes nothing.  When the text might not read back as
+    written (an empty word or phrase, a word holding whitespace or ``|||``,
+    a feature that is not finite, or no line at all), the file is loaded
+    instead."""
     entries = ptable.entries
+    index: dict[Tokens, str] = {}
+    n = 0  # lines
+    finite = True
+    for src in sorted(entries):
+        head = " ".join(src) + " ||| "
+        lines = []
+        for opt in entries[src]:
+            f1, f2, f3, f4 = opt.features
+            feats = f"{float(f1)!r} {float(f2)!r} {float(f3)!r} {float(f4)!r}"
+            if "n" in feats:  # nan, inf
+                finite = False
+            lines.append(f"{head}{' '.join(opt.target)} ||| {feats}")
+        if lines:
+            index[src] = "\n".join(lines)
+            n += len(lines)
+    text = "\n".join(index.values())
     with atomic_open(path) as f:
-        for src in sorted(entries):
-            for opt in entries[src]:
-                feats = " ".join(repr(float(v)) for v in opt.features)
-                f.write(f"{' '.join(src)} ||| {' '.join(opt.target)} ||| {feats}\n")
+        f.write(text)
+        f.write("\n" if text else "")
+    # each line is one line, its two separators are its only "|||", and no
+    # word is empty or holds whitespace (all but " " and "\n" unprintable)
+    if not (
+        finite and n and text.count("\n") == n - 1 and text.count("|||") == 2 * n
+        and "  " not in text and "\n " not in text and text[0] != " "
+        and text.replace("\n", "").isprintable()
+    ):
+        try:
+            return load_phrase_table(path)
+        except ModelFormatError:
+            return None
+    return PhraseTable(index)
 
 
 def _parse_line(line: str) -> tuple[list[str], list[str], tuple[float, ...]]:
@@ -452,11 +491,11 @@ def _parse_line(line: str) -> tuple[list[str], list[str], tuple[float, ...]]:
     return src, tgt, feats
 
 
-def _build_options(lines: list[str]) -> list[PhraseOption]:
+def _build_options(lines: str) -> list[PhraseOption]:
     """The options of one source phrase, from its checked lines."""
     return [
         PhraseOption(tuple(map(sys.intern, tgt)), feats)
-        for _, tgt, feats in map(_parse_line, lines)
+        for _, tgt, feats in map(_parse_line, lines.split("\n"))
     ]
 
 
@@ -486,4 +525,4 @@ def load_phrase_table(path) -> PhraseTable:
             lines.append(line)
     if not index:
         raise ModelFormatError(f"{path}: no phrase entries")
-    return PhraseTable(index)
+    return PhraseTable({src: "\n".join(lines) for src, lines in index.items()})

@@ -31,6 +31,12 @@ def _min(minimum: int):
     return f">= {minimum}", lambda value: value >= minimum
 
 
+def _range(minimum: int, maximum: int):
+    """A desk-scale bound on a size that allocates or loops before any
+    data is read."""
+    return f"in [{minimum}, {maximum}]", lambda value: minimum <= value <= maximum
+
+
 _POSITIVE = ("finite and > 0", lambda value: math.isfinite(value) and value > 0)
 _SPLITS = ("train", "dev", "eval")
 
@@ -53,15 +59,15 @@ KEYS: dict[str, tuple] = {
     "stats.output": (PATH, "stats.txt", None),
     "smt.em_iterations": (int, 8, _min(1)),
     "smt.max_phrase_len": (int, 7, _min(1)),
-    "smt.lm_order": (int, 5, _min(1)),
+    "smt.lm_order": (int, 5, _range(1, 10)),
     "smt.stack_size": (int, 100, _min(1)),
     "smt.distortion_limit": (int, 6, _min(0)),
     "smt.mert.restarts": (int, 3, _min(0)),
     "smt.mert.iterations": (int, 4, _min(0)),
     "smt.mert.nbest": (int, 100, _min(1)),
     "nmt.segmentation": (("word", "bpe"), "word", None),
-    "nmt.layers": (int, 2, _min(1)),
-    "nmt.hidden": (int, 64, _min(1)),
+    "nmt.layers": (int, 2, _range(1, 16)),
+    "nmt.hidden": (int, 64, _range(1, 4096)),
     "nmt.batch_size": (int, 16, _min(1)),
     "nmt.dropout": (float, 0.3, ("in [0, 1)", lambda value: 0.0 <= value < 1.0)),
     "nmt.epochs": (int, 13, _min(0)),

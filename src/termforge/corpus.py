@@ -10,6 +10,7 @@ also what the SMT decoder's annotated spans hold.
 from __future__ import annotations
 
 import math
+import sys
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,7 +37,8 @@ def tokenize(text: str) -> Tokens:
     punctuation.
 
     Interior punctuation (hyphens, apostrophes) stays attached so compounds
-    like "blood-vessel" survive as single tokens.
+    like "blood-vessel" survive as single tokens.  Each token is interned,
+    so a word is one shared string wherever models keep it.
     """
     out: list[str] = []
     for chunk in text.lower().split():
@@ -51,7 +53,7 @@ def tokenize(text: str) -> Tokens:
         out.extend(lead)
         out.append(chunk)
         out.extend(reversed(trail))
-    return tuple(out)
+    return tuple(map(sys.intern, out))
 
 
 @dataclass

@@ -289,18 +289,32 @@ def train_lm(sentences: Iterable[Sequence[str]], order: int = 5) -> NgramLanguag
     )
 
 
-def save_arpa(model: NgramLanguageModel, path) -> None:
-    """Write the model in the textual ARPA format (log10 values)."""
-    grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(model.order + 1)]
+def save_arpa(model: NgramLanguageModel, path) -> NgramLanguageModel | None:
+    """Write the model in the textual ARPA format (log10 values), and
+    return the model :func:`load_arpa` reads back from the file, or None
+    when the loader rejects the file.
+
+    The returned model holds each written value times ``ln 10`` (not the
+    trained value, whose last bits may differ), keyed in file order, and
+    its vocabulary and prediction set come from the 1-gram lines.  When
+    the file might not read back as written (a value that is not finite,
+    a 1-gram word holding a space, a tab or a line break, a word of a
+    longer n-gram with no 1-gram, no ``</s>`` or ``<unk>`` 1-gram, or no
+    section), it is loaded instead."""
+    order = model.order
+    grams_by_order: list[list[tuple[str, ...]]] = [[] for _ in range(order + 1)]
     for gram in model.logprob:
         grams_by_order[len(gram)].append(gram)
+    logprob: dict[tuple[str, ...], float] = {}
+    backoff: dict[tuple[str, ...], float] = {}
+    total = 0.0  # of every written value: finite when each one is
     with atomic_open(path) as f:
         f.write("\\data\\\n")
-        for n in range(1, model.order + 1):
+        for n in range(1, order + 1):
             count = len(grams_by_order[n]) + (1 if n == 1 else 0)  # +1 for <s>
             f.write(f"ngram {n}={count}\n")
         f.write("\n")
-        for n in range(1, model.order + 1):
+        for n in range(1, order + 1):
             f.write(f"\\{n}-grams:\n")
             entries = sorted(grams_by_order[n])
             if n == 1:
@@ -310,13 +324,39 @@ def save_arpa(model: NgramLanguageModel, path) -> None:
                     lp10 = -99.0  # placeholder: <s> is never predicted
                 else:
                     lp10 = model.logprob[gram] / _LOG10
-                line = f"{lp10!r}\t{' '.join(gram)}"
+                    logprob[gram] = lp10 * _LOG10
+                total += lp10
                 bow = model.backoff.get(gram)
-                if bow is not None and n < model.order:
-                    line += f"\t{bow / _LOG10!r}"
-                f.write(line + "\n")
+                if bow is not None and n < order:
+                    bow10 = bow / _LOG10
+                    backoff[gram] = bow10 * _LOG10
+                    total += bow10
+                    f.write(f"{lp10!r}\t{' '.join(gram)}\t{bow10!r}\n")
+                else:
+                    f.write(f"{lp10!r}\t{' '.join(gram)}\n")
             f.write("\n")
         f.write("\\end\\\n")
+    unigrams = {BOS, *chain.from_iterable(grams_by_order[1])}
+    # every word is a 1-gram word, so no line splits other than as written
+    # when no 1-gram word holds a space, a tab or a line break
+    words = " ".join(unigrams)
+    if not (
+        order >= 1 and math.isfinite(total) and (EOS,) in logprob and (UNK,) in logprob
+        and unigrams.issuperset(chain.from_iterable(chain.from_iterable(grams_by_order[2:])))
+        and words.count(" ") == len(unigrams) - 1
+        and not any(c in words for c in "\t\n\r")
+    ):
+        try:
+            return load_arpa(path)
+        except ModelFormatError:
+            return None
+    return NgramLanguageModel(
+        order=order,
+        logprob=logprob,
+        backoff=backoff,
+        vocab=frozenset(unigrams | {BOS, EOS, UNK}),
+        prediction_set=frozenset(unigrams - {BOS}),
+    )
 
 
 def load_arpa(path) -> NgramLanguageModel:

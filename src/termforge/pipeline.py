@@ -13,7 +13,10 @@ batch per source length, before it searches each line in turn.
 Stages run in one process share parsed models: the phrase table, the
 language model and the NMT model are parsed once and reused while their
 files' contents (by sha256) stay the same, so ``tune`` followed by
-several ``translate`` calls parses each file once.  A changed file is
+several ``translate`` calls parses each file once.  A model a stage
+writes is never parsed again in that process: ``train-smt`` keeps the
+phrase table and language model its savers return, which are the models
+their loaders read back from the files just written.  A changed file is
 parsed again.  Settings that a trained model already fixes are read from
 the model, not from the config: the phrase-length limit is the phrase table's longest source
 phrase, and an NMT model is subword-level exactly when it holds BPE
@@ -92,10 +95,15 @@ def run_stats(cfg: PipelineConfig) -> str:
 def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     """Word alignment, phrase extraction, language model, default weights.
 
-    One model is alive at a time.  EM, Viterbi alignment and phrase
-    extraction run first; then the word table and the alignments are
-    dropped, and the phrase table is written and dropped.  Only then is
-    the language model trained and written, and the default weights last.
+    EM, Viterbi alignment and phrase extraction run first; then the word
+    table and the alignments are dropped, and the phrase table is written.
+    Only then is the language model trained and written, and the default
+    weights last.  Each saver returns the model its loader reads back from
+    the file just written, which replaces the trained one, and that model
+    is kept as the one this process parsed from the file (see
+    :func:`_parse_once`): ``tune``, ``adapt`` and ``translate`` in the
+    same process parse neither file.  So the written phrase table stays
+    alive through LM training.
     """
     model_dir = cfg.path("model.smt.dir")
     _guard_model_dir(model_dir, force)
@@ -105,10 +113,13 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     ptable = align.extract_phrases(train, alignments, table, cfg["smt.max_phrase_len"])
     del table, alignments
     entries = len(ptable)
-    align.save_phrase_table(ptable, os.path.join(model_dir, "phrase-table.txt"))
-    del ptable
+    path = os.path.join(model_dir, "phrase-table.txt")
+    ptable = align.save_phrase_table(ptable, path)
+    _keep_parsed("phrase-table", path, ptable)
     model = lm.train_lm(train.target_sentences, order=cfg["smt.lm_order"])
-    lm.save_arpa(model, os.path.join(model_dir, "lm.arpa"))
+    path = os.path.join(model_dir, "lm.arpa")
+    model = lm.save_arpa(model, path)
+    _keep_parsed("lm", path, model)
     smt.save_weights(
         smt.LogLinearWeights.default(), os.path.join(model_dir, "weights.txt")
     )
@@ -120,20 +131,36 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
 _PARSED: dict[str, tuple[tuple, object]] = {}
 
 
+def _file_key(path: str) -> tuple[str, bytes]:
+    """The absolute path and the sha256 of the file's bytes."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 16), b""):
+            digest.update(block)
+    return os.path.abspath(path), digest.digest()
+
+
+def _keep_parsed(slot: str, path: str, model) -> None:
+    """Keep ``model``, which a saver returned, as the one parsed from
+    ``path``; a None model (the loader rejects the file) is not kept, so
+    the next :func:`_parse_once` raises the loader's error."""
+    if model is not None:
+        _PARSED[slot] = (_file_key(path), model)
+
+
 def _parse_once(slot: str, loader, path: str):
-    """``loader(path)``, or the model the last call for ``slot`` parsed
-    when the file's bytes are unchanged.
+    """``loader(path)``, or the model kept in ``slot`` when it came from a
+    file with the same path and bytes: one the last call for ``slot``
+    parsed, or one a stage of this process wrote (see
+    :func:`run_train_smt`), so no stage parses a file the process wrote
+    itself.
 
     The digest is taken before parsing, so a file replaced while it is
     parsed is parsed again by the next call.  A shared phrase table keeps
     filling its own cache of built options as its callers look phrases up
     (see :class:`align.PhraseTable`); that changes none of its answers.
     """
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 16), b""):
-            digest.update(block)
-    key = (os.path.abspath(path), digest.digest())
+    key = _file_key(path)
     cached = _PARSED.get(slot)
     if cached is not None and cached[0] == key:
         return cached[1]

@@ -1,13 +1,18 @@
 """IBM Model 1 EM, Viterbi alignment, and phrase extraction."""
 
 import math
+import os
 import random
 import re
+import tempfile
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from termforge import align as align_module
 from termforge.align import (
     NULL_TOKEN,
     PROB_FLOOR,
@@ -23,8 +28,9 @@ from termforge.align import (
     save_phrase_table,
     viterbi_align,
 )
-from termforge.corpus import ParallelCorpus
+from termforge.corpus import ParallelCorpus, load_parallel, tokenize
 from termforge.errors import EmptyCorpusError, ModelFormatError
+from termforge.fixtures import write_fixture_files
 
 
 def oracle_em(pairs, iterations):
@@ -641,6 +647,104 @@ class TestAgainstReference:
             assert set(got) == set(want)
             for key, (fwd, rev) in want.items():
                 assert got[key] == (max(fwd, PROB_FLOOR), max(rev, PROB_FLOOR))
+
+
+# Round-trip oracle: the table save_phrase_table returns is the one
+# load_phrase_table reads back from the file it wrote, before and after
+# every phrase's options are built.
+
+
+def saved_and_loaded(ptable, path):
+    """What save_phrase_table returns, without parsing the file, and what
+    load_phrase_table reads back from it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(align_module, "load_phrase_table", None)  # a parse would fail
+        saved = save_phrase_table(ptable, path)
+    return saved, load_phrase_table(path)
+
+
+def assert_same_table(got, want):
+    assert list(got._entries) == list(want._entries)
+    assert got._entries == want._entries  # each phrase's lines, unparsed
+    assert got.max_phrase_len == want.max_phrase_len
+    built, want_built = got.entries, want.entries
+    assert list(built) == list(want_built)
+    for src, options in want_built.items():
+        assert [(o.target, [f.hex() for f in o.features]) for o in built[src]] == [
+            (o.target, [f.hex() for f in o.features]) for o in options
+        ], src
+
+
+def extracted(corpus, max_len):
+    table = ibm1_em(corpus, 3)
+    alignments = [viterbi_align(table, pair) for pair in corpus.pairs]
+    return extract_phrases(corpus, alignments, table, max_len)
+
+
+# words as the tokenizer makes them from text with punctuation, tabs and
+# non-ASCII letters, so "|" and "a|||b" words are drawn too
+TEXT_WORDS = st.text("ab|é.-\t", min_size=1, max_size=4)
+SIDES = st.lists(TEXT_WORDS, min_size=1, max_size=6).map(
+    lambda words: tokenize(" ".join(words))
+).filter(bool)
+
+
+class TestSaveReturnsTheLoadedTable:
+    @pytest.mark.parametrize("max_len", [1, 4])
+    def test_toy_corpus(self, tmp_path, max_len):
+        write_fixture_files(str(tmp_path / "data"), seed=42)
+        corpus = load_parallel(tmp_path / "data" / "generic.src", tmp_path / "data" / "generic.tgt")
+        saved, loaded = saved_and_loaded(extracted(corpus, max_len), tmp_path / "pt")
+        assert_same_table(saved, loaded)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(st.lists(st.tuples(SIDES, SIDES), min_size=1, max_size=10), st.integers(1, 4))
+    def test_drawn_corpora(self, pairs, max_len):
+        ptable = extracted(ParallelCorpus(pairs), max_len)
+        with tempfile.TemporaryDirectory() as tmp:
+            if not len(ptable):  # written, but no table reads back
+                assert save_phrase_table(ptable, os.path.join(tmp, "pt")) is None
+                return
+            saved, loaded = saved_and_loaded(ptable, os.path.join(tmp, "pt"))
+        assert_same_table(saved, loaded)
+
+    def test_half_built_table_saved_again(self, tmp_path):
+        path = tmp_path / "pt"
+        save_phrase_table(extracted(random_corpus(5, n_pairs=20), 3), path)
+        table = load_phrase_table(path)
+        table.options(next(iter(table._entries)))
+        saved, loaded = saved_and_loaded(table, tmp_path / "again")
+        assert_same_table(saved, loaded)
+
+    @pytest.mark.parametrize("src, tgt", [
+        (("x", "|||"), ("y",)),  # a "|||" word moves the separator
+        (("x\xady",), ("y",)),  # a soft hyphen is not whitespace, but unprintable
+        (("x", ""), ("y",)),  # an empty word is read as no word
+    ])
+    def test_text_that_reads_back_otherwise_is_loaded(self, tmp_path, src, tgt):
+        ptable = PhraseTable({src: [PhraseOption(tgt, (0.5, 0.5, 0.5, 0.5))]})
+        path = tmp_path / "pt"
+        saved = save_phrase_table(ptable, path)
+        assert_same_table(saved, load_phrase_table(path))
+
+    @pytest.mark.parametrize("entries", [
+        {},
+        {("a",): []},
+        {("a",): [PhraseOption(("x",), (0.5, math.inf, 0.5, 0.5))]},
+        {("a",): [PhraseOption((), (0.5, 0.5, 0.5, 0.5))]},
+    ])
+    def test_file_the_loader_rejects_returns_none(self, tmp_path, entries):
+        path = tmp_path / "pt"
+        assert save_phrase_table(PhraseTable(entries), path) is None
+        with pytest.raises(ModelFormatError):
+            load_phrase_table(path)
+
+    @pytest.mark.parametrize("features", [(0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5, 0.5)])
+    def test_features_not_four_raise_and_write_nothing(self, tmp_path, features):
+        path = tmp_path / "pt"
+        with pytest.raises(ValueError):
+            save_phrase_table(PhraseTable({("a",): [PhraseOption(("x",), features)]}), path)
+        assert not path.exists()
 
 
 # Whole-table oracle: extract_phrases, its per-word factors and

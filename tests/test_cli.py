@@ -352,6 +352,33 @@ class TestConfigValidation:
         # rejected before any input was read or any output written
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "command, key, top",
+        [
+            ("train-nmt", "nmt.hidden", 4096),
+            ("train-nmt", "nmt.layers", 16),
+            ("train-smt", "smt.lm_order", 10),
+        ],
+    )
+    def test_size_over_its_bound_fails_naming_the_key(
+        self, tmp_path, monkeypatch, capsys, command, key, top
+    ):
+        """Sizes that allocate or loop before any data is read have an
+        upper bound; a value past it, however large, is a ConfigError."""
+        path = write_config(tmp_path)
+        assert load_config(path, overrides=[f"{key}={top}"])[key] == top
+        for value in (top + 1, 100000000, 12345678901234567890):
+            with pytest.raises(
+                ConfigError, match=re.escape(f"--set: {key} must be in [1, {top}], got")
+            ):
+                load_config(path, overrides=[f"{key}={value}"])
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--config", path, "--set", f"{key}={top + 1}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{key} must be in [1, {top}]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 class TestLineForLine:
     """Each input line gives one output line; a blank one gives a blank one."""

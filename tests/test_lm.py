@@ -1,14 +1,21 @@
 """Kneser-Ney n-gram model: normalization, scoring, ARPA round trip."""
 
 import math
+import os
 import random
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from termforge import lm as lm_module
+from termforge.corpus import load_parallel, tokenize
 from termforge.errors import EmptyCorpusError, ModelFormatError
 from termforge.align import PhraseOption, PhraseTable
+from termforge.fixtures import write_fixture_files
 from termforge.lm import BOS, EOS, UNK, NgramLanguageModel, load_arpa, save_arpa, train_lm
 from termforge.smt import BeamConfig, LogLinearWeights, decode_nbest
 
@@ -450,6 +457,97 @@ def test_arpa_without_fallback_unigram_is_rejected(tmp_path, word):
     path.write_text("".join(kept), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=rf"{re.escape(str(path))}: no {word} unigram"):
         load_arpa(path)
+
+
+# Round-trip oracle: the model save_arpa returns is the one load_arpa
+# reads back from the file it wrote, bit for bit and key for key (order
+# included: StateTables numbers its states in logprob order).
+
+
+def assert_same_model(got, want):
+    for table in ("logprob", "backoff"):
+        g, w = getattr(got, table), getattr(want, table)
+        assert list(g) == list(w), table
+        assert [v.hex() for v in g.values()] == [v.hex() for v in w.values()], table
+    assert got.order == want.order
+    assert got.vocab == want.vocab
+    assert got.prediction_set == want.prediction_set
+
+
+def saved_and_loaded(model, path):
+    """What save_arpa returns, without parsing the file, and what
+    load_arpa reads back from it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lm_module, "load_arpa", None)  # a parse would fail
+        saved = save_arpa(model, path)
+    return saved, load_arpa(path)
+
+
+# words as the tokenizer makes them from text with punctuation, tabs and
+# non-ASCII letters, so edge punctuation and "|" splits are drawn too
+TEXT_WORDS = st.text("ab|é.-\t", min_size=1, max_size=4)
+SENTENCES = st.lists(
+    st.lists(TEXT_WORDS, max_size=6).map(lambda words: tokenize(" ".join(words))),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestSaveReturnsTheLoadedModel:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_toy_corpus(self, tmp_path, order):
+        write_fixture_files(str(tmp_path / "data"), seed=42)
+        corpus = load_parallel(tmp_path / "data" / "generic.src", tmp_path / "data" / "generic.tgt")
+        model = train_lm(corpus.target_sentences, order=order)
+        saved, loaded = saved_and_loaded(model, tmp_path / "model.arpa")
+        assert_same_model(saved, loaded)
+        # the trained values are no substitute: from order 2 on, some of
+        # this corpus's differ from the loaded ones in their last bits
+        assert (order > 1) == any(
+            model.logprob[gram].hex() != value.hex() for gram, value in saved.logprob.items()
+        )
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(SENTENCES, st.integers(1, 4))
+    def test_drawn_corpora(self, sentences, order):
+        with tempfile.TemporaryDirectory() as tmp:
+            saved, loaded = saved_and_loaded(
+                train_lm(sentences, order=order), os.path.join(tmp, "model.arpa")
+            )
+        assert_same_model(saved, loaded)
+
+    def test_loaded_model_saved_again(self, tmp_path):
+        path = tmp_path / "model.arpa"
+        save_arpa(train_lm(fixture_sentences(), order=3), path)
+        saved, loaded = saved_and_loaded(load_arpa(path), tmp_path / "again.arpa")
+        assert_same_model(saved, loaded)
+
+    def test_file_that_reads_back_otherwise_is_loaded(self, tmp_path):
+        """A 1-gram word holding a tab writes a line the loader reads as a
+        back-off weight; the saver returns what the loader reads."""
+        model = train_lm([("a",)], order=1)
+        model.logprob[("b\t-1.0",)] = -0.25
+        path = tmp_path / "tab.arpa"
+        saved = save_arpa(model, path)
+        loaded = load_arpa(path)
+        assert_same_model(saved, loaded)
+        assert loaded.backoff[("b",)] == -1.0 * math.log(10.0)
+
+    @pytest.mark.parametrize("change", ["space", "unk", "nan", "stray"])
+    def test_file_the_loader_rejects_returns_none(self, tmp_path, change):
+        model = train_lm([("a", "b")], order=2)
+        if change == "space":
+            model.logprob[("c d",)] = -1.0
+        elif change == "unk":
+            del model.logprob[(UNK,)]
+        elif change == "nan":
+            model.backoff[("a",)] = math.nan
+        else:
+            model.logprob[("a", "zz")] = -1.0
+        path = tmp_path / "model.arpa"
+        assert save_arpa(model, path) is None
+        with pytest.raises(ModelFormatError):
+            load_arpa(path)
 
 
 # Whole-model oracle: train_lm and save_arpa as they were before their

@@ -136,12 +136,96 @@ def test_translate_after_tune_writes_the_bytes_of_translate_alone(trained, tmp_p
     pipeline._PARSED.clear()
     pipeline.run_tune(config(trained, **settings), weights_out="weights-tuned.txt")
     _, ptable, _, _ = pipeline._smt_artifacts(config(trained, **settings))
-    built = sum(not isinstance(opts[0], str) for opts in ptable._entries.values())
+    built = sum(not isinstance(opts, str) for opts in ptable._entries.values())
     assert 0 < built < len(ptable)
     pipeline.run_translate(
         config(trained, **settings, **{"translate.output": str(after_tune)})
     )
     assert after_tune.read_bytes() == alone.read_bytes()
+
+
+SMT_STAGES = {
+    "corpus.train.source": "data/generic.src",
+    "corpus.train.target": "data/generic.tgt",
+    "corpus.dev.source": "data/icdtoy-dev.src",
+    "corpus.dev.target": "data/icdtoy-dev.tgt",
+    "smt.em_iterations": "3",
+    "smt.max_phrase_len": "3",
+    "smt.lm_order": "3",
+    "smt.mert.restarts": "0",
+    "smt.mert.iterations": "2",
+    "smt.mert.nbest": "5",
+    "translate.input": "data/icdtoy-eval.src",
+}
+
+
+def test_stages_after_train_parse_nothing_and_match_cold_stages(tmp_path, monkeypatch):
+    """``train-smt`` keeps the models its savers return, so ``tune`` and
+    ``translate`` after it in the same process parse neither file, and
+    write the bytes of stages that each parse both."""
+    write_fixture_files(str(tmp_path / "data"), seed=42)
+
+    def run_stages(name, warm):
+        cfg = PipelineConfig(
+            {**SMT_STAGES, "model.smt.dir": f"{name}/smt",
+             "translate.output": f"{name}/hypotheses.txt"},
+            base_dir=str(tmp_path),
+        )
+        pipeline._PARSED.clear()
+        pipeline.run_train_smt(cfg)
+        with monkeypatch.context() as patch:
+            for stage in (pipeline.run_tune, pipeline.run_translate):
+                if warm:
+                    patch.setattr(align, "load_phrase_table", None)  # a parse would fail
+                    patch.setattr(lm, "load_arpa", None)
+                else:
+                    pipeline._PARSED.clear()
+                stage(cfg)
+        return [
+            (tmp_path / name / file).read_bytes()
+            for file in ("smt/phrase-table.txt", "smt/lm.arpa", "smt/weights.txt",
+                         "hypotheses.txt")
+        ]
+
+    warm = run_stages("warm", warm=True)
+    # the models the warm stages used are those a parse gives, bit for bit
+    kept_lm = pipeline._PARSED["lm"][1]
+    loaded_lm = lm.load_arpa(str(tmp_path / "warm" / "smt" / "lm.arpa"))
+    for table in ("logprob", "backoff"):
+        assert [(k, v.hex()) for k, v in getattr(kept_lm, table).items()] == [
+            (k, v.hex()) for k, v in getattr(loaded_lm, table).items()
+        ]
+    kept_table = pipeline._PARSED["phrase-table"][1]
+    loaded_table = align.load_phrase_table(str(tmp_path / "warm" / "smt" / "phrase-table.txt"))
+    assert list(kept_table.entries.items()) == list(loaded_table.entries.items())
+    assert warm == run_stages("cold", warm=False)
+
+
+@pytest.mark.parametrize("name, slot, module, loader", [
+    ("phrase-table.txt", "phrase-table", align, "load_phrase_table"),
+    ("lm.arpa", "lm", lm, "load_arpa"),
+])
+def test_file_rewritten_after_train_is_parsed_again(
+    tmp_path, monkeypatch, name, slot, module, loader
+):
+    write_fixture_files(str(tmp_path / "data"), seed=42)
+    cfg = PipelineConfig({**SMT_STAGES, "model.smt.dir": "smt"}, base_dir=str(tmp_path))
+    pipeline._PARSED.clear()
+    pipeline.run_train_smt(cfg)
+    kept = pipeline._PARSED[slot][1]
+    path = tmp_path / "smt" / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]), encoding="utf-8")  # still a valid file
+    parse, parsed = getattr(module, loader), []
+
+    def recorded(p):
+        parsed.append(p)
+        return parse(p)
+
+    monkeypatch.setattr(module, loader, recorded)
+    pipeline.run_tune(cfg)
+    assert parsed == [str(path)]
+    assert pipeline._PARSED[slot][1] is not kept
 
 
 @pytest.fixture(scope="module")
