@@ -8,25 +8,26 @@ into a block led by the null row and a zero column, so that one argmax
 per direction, taking the first maximum, also applies both tie rules;
 grow-diag-final symmetrization, the only one, combines the two
 directions, keeps the covered source and target words in sets and probes
-only the links next to a union link it could still adopt.  Phrase extraction grows each
-source span one word at a time over per-word link bounds and tests a box
-by counting its links; a phrase's lexical weights are products of
-per-word factors read from the word table once per sentence pair.  Each
-phrase pair keeps one record, the source side of an instance is taken
-once per source span, and the table is assembled one source phrase at a
-time.  A phrase table's length limit is its longest source phrase.  A
-loaded phrase table checks every line at load and builds a source
-phrase's options on the phrase's first lookup.
+only the links next to a union link it could still adopt.  Phrase
+extraction takes the whole corpus as arrays: per-word lexical factors
+from one gather and one ``bincount`` over all links, consistent boxes from
+one pass per source length over all source positions, and instances
+grouped by rows of word ranks, whose order is the phrases' tuple order.
+It formats each distinct pair's line once and returns the table indexed
+by source phrase, as a load does.  A phrase table's length limit is its
+longest source phrase.  A loaded phrase table checks every line at load
+and builds a source phrase's options on the phrase's first lookup.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 import sys
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -215,13 +216,13 @@ class PhraseTable:
     of the longest source phrase, so lookups stop there.
 
     ``entries`` maps each source phrase to its options, or, in a table
-    that :func:`load_phrase_table` or :func:`save_phrase_table` returns,
-    to its checked lines, not yet parsed: one string, the lines joined by
-    ``\n``, so an unbuilt phrase holds no container.  :meth:`options`
-    builds a phrase's options from its lines the first time the phrase is
-    looked up and keeps them, and reading :attr:`entries` builds whatever
-    is left.  So such a table fills its own cache as lookups arrive;
-    callers treat it as read-only.
+    that :func:`extract_phrases`, :func:`load_phrase_table` or
+    :func:`save_phrase_table` returns, to its lines, not yet parsed: one
+    string, the lines joined by ``\n``, so an unbuilt phrase holds no
+    container.  :meth:`options` builds a phrase's options from its lines
+    the first time the phrase is looked up and keeps them, and reading
+    :attr:`entries` builds whatever is left.  So such a table fills its
+    own cache as lookups arrive; callers treat it as read-only.
     """
 
     def __init__(self, entries: dict[Tokens, list[PhraseOption] | str]):
@@ -249,107 +250,247 @@ class PhraseTable:
         return len(self._entries)
 
 
-def _consistent_phrases(src_len, tgt_len, links, max_len):
-    """All alignment-consistent (src_span, tgt_span) boxes up to max_len.
+def _cat(parts: list) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, np.int64)
 
-    For each start ``i1`` the source span grows one word at a time; the
-    target box spans the min/max linked target of its source words, and
-    it is consistent when every target word inside links only to sources
-    inside the span: when the box's target columns hold as many links as
-    the span's source words.  Unaligned target words at the box edges
-    extend it.  The boxes of one source span come together and share one
-    span tuple.
+
+def _phrase_boxes(src_off, tgt_off, link_src, link_tgt, max_len):
+    """Every alignment-consistent phrase box of a corpus, up to ``max_len``
+    words a side.
+
+    Positions are corpus-wide: sentence pair ``k`` holds source positions
+    ``src_off[k]`` to ``src_off[k + 1] - 1`` and target positions likewise,
+    and link ``l`` joins ``link_src[l]`` to ``link_tgt[l]``.  One pass per
+    source length grows the spans of all source starts by one word: a
+    span's target box runs from the lowest to past the highest target its
+    words link to, and it is consistent when the box's target columns hold
+    as many links as the span's words.  A start leaves once its box is
+    wider than ``max_len``, since the box only widens as the span grows.
+    Each consistent box then extends over the runs of unaligned target
+    words at its edges.
+
+    Returns ``(span_start, span_len, box_span, box_start, box_len)``: the
+    consistent source spans, and per box the index of its span and its
+    target range.
     """
-    rows = [None] * src_len  # per source word: [lowest j, highest j + 1, links]
-    col_links = [0] * (tgt_len + 1)  # becomes: links in target columns < j
-    for i, j in links:
-        row = rows[i]
-        if row is None:
-            rows[i] = [j, j + 1, 1]
-        else:
-            if j < row[0]:
-                row[0] = j
-            if j >= row[1]:
-                row[1] = j + 1
-            row[2] += 1
-        col_links[j + 1] += 1
-    aligned = [n > 0 for n in col_links[1:]]
-    for j in range(tgt_len):
-        col_links[j + 1] += col_links[j]
-    out = []
-    for i1 in range(src_len):
-        j_min, j_max = tgt_len, 0  # target box [j_min, j_max)
-        span_links = 0
-        i2 = i1
-        for row in rows[i1:i1 + max_len]:
-            i2 += 1
-            if row is not None:
-                lo, hi, n = row
-                if lo < j_min:
-                    j_min = lo
-                if hi > j_max:
-                    j_max = hi
-                span_links += n
-            elif not span_links:
-                continue  # no links yet
-            if j_max - j_min > max_len:
-                break  # the box only widens as the span grows
-            if col_links[j_max] - col_links[j_min] != span_links:
-                continue
-            # extend over unaligned target boundary words
-            span = (i1, i2)
-            lo = j_min
-            while j_max - lo <= max_len:
-                hi = j_max
-                while hi - lo <= max_len:
-                    out.append((span, (lo, hi)))
-                    hi += 1
-                    if hi > tgt_len or aligned[hi - 1]:
-                        break
-                lo -= 1
-                if lo < 0 or aligned[lo]:
-                    break
+    n_src, n_tgt = int(src_off[-1]), int(tgt_off[-1])
+    # per source word: lowest and past the highest linked target, links
+    lo = np.full(n_src, n_tgt)
+    np.minimum.at(lo, link_src, link_tgt)
+    hi = np.zeros(n_src, np.int64)
+    np.maximum.at(hi, link_src, link_tgt + 1)
+    row_links = np.bincount(link_src, minlength=n_src)
+    col_links = np.bincount(link_tgt, minlength=n_tgt)
+    below = np.zeros(n_tgt + 1, np.int64)  # links in target columns < g
+    np.cumsum(col_links, out=below[1:])
+    sent_end = np.repeat(src_off[1:], np.diff(src_off))
+
+    starts = np.arange(n_src)
+    j_min = np.full(n_src, n_tgt)  # an unlinked span's box is empty
+    j_max = np.zeros(n_src, np.int64)
+    links = np.zeros(n_src, np.int64)
+    span_start, span_len, span_lo, span_hi = [], [], [], []
+    for length in range(1, max_len + 1):
+        inside = starts + length <= sent_end[starts]
+        starts, j_min, j_max, links = (
+            a[inside] for a in (starts, j_min, j_max, links)
+        )
+        last = starts + length - 1
+        j_min = np.minimum(j_min, lo[last])
+        j_max = np.maximum(j_max, hi[last])
+        links = links + row_links[last]
+        narrow = j_max - j_min <= max_len
+        ok = narrow & (links > 0)
+        ok[ok] = below[j_max[ok]] - below[j_min[ok]] == links[ok]
+        span_start.append(starts[ok])
+        span_len.append(np.full(int(ok.sum()), length))
+        span_lo.append(j_min[ok])
+        span_hi.append(j_max[ok])
+        starts, j_min, j_max, links = (
+            a[narrow] for a in (starts, j_min, j_max, links)
+        )
+    span_start, span_len = _cat(span_start), _cat(span_len)
+    j_min, j_max = _cat(span_lo), _cat(span_hi)
+
+    # how far each box may extend: to the nearest linked target word or
+    # sentence bound on either side
+    pos = np.arange(n_tgt + 1)
+    bound = np.zeros(n_tgt + 1, bool)
+    bound[tgt_off] = True
+    left, right = bound.copy(), bound
+    left[1:] |= col_links > 0  # target g - 1 is linked
+    right[:-1] |= col_links > 0  # target g is linked
+    left_stop = np.maximum.accumulate(np.where(left, pos, 0))
+    right_stop = np.minimum.accumulate(np.where(right, pos, n_tgt)[::-1])[::-1]
+    grow_lo = j_min - left_stop[j_min]
+    grow_hi = right_stop[j_max] - j_max
+    width = j_max - j_min
+    box_span, box_start, box_len = [], [], []
+    for dl in range(max_len):
+        reach = (grow_lo >= dl) & (width + dl <= max_len)
+        if not reach.any():
+            break
+        for dh in range(max_len - dl):
+            take = np.flatnonzero(reach & (grow_hi >= dh) & (width + dl + dh <= max_len))
+            if not take.size:
+                break
+            box_span.append(take)
+            box_start.append(j_min[take] - dl)
+            box_len.append(width[take] + dl + dh)
+    return span_start, span_len, _cat(box_span), _cat(box_start), _cat(box_len)
+
+
+def _word_ids(words: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted vocabulary of ``words`` and each word's rank in it,
+    counted from 1, so that ranks order words as strings order."""
+    vocab = sorted(set(words))
+    rank = {w: r for r, w in enumerate(vocab, start=1)}
+    return vocab, np.fromiter(map(rank.__getitem__, words), np.int64, len(words))
+
+
+def _phrase_keys(ids, starts, lengths, vocab_size) -> list[np.ndarray]:
+    """Integer columns that order phrases as their word tuples order.
+
+    Each column packs the ranks of a run of a phrase's positions, first
+    word highest, with 0 past the phrase's end, so a phrase sorts before
+    the phrases it is a prefix of."""
+    longest = int(lengths.max())
+    bits = vocab_size.bit_length()
+    per_key = max(1, 63 // bits)
+    padded = np.concatenate([ids, np.zeros(longest, np.int64)])
+    keys = []
+    for first in range(0, longest, per_key):
+        key = np.zeros(len(starts), np.int64)
+        for d in range(first, min(first + per_key, longest)):
+            key <<= bits
+            key |= np.where(lengths > d, padded[starts + d], 0)
+        keys.append(key)
+    return keys
+
+
+def _changes(keys, order) -> np.ndarray:
+    """Where the rows of ``keys`` taken in ``order`` differ from the row
+    before; the first row counts as a change."""
+    changed = np.zeros(len(order), bool)
+    changed[:1] = True
+    for key in keys:
+        key = key[order]
+        changed[1:] |= key[1:] != key[:-1]
+    return changed
+
+
+def _products(factors, starts, lengths) -> np.ndarray:
+    """The product of ``factors[s:s + n]`` for each start and length,
+    multiplied left to right as :func:`math.prod` does."""
+    out = factors[starts]
+    for d in range(1, int(lengths.max())):
+        more = np.flatnonzero(lengths > d)
+        out[more] *= factors[starts[more] + d]
     return out
 
 
-def _word_factors(src, tgt, links, table):
-    """Per-word factors of Koehn lexical weighting for one sentence pair.
+def _corpus_links(pairs, alignments):
+    """Sentence offsets of both sides and every link at corpus-wide
+    positions, in each link set's iteration order; see
+    :func:`_phrase_boxes`."""
+    src_off = np.zeros(len(pairs) + 1, np.int64)
+    np.cumsum([len(src) for src, _ in pairs], out=src_off[1:])
+    tgt_off = np.zeros(len(pairs) + 1, np.int64)
+    np.cumsum([len(tgt) for _, tgt in pairs], out=tgt_off[1:])
+    flat: list[int] = []
+    sizes: list[int] = []
+    for links in alignments:
+        flat.extend(chain.from_iterable(links))
+        sizes.append(len(links))
+    if len(sizes) != len(pairs):
+        raise ValueError("alignments must cover the corpus pair-for-pair")
+    links = np.fromiter(flat, np.int64, len(flat)).reshape(-1, 2)
+    del flat
+    pair = np.repeat(np.arange(len(pairs)), sizes)
+    link_src, link_tgt = links[:, 0], links[:, 1]
+    if ((link_src < 0) | (link_src >= np.diff(src_off)[pair])
+            | (link_tgt < 0) | (link_tgt >= np.diff(tgt_off)[pair])).any():
+        raise ValueError("a link lies outside its sentence pair")
+    return src_off, tgt_off, link_src + src_off[pair], link_tgt + tgt_off[pair]
 
-    A consistent phrase box holds every link of its words, so a word's
-    factor is the same in each box of the sentence, and a box's lexical
-    weights are the products of its words' factors.  A target word's
-    forward factor is the mean t(t|s) over its links, or t(t|null) when it
-    has none.  A source word's reverse factor is the mean inverse
-    probability over its links, or 1.0: the inverse direction has no null
-    target (Model 1 places null on the source side only).  Each mean sums
-    in the iteration order of ``links``.  The probabilities are read from
-    ``table.table`` and ``table.inverse`` by word index; a word the table
-    does not know has probability 0.0, as in :meth:`TranslationTable.prob`.
+
+def _lexical_factors(src_vocab, src_ids, tgt_vocab, tgt_ids, link_src, link_tgt, table):
+    """Per-word factors of Koehn lexical weighting over the whole corpus.
+
+    A consistent box holds every link of its words, so a box's lexical
+    weights are products of its words' factors.  A target word's forward
+    factor is the mean t(t|s) over its links, or t(t|null) when it has
+    none; a source word's reverse factor is the mean inverse probability
+    over its links, or 1.0 (Model 1 puts null on the source side only).
+    One gather reads every link's probabilities and one ``bincount`` adds
+    them, each mean left to right in link order.  A word the table does
+    not know has probability 0.0, as in :meth:`TranslationTable.prob`.
     """
-    probs, inverse = table.table, table.inverse
-    src_ids = [table._src_index.get(w) for w in src]
-    tgt_ids = [table._tgt_index.get(w) for w in tgt]
-    by_tgt = [[] for _ in tgt]
-    by_src = [[] for _ in src]
-    for i, j in links:
-        s, t = src_ids[i], tgt_ids[j]
-        known = s is not None and t is not None
-        by_tgt[j].append(probs.item(s, t) if known else 0.0)
-        by_src[i].append(inverse.item(s, t) if known else 0.0)
+    s = np.array([-1] + [table._src_index.get(w, -1) for w in src_vocab])[src_ids]
+    t = np.array([-1] + [table._tgt_index.get(w, -1) for w in tgt_vocab])[tgt_ids]
+    s_link, t_link = s[link_src], t[link_tgt]
+    known = (s_link >= 0) & (t_link >= 0)
+    cells = (np.where(known, s_link, 0), np.where(known, t_link, 0))
+    n_fwd = np.bincount(link_tgt, minlength=len(t))
+    n_rev = np.bincount(link_src, minlength=len(s))
     null = table._src_index.get(NULL_TOKEN)
-    fwd = [
-        sum(ps) / len(ps) if ps
-        else probs.item(null, t) if null is not None and t is not None
-        else 0.0
-        for ps, t in zip(by_tgt, tgt_ids)
-    ]
-    rev = [sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
+    unlinked = (
+        np.where(t >= 0, table.table[null, np.maximum(t, 0)], 0.0)
+        if null is not None else np.zeros(len(t))
+    )
+    fwd = np.where(
+        n_fwd > 0,
+        np.bincount(link_tgt, np.where(known, table.table[cells], 0.0), len(t))
+        / np.maximum(n_fwd, 1),
+        unlinked,
+    )
+    rev = np.where(
+        n_rev > 0,
+        np.bincount(link_src, np.where(known, table.inverse[cells], 0.0), len(s))
+        / np.maximum(n_rev, 1),
+        1.0,
+    )
     return fwd, rev
+
+
+def _scored_pairs(s_keys, t_keys, lex_fwd, lex_rev):
+    """Group instances into phrase pairs and score each pair.
+
+    ``s_keys`` and ``t_keys`` are the :func:`_phrase_keys` of each
+    instance's source and target phrase, ``lex_fwd`` and ``lex_rev`` its
+    lexical weights.  Returns, for each pair in file order (source phrases
+    in sorted order, a phrase's pairs by falling forward probability, then
+    target phrase): one instance, the index of its source phrase among the
+    sorted source phrases, and its four floored features; and one instance
+    per source phrase.  A pair's maximum lexical weight starts at 0.0 and
+    takes no NaN, as a running ``>`` comparison does.
+    """
+    order = np.lexsort(t_keys[::-1] + s_keys[::-1])
+    new_src = _changes(s_keys, order)
+    first = np.flatnonzero(new_src | _changes(t_keys, order))  # of each pair
+    src_group = np.cumsum(new_src) - 1
+    pair_src = src_group[first]
+    t_order = np.lexsort(t_keys[::-1])
+    tgt_group = np.empty(len(order), np.int64)
+    tgt_group[t_order] = np.cumsum(_changes(t_keys, t_order)) - 1
+    count = np.diff(np.append(first, len(order)))
+    features = [
+        count / np.bincount(src_group)[pair_src],
+        count / np.bincount(tgt_group)[tgt_group[order[first]]],
+        np.fmax(np.fmax.reduceat(lex_fwd[order], first), 0.0),
+        np.fmax(np.fmax.reduceat(lex_rev[order], first), 0.0),
+    ]
+    features = [np.maximum(f, PROB_FLOOR) for f in features]
+    lines = np.lexsort((-features[0], pair_src))
+    return (
+        order[first[lines]], pair_src[lines], [f[lines] for f in features],
+        order[np.flatnonzero(new_src)],
+    )
 
 
 def extract_phrases(
     corpus: ParallelCorpus,
-    alignments: Sequence[set[tuple[int, int]]],
+    alignments: Iterable[set[tuple[int, int]]],
     table: TranslationTable,
     max_phrase_len: int = 7,
 ) -> PhraseTable:
@@ -360,62 +501,63 @@ def extract_phrases(
     the maximum over a pair's instances.  All features are floored at
     ``PROB_FLOOR``.
 
-    Each phrase pair keeps one record, grouped under its source phrase:
-    its instance count and its two maximum lexical weights.  The source
-    side of an instance (the phrase, its reverse lexical weight, its
-    records) is taken once per source span, for all the span's target
-    boxes.  The table is assembled one source phrase at a time, in sorted
-    order; a source phrase's count is the sum over its records, and its
-    records are dropped as its options are built.
+    ``alignments`` holds one link set per sentence pair and may be a
+    generator: each set is read once, in its iteration order.  The whole
+    corpus is then processed as arrays: the factors of
+    :func:`_lexical_factors`, the boxes of :func:`_phrase_boxes`, and the
+    instances grouped by their phrases as rows of word ranks in sorted
+    vocabularies, so row order is tuple order (:func:`_scored_pairs`).
+
+    Each distinct pair's line is formatted once, as
+    :func:`save_phrase_table` writes it, and the returned table holds the
+    lines unparsed, indexed by source phrase in sorted order, as a loaded
+    table does.
     """
-    if len(alignments) != len(corpus.pairs):
-        raise ValueError("alignments must cover the corpus pair-for-pair")
-    # source phrase -> target phrase -> [instances, max lex_fwd, max lex_rev]
-    stats: dict[Tokens, dict[Tokens, list]] = {}
-    tgt_counts: dict[Tokens, int] = defaultdict(int)
+    pairs = corpus.pairs
+    src_off, tgt_off, link_src, link_tgt = _corpus_links(pairs, alignments)
+    span_start, span_len, box_span, box_start, box_len = _phrase_boxes(
+        src_off, tgt_off, link_src, link_tgt, max_phrase_len
+    )
+    if not box_span.size:
+        return PhraseTable({})
+    src_words = list(chain.from_iterable(src for src, _ in pairs))
+    tgt_words = list(chain.from_iterable(tgt for _, tgt in pairs))
+    src_vocab, src_ids = _word_ids(src_words)
+    tgt_vocab, tgt_ids = _word_ids(tgt_words)
+    fwd, rev = _lexical_factors(
+        src_vocab, src_ids, tgt_vocab, tgt_ids, link_src, link_tgt, table
+    )
+    del link_src, link_tgt
+    rep, line_src, features, src_rep = _scored_pairs(
+        [k[box_span] for k in _phrase_keys(src_ids, span_start, span_len, len(src_vocab))],
+        _phrase_keys(tgt_ids, box_start, box_len, len(tgt_vocab)),
+        _products(fwd, box_start, box_len),
+        _products(rev, span_start, span_len)[box_span],
+    )
+    phrases = [
+        tuple(src_words[i:i + n])
+        for i, n in zip(
+            span_start[box_span[src_rep]].tolist(),
+            span_len[box_span[src_rep]].tolist(),
+        )
+    ]
+    heads = [" ".join(phrase) + " ||| " for phrase in phrases]
+    lines = (
+        f"{heads[g]}{' '.join(tgt_words[j:j + n])} ||| {f1!r} {f2!r} {f3!r} {f4!r}"
+        for g, j, n, f1, f2, f3, f4 in zip(
+            line_src.tolist(), box_start[rep].tolist(), box_len[rep].tolist(),
+            *(f.tolist() for f in features),
+        )
+    )
+    return PhraseTable({
+        phrase: "\n".join(islice(lines, n))
+        for phrase, n in zip(phrases, np.bincount(line_src).tolist())
+    })
 
-    for (src, tgt), links in zip(corpus.pairs, alignments):
-        src, tgt = tuple(src), tuple(tgt)  # so that a slice is a phrase
-        fwd_factors, rev_factors = _word_factors(src, tgt, links, table)
-        span = None
-        for box_span, (j1, j2) in _consistent_phrases(
-            len(src), len(tgt), links, max_phrase_len
-        ):
-            if box_span is not span:
-                span = box_span
-                s_phrase = src[span[0]:span[1]]
-                rev = math.prod(rev_factors[span[0]:span[1]])
-                targets = stats.get(s_phrase)
-                if targets is None:
-                    targets = stats[s_phrase] = {}
-            t_phrase = tgt[j1:j2]
-            fwd = math.prod(fwd_factors[j1:j2])
-            tgt_counts[t_phrase] += 1
-            record = targets.get(t_phrase)
-            if record is None:
-                record = targets[t_phrase] = [0, 0.0, 0.0]
-            record[0] += 1
-            if fwd > record[1]:
-                record[1] = fwd
-            if rev > record[2]:
-                record[2] = rev
 
-    entries: dict[Tokens, list[PhraseOption]] = {}
-    for s_phrase in sorted(stats):
-        targets = stats.pop(s_phrase)
-        total = sum(record[0] for record in targets.values())
-        options = [
-            PhraseOption(t_phrase, (
-                max(count / total, PROB_FLOOR),
-                max(count / tgt_counts[t_phrase], PROB_FLOOR),
-                max(lex_fwd, PROB_FLOOR),
-                max(lex_rev, PROB_FLOOR),
-            ))
-            for t_phrase, (count, lex_fwd, lex_rev) in targets.items()
-        ]
-        options.sort(key=lambda o: (-o.features[0], o.target))
-        entries[s_phrase] = options
-    return PhraseTable(entries)
+# a feature that is not finite, as repr writes it; a phrase's word "inf"
+# matches too, which only costs a load
+_NOT_FINITE = re.compile(r" -?(?:inf|nan)(?= |$)", re.MULTILINE)
 
 
 def save_phrase_table(ptable: PhraseTable, path) -> PhraseTable | None:
@@ -423,26 +565,31 @@ def save_phrase_table(ptable: PhraseTable, path) -> PhraseTable | None:
     return the table :func:`load_phrase_table` reads back from the file,
     or None when the loader rejects the file.
 
-    The returned table holds the lines just written, indexed by source
-    phrase in file order under ``ptable``'s own source tuples, so it
-    builds each phrase's options on first lookup from the text a load
-    would check.  An option whose features are not four numbers raises
-    ValueError and writes nothing.  When the text might not read back as
-    written (an empty word or phrase, a word holding whitespace or ``|||``,
-    a feature that is not finite, or no line at all), the file is loaded
-    instead."""
-    entries = ptable.entries
+    A source phrase whose lines the table holds as text (see
+    :class:`PhraseTable`) is written as it is; a phrase with built options
+    is formatted here.  The returned table holds the lines just written,
+    indexed by source phrase in file order under ``ptable``'s own source
+    tuples, so it builds each phrase's options on first lookup from the
+    text a load would check.  An option whose features are not four
+    numbers raises ValueError and writes nothing.  When the text might not
+    read back as written (an empty word or phrase, a word holding
+    whitespace or ``|||``, a feature that is not finite, or no line at
+    all), the file is loaded instead."""
+    entries = ptable._entries
     index: dict[Tokens, str] = {}
     n = 0  # lines
-    finite = True
     for src in sorted(entries):
+        opts = entries[src]
+        if isinstance(opts, str):
+            if opts:
+                index[src] = opts
+                n += opts.count("\n") + 1
+            continue
         head = " ".join(src) + " ||| "
         lines = []
-        for opt in entries[src]:
+        for opt in opts:
             f1, f2, f3, f4 = opt.features
             feats = f"{float(f1)!r} {float(f2)!r} {float(f3)!r} {float(f4)!r}"
-            if "n" in feats:  # nan, inf
-                finite = False
             lines.append(f"{head}{' '.join(opt.target)} ||| {feats}")
         if lines:
             index[src] = "\n".join(lines)
@@ -454,7 +601,8 @@ def save_phrase_table(ptable: PhraseTable, path) -> PhraseTable | None:
     # each line is one line, its two separators are its only "|||", and no
     # word is empty or holds whitespace (all but " " and "\n" unprintable)
     if not (
-        finite and n and text.count("\n") == n - 1 and text.count("|||") == 2 * n
+        n and text.count("\n") == n - 1 and text.count("|||") == 2 * n
+        and not (("inf" in text or "nan" in text) and _NOT_FINITE.search(text))
         and "  " not in text and "\n " not in text and text[0] != " "
         and text.replace("\n", "").isprintable()
     ):

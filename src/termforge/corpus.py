@@ -42,6 +42,9 @@ def tokenize(text: str) -> Tokens:
     """
     out: list[str] = []
     for chunk in text.lower().split():
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
+            out.append(chunk)
+            continue
         lead: list[str] = []
         while len(chunk) > 1 and chunk[0] in _PUNCT:
             lead.append(chunk[0])

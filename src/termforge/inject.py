@@ -29,7 +29,10 @@ def tf_vector(tokens: Iterable[str]) -> dict[str, float]:
 
 
 def _norm(x: dict[str, float]) -> float:
-    return math.sqrt(sum(v * v for v in x.values()))
+    total = 0.0  # left to right, as sum() adds before Python 3.12
+    for v in x.values():
+        total += v * v
+    return math.sqrt(total)
 
 
 def cosine_score(x: dict[str, float], y: dict[str, float]) -> float:
@@ -38,7 +41,9 @@ def cosine_score(x: dict[str, float], y: dict[str, float]) -> float:
         return 0.0
     if len(x) > len(y):
         x, y = y, x
-    dot = sum(w * y.get(tok, 0.0) for tok, w in x.items())
+    dot = 0.0
+    for tok, w in x.items():
+        dot += w * y.get(tok, 0.0)
     denom = _norm(x) * _norm(y)
     if denom == 0.0:
         return 0.0

@@ -68,7 +68,10 @@ def _make_batches(encoded, batch_size):
 def _clip(grads, max_norm):
     if max_norm <= 0:
         return 1.0
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    total = 0.0  # left to right, as sum() adds before Python 3.12
+    for g in grads.values():
+        total += float((g * g).sum())
+    total = math.sqrt(total)
     if total > max_norm:
         scale = max_norm / total
         for g in grads.values():

@@ -95,21 +95,21 @@ def run_stats(cfg: PipelineConfig) -> str:
 def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     """Word alignment, phrase extraction, language model, default weights.
 
-    EM, Viterbi alignment and phrase extraction run first; then the word
-    table and the alignments are dropped, and the phrase table is written.
-    Only then is the language model trained and written, and the default
-    weights last.  Each saver returns the model its loader reads back from
-    the file just written, which replaces the trained one, and that model
-    is kept as the one this process parsed from the file (see
-    :func:`_parse_once`): ``tune``, ``adapt`` and ``translate`` in the
-    same process parse neither file.  So the written phrase table stays
-    alive through LM training.
+    EM runs first; each sentence pair's Viterbi links then stream into
+    phrase extraction, which keeps them only as arrays.  The word table is
+    dropped and the phrase table is written; only then is the language
+    model trained and written, and the default weights last.  Each saver
+    returns the model its loader reads back from the file just written,
+    which replaces the trained one, and that model is kept as the one this
+    process parsed from the file (see :func:`_parse_once`): ``tune``,
+    ``adapt`` and ``translate`` in the same process parse neither file.
+    So the written phrase table stays alive through LM training.
     """
     model_dir = cfg.path("model.smt.dir")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
     table = align.ibm1_em(train, cfg["smt.em_iterations"])
-    alignments = [align.viterbi_align(table, pair) for pair in train.pairs]
+    alignments = (align.viterbi_align(table, pair) for pair in train.pairs)
     ptable = align.extract_phrases(train, alignments, table, cfg["smt.max_phrase_len"])
     del table, alignments
     entries = len(ptable)

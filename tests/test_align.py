@@ -19,9 +19,9 @@ from termforge.align import (
     PhraseOption,
     PhraseTable,
     TranslationTable,
-    _consistent_phrases,
     _directional_links,
     _grow_diag,
+    _phrase_boxes,
     extract_phrases,
     ibm1_em,
     load_phrase_table,
@@ -431,6 +431,15 @@ class TestPhraseTableIO:
 # sum in link order and are written with repr.
 
 
+def left_to_right_sum(values):
+    """The sum of ``values`` added in order, as sum() adds floats before
+    Python 3.12 (which compensates for rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def reference_directional_links(table, pair):
     src, tgt = pair
     src_ids = [table._src_index.get(w, 0) for w in src]
@@ -537,13 +546,13 @@ def reference_lexical_weight(src_phrase, tgt_phrase, span_links, table, inverse=
         for i, s in enumerate(src_phrase):
             aligned = [j for (ii, j) in span_links if ii == i]
             if aligned:
-                total = sum(inv_prob(table, s, tgt_phrase[j]) for j in aligned)
+                total = left_to_right_sum(inv_prob(table, s, tgt_phrase[j]) for j in aligned)
                 weight *= total / len(aligned)
         return weight
     for j, t in enumerate(tgt_phrase):
         aligned = [i for (i, jj) in span_links if jj == j]
         if aligned:
-            total = sum(table.prob(t, src_phrase[i]) for i in aligned)
+            total = left_to_right_sum(table.prob(t, src_phrase[i]) for i in aligned)
             weight *= total / len(aligned)
         else:
             weight *= table.prob(t, NULL_TOKEN)
@@ -591,6 +600,20 @@ def random_links(rng, m, n):
     return set(rng.sample(cells, rng.randint(0, min(len(cells), m + n))))
 
 
+def sentence_boxes(m, n, links, max_len):
+    """The ((i1, i2), (j1, j2)) boxes _phrase_boxes finds in a corpus of
+    one m-by-n sentence pair, sorted."""
+    link_src = np.array([i for i, _ in links], dtype=np.int64)
+    link_tgt = np.array([j for _, j in links], dtype=np.int64)
+    span_start, span_len, box_span, box_start, box_len = _phrase_boxes(
+        np.array([0, m]), np.array([0, n]), link_src, link_tgt, max_len
+    )
+    return sorted(
+        ((int(span_start[s]), int(span_start[s] + span_len[s])), (int(j), int(j + w)))
+        for s, j, w in zip(box_span, box_start, box_len)
+    )
+
+
 class TestAgainstReference:
     def test_directional_links_with_ties_and_unknown_words(self):
         rng = random.Random(5)
@@ -618,8 +641,8 @@ class TestAgainstReference:
             m, n = rng.randint(1, 9), rng.randint(1, 9)
             links = random_links(rng, m, n)
             max_len = rng.randint(1, 5)
-            got = _consistent_phrases(m, n, links, max_len)
-            assert got == reference_consistent_phrases(m, n, links, max_len)
+            got = sentence_boxes(m, n, links, max_len)
+            assert got == sorted(reference_consistent_phrases(m, n, links, max_len))
 
     def test_lexical_weights_bit_equal(self):
         rng = random.Random(8)
@@ -759,10 +782,10 @@ def oracle_word_factors(src, tgt, links, table):
         by_tgt[j].append(table.prob(tgt[j], src[i]))
         by_src[i].append(inv_prob(table, src[i], tgt[j]))
     fwd = [
-        sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
+        left_to_right_sum(ps) / len(ps) if ps else table.prob(t, NULL_TOKEN)
         for ps, t in zip(by_tgt, tgt)
     ]
-    rev = [sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
+    rev = [left_to_right_sum(ps) / len(ps) if ps else 1.0 for ps in by_src]
     return fwd, rev
 
 
@@ -847,3 +870,82 @@ class TestWholeTableOracle:
         alignments = [viterbi_align(table, pair) for pair in corpus.pairs]
         for max_len in (1, 3, 7):
             self.check(corpus, alignments, table, max_len, tmp_path)
+
+
+# drawn corpora over s0..s6 / t0..t6, of which s6 and t6 are unknown to the
+# word table: sides may be empty, links may be dense (a word with three or
+# more links) or sparse (unaligned target runs at box edges)
+
+
+@st.composite
+def drawn_extraction(draw):
+    values = st.one_of(
+        st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.floats(0.05, 1.0)
+    )
+    cells = draw(st.lists(values, min_size=84, max_size=84))
+    src_vocab = [NULL_TOKEN] + [f"s{i}" for i in range(6)]
+    tgt_vocab = [f"t{j}" for j in range(6)]
+    table = TranslationTable(
+        src_vocab, tgt_vocab,
+        np.array(cells[:42]).reshape(7, 6), np.array(cells[42:]).reshape(7, 6),
+    )
+    pairs, alignments = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        src = draw(st.lists(st.integers(0, 6), max_size=7))
+        tgt = draw(st.lists(st.integers(0, 6), max_size=7))
+        pairs.append((tuple(f"s{i}" for i in src), tuple(f"t{j}" for j in tgt)))
+        links = st.tuples(st.integers(0, len(src) - 1), st.integers(0, len(tgt) - 1))
+        alignments.append(draw(st.sets(links)) if src and tgt else set())
+    return ParallelCorpus(pairs), alignments, table, draw(st.integers(1, 7))
+
+
+class TestDrawnAgainstOracle:
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(drawn_extraction(), st.booleans())
+    def test_extraction_and_written_bytes(self, drawn, as_generator):
+        corpus, alignments, table, max_len = drawn
+        links = (set(a) for a in alignments) if as_generator else alignments
+        got = extract_phrases(corpus, links, table, max_len)
+        want = oracle_extract_phrases(corpus, alignments, table, max_len)
+        assert list(got._entries) == sorted(want.entries)
+        assert got.max_phrase_len == want.max_phrase_len
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pt")
+            saved = save_phrase_table(got, path)
+            with open(path, "rb") as f:
+                assert f.read() == oracle_phrase_table_text(want).encode("utf-8")
+            if len(want):
+                assert_same_table(saved, load_phrase_table(path))
+            else:
+                assert saved is None
+
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("n_sets", [0, 1, 3])
+    def test_link_set_count_differs_from_pair_count(self, n_sets, as_generator):
+        corpus = ParallelCorpus([(("a",), ("x",)), (("b",), ("y",))])
+        sets = [{(0, 0)}] * n_sets
+        with pytest.raises(ValueError, match="pair-for-pair"):
+            extract_phrases(corpus, iter(sets) if as_generator else sets, ones_table(corpus))
+
+    def test_link_outside_its_pair(self):
+        corpus = ParallelCorpus([(("a",), ("x", "y")), (("b",), ("z",))])
+        with pytest.raises(ValueError, match="outside"):
+            extract_phrases(corpus, [{(0, 2)}, {(0, 0)}], ones_table(corpus))
+
+    @pytest.mark.parametrize("bad, returns_table", [(math.nan, True), (math.inf, False)])
+    def test_word_table_with_a_non_finite_value(self, tmp_path, bad, returns_table):
+        # a NaN weight never exceeds a pair's running maximum, so no NaN is
+        # written; an infinite one is, and the loader rejects the file
+        corpus = ParallelCorpus([(("s0", "s1"), ("t0", "t1", "t2")), (("s0",), ("t0",))])
+        alignments = [{(0, 0), (1, 1)}, {(0, 0)}]
+        table = word_table(random.Random(3), lambda: 0.5)
+        table.table[1, 0] = table.inverse[2, 1] = bad
+        got = extract_phrases(corpus, alignments, table, 3)
+        want = oracle_extract_phrases(corpus, alignments, table, 3)
+        path = tmp_path / "pt"
+        saved = save_phrase_table(got, path)
+        assert path.read_bytes() == oracle_phrase_table_text(want).encode("utf-8")
+        if returns_table:
+            assert_same_table(saved, load_phrase_table(path))
+        else:
+            assert saved is None
