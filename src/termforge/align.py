@@ -309,6 +309,8 @@ def _phrase_boxes(src_off, tgt_off, link_src, link_tgt, max_len):
         starts, j_min, j_max, links = (
             a[narrow] for a in (starts, j_min, j_max, links)
         )
+        if not len(starts):  # every span has left its sentence or max_len
+            break
     span_start, span_len = _cat(span_start), _cat(span_len)
     j_min, j_max = _cat(span_lo), _cat(span_hi)
 

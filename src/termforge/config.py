@@ -32,8 +32,9 @@ def _min(minimum: int):
 
 
 def _range(minimum: int, maximum: int):
-    """A desk-scale bound on a size that allocates or loops before any
-    data is read."""
+    """A desk-scale bound on a size that allocates or loops in proportion
+    to its value: before any data is read, or per input (the beam keeps up
+    to beam² candidates a step)."""
     return f"in [{minimum}, {maximum}]", lambda value: minimum <= value <= maximum
 
 
@@ -83,7 +84,7 @@ KEYS: dict[str, tuple] = {
     "translate.system": (("smt", "nmt"), "smt", None),
     "translate.input": (PATH, None, None),
     "translate.output": (PATH, "hypotheses.txt", None),
-    "translate.beam": (int, 5, _min(1)),
+    "translate.beam": (int, 5, _range(1, 1000)),
     "translate.weights": (NAME, "weights.txt", None),  # in model.smt.dir
     "translate.model": (NAME, "model.tfnmt", None),  # in model.nmt.dir
     "translate.replace_unk_lexicon": (PATH, None, None),

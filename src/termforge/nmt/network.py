@@ -25,14 +25,26 @@ only :func:`loss_and_grads` with gradients passes lists.
 Everything is plain float64 numpy.  At these sizes (hidden 32, batches of
 16 or 2) a step is bound by the fixed cost of each numpy call, not by flops,
 which profiling showed plain numpy handles better than numba loop kernels or
-jitted np.dot.  So the code saves calls: one ``np.errstate`` per encoder or
-decoder step call, the output softmax of all time steps at once, one
-embedding-gradient scatter per batch.  Each saving keeps every element's
-operations in their order, so every value stays bit-identical; stacking
-matrix products across time steps would not, and is not done.
+jitted np.dot.  So the code saves calls:
+
+- one ``np.errstate`` per encoder or decoder step call;
+- the sigmoid in one buffer, and the attention backward's outer products
+  as broadcast multiplies with no copy of the state gradient;
+- the output softmax of all time steps at once;
+- the gradient dict from ``np.zeros(shape)``, and one ``np.bincount`` per
+  embedding-gradient scatter per batch;
+- the decoder's dropout masks drawn once per batch, from the same random
+  stream as one draw per step and layer;
+- each layer's parameter names built once, not per step.
+
+Each saving keeps every element's operations in their order, so every
+value stays bit-identical; stacking matrix products across time steps
+would not, and is not done.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,36 +53,49 @@ from .model import Seq2SeqModel
 
 def _sigmoid(x):
     # callers enter np.errstate(over="ignore"): saturated gates flush to 0/1
-    return 1.0 / (1.0 + np.exp(-x))
+    s = np.negative(x)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
-def _layer_step(params, side, l, x, h, c):
-    """One step of layer ``l`` of ``side`` ("enc" or "dec") for a batch.
+@functools.cache
+def _layer(side, l):
+    """Layer ``l`` of ``side`` ("enc" or "dec"): the names of its W, U and
+    b parameters, and whether it adds its input to the cell output, as
+    every encoder layer and the decoder layers above the first do."""
+    return f"{side}_W_{l}", f"{side}_U_{l}", f"{side}_b_{l}", side == "enc" or l > 1
+
+
+def _layer_step(params, layer, x, h, c):
+    """One step of a :func:`_layer` for a batch.
 
     Runs the fused-gate cell on the input ``x`` and the layer's previous
-    (state, memory) and adds ``x`` to the cell output on every encoder
-    layer and on decoder layers above the first.  Returns (state, memory,
-    cache).  The caller holds ``np.errstate(over="ignore")``.
+    (state, memory), adding ``x`` to the cell output on a residual layer.
+    Returns (state, memory, cache).  The caller holds
+    ``np.errstate(over="ignore")``.
     """
+    W, U, b, residual = layer
     n = h.shape[1]
-    z = x @ params[f"{side}_W_{l}"]
-    z += h @ params[f"{side}_U_{l}"]
-    z += params[f"{side}_b_{l}"]
+    z = x @ params[W]
+    z += h @ params[U]
+    z += params[b]
     gates = _sigmoid(z)  # one pass over all 4n columns; g's are unused
     g = np.tanh(z[:, 2 * n:3 * n])
     c_new = gates[:, n:2 * n] * c + gates[:, :n] * g
     tc = np.tanh(c_new)
     state = gates[:, 3 * n:] * tc
-    if side == "enc" or l > 1:
+    if residual:
         state = x + state
     return state, c_new, (x, h, c, gates, g, tc)
 
 
-def _layer_step_backward(params, side, l, ds, dc, cache, mask, grads):
+def _layer_step_backward(params, layer, ds, dc, cache, mask, grads):
     """Backward through one :func:`_layer_step` given the gradients on its
     state and memory; accumulates the weight gradients into ``grads`` and
     returns (d_input, d_prev_state, d_prev_memory), the input gradient
     scaled by the dropout ``mask`` that was applied to the input."""
+    W, U, b, residual = layer
     x, h_prev, c_prev, gates, g, tc = cache
     n = g.shape[1]
     dc = dc + ds * gates[:, 3 * n:] * (1.0 - tc * tc)
@@ -86,12 +111,12 @@ def _layer_step_backward(params, side, l, ds, dc, cache, mask, grads):
     dg = np.multiply(dc, gates[:, :n], out=dz[:, 2 * n:3 * n])
     dg *= 1.0 - g * g
     dc_prev = dc * gates[:, n:2 * n]
-    grads[f"{side}_W_{l}"] += x.T @ dz
-    grads[f"{side}_U_{l}"] += h_prev.T @ dz
-    grads[f"{side}_b_{l}"] += dz.sum(axis=0)
-    dx = dz @ params[f"{side}_W_{l}"].T
-    dh_prev = dz @ params[f"{side}_U_{l}"].T
-    if side == "enc" or l > 1:
+    grads[W] += x.T @ dz
+    grads[U] += h_prev.T @ dz
+    grads[b] += dz.sum(axis=0)
+    dx = dz @ params[W].T
+    dh_prev = dz @ params[U].T
+    if residual:
         dx += ds
     if mask is not None:
         dx *= mask
@@ -102,6 +127,19 @@ def _dropout_mask(rng, shape, rate):
     if rng is None or rate <= 0.0:
         return None
     return (rng.random(shape) >= rate) / (1.0 - rate)
+
+
+def _row_sums(ids, rows, n_rows):
+    """The ``rows`` summed by their ``ids`` into an (n_rows, n) array.
+
+    This is ``np.add.at`` into zeros as one ``np.bincount`` over the cells
+    ``id * n + column``: both add in index order, so each sum adds its
+    terms in the order of ``ids``."""
+    n = rows.shape[-1]
+    cells = ids.reshape(-1, 1) * n + np.arange(n)
+    return np.bincount(
+        cells.reshape(-1), rows.reshape(-1), n_rows * n
+    ).reshape(n_rows, n)
 
 
 def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None, caches=None):
@@ -119,6 +157,7 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None, caches=None):
     finals = []
     with np.errstate(over="ignore"):  # saturated gates flush to 0/1
         for l in range(1, cfg.layers + 1):
+            layer = _layer("enc", l)
             mask = _dropout_mask(rng, inputs.shape, cfg.dropout) if l > 1 else None
             if mask is not None:
                 inputs = inputs * mask
@@ -127,7 +166,7 @@ def encode(model: Seq2SeqModel, src_ids: np.ndarray, rng=None, caches=None):
             c = np.zeros((B, n))
             cell_caches = []
             for t in range(Ts):
-                h, c, cache = _layer_step(params, "enc", l, inputs[t], h, c)
+                h, c, cache = _layer_step(params, layer, inputs[t], h, c)
                 states[t] = h
                 if caches is not None:
                     cell_caches.append(cache)
@@ -145,6 +184,7 @@ def encode_backward(model, src_ids, layer_caches, d_top, d_finals, grads):
     Ts = d_top.shape[0]
     d_states = d_top.copy()
     for l in range(cfg.layers, 0, -1):
+        layer = _layer("enc", l)
         inputs, cell_caches, mask = layer_caches[l - 1]
         dh_final, dc_carry = d_finals[l - 1]
         d_states[-1] += dh_final
@@ -152,11 +192,14 @@ def encode_backward(model, src_ids, layer_caches, d_top, d_finals, grads):
         d_inputs = np.empty_like(inputs)
         for t in range(Ts - 1, -1, -1):
             d_inputs[t], dh_carry, dc_carry = _layer_step_backward(
-                params, "enc", l, d_states[t] + dh_carry, dc_carry, cell_caches[t],
+                params, layer, d_states[t] + dh_carry, dc_carry, cell_caches[t],
                 None if mask is None else mask[t], grads,
             )
         d_states = d_inputs
-    np.add.at(grads["enc_E"], src_ids, d_states.transpose(1, 0, 2))
+    # each enc_E row sums its terms by batch row, then source position
+    grads["enc_E"] += _row_sums(
+        src_ids, d_states.transpose(1, 0, 2), len(grads["enc_E"])
+    )
 
 
 def _attention(params, h_top, enc_top):
@@ -185,21 +228,24 @@ def _attention_backward(params, cache, enc_top, h_top, d_attnvec, hbar, grads):
     grads["att_bc"] += dz.sum(axis=0)
     dcat = dz @ params["att_Wc"].T
     dctx = dcat[:, :n]
-    dh_top = dcat[:, n:].copy()
+    dh_top = dcat[:, n:]  # a view: dcat is not read again
     d_attn = np.einsum("bn,tbn->bt", dctx, enc_top)
-    d_enc = np.einsum("bt,bn->tbn", attn, dctx)
+    # outer products (Ts, B, n), one product per element
+    d_enc = attn.T[:, :, None] * dctx
     dscores = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
     dq = np.einsum("bt,tbn->bn", dscores, enc_top)
-    d_enc += np.einsum("bt,bn->tbn", dscores, q)
+    d_enc += dscores.T[:, :, None] * q
     dh_top += dq @ params["att_Wa"].T
     grads["att_Wa"] += h_top.T @ dq
     return dh_top, d_enc
 
 
-def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None):
+def decoder_step(model, x_in, h_layers, c_layers, enc_top, masks=None, caches=None):
     """One decoder step over the layer stack plus attention.
 
-    ``x_in`` is [embedding; previous attentional vector].  Mutates
+    ``x_in`` is [embedding; previous attentional vector].  ``masks``
+    (training mode) holds the step's dropout masks, the one of layer ``l``
+    at ``masks[l - 2]`` for each layer above the first.  Mutates
     ``h_layers``/``c_layers`` in place and returns (hbar, attn_row).  Given
     a ``caches`` list, appends the step's caches for the backward pass in
     :func:`loss_and_grads`.
@@ -210,11 +256,11 @@ def decoder_step(model, x_in, h_layers, c_layers, enc_top, rng=None, caches=None
     step_caches = []
     with np.errstate(over="ignore"):  # saturated gates flush to 0/1
         for l in range(1, cfg.layers + 1):
-            mask = _dropout_mask(rng, x.shape, cfg.dropout) if l > 1 else None
+            mask = masks[l - 2] if masks is not None and l > 1 else None
             if mask is not None:
                 x = x * mask
             x, c_layers[l - 1], cache = _layer_step(
-                params, "dec", l, x, h_layers[l - 1], c_layers[l - 1]
+                params, _layer("dec", l), x, h_layers[l - 1], c_layers[l - 1]
             )
             h_layers[l - 1] = x
             if caches is not None:
@@ -249,6 +295,8 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     enc_caches = [] if with_grads else None
     caches = [] if with_grads else None
     enc_top, enc_finals = encode(model, src_ids, rng=train_rng, caches=enc_caches)
+    # the draws of one mask per step and layer, in that order, as one draw
+    dec_masks = _dropout_mask(train_rng, (Tt, cfg.layers - 1, B, n), cfg.dropout)
     h_layers = [h.copy() for h, _ in enc_finals]
     c_layers = [c.copy() for _, c in enc_finals]
     hbar = np.zeros((B, n))
@@ -261,7 +309,8 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     for t in range(Tt):
         x_in = np.concatenate([emb[t], hbar], axis=1)
         hbar, _ = decoder_step(
-            model, x_in, h_layers, c_layers, enc_top, rng=train_rng, caches=caches
+            model, x_in, h_layers, c_layers, enc_top,
+            masks=None if dec_masks is None else dec_masks[t], caches=caches,
         )
         np.matmul(hbar, out_W, out=probs[t])
     # the softmax and the log-likelihood act row by row, so taking every
@@ -280,7 +329,7 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
     if not with_grads or not np.isfinite(loss):
         return loss, None, total_tokens
 
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = {k: np.zeros(v.shape) for k, v in params.items()}
     d_enc_top = np.zeros_like(enc_top)
     dh_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
     dc_time = [np.zeros((B, n)) for _ in range(cfg.layers)]
@@ -307,15 +356,15 @@ def loss_and_grads(model, src_ids, tgt_ids, train_rng=None, with_grads=True):
         for l in range(cfg.layers, 0, -1):
             cache, drop_mask = step_caches[l - 1]
             ds, dh_time[l - 1], dc_time[l - 1] = _layer_step_backward(
-                params, "dec", l, ds + dh_time[l - 1], dc_time[l - 1], cache,
-                drop_mask, grads,
+                params, _layer("dec", l), ds + dh_time[l - 1], dc_time[l - 1],
+                cache, drop_mask, grads,
             )
         # ds is now the gradient on [embedding; previous attentional vector]
         d_emb[Tt - 1 - t] = ds[:, :n]
         d_hbar_next = ds[:, n:]
-    # ufunc.at adds in index order, so each dec_E row sums its terms in the
-    # order the backward pass met them: t descending, then rows
-    np.add.at(grads["dec_E"], dec_in.T[::-1].reshape(-1), d_emb.reshape(-1, n))
+    # each dec_E row sums its terms in the order the backward pass met
+    # them: t descending, then rows
+    grads["dec_E"] += _row_sums(dec_in.T[::-1], d_emb, len(grads["dec_E"]))
 
     d_finals = list(zip(dh_time, dc_time))
     encode_backward(model, src_ids, enc_caches, d_enc_top, d_finals, grads)

@@ -274,6 +274,23 @@ class TestExtractPhrases:
             for o in opts:
                 assert all(0.0 < f <= 1.0 + 1e-9 for f in o.features)
 
+    def test_huge_max_phrase_len_is_the_longest_sentence(self, tmp_path):
+        """Span growth stops once no span is left, so a limit far past
+        every sentence costs what the longest sentence does: one pass per
+        unit of the limit would not end here."""
+        corpus = random_corpus(23, n_pairs=30)
+        word_table = ibm1_em(corpus, 3)
+        aligns = [viterbi_align(word_table, p) for p in corpus.pairs]
+        longest = max(max(len(s), len(t)) for s, t in corpus.pairs)
+        paths = []
+        for max_len in (longest, 10**9):
+            paths.append(tmp_path / f"table-{max_len}.txt")
+            save_phrase_table(
+                extract_phrases(corpus, aligns, word_table, max_phrase_len=max_len),
+                paths[-1],
+            )
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_alignment_count_mismatch(self):
         corpus = ParallelCorpus([(("a",), ("x",))])
         with pytest.raises(ValueError):

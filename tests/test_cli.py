@@ -358,13 +358,14 @@ class TestConfigValidation:
             ("train-nmt", "nmt.hidden", 4096),
             ("train-nmt", "nmt.layers", 16),
             ("train-smt", "smt.lm_order", 10),
+            ("translate", "translate.beam", 1000),
         ],
     )
     def test_size_over_its_bound_fails_naming_the_key(
         self, tmp_path, monkeypatch, capsys, command, key, top
     ):
-        """Sizes that allocate or loop before any data is read have an
-        upper bound; a value past it, however large, is a ConfigError."""
+        """Sizes that allocate or loop in proportion to their value have
+        an upper bound; a value past it, however large, is a ConfigError."""
         path = write_config(tmp_path)
         assert load_config(path, overrides=[f"{key}={top}"])[key] == top
         for value in (top + 1, 100000000, 12345678901234567890):

@@ -513,7 +513,7 @@ def oracle_batch(B, n_src=9, n_tgt=8, Ts=4, Tt=5, seed=4):
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.3])
-@pytest.mark.parametrize("B", [1, 2, 5])
+@pytest.mark.parametrize("B", [1, 2, 5, 16])
 @pytest.mark.parametrize("layers", [1, 2, 3])
 class TestLayerStepOracle:
     """The layer-step network is bit-equal to the per-site residual code."""
@@ -547,7 +547,8 @@ class TestLayerStepOracle:
         x_in = np.random.default_rng(1).uniform(-1, 1, (B, 2 * n))
         h_layers, c_layers = [h for h, _ in finals], [c for _, c in finals]
         ref_h_layers, ref_c_layers = list(h_layers), list(c_layers)
-        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, top, rng=rng)
+        masks = reference_dropout_mask(rng, (layers - 1, B, n), dropout)
+        hbar, attn = decoder_step(model, x_in, h_layers, c_layers, top, masks=masks)
         ref_hbar, ref_attn = reference_decoder_step(
             model, x_in, ref_h_layers, ref_c_layers, top, rng=ref_rng
         )
@@ -572,8 +573,12 @@ class TestCacheRule:
         enc_caches, step_caches = ([], []) if keep else (None, None)
         top, finals = encode(model, src_ids, rng=rng, caches=enc_caches)
         h_layers, c_layers = [h for h, _ in finals], [c for _, c in finals]
+        cfg = model.config
+        masks = reference_dropout_mask(
+            rng, (cfg.layers - 1, len(x_in), cfg.hidden), cfg.dropout
+        )
         hbar, attn = decoder_step(
-            model, x_in, h_layers, c_layers, top, rng=rng, caches=step_caches
+            model, x_in, h_layers, c_layers, top, masks=masks, caches=step_caches
         )
         values = [top, *(a for pair in finals for a in pair), hbar, attn,
                   *h_layers, *c_layers, rng.random(1)]
