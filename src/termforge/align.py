@@ -76,8 +76,8 @@ def ibm1_em(corpus: ParallelCorpus, iterations: int) -> TranslationTable:
     current at the start of the iteration) is recorded on the returned
     table; EM guarantees it never decreases.
     """
-    if not corpus.pairs:
-        raise EmptyCorpusError("cannot run EM on an empty corpus")
+    if not any(tgt for _, tgt in corpus.pairs):
+        raise EmptyCorpusError("cannot run EM on a corpus with no target words")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 

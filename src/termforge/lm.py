@@ -4,9 +4,11 @@ Per-context distributions sum to one by construction: the discounted mass
 at each order is exactly the interpolation weight handed to the next order
 down, and the unigram level interpolates with a uniform distribution over
 the prediction set (vocabulary + end-of-sentence + unknown), so unknown
-tokens always receive finite probability.  Training counts each order in
-one ``Counter`` pass over shifted copies of the padded sentences and takes
-each n-gram's KN numerator once (see :func:`train_lm`).
+tokens always receive finite probability.  Training encodes the padded
+sentences once as int64 word ids in sorted word order and takes each order
+as sorted integer n-gram keys (one ``np.unique``), so its distinct n-grams,
+counts, KN numerators and context runs are array operations, and the
+tables come out in ARPA file order (see :func:`train_lm`).
 
 Queries run on integer ids and context states (Heafield 2011).  From the
 ``logprob`` and ``backoff`` tables a model derives, once and on its first
@@ -29,10 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import finite_float
 from .errors import EmptyCorpusError, ModelFormatError
@@ -183,37 +186,86 @@ class NgramLanguageModel:
         return total
 
 
-def _discount(numerators: Iterable[int]) -> float:
+def _encode(
+    sentences: Iterable[Sequence[str]],
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The sorted vocabulary (every word, ``<s>``, ``</s>`` and ``<unk>``),
+    the padded sentences end to end as int64 word ids, and at each position
+    the number of tokens from it to its sentence's end."""
+    sents = [tuple(sent) for sent in sentences]
+    if not sents:
+        raise EmptyCorpusError("cannot train a language model on an empty corpus")
+    words = set(chain.from_iterable(sents))
+    if BOS in words:
+        line = next(i for i, sent in enumerate(sents, start=1) if BOS in sent)
+        raise ValueError(
+            f"sentence {line} holds {BOS!r}, which only pads a sentence's start"
+        )
+    vocab = sorted(words | {BOS, EOS, UNK})
+    ids = {word: i for i, word in enumerate(vocab)}
+    lengths = np.fromiter(map(len, sents), np.int64, len(sents)) + 2
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    tokens = np.full(int(ends[-1]), ids[EOS])
+    tokens[starts] = ids[BOS]
+    inner = np.ones(len(tokens), dtype=bool)
+    inner[starts] = inner[ends - 1] = False
+    words_in_order = map(ids.__getitem__, chain.from_iterable(sents))
+    tokens[inner] = np.fromiter(words_in_order, np.int64, np.count_nonzero(inner))
+    return vocab, tokens, np.repeat(ends, lengths) - np.arange(len(tokens))
+
+
+class _Grams(NamedTuple):
+    """The distinct n-grams of one order, in tuple order.  An n-gram's rank
+    is its place among them; a word's rank is its id."""
+
+    context: np.ndarray  # the rank of each one's first n-1 words
+    last: np.ndarray  # the id of each one's last word
+    first: np.ndarray  # the id of each one's first word
+    counts: np.ndarray
+    suffix: np.ndarray  # the rank of each one's last n-1 words
+    ranks: np.ndarray  # the rank of the n-gram at each position, 0 if none
+
+
+def _grams(tokens: np.ndarray, left: np.ndarray, rank: np.ndarray, n: int,
+           n_words: int) -> _Grams | None:
+    """The n-grams of the encoded sentences (see :func:`_encode`), from the
+    rank of the (n-1)-gram at each position; None when there are none.
+    The key ``rank * n_words + id`` of an n-gram sorts as its words do; it
+    stays below ``len(tokens) ** 2``, so int64 holds it."""
+    at = np.flatnonzero(left >= n)
+    if not len(at):
+        return None
+    keys, first, inverse, counts = np.unique(
+        rank[at] * n_words + tokens[at + n - 1],
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    first = at[first]
+    ranks = np.zeros_like(tokens)
+    ranks[at] = inverse
+    context, last = np.divmod(keys, n_words)
+    return _Grams(context, last, tokens[first], counts, rank[first + 1], ranks)
+
+
+def _numerators(counts: np.ndarray, first: np.ndarray, longer: _Grams | None,
+                bos: int) -> np.ndarray:
+    """The KN numerator of each gram: its count at the top order (no
+    ``longer`` grams) and for a gram anchored at ``<s>``, which nothing can
+    precede, else its number of distinct left extensions among the
+    ``longer`` grams (its continuation count)."""
+    if longer is None:
+        return counts
+    continuation = np.bincount(longer.suffix, minlength=len(counts))
+    return np.where(first == bos, counts, continuation)
+
+
+def _discount(nums: np.ndarray) -> float:
     """Absolute discount from count-of-counts, clamped inside (0, 1)."""
-    count_of = Counter(numerators)
-    n1, n2 = count_of[1], count_of[2]
+    n1 = int(np.count_nonzero(nums == 1))
+    n2 = int(np.count_nonzero(nums == 2))
     if n1 + 2 * n2 == 0:
         return 0.5
     return min(max(n1 / (n1 + 2 * n2), 1e-3), 1.0 - 1e-3)
-
-
-def _ngram_counts(seqs: Sequence[tuple[str, ...]], n: int) -> Counter:
-    """How often each n-gram occurs in the padded sentences, keyed in the
-    order of first occurrence."""
-    return Counter(chain.from_iterable(
-        zip(*[seq[k:] for k in range(n)]) for seq in seqs
-    ))
-
-
-def _kn_numerators(
-    grams: Counter, longer: Counter | None
-) -> dict[tuple[str, ...], int]:
-    """The KN numerator of each gram, keyed in counting order: its raw count
-    at the top order (no ``longer`` grams) and for a gram anchored at
-    ``<s>``, which nothing can precede, else its number of distinct left
-    extensions among the ``longer`` grams (its continuation count)."""
-    if longer is None:
-        return grams
-    continuation = Counter(gram[1:] for gram in longer)
-    return {
-        gram: count if gram[0] == BOS else continuation[gram]
-        for gram, count in grams.items()
-    }
 
 
 def train_lm(sentences: Iterable[Sequence[str]], order: int = 5) -> NgramLanguageModel:
@@ -221,71 +273,83 @@ def train_lm(sentences: Iterable[Sequence[str]], order: int = 5) -> NgramLanguag
 
     Sentences shorter than the order simply contribute no high-order grams;
     scoring backs off to whatever orders exist, so small corpora degrade
-    gracefully instead of failing.
+    gracefully instead of failing.  A sentence may not hold ``<s>``, which
+    pads its start (ValueError).
 
-    Each order is counted in one ``Counter`` pass over zipped, shifted
-    copies of the padded sentences.  Orders are then estimated bottom-up,
-    and each n-gram's KN numerator (:func:`_kn_numerators`) is taken once.
-    Every numerator is at least 1, since a gram that does not start with
-    ``<s>`` has a left neighbour in its sentence; so every context has a
-    positive denominator and every follower counts as a type.  The counts
-    of an order are dropped once its numerators are taken.
+    The padded sentences are encoded once as word ids in sorted word order,
+    so that ids sort as their words do.  Each order is then one
+    ``np.unique`` over integer keys (:func:`_grams`), which gives its
+    distinct n-grams in tuple order with their counts; an order's
+    continuation counts are one ``np.bincount`` of the next order's suffix
+    ranks (:func:`_numerators`).  Every numerator is at least 1, since a
+    gram that does not start with ``<s>`` has a left neighbour in its
+    sentence; so every context has a positive denominator and every
+    follower counts as a type.  A context's followers are one run of the
+    sorted grams, so its denominator is one integer ``np.add.reduceat``.
+    The float arithmetic is elementwise, in the order of ``(num - d) /
+    denom + lam * exp(lower)``, with ``math.exp`` and ``math.log`` on each
+    value.  The tables are keyed in ARPA file order: orders ascending,
+    tuple order within one.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    seqs = [(BOS,) + tuple(sent) + (EOS,) for sent in sentences]
-    if not seqs:
-        raise EmptyCorpusError("cannot train a language model on an empty corpus")
-    # counts[n] holds the n-grams for n = 1..order; None past the top order
-    counts = [None, *(_ngram_counts(seqs, n) for n in range(1, order + 1)), None]
-    del seqs
+    vocab, tokens, left = _encode(sentences)
+    n_words = len(vocab)
+    bos = vocab.index(BOS)
+    unit = [(word,) for word in vocab]  # the 1-gram of each id
+    exp, log = math.exp, math.log
 
-    nums = _kn_numerators(counts[1], counts[2])
-    counts[1] = None
-    del nums[(BOS,)]  # <s> is context-only, never a predicted event
-    words = {gram[0] for gram in nums} - {EOS}
-    prediction_set = frozenset(words | {EOS, UNK})
-    uniform = 1.0 / len(prediction_set)
-
-    prob: dict[tuple[str, ...], float] = {}
+    # Unigram level, interpolated with the uniform distribution over the
+    # prediction set: every id but <s>, which is context-only.
+    longer = _grams(tokens, left, tokens, 2, n_words) if order > 1 else None
+    nums = _numerators(np.bincount(tokens, minlength=n_words), np.arange(n_words),
+                       longer, bos)
+    nums[bos] = 0
+    d = _discount(nums)
+    denom = int(nums.sum())
+    lam = d * int(np.count_nonzero(nums)) / denom
+    uniform = 1.0 / (n_words - 1)
+    values = list(map(log, (np.maximum(nums - d, 0.0) / denom + lam * uniform).tolist()))
+    prob: dict[tuple[str, ...], float] = dict(
+        zip(unit[:bos] + unit[bos + 1:], values[:bos] + values[bos + 1:])
+    )
     backoff: dict[tuple[str, ...], float] = {}
-
-    # Unigram level, interpolated with the uniform distribution.
-    d1 = _discount(nums.values())
-    denom1 = sum(nums.values())
-    lam1 = d1 * len(nums) / denom1
-    for w in sorted(prediction_set):
-        num = nums.get((w,), 0)
-        base = max(num - d1, 0.0) / denom1
-        prob[(w,)] = math.log(base + lam1 * uniform)
 
     # Higher orders, bottom-up so lower-order probabilities are available.
     # A numerator exceeds the discount, so no discounted count is clamped.
-    exp, log = math.exp, math.log
+    lower_grams = unit
     for n in range(2, order + 1):
-        nums = _kn_numerators(counts[n], counts[n + 1])
-        counts[n] = None
-        dn = _discount(nums.values())
-        by_context: dict[tuple[str, ...], list[tuple[tuple[str, ...], int]]] = (
-            defaultdict(list)
-        )
-        for gram, num in nums.items():
-            by_context[gram[:-1]].append((gram, num))
-        del nums
-        for context, followers in by_context.items():
-            denom = sum([num for _, num in followers])
-            lam = dn * len(followers) / denom
-            for gram, num in followers:
-                prob[gram] = log((num - dn) / denom + lam * exp(prob[gram[1:]]))
-            backoff[context] = log(lam)
+        grams = longer
+        if grams is None:
+            break
+        longer = _grams(tokens, left, grams.ranks, n + 1, n_words) if n < order else None
+        nums = _numerators(grams.counts, grams.first, longer, bos)
+        d = _discount(nums)
+        runs = np.flatnonzero(np.diff(grams.context, prepend=-1))
+        denom = np.add.reduceat(nums, runs)
+        types = np.diff(runs, append=len(nums))
+        lam = d * types / denom
+        lower = np.array(list(map(exp, values)))[grams.suffix]
+        values = list(map(log, (
+            (nums - d) / np.repeat(denom, types) + np.repeat(lam, types) * lower
+        ).tolist()))
+        keys = list(map(
+            tuple.__add__, map(lower_grams.__getitem__, grams.context.tolist()),
+            map(unit.__getitem__, grams.last.tolist()),
+        ))
+        prob.update(zip(keys, values))
+        backoff.update(zip(
+            map(lower_grams.__getitem__, grams.context[runs].tolist()),
+            map(log, lam.tolist()),
+        ))
+        lower_grams = keys
 
-    vocab = frozenset(words | {BOS, EOS, UNK})
     return NgramLanguageModel(
         order=order,
         logprob=prob,
         backoff=backoff,
-        vocab=vocab,
-        prediction_set=prediction_set,
+        vocab=frozenset(vocab),
+        prediction_set=frozenset(vocab) - {BOS},
     )
 
 

@@ -33,7 +33,9 @@ import os
 
 from . import align, bpe, corpus, inject, lm, metrics, nmt, smt
 from .config import PipelineConfig
-from .errors import ConfigError, MarkupError, ModelFormatError, SearchError
+from .errors import (
+    ConfigError, EmptyCorpusError, MarkupError, ModelFormatError, SearchError,
+)
 from .files import atomic_open, read_lines
 from .fixtures import write_fixture_files
 
@@ -108,6 +110,11 @@ def run_train_smt(cfg: PipelineConfig, force: bool = False) -> None:
     model_dir = cfg.path("model.smt.dir")
     _guard_model_dir(model_dir, force)
     train = _load_split(cfg, "train")
+    if not any(train.target_sentences):
+        raise EmptyCorpusError(
+            f"{cfg.input_path('corpus.train.target')}: no target words to align"
+            " or to train a language model on"
+        )
     table = align.ibm1_em(train, cfg["smt.em_iterations"])
     alignments = (align.viterbi_align(table, pair) for pair in train.pairs)
     ptable = align.extract_phrases(train, alignments, table, cfg["smt.max_phrase_len"])

@@ -142,6 +142,10 @@ class TestIbm1Em:
         with pytest.raises(EmptyCorpusError):
             ibm1_em(ParallelCorpus([]), 3)
 
+    def test_corpus_without_target_words_rejected(self):
+        with pytest.raises(EmptyCorpusError, match="no target words"):
+            ibm1_em(ParallelCorpus([(("a",), ()), (("b", "c"), ())]), 3)
+
     def test_deterministic(self):
         t1 = ibm1_em(random_corpus(8), 5)
         t2 = ibm1_em(random_corpus(8), 5)

@@ -252,6 +252,22 @@ class TestCliPipeline:
         err = capsys.readouterr().err
         assert "generic.src" in err
 
+    @pytest.mark.parametrize("stage", ["train-smt", "train-nmt"])
+    def test_blank_training_target_fails_cleanly(
+        self, tmp_path, monkeypatch, capsys, stage
+    ):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "generic.src").write_text("a b\nc d\ne\n", encoding="utf-8")
+        (data / "generic.tgt").write_text("\n  \n\t\n", encoding="utf-8")
+        assert run([stage, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if stage == "train-smt":
+            assert f"{data / 'generic.tgt'}: no target words" in err
+
     def test_unknown_subcommand_usage_error(self, tmp_path):
         cfg = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -281,6 +281,11 @@ class TestTrainLm:
         with pytest.raises(EmptyCorpusError):
             train_lm([], order=3)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 6])
+    def test_sentence_holding_bos_is_rejected(self, order):
+        with pytest.raises(ValueError, match=r"sentence 2 holds '<s>'"):
+            train_lm([("a", "b"), ("a", BOS, "b")], order=order)
+
     def test_stored_logprobs_nonpositive_finite(self):
         model = train_lm(fixture_sentences(), order=4)
         for value in model.logprob.values():
@@ -698,6 +703,15 @@ def oracle_corpora():
         yield f"seed {seed}", sents
 
 
+# words with a tab, a non-ASCII letter and a control character, and </s>
+# and <unk>, which a sentence may hold as words; empty sentences too
+ORACLE_SENTENCES = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c\td", "é", "\x01", EOS, UNK]), max_size=8),
+    min_size=1,
+    max_size=15,
+)
+
+
 class TestKneserNeyOracle:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_bit_equal_tables_and_bytes(self, order, tmp_path):
@@ -720,3 +734,24 @@ class TestKneserNeyOracle:
             loaded = load_arpa(path)
             save_arpa(loaded, path)
             assert path.read_bytes() == oracle_arpa_text(loaded).encode("utf-8"), name
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(ORACLE_SENTENCES, st.integers(1, 6))
+    def test_drawn_corpora(self, sentences, order):
+        got = train_lm(sentences, order=order)
+        want = oracle_train_lm(sentences, order=order)
+        assert got.vocab == want.vocab
+        assert got.prediction_set == want.prediction_set
+        for table in ("logprob", "backoff"):
+            g, w = getattr(got, table), getattr(want, table)
+            assert g.keys() == w.keys(), table
+            assert {k: v.hex() for k, v in g.items()} == {
+                k: v.hex() for k, v in w.items()
+            }, table
+        # the tables come in file order, which the writer's sort then keeps
+        assert list(got.logprob) == sorted(got.logprob, key=lambda g: (len(g), g))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.arpa")
+            save_arpa(got, path)
+            with open(path, "rb") as f:
+                assert f.read() == oracle_arpa_text(want).encode("utf-8")
